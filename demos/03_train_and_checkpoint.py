@@ -9,10 +9,9 @@ import numpy as np
 
 from sentihier.classifiers import embedding_matrix_for, prepare
 from sentihier.evaluation import stratified_split_70_30
-from sentihier.model import (Document, HiCnnLstmModel, ModelConfig,
-                             load_checkpoint, save_checkpoint)
+from sentihier.model import HiCnnLstmModel, ModelConfig, load_checkpoint, save_checkpoint
 from sentihier.synthetic import make_marker_dataset
-from sentihier.textprep import build_vocab, index_document
+from sentihier.textprep import build_vocab, encode
 from sentihier.train import TrainConfig, fit
 
 ds = make_marker_dataset(200, seed=1)
@@ -24,8 +23,7 @@ matrix = embedding_matrix_for(vocab, None, 32, embedding_seed=5)
 
 
 def to_doc(i, with_label=True):
-    sents = tuple(tuple(s) for s in index_document(tokenized[i], vocab))
-    return Document(sents, labels[i] if with_label else None)
+    return encode(tokenized[i], vocab, labels[i] if with_label else None)
 
 
 config = ModelConfig(embedding_dim=32, filter_width=3, num_filters=32,

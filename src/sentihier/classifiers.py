@@ -6,14 +6,15 @@ closure compatible with evaluation.cross_validate / learning_curve.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import baseline
 from .embeddings import EmbeddingTable, random_table
 from .errors import ConfigurationError
-from .model import Document, HiCnnLstmModel, ModelConfig
-from .textprep import build_vocab, index_document, tokenize_document
+from .model import HiCnnLstmModel, ModelConfig
+from .textprep import build_vocab, encode, tokenize_document
 from .train import TrainConfig, fit
 
 CLASSIFIER_NAMES = ("hicnnlstm", "nb")
@@ -55,23 +56,24 @@ class HiCnnLstmClassifier:
         self.table = table
         self.embedding_seed = embedding_seed
 
+    def build(self, tokenized, labels, seed: int):
+        """Vocabulary, encoded documents and a fresh model seeded with `seed`."""
+        vocab = build_vocab(tokenized)
+        matrix = embedding_matrix_for(vocab, self.table, self.model_config.embedding_dim,
+                                      self.embedding_seed)
+        docs = [encode(t, vocab, label) for t, label in zip(tokenized, labels)]
+        model = HiCnnLstmModel(replace(self.model_config, seed=seed), matrix,
+                               vocab.fingerprint())
+        return vocab, docs, model
+
     def fit_predict_factory(self, tokenized, labels):
         def fit_predict(train_ix, test_ix, seed):
-            vocab = build_vocab(tokenized[i] for i in train_ix)
-            matrix = embedding_matrix_for(vocab, self.table,
-                                          self.model_config.embedding_dim,
-                                          self.embedding_seed)
-            def to_doc(i, with_label):
-                sents = tuple(tuple(s) for s in index_document(tokenized[i], vocab))
-                return Document(sents, labels[i] if with_label else None)
-            train_docs = [to_doc(i, True) for i in train_ix]
-            cfg = ModelConfig(**{**self.model_config.__dict__, "seed": seed})
-            tcfg = TrainConfig(**{**self.train_config.__dict__, "seed": seed})
-            model = HiCnnLstmModel(cfg, matrix, vocab.fingerprint())
+            vocab, train_docs, model = self.build(
+                [tokenized[i] for i in train_ix], [labels[i] for i in train_ix], seed)
             t0 = time.perf_counter()
-            model, history = fit(model, train_docs, tcfg)
+            model, history = fit(model, train_docs, replace(self.train_config, seed=seed))
             t1 = time.perf_counter()
-            preds = [model.predict(to_doc(i, False)) for i in test_ix]
+            preds = [model.predict(encode(tokenized[i], vocab)) for i in test_ix]
             t2 = time.perf_counter()
             return {"predictions": preds, "history": history,
                     "train_seconds": t1 - t0, "test_seconds": t2 - t1}
@@ -90,14 +92,11 @@ class NaiveBayesClassifier:
         num_classes = max(labels) + 1
         def fit_predict(train_ix, test_ix, seed):
             vocab = build_vocab(tokenized[i] for i in train_ix)
-            def to_doc(i, with_label):
-                sents = tuple(tuple(s) for s in index_document(tokenized[i], vocab))
-                return Document(sents, labels[i] if with_label else None)
             t0 = time.perf_counter()
-            nb = baseline.nb_fit([to_doc(i, True) for i in train_ix],
+            nb = baseline.nb_fit([encode(tokenized[i], vocab, labels[i]) for i in train_ix],
                                  len(vocab), num_classes, self.alpha)
             t1 = time.perf_counter()
-            preds = [baseline.nb_predict(nb, to_doc(i, False)) for i in test_ix]
+            preds = [baseline.nb_predict(nb, encode(tokenized[i], vocab)) for i in test_ix]
             t2 = time.perf_counter()
             return {"predictions": preds, "history": None,
                     "train_seconds": t1 - t0, "test_seconds": t2 - t1}

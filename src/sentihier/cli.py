@@ -25,8 +25,8 @@ from .datasets import load_dataset_config, load_from_config
 from .embeddings import load_word2vec_binary, load_word2vec_text
 from .errors import ConfigurationError, ParseError, SentihierError
 from .evaluation import cross_validate, learning_curve, report_to_csv_rows, report_to_markdown
-from .model import Document, HiCnnLstmModel, ModelConfig, load_checkpoint, save_checkpoint
-from .textprep import Vocabulary, build_vocab, index_document, tokenize_document
+from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .textprep import Vocabulary, encode, tokenize_document
 from .train import TrainConfig, fit
 
 EXIT_CONFIG = 2
@@ -43,6 +43,8 @@ def _parse_overrides(pairs):
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigurationError(f"override {pair!r} is not key=value")
+        if key == "seed":
+            raise ConfigurationError("override key 'seed' is not allowed; pass --seed instead")
         if key in _MODEL_FIELDS:
             target, anno = model_over, ModelConfig.__dataclass_fields__[key].type
         elif key in _TRAIN_FIELDS:
@@ -75,6 +77,13 @@ def _write_report(path: Path, manifest: dict, body_lines):
             fh.write(line + "\n")
         for line in body_lines:
             fh.write(line + "\n")
+
+
+def _manifest(command: str, args, ds, **fields) -> dict:
+    """The flags and seed behind a report; `fields` go after dataset_config."""
+    return {"command": command, "dataset": ds.name, "dataset_config": str(args.dataset),
+            **fields, "seed": args.seed, "embeddings": args.embeddings,
+            "overrides": ",".join(args.override or []), "version": __version__}
 
 
 def _out_dir(args) -> Path:
@@ -114,12 +123,7 @@ def cmd_crossval(args) -> int:
                                           seed=args.seed, num_classes=len(ds.label_set),
                                           threads=args.threads)
     total = time.perf_counter() - t0
-    manifest = {
-        "command": "crossval", "dataset": ds.name, "dataset_config": str(args.dataset),
-        "classifier": args.classifier, "folds": args.folds, "seed": args.seed,
-        "embeddings": args.embeddings, "overrides": ",".join(args.override or []),
-        "version": __version__,
-    }
+    manifest = _manifest("crossval", args, ds, classifier=args.classifier, folds=args.folds)
     names = list(ds.label_set)
     for res in fold_results:
         fold_manifest = {**manifest, "fold": res.fold}
@@ -150,12 +154,8 @@ def cmd_learning_curve(args) -> int:
     specs = args.classifier or ["hicnnlstm"]
     ds, classifiers = _dataset_and_classifiers(args, specs)
     tokenized, labels = prepare(ds)
-    manifest = {
-        "command": "learning-curve", "dataset": ds.name, "dataset_config": str(args.dataset),
-        "classifiers": ",".join(specs), "fractions": args.fractions, "seed": args.seed,
-        "embeddings": args.embeddings, "overrides": ",".join(args.override or []),
-        "version": __version__,
-    }
+    manifest = _manifest("learning-curve", args, ds, classifiers=",".join(specs),
+                         fractions=args.fractions)
     t0 = time.perf_counter()
     combined = ["classifier,fraction,size,accuracy"]
     all_warnings = []
@@ -184,20 +184,15 @@ def cmd_learning_curve(args) -> int:
 def cmd_train(args) -> int:
     ds, (classifier,) = _dataset_and_classifiers(args, ["hicnnlstm"])
     tokenized, labels = prepare(ds)
-    vocab = build_vocab(tokenized)
-    from .classifiers import embedding_matrix_for
-    matrix = embedding_matrix_for(vocab, classifier.table,
-                                  classifier.model_config.embedding_dim, args.seed)
-    docs = [Document(tuple(tuple(s) for s in index_document(t, vocab)), lab)
-            for t, lab in zip(tokenized, labels)]
-    cfg = ModelConfig(**{**classifier.model_config.__dict__, "seed": args.seed})
-    model = HiCnnLstmModel(cfg, matrix, vocab.fingerprint())
+    vocab, docs, model = classifier.build(tokenized, labels, args.seed)
     model, history = fit(model, docs, classifier.train_config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out)
     meta = {"vocab": list(vocab.index_to_token), "labels": list(ds.label_set)}
     Path(str(out) + ".meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    _write_report(Path(str(out) + ".history.csv"),
+                  _manifest("train", args, ds, classifier="hicnnlstm"), history.to_csv_rows())
     best = history.epochs[history.best_epoch - 1]
     print(f"trained {len(docs)} docs, best epoch {history.best_epoch} "
           f"(val_loss {best.val_loss:.4f}, val_acc {best.val_accuracy:.4f}) -> {out}")
@@ -219,9 +214,7 @@ def cmd_predict(args) -> int:
     lines = (sys.stdin.read().splitlines() if args.input == "-"
              else Path(args.input).read_text(encoding="utf-8").splitlines())
     for line in lines:
-        doc = Document(tuple(tuple(s) for s in
-                             index_document(tokenize_document(line), vocab)))
-        probs, _ = model.forward(doc, train=False)
+        probs, _ = model.forward(encode(tokenize_document(line), vocab), train=False)
         label = label_names[int(probs.argmax())]
         print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
     return 0
@@ -276,7 +269,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SentihierError as exc:

@@ -38,9 +38,6 @@ class LabeledDataset:
             counts[lab] += 1
         return counts
 
-    def label_index(self, label: str) -> int:
-        return self.label_set.index(label)
-
     def labels(self):
         return [self.label_set.index(lab) for _, lab in self.samples]
 

@@ -7,6 +7,7 @@ resolve to the all-zero vector, which is neutral under the convolution.
 import numpy as np
 
 from .errors import ParseError
+from .textprep import fnv1a_64
 
 
 class EmbeddingTable:
@@ -126,18 +127,10 @@ def random_table(tokens, dim: int, seed: int) -> EmbeddingTable:
     """
     vectors = {}
     for token in tokens:
-        ss = np.random.SeedSequence([seed, _fnv64(token)])
+        ss = np.random.SeedSequence([seed, fnv1a_64(token.encode("utf-8"))])
         rng = np.random.default_rng(ss)
         vectors[token] = rng.uniform(-0.25, 0.25, size=dim)
     return EmbeddingTable(dim, vectors)
-
-
-def _fnv64(token: str) -> int:
-    h = 0xCBF29CE484222325
-    for byte in token.encode("utf-8"):
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 def _is_int(s: str) -> bool:

@@ -162,6 +162,30 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
     return results, pooled
 
 
+def stratified_pick(labels, fraction: float, total: int, rng: np.random.Generator) -> list:
+    """Sorted indices of `total` items drawn class by class in proportion.
+
+    Each class gets floor(fraction * its size) items; the rest of `total` goes
+    one item per class to the largest remainders, ties to the lower label.
+    Classes are then shuffled by `rng` in label order and their first items kept.
+    """
+    by_class = {}
+    for idx, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(idx)
+    shares = {c: fraction * len(ix) for c, ix in by_class.items()}
+    take = {c: int(math.floor(s)) for c, s in shares.items()}
+    leftover = total - sum(take.values())
+    order = sorted(by_class, key=lambda c: (-(shares[c] - take[c]), c))
+    for c in order[:max(leftover, 0)]:
+        take[c] += 1
+    picked = []
+    for c in sorted(by_class):
+        ix = np.array(by_class[c])
+        rng.shuffle(ix)
+        picked.extend(ix[: take[c]].tolist())
+    return sorted(picked)
+
+
 def stratified_split_70_30(labels, seed: int):
     """One seeded stratified split; train size = N - floor(0.3*N).
 
@@ -170,24 +194,10 @@ def stratified_split_70_30(labels, seed: int):
     """
     labels = list(labels)
     n = len(labels)
-    n_train = n - int(math.floor(0.3 * n + 1e-9))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7030]))
-    by_class = {}
-    for idx, lab in enumerate(labels):
-        by_class.setdefault(lab, []).append(idx)
-    shares = {c: 0.7 * len(ix) for c, ix in by_class.items()}
-    take = {c: int(math.floor(s)) for c, s in shares.items()}
-    leftover = n_train - sum(take.values())
-    order = sorted(by_class, key=lambda c: (-(shares[c] - take[c]), c))
-    for c in order[:max(leftover, 0)]:
-        take[c] += 1
-    train, test = [], []
-    for c in sorted(by_class):
-        ix = np.array(by_class[c])
-        rng.shuffle(ix)
-        train.extend(ix[: take[c]].tolist())
-        test.extend(ix[take[c] :].tolist())
-    return sorted(train), sorted(test)
+    train = stratified_pick(labels, 0.7, n - int(math.floor(0.3 * n + 1e-9)), rng)
+    chosen = set(train)
+    return train, [i for i in range(n) if i not in chosen]
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,32 @@ are the correctness authority.
 
 import numpy as np
 
-from .arrays import relu_grad, sigmoid, softmax
 from .errors import ContractViolation, ShapeError
+
+
+def softmax(v) -> np.ndarray:
+    """Numerically stable softmax via max-subtraction."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ShapeError(f"softmax needs a non-empty 1-d vector, got shape {v.shape}")
+    e = np.exp(v - np.max(v))
+    return e / np.sum(e)
+
+
+def sigmoid(v) -> np.ndarray:
+    # Split by sign so exp never overflows.
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def relu_grad(v) -> np.ndarray:
+    """Subgradient of relu; defined as 0 at exactly 0."""
+    return (np.asarray(v, dtype=np.float64) > 0.0).astype(np.float64)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -19,26 +43,24 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 
 
 class DropoutMask:
-    """Inverted-dropout mask: entries are 0 or 1/keep_prob.
+    """Inverted-dropout mask: entries are 0 or 1/(1 - dropout_rate).
 
     An inference-mode mask is all ones, so applying it is the identity map.
     """
 
-    def __init__(self, mask: np.ndarray, keep_prob: float):
+    def __init__(self, mask: np.ndarray):
         self.mask = mask
-        self.keep_prob = keep_prob
 
     @classmethod
     def ones(cls, size: int) -> "DropoutMask":
-        return cls(np.ones(size, dtype=np.float64), 1.0)
+        return cls(np.ones(size, dtype=np.float64))
 
     @classmethod
     def sample(cls, rng: np.random.Generator, size: int, dropout_rate: float) -> "DropoutMask":
         keep = 1.0 - dropout_rate
         if dropout_rate <= 0.0:
             return cls.ones(size)
-        mask = (rng.random(size) < keep).astype(np.float64) / keep
-        return cls(mask, keep)
+        return cls((rng.random(size) < keep).astype(np.float64) / keep)
 
 
 def sentence_matrix(token_indices, embedding_matrix: np.ndarray, min_rows: int) -> np.ndarray:
@@ -108,13 +130,9 @@ class ConvLayer:
 class DenseLayer:
     """Fully connected ReLU layer with inverted dropout on its input."""
 
-    def __init__(self, out_dim: int, in_dim: int, dropout_rate: float,
-                 rng: np.random.Generator):
-        if not 0.0 <= dropout_rate < 1.0:
-            raise ContractViolation(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+    def __init__(self, out_dim: int, in_dim: int, rng: np.random.Generator):
         self.weights = glorot_uniform(rng, out_dim, in_dim)
         self.bias = np.zeros(out_dim, dtype=np.float64)
-        self.dropout_rate = dropout_rate
 
     def forward(self, x: np.ndarray, mask: DropoutMask):
         if x.shape[0] != self.weights.shape[1]:
@@ -143,16 +161,13 @@ class LstmCell:
     caller samples them once and reuses them at every step.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator,
-                 input_dropout: float = 0.2, recurrent_dropout: float = 0.2):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.input_weights = glorot_uniform(rng, 4 * hidden_dim, input_dim)
         self.recurrent_weights = glorot_uniform(rng, 4 * hidden_dim, hidden_dim)
         self.bias = np.zeros(4 * hidden_dim, dtype=np.float64)
         self.bias[hidden_dim : 2 * hidden_dim] = 1.0
-        self.input_dropout = input_dropout
-        self.recurrent_dropout = recurrent_dropout
 
     def step(self, x, h_prev, c_prev, input_mask: DropoutMask, recurrent_mask: DropoutMask):
         H = self.hidden_dim

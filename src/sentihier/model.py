@@ -78,12 +78,9 @@ class HiCnnLstmModel:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xA11]))
         self.conv = layers.ConvLayer(config.filter_width, config.num_filters,
                                      config.embedding_dim, rng)
-        self.dense = layers.DenseLayer(config.sentence_dim, config.num_filters,
-                                       config.dense_dropout, rng)
-        self.lstm_fwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng,
-                                        config.lstm_dropout, config.lstm_dropout)
-        self.lstm_bwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng,
-                                        config.lstm_dropout, config.lstm_dropout)
+        self.dense = layers.DenseLayer(config.sentence_dim, config.num_filters, rng)
+        self.lstm_fwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng)
+        self.lstm_bwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng)
         self.head = layers.SoftmaxHead(config.num_classes, 2 * config.lstm_hidden, rng)
 
     def params(self) -> dict:

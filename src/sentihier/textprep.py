@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
+from .model import Document
 
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
@@ -44,17 +45,18 @@ class Vocabulary:
     def index_of(self, token: str) -> int:
         return self.token_to_index.get(token, UNK_INDEX)
 
-    def token_of(self, index: int) -> str:
-        return self.index_to_token[index]
-
     def fingerprint(self) -> int:
-        """Order-sensitive 64-bit FNV-1a hash of the token list."""
-        h = 0xCBF29CE484222325
-        for tok in self.index_to_token:
-            for byte in tok.encode("utf-8") + b"\x00":
-                h ^= byte
-                h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return h
+        """Order-sensitive hash of the token list, each token NUL-terminated."""
+        return fnv1a_64(b"".join(tok.encode("utf-8") + b"\x00" for tok in self.index_to_token))
+
+
+def fnv1a_64(data: bytes) -> int:
+    """64-bit FNV-1a hash."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def split_sentences(text: str) -> list:
@@ -145,3 +147,8 @@ def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
 def index_document(doc: TokenizedDocument, vocab: Vocabulary) -> list:
     """Map every token to its vocabulary index; unknown tokens map to UNK."""
     return [[vocab.index_of(tok) for tok in sent] for sent in doc.sentences]
+
+
+def encode(doc: TokenizedDocument, vocab: Vocabulary, label: int | None = None) -> Document:
+    """The model input for a tokenized document: its indexed sentences and label."""
+    return Document(tuple(tuple(s) for s in index_document(doc, vocab)), label)

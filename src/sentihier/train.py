@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
+from .evaluation import stratified_pick
 
 
 class AdamState:
@@ -40,11 +41,6 @@ class AdamState:
             m_hat = m / corr1
             v_hat = v / corr2
             p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
-    state.step(params, grads)
-    return state
 
 
 @dataclass(frozen=True)
@@ -88,24 +84,9 @@ def _stratified_val_split(labels, val_fraction: float, rng: np.random.Generator)
     """Indices (train, val); the validation slice preserves class proportions."""
     n = len(labels)
     n_val = max(1, int(math.floor(val_fraction * n + 0.5)))
-    by_class = {}
-    for idx, lab in enumerate(labels):
-        by_class.setdefault(lab, []).append(idx)
-    val = []
-    # Proportional floor allocation, remainder to the largest classes first.
-    shares = {c: val_fraction * len(ix) for c, ix in by_class.items()}
-    take = {c: int(math.floor(s)) for c, s in shares.items()}
-    leftover = n_val - sum(take.values())
-    order = sorted(by_class, key=lambda c: (-(shares[c] - take[c]), c))
-    for c in order[:max(leftover, 0)]:
-        take[c] += 1
-    for c in sorted(by_class):
-        ix = np.array(by_class[c])
-        rng.shuffle(ix)
-        val.extend(ix[: take[c]].tolist())
+    val = stratified_pick(labels, val_fraction, n_val, rng)
     val_set = set(val)
-    train = [i for i in range(n) if i not in val_set]
-    return train, sorted(val)
+    return [i for i in range(n) if i not in val_set], val
 
 
 def _evaluate(model, docs):

@@ -140,7 +140,7 @@ def test_criterion_4_synthetic_convergence():
     from sentihier.classifiers import embedding_matrix_for
     from sentihier.model import HiCnnLstmModel
     from sentihier.synthetic import make_marker_dataset
-    from sentihier.textprep import build_vocab, index_document
+    from sentihier.textprep import build_vocab, encode
     from sentihier.train import fit
 
     start = time.monotonic()
@@ -151,8 +151,7 @@ def test_criterion_4_synthetic_convergence():
     matrix = embedding_matrix_for(vocab, None, 32, embedding_seed=5)
 
     def to_doc(i, with_label=True):
-        sents = tuple(tuple(s) for s in index_document(tokenized[i], vocab))
-        return Document(sents, labels[i] if with_label else None)
+        return encode(tokenized[i], vocab, labels[i] if with_label else None)
 
     cfg = ModelConfig(**SMALL_MODEL, num_classes=2, seed=99)
     model = HiCnnLstmModel(cfg, matrix, vocab.fingerprint())

@@ -1,45 +1,12 @@
+"""The elementwise primitives of the layers: softmax and the relu subgradient."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentihier.arrays import matmul, relu, relu_grad, softmax
 from sentihier.errors import ShapeError
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), b), b)
-
-    def test_known_product(self):
-        # Oracle: naive triple loop.
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        expected = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                for l in range(2):
-                    expected[i, j] += a[i, l] * b[l, j]
-        np.testing.assert_array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-        np.testing.assert_array_equal(matmul(a, b), expected)
-
-    def test_zero_annihilates(self):
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(3, 2))
-        np.testing.assert_array_equal(matmul(np.zeros((2, 3)), b), np.zeros((2, 2)))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associative_on_random_chains(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-9)
+from sentihier.layers import relu_grad, softmax
 
 
 class TestSoftmax:
@@ -75,16 +42,5 @@ class TestSoftmax:
 
 
 class TestRelu:
-    def test_definition(self):
-        np.testing.assert_array_equal(relu([-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
-
-    def test_all_negative(self):
-        np.testing.assert_array_equal(relu([-3.0, -0.5]), [0.0, 0.0])
-
-    def test_absolute_value_identity(self):
-        rng = np.random.default_rng(7)
-        r = rng.normal(size=50)
-        np.testing.assert_allclose(relu(r) + relu(-r), np.abs(r))
-
     def test_subgradient_zero_at_zero(self):
         np.testing.assert_array_equal(relu_grad([-1.0, 0.0, 2.0]), [0.0, 0.0, 1.0])

@@ -70,6 +70,21 @@ class TestCrossval:
                      "--out", str(tmp_path / "x")])
         assert code == 2  # config file missing -> configuration error
 
+    def test_seed_override_is_config_error(self, dataset_config, tmp_path, capsys):
+        code = main(["crossval", "--dataset", str(dataset_config), "--classifier", "nb",
+                     "--folds", "2", "--override", "seed=1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_out_below_a_file_is_data_error(self, dataset_config, tmp_path, capsys):
+        blocker = tmp_path / "report.txt"
+        blocker.write_text("not a directory", encoding="utf-8")
+        code = main(["crossval", "--dataset", str(dataset_config), "--classifier", "nb",
+                     "--folds", "2", "--out", str(blocker / "sub")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(blocker / "sub") in err and "Traceback" not in err
+
     def test_byte_identical_reruns_nb(self, dataset_config, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -146,6 +161,31 @@ class TestTrainPredict:
             assert label in ("negative", "positive")
             values = [float(p) for p in probs.split()]
             assert len(values) == 2 and abs(sum(values) - 1.0) < 1e-5
+
+    def test_train_writes_history(self, dataset_config, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--dataset", str(dataset_config), "--out", str(ckpt), *FAST_OVERRIDES]
+        assert main(argv) == 0
+        lines = (tmp_path / "model.ckpt.history.csv").read_text().splitlines()
+        header = [l for l in lines if l.startswith("#")]
+        assert "# command: train" in header and "# seed: 42" in header
+        rows = lines[len(header):]
+        assert rows[0] == "epoch,train_loss,val_loss,val_acc"
+        assert [r.split(",")[0] for r in rows[1:]] == [str(e + 1) for e in range(len(rows) - 1)]
+        first = (tmp_path / "model.ckpt.history.csv").read_bytes()
+        assert main(argv) == 0
+        assert (tmp_path / "model.ckpt.history.csv").read_bytes() == first
+
+    def test_missing_input_is_data_error(self, dataset_config, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     *FAST_OVERRIDES]) == 0
+        capsys.readouterr()
+        missing = tmp_path / "missing.txt"
+        code = main(["predict", "--model", str(ckpt), "--input", str(missing)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
 
     def test_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         code = main(["predict", "--model", str(tmp_path / "none.ckpt"), "--input", "-"])

@@ -132,3 +132,11 @@ class TestRandomTable:
         v = t1.lookup("a")
         assert np.all((v >= -0.25) & (v <= 0.25))
         assert not np.array_equal(v, t2.lookup("a"))
+
+
+class TestRandomTablePinned:
+    def test_known_vector(self):
+        # Pinned: the vector depends only on (seed, FNV-1a of the token).
+        vec = random_table(["crash"], 4, seed=42).lookup("crash")
+        assert vec.tolist() == [-0.09578634364372035, -0.04358977347325799,
+                                0.0181766285438712, -0.18597202221142733]

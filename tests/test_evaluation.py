@@ -266,3 +266,13 @@ class TestReportExport:
         lines = md.splitlines()
         assert len(lines) == 5  # header, rule, two classes, accuracy
         assert all(line.startswith("|") for line in lines)
+
+
+class TestSplitPinned:
+    def test_known_split(self):
+        # 5/12/3 per class: floors 3/8/2 leave one slot, which goes to the
+        # class with the largest remainder (class 0, 0.5).
+        labels = [0, 1, 1, 0, 2, 1, 1, 0, 1, 1, 2, 1, 0, 1, 1, 1, 0, 2, 1, 1]
+        train, test = stratified_split_70_30(labels, seed=3)
+        assert train == [0, 1, 3, 4, 5, 7, 8, 9, 13, 14, 15, 16, 17, 18]
+        assert test == [2, 6, 10, 11, 12, 19]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sentihier.arrays import sigmoid
 from sentihier.errors import ContractViolation, ShapeError
 from sentihier.layers import (
     ConvLayer,
@@ -12,6 +11,7 @@ from sentihier.layers import (
     bilstm_backward,
     bilstm_encode,
     sentence_matrix,
+    sigmoid,
 )
 
 EPS = 1e-5
@@ -145,7 +145,7 @@ class TestConvMaxpool:
 
 class TestDenseRelu:
     def test_identity_weights_inference(self, rng):
-        layer = DenseLayer(3, 3, 0.4, rng)
+        layer = DenseLayer(3, 3, rng)
         layer.weights[:] = np.eye(3)
         layer.bias[:] = 0.0
         x = np.array([-1.0, 0.5, 2.0])
@@ -153,19 +153,19 @@ class TestDenseRelu:
         np.testing.assert_array_equal(out, [0.0, 0.5, 2.0])
 
     def test_full_dropout_degenerate(self, rng):
-        layer = DenseLayer(2, 3, 0.4, rng)
+        layer = DenseLayer(2, 3, rng)
         layer.bias[:] = [1.0, -1.0]
-        mask = DropoutMask(np.zeros(3), 0.6)
+        mask = DropoutMask(np.zeros(3))
         out, _ = layer.forward(np.ones(3), mask)
         np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_shape_mismatch(self, rng):
-        layer = DenseLayer(2, 3, 0.0, rng)
+        layer = DenseLayer(2, 3, rng)
         with pytest.raises(ShapeError):
             layer.forward(np.ones(4), DropoutMask.ones(4))
 
     def test_gradients_match_finite_differences(self, rng):
-        layer = DenseLayer(3, 4, 0.0, rng)
+        layer = DenseLayer(3, 4, rng)
         x = rng.normal(size=4)
         weights = rng.normal(size=3)
         mask = DropoutMask.ones(4)

@@ -7,6 +7,7 @@ from sentihier.textprep import (
     PAD_INDEX,
     UNK_INDEX,
     UNK_TOKEN,
+    Vocabulary,
     build_vocab,
     index_document,
     split_sentences,
@@ -95,7 +96,7 @@ class TestIndexDocument:
         vocab = build_vocab([tokenize_document("alpha beta. gamma")])
         doc = tokenize_document("Alpha beta. Gamma")
         indexed = index_document(doc, vocab)
-        recovered = [[vocab.token_of(i) for i in sent] for sent in indexed]
+        recovered = [[vocab.index_to_token[i] for i in sent] for sent in indexed]
         assert recovered == [list(s) for s in doc.sentences]
 
     @given(st.text(min_size=0, max_size=100))
@@ -108,4 +109,12 @@ class TestIndexDocument:
 
     def test_pad_index_reserved(self):
         vocab = build_vocab([tokenize_document("a")])
-        assert vocab.token_of(PAD_INDEX) == "<pad>"
+        assert vocab.index_to_token[PAD_INDEX] == "<pad>"
+
+
+class TestFingerprintPinned:
+    def test_known_value(self):
+        # Pinned output of the 64-bit FNV-1a over the NUL-terminated tokens.
+        tokens = ("<unk>", "<pad>", "build", "fails", "again", "naïve", "crash")
+        vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
+        assert vocab.fingerprint() == 0x9E8691609957162A

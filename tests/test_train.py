@@ -4,7 +4,7 @@ import pytest
 from conftest import desk_model
 from sentihier.errors import ConfigurationError
 from sentihier.model import Document
-from sentihier.train import AdamState, TrainConfig, adam_step, fit
+from sentihier.train import AdamState, TrainConfig, fit
 
 
 def labeled_docs(rng, n, vocab_size=9):
@@ -23,7 +23,7 @@ class TestAdam:
         params = {"w": np.array([1.0, -2.0, 3.0])}
         state = AdamState(params)
         before = params["w"].copy()
-        adam_step(params, {"w": np.zeros(3)}, state)
+        state.step(params, {"w": np.zeros(3)})
         np.testing.assert_array_equal(params["w"], before)
         assert state.t == 1
 
@@ -32,7 +32,7 @@ class TestAdam:
         # m_hat = g, v_hat = g^2, update = lr*g/(|g| + eps) ~= lr.
         params = {"w": np.array([0.0])}
         state = AdamState(params, learning_rate=1e-3)
-        adam_step(params, {"w": np.array([0.5])}, state)
+        state.step(params, {"w": np.array([0.5])})
         expected = -1e-3 * 0.5 / (0.5 + 1e-8)
         np.testing.assert_allclose(params["w"], [expected], rtol=1e-12)
         assert abs(params["w"][0] + 1e-3) < 1e-6
@@ -42,7 +42,7 @@ class TestAdam:
             params = {"w": np.linspace(-1, 1, 5)}
             state = AdamState(params)
             for step in range(10):
-                adam_step(params, {"w": np.sin(params["w"] + step)}, state)
+                state.step(params, {"w": np.sin(params["w"] + step)})
             return params["w"]
 
         np.testing.assert_array_equal(run(), run())
@@ -51,7 +51,7 @@ class TestAdam:
         params = {"w": np.zeros(3)}
         state = AdamState(params)
         with pytest.raises(Exception, match="shape"):
-            adam_step(params, {"w": np.zeros(4)}, state)
+            state.step(params, {"w": np.zeros(4)})
 
 
 class TestFit:
@@ -115,3 +115,15 @@ class TestFit:
         cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=2)
         _, history = fit(model, docs, cfg)
         assert abs(history.epochs[0].train_loss - np.log(2)) / np.log(2) < 0.05
+
+
+class TestValSplitPinned:
+    def test_known_split(self):
+        # The stream fit() draws its split from. 8/15 per class: floors
+        # 1/3 leave one of the 5 slots, which goes to class 1 (remainder 0.6).
+        from sentihier.train import _stratified_val_split
+        labels = [int(i % 3 == 0) for i in range(23)]
+        split_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[0])
+        train, val = _stratified_val_split(labels, 0.2, split_rng)
+        assert val == [6, 10, 12, 19, 22]
+        assert train == [i for i in range(23) if i not in val]
