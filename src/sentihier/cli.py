@@ -211,9 +211,13 @@ def cmd_predict(args) -> int:
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
     model = load_checkpoint(ckpt, expected_fingerprint=vocab.fingerprint())
     label_names = meta["labels"]
-    lines = (sys.stdin.read().splitlines() if args.input == "-"
-             else Path(args.input).read_text(encoding="utf-8").splitlines())
-    for line in lines:
+    from_stdin = args.input == "-"
+    try:
+        text = sys.stdin.read() if from_stdin else Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        source = "standard input" if from_stdin else args.input
+        raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
+    for line in text.splitlines():
         probs, _ = model.forward(encode(tokenize_document(line), vocab), train=False)
         label = label_names[int(probs.argmax())]
         print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
@@ -225,33 +229,34 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Hierarchical CNN-BiLSTM sentiment experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, classifier_list=False):
+    def common(p):
         p.add_argument("--dataset", required=True, help="dataset config file")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--embeddings", default="random",
                        help="word-vector file (.bin or text) or 'random'")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="model/training config override, repeatable")
-        p.add_argument("--out", help="output directory (or SENTIHIER_OUT_DIR)")
-        if classifier_list:
-            p.add_argument("--classifier", action="append", choices=CLASSIFIER_NAMES,
-                           help="repeatable; default hicnnlstm")
-        else:
-            p.add_argument("--classifier", default="hicnnlstm", choices=CLASSIFIER_NAMES)
 
+    out_dir_help = "output directory (or SENTIHIER_OUT_DIR)"
     p = sub.add_parser("crossval", help="stratified k-fold cross-validation")
     common(p)
+    p.add_argument("--out", help=out_dir_help)
+    p.add_argument("--classifier", default="hicnnlstm", choices=CLASSIFIER_NAMES)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("learning-curve", help="bootstrap learning curve")
-    common(p, classifier_list=True)
+    common(p)
+    p.add_argument("--out", help=out_dir_help)
+    p.add_argument("--classifier", action="append", choices=CLASSIFIER_NAMES,
+                   help="repeatable; default hicnnlstm")
     p.add_argument("--fractions", default="0.2,0.4,0.6,0.8,1.0")
     p.set_defaults(func=cmd_learning_curve)
 
     p = sub.add_parser("train", help="fit on a full dataset and save a checkpoint")
     common(p)
+    p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict labels for one document per line")
@@ -267,17 +272,21 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
     except (ParseError, OSError) as exc:  # an OSError names its path
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(exc, EXIT_DATA)
     except SentihierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail(exc, EXIT_RUNTIME)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
+
+
+def _fail(exc, code: int) -> int:
+    """Print the error, naming the cross-validation fold it came from, if any."""
+    fold = getattr(exc, "fold", None)
+    where = "" if fold is None else f"fold {fold}: "
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

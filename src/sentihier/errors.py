@@ -21,6 +21,10 @@ class ContractViolation(SentihierError):
     """A caller broke a documented precondition."""
 
 
+class TrainingDivergedError(SentihierError):
+    """Training produced a NaN or infinite loss."""
+
+
 class CheckpointError(ParseError):
     """Base class for checkpoint load failures."""
 

@@ -122,7 +122,8 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
     index per test index, in order); it may also report "history",
     "train_seconds" and "test_seconds". Returns (list of FoldResult, pooled
     MetricsReport). Fold seeds are pre-generated, so running folds in
-    parallel cannot change any result.
+    parallel cannot change any result. An exception raised in a fold
+    propagates unchanged, with the fold number in its `fold` attribute.
     """
     labels = list(labels)
     C = num_classes if num_classes is not None else max(labels) + 1
@@ -136,7 +137,8 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
         try:
             out = fit_predict(train_ix, test_ix, fold_seeds[fold])
         except Exception as exc:
-            raise type(exc)(f"fold {fold}: {exc}") from exc
+            exc.fold = fold
+            raise
         elapsed = time.perf_counter() - t0
         preds = list(out["predictions"])
         report = compute_metrics([labels[i] for i in test_ix], preds, C)

@@ -2,9 +2,10 @@
 a dense ReLU projection, LSTM cells and the softmax classification head.
 
 Every layer exposes a forward pass that returns a cache, and a backward pass
-that consumes it and hand-computes gradients with respect to both inputs and
-parameters. No autodiff anywhere; the finite-difference tests in the suite
-are the correctness authority.
+that consumes it and hand-computes gradients with respect to its parameters
+and its input; the convolution skips the input gradient, because the word
+vectors under it are static. No autodiff anywhere; the finite-difference
+tests in the suite are the correctness authority.
 """
 
 import numpy as np
@@ -56,9 +57,10 @@ class DropoutMask:
         return cls(np.ones(size, dtype=np.float64))
 
     @classmethod
-    def sample(cls, rng: np.random.Generator, size: int, dropout_rate: float) -> "DropoutMask":
+    def sample(cls, rng: np.random.Generator | None, size: int,
+               dropout_rate: float) -> "DropoutMask":
         keep = 1.0 - dropout_rate
-        if dropout_rate <= 0.0:
+        if rng is None or dropout_rate <= 0.0:
             return cls.ones(size)
         return cls((rng.random(size) < keep).astype(np.float64) / keep)
 
@@ -104,27 +106,23 @@ class ConvLayer:
         act = np.maximum(pre, 0.0)
         argmax = np.argmax(act, axis=0)  # first occurrence = smallest p
         features = act[argmax, np.arange(self.num_filters)]
-        cache = {"windows": windows, "pre": pre, "argmax": argmax, "input_shape": s.shape}
+        cache = {"windows": windows, "pre": pre, "argmax": argmax}
         return features, cache
 
     def backward(self, grad_features: np.ndarray, cache):
-        """Routes gradient through each filter's argmax window and ReLU gate."""
+        """Routes gradient through each filter's argmax window and ReLU gate.
+
+        Returns (grad_filters, grad_bias). There is no input gradient: the
+        word vectors are static, so nothing upstream would use it.
+        """
         if cache is None or "windows" not in cache:
             raise ContractViolation("conv backward called without a matching forward cache")
-        windows = cache["windows"]
         argmax = cache["argmax"]
-        f, k = self.filter_width, self.embedding_dim
-        cols = np.arange(self.num_filters)
-        gate = (cache["pre"][argmax, cols] > 0.0).astype(np.float64)
-        grad_pre = grad_features * gate  # (F,)
-        grad_bias = grad_pre
-        grad_filters = grad_pre[:, None] * windows[argmax]
-        grad_s = np.zeros(cache["input_shape"], dtype=np.float64)
-        grad_win = grad_pre[:, None] * self.filters  # (F, f*k)
-        for j in range(self.num_filters):
-            p = argmax[j]
-            grad_s[p : p + f] += grad_win[j].reshape(f, k)
-        return grad_s, grad_filters, grad_bias
+        gate = cache["pre"][argmax, np.arange(self.num_filters)] > 0.0
+        grad_bias = grad_features * gate  # (F,)
+        grad_filters = cache["windows"][argmax]  # the gather copies
+        grad_filters *= grad_bias[:, None]
+        return grad_filters, grad_bias
 
 
 class DenseLayer:
@@ -169,72 +167,70 @@ class LstmCell:
         self.bias = np.zeros(4 * hidden_dim, dtype=np.float64)
         self.bias[hidden_dim : 2 * hidden_dim] = 1.0
 
-    def step(self, x, h_prev, c_prev, input_mask: DropoutMask, recurrent_mask: DropoutMask):
-        H = self.hidden_dim
-        if x.shape[0] != self.input_dim or h_prev.shape[0] != H or c_prev.shape[0] != H:
-            raise ShapeError(
-                f"lstm step shapes x={x.shape} h={h_prev.shape} c={c_prev.shape} "
-                f"vs (m={self.input_dim}, H={H})"
-            )
-        x_m = x * input_mask.mask
-        h_m = h_prev * recurrent_mask.mask
-        z = self.input_weights @ x_m + self.recurrent_weights @ h_m + self.bias
-        i = sigmoid(z[0:H])
-        f = sigmoid(z[H : 2 * H])
-        g = np.tanh(z[2 * H : 3 * H])
-        o = sigmoid(z[3 * H :])
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache = {"x_m": x_m, "h_m": h_m, "i": i, "f": f, "g": g, "o": o,
-                 "c_prev": c_prev, "tanh_c": tanh_c,
-                 "input_mask": input_mask.mask, "recurrent_mask": recurrent_mask.mask}
-        return h, c, cache
-
     def run(self, seq, input_mask: DropoutMask, recurrent_mask: DropoutMask):
-        """Run over a full sequence; returns (final h, list of step caches)."""
-        H = self.hidden_dim
-        h = np.zeros(H, dtype=np.float64)
-        c = np.zeros(H, dtype=np.float64)
-        caches = []
-        for x in seq:
-            h, c, cache = self.step(x, h, c, input_mask, recurrent_mask)
-            caches.append(cache)
-        return h, caches
+        """Run over a full sequence; returns (final h, cache for backward).
 
-    def backward(self, grad_h_final: np.ndarray, caches):
-        """Backpropagation through time from a gradient on the final hidden state.
-
-        Returns per-step input gradients plus parameter gradients.
+        The input projection of every step is one GEMM before the recurrence,
+        so each step only adds the recurrent term (Appleyard et al. 2016).
         """
         H = self.hidden_dim
-        grad_W = np.zeros_like(self.input_weights)
-        grad_U = np.zeros_like(self.recurrent_weights)
-        grad_b = np.zeros_like(self.bias)
-        grad_xs = [None] * len(caches)
+        xs = np.asarray(seq, dtype=np.float64)
+        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
+            raise ShapeError(f"lstm input shape {xs.shape} vs (T, m={self.input_dim})")
+        T = len(xs)
+        x_m = xs * input_mask.mask
+        z_in = x_m @ self.input_weights.T + self.bias  # (T, 4H)
+        h_m = np.empty((T, H))
+        gates = np.empty((T, 4 * H))  # i, f, g, o after their nonlinearities
+        c_prev = np.empty((T, H))
+        tanh_c = np.empty((T, H))
+        h = np.zeros(H, dtype=np.float64)
+        c = np.zeros(H, dtype=np.float64)
+        for t in range(T):
+            np.multiply(h, recurrent_mask.mask, out=h_m[t])
+            z = z_in[t] + self.recurrent_weights @ h_m[t]
+            gt = gates[t]
+            gt[:] = sigmoid(z)
+            np.tanh(z[2 * H : 3 * H], out=gt[2 * H : 3 * H])
+            c_prev[t] = c
+            c = gt[H : 2 * H] * c + gt[:H] * gt[2 * H : 3 * H]
+            np.tanh(c, out=tanh_c[t])
+            h = gt[3 * H :] * tanh_c[t]
+        cache = {"x_m": x_m, "h_m": h_m, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c,
+                 "input_mask": input_mask.mask, "recurrent_mask": recurrent_mask.mask}
+        return h, cache
+
+    def backward(self, grad_h_final: np.ndarray, cache):
+        """Backpropagation through time from a gradient on the final hidden state.
+
+        Returns ((T, m) input gradients, grad_W, grad_U, grad_b). The loop
+        carries dh and dc back through the recurrence and stacks each step's
+        gate gradient dz; the parameter and input gradients are then one GEMM
+        or reduction each.
+        """
+        H = self.hidden_dim
+        gates, tanh_c = cache["gates"], cache["tanh_c"]
+        i, f, g, o = (gates[:, k * H : (k + 1) * H] for k in range(4))
+        # Elementwise factors that do not depend on the incoming gradients.
+        dc_dh = o * (1.0 - tanh_c ** 2)
+        dz_dc = np.stack([g * i * (1.0 - i), cache["c_prev"] * f * (1.0 - f),
+                          i * (1.0 - g ** 2)], axis=1)  # (T, 3, H): i, f, g
+        dz_dh = tanh_c * o * (1.0 - o)
+        T = len(gates)
+        dz = np.empty((T, 4, H))
         dh = grad_h_final
         dc = np.zeros(H, dtype=np.float64)
-        for t in range(len(caches) - 1, -1, -1):
-            cc = caches[t]
-            i, f, g, o = cc["i"], cc["f"], cc["g"], cc["o"]
-            do = dh * cc["tanh_c"]
-            dc = dc + dh * o * (1.0 - cc["tanh_c"] ** 2)
-            di = dc * g
-            df = dc * cc["c_prev"]
-            dg = dc * i
-            dc_prev = dc * f
-            dz = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g ** 2),
-                do * o * (1.0 - o),
-            ])
-            grad_W += np.outer(dz, cc["x_m"])
-            grad_U += np.outer(dz, cc["h_m"])
-            grad_b += dz
-            grad_xs[t] = (self.input_weights.T @ dz) * cc["input_mask"]
-            dh = (self.recurrent_weights.T @ dz) * cc["recurrent_mask"]
-            dc = dc_prev
+        for t in range(T - 1, -1, -1):
+            dc = dc + dh * dc_dh[t]
+            np.multiply(dz_dc[t], dc, out=dz[t, :3])
+            np.multiply(dh, dz_dh[t], out=dz[t, 3])
+            dh = (self.recurrent_weights.T @ dz[t].reshape(-1)) * cache["recurrent_mask"]
+            dc = dc * f[t]
+        dz = dz.reshape(T, 4 * H)
+        grad_W = dz.T @ cache["x_m"]
+        grad_U = dz.T @ cache["h_m"]
+        grad_b = dz.sum(axis=0)
+        grad_xs = (dz @ self.input_weights) * cache["input_mask"]
         return grad_xs, grad_W, grad_U, grad_b
 
 
@@ -246,19 +242,18 @@ def bilstm_encode(seq, fwd: LstmCell, bwd: LstmCell, masks):
     if len(seq) == 0:
         raise ContractViolation("bilstm_encode of an empty sequence")
     fwd_in, fwd_rec, bwd_in, bwd_rec = masks
-    h_fwd, caches_fwd = fwd.run(seq, fwd_in, fwd_rec)
-    h_bwd, caches_bwd = bwd.run(list(reversed(seq)), bwd_in, bwd_rec)
-    cache = {"caches_fwd": caches_fwd, "caches_bwd": caches_bwd, "seq_len": len(seq)}
-    return np.concatenate([h_fwd, h_bwd]), cache
+    xs = np.asarray(seq, dtype=np.float64)
+    h_fwd, cache_fwd = fwd.run(xs, fwd_in, fwd_rec)
+    h_bwd, cache_bwd = bwd.run(xs[::-1], bwd_in, bwd_rec)
+    return np.concatenate([h_fwd, h_bwd]), {"fwd": cache_fwd, "bwd": cache_bwd}
 
 
 def bilstm_backward(grad_encoded: np.ndarray, fwd: LstmCell, bwd: LstmCell, cache):
-    """Returns (per-step gradients w.r.t. seq, fwd param grads, bwd param grads)."""
+    """Returns ((T, m) gradient w.r.t. seq, fwd param grads, bwd param grads)."""
     H = fwd.hidden_dim
-    gx_fwd, gW_f, gU_f, gb_f = fwd.backward(grad_encoded[:H], cache["caches_fwd"])
-    gx_bwd, gW_b, gU_b, gb_b = bwd.backward(grad_encoded[H:], cache["caches_bwd"])
-    grad_seq = [gx_fwd[t] + gx_bwd[cache["seq_len"] - 1 - t] for t in range(cache["seq_len"])]
-    return grad_seq, (gW_f, gU_f, gb_f), (gW_b, gU_b, gb_b)
+    gx_fwd, gW_f, gU_f, gb_f = fwd.backward(grad_encoded[:H], cache["fwd"])
+    gx_bwd, gW_b, gU_b, gb_b = bwd.backward(grad_encoded[H:], cache["bwd"])
+    return gx_fwd + gx_bwd[::-1], (gW_f, gU_f, gb_f), (gW_b, gU_b, gb_b)
 
 
 class SoftmaxHead:

@@ -7,8 +7,10 @@ padding); batch gradients are the mean of per-document gradients.
 
 import io
 import json
+import os
 import struct
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,18 +114,9 @@ class HiCnnLstmModel:
 
     def _masks(self, dropout_rng):
         cfg = self.config
-        if dropout_rng is None:
-            dense = DropoutMask.ones(cfg.num_filters)
-            lstm = tuple(DropoutMask.ones(d) for d in
-                         (cfg.sentence_dim, cfg.lstm_hidden, cfg.sentence_dim, cfg.lstm_hidden))
-            return dense, lstm
         dense = DropoutMask.sample(dropout_rng, cfg.num_filters, cfg.dense_dropout)
-        lstm = (
-            DropoutMask.sample(dropout_rng, cfg.sentence_dim, cfg.lstm_dropout),
-            DropoutMask.sample(dropout_rng, cfg.lstm_hidden, cfg.lstm_dropout),
-            DropoutMask.sample(dropout_rng, cfg.sentence_dim, cfg.lstm_dropout),
-            DropoutMask.sample(dropout_rng, cfg.lstm_hidden, cfg.lstm_dropout),
-        )
+        lstm = tuple(DropoutMask.sample(dropout_rng, d, cfg.lstm_dropout) for d in
+                     (cfg.sentence_dim, cfg.lstm_hidden, cfg.sentence_dim, cfg.lstm_hidden))
         return dense, lstm
 
     def forward(self, doc: Document, train: bool = False, dropout_rng=None):
@@ -136,12 +129,10 @@ class HiCnnLstmModel:
         sent_vecs = []
         conv_caches = []
         dense_caches = []
-        sent_matrices = []
         for sent in sentences:
             s = layers.sentence_matrix(sent, self.embedding_matrix, cfg.filter_width)
             feats, conv_cache = self.conv.forward(s)
             vec, dense_cache = self.dense.forward(feats, dense_mask)
-            sent_matrices.append(s)
             conv_caches.append(conv_cache)
             dense_caches.append(dense_cache)
             sent_vecs.append(vec)
@@ -150,8 +141,7 @@ class HiCnnLstmModel:
         probs = self.head.probs(encoded)
         cache = None
         if train:
-            cache = {"sentences": sentences, "sent_matrices": sent_matrices,
-                     "conv_caches": conv_caches, "dense_caches": dense_caches,
+            cache = {"conv_caches": conv_caches, "dense_caches": dense_caches,
                      "bilstm_cache": bilstm_cache, "encoded": encoded}
         return probs, cache
 
@@ -192,7 +182,7 @@ class HiCnnLstmModel:
                 grad_seq[t], cache["dense_caches"][t])
             grads["dense.weights"] += grad_dw
             grads["dense.bias"] += grad_db
-            _, grad_cf, grad_cb = self.conv.backward(grad_feats, cache["conv_caches"][t])
+            grad_cf, grad_cb = self.conv.backward(grad_feats, cache["conv_caches"][t])
             grads["conv.filters"] += grad_cf
             grads["conv.bias"] += grad_cb
         return loss
@@ -225,54 +215,69 @@ def save_checkpoint(model: HiCnnLstmModel, path):
 
 
 def load_checkpoint(path, expected_fingerprint: int | None = None) -> HiCnnLstmModel:
+    """Reads each stored array straight into the model's own buffer: no copy
+    of the file is held, which keeps start-up cost low for a large model."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    reader = _Reader(data, path)
-    if reader.take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointVersionError(f"{path}: not a sentihier checkpoint")
-    version = reader.u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    cfg = ModelConfig(**json.loads(reader.take(reader.u32()).decode("utf-8")))
-    fingerprint = reader.u64()
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        raise CheckpointFingerprintError(
-            f"{path}: vocabulary fingerprint {fingerprint:#x} does not match "
-            f"expected {expected_fingerprint:#x}")
-    arrays = {}
-    for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8")
-        shape = tuple(reader.u32() for _ in range(reader.u32()))
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape).copy()
-    if "embedding_matrix" not in arrays:
-        raise CheckpointTruncatedError(f"{path}: missing embedding matrix")
-    model = HiCnnLstmModel(cfg, arrays.pop("embedding_matrix"), fingerprint)
-    expected = set(model.params())
-    if set(arrays) != expected:
-        raise CheckpointTruncatedError(
-            f"{path}: parameter set mismatch: {sorted(set(arrays) ^ expected)}")
-    model.restore(arrays)
+        reader = _Reader(fh, path)
+        if reader.take(4) != CHECKPOINT_MAGIC:
+            raise CheckpointVersionError(f"{path}: not a sentihier checkpoint")
+        version = reader.unpack("<I")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        cfg = ModelConfig(**json.loads(reader.take(reader.unpack("<I")).decode("utf-8")))
+        fingerprint = reader.unpack("<Q")
+        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+            raise CheckpointFingerprintError(
+                f"{path}: vocabulary fingerprint {fingerprint:#x} does not match "
+                f"expected {expected_fingerprint:#x}")
+        stored = {}  # name -> (shape, file offset of its data)
+        for _ in range(reader.unpack("<I")):
+            name = reader.take(reader.unpack("<I")).decode("utf-8")
+            shape = tuple(reader.unpack("<I") for _ in range(reader.unpack("<I")))
+            stored[name] = shape, reader.skip(8 * (int(np.prod(shape)) if shape else 1))
+        if "embedding_matrix" not in stored:
+            raise CheckpointTruncatedError(f"{path}: missing embedding matrix")
+        shape, at = stored.pop("embedding_matrix")
+        model = HiCnnLstmModel(cfg, reader.read_into(np.empty(shape), at), fingerprint)
+        params = model.params()
+        found = {(name, shape) for name, (shape, _) in stored.items()}
+        expected = {(name, p.shape) for name, p in params.items()}
+        if found != expected:
+            raise CheckpointTruncatedError(
+                f"{path}: parameter set mismatch: {sorted(found ^ expected)}")
+        for name, (_, at) in stored.items():
+            reader.read_into(params[name], at)
     return model
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
+    def __init__(self, fh, path):
+        self.fh = fh
         self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def skip(self, n: int) -> int:
+        """Moves past the next n bytes, which must exist; returns their offset."""
+        at = self.fh.tell()
+        if at + n > self.size:
+            raise CheckpointTruncatedError(
+                f"{self.path}: truncated at byte {at} (needed {n} more bytes)")
+        self.fh.seek(n, 1)
+        return at
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointTruncatedError(
-                f"{self.path}: truncated at byte {self.pos} (needed {n} more bytes)")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        self.fh.seek(self.skip(n))
+        return self.fh.read(n)
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def unpack(self, fmt: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def read_into(self, arr: np.ndarray, at: int) -> np.ndarray:
+        """Fills arr with the little-endian float64 values stored at offset `at`."""
+        self.fh.seek(at)
+        if self.fh.readinto(arr) != arr.nbytes:
+            raise CheckpointTruncatedError(f"{self.path}: file shrank while being read")
+        if sys.byteorder != "little":
+            arr.byteswap(inplace=True)
+        return arr

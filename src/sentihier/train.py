@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, TrainingDivergedError
 from .evaluation import stratified_pick
 
 
@@ -107,7 +107,8 @@ def fit(model, train_set, config: TrainConfig = TrainConfig()):
     A stratified val_fraction slice is carved off first and never trained on.
     Shuffling, the validation split and dropout each draw from their own
     seeded stream, so the run is fully reproducible. The model is restored to
-    the best epoch's weights before returning.
+    the best epoch's weights before returning. A NaN or infinite batch loss
+    raises TrainingDivergedError before its update is applied.
     """
     train_set = list(train_set)
     if len(train_set) < 10:
@@ -130,9 +131,11 @@ def fit(model, train_set, config: TrainConfig = TrainConfig()):
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_docs))
         epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
+        for batch_no, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = [train_docs[i] for i in order[start : start + config.batch_size]]
             loss, grads = model.loss_and_grads(batch, dropout_rng=dropout_rng)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(f"epoch {epoch}, batch {batch_no}: loss is {loss}")
             opt.step(model.params(), grads)
             epoch_loss += loss * len(batch)
         val_loss, val_acc = _evaluate(model, val_docs)

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from sentihier import baseline, cli
 from sentihier.cli import main
+from sentihier.errors import ParseError
+from sentihier.model import HiCnnLstmModel
 from sentihier.synthetic import make_marker_dataset, write_dataset_csv
 
 FAST_OVERRIDES = [
@@ -84,6 +87,20 @@ class TestCrossval:
         assert code == 3
         err = capsys.readouterr().err
         assert str(blocker / "sub") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("exc, code", [
+        (ParseError("row 3: bad label"), 3),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2),
+    ])
+    def test_error_inside_a_fold_keeps_exit_code_and_names_fold(
+            self, dataset_config, tmp_path, capsys, monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(baseline, "nb_fit", fail)
+        assert main(["crossval", "--dataset", str(dataset_config), "--classifier", "nb",
+                     "--folds", "2", "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fold 0: {exc}") and "Traceback" not in err
 
     def test_byte_identical_reruns_nb(self, dataset_config, tmp_path):
         outs = []
@@ -175,6 +192,42 @@ class TestTrainPredict:
         first = (tmp_path / "model.ckpt.history.csv").read_bytes()
         assert main(argv) == 0
         assert (tmp_path / "model.ckpt.history.csv").read_bytes() == first
+
+    def test_train_requires_out_before_loading_data(self, dataset_config, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset_config", pytest.fail)
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--dataset", str(dataset_config)])
+        assert info.value.code == 2
+
+    def test_train_rejects_classifier_flag(self, dataset_config, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset_config", pytest.fail)
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--dataset", str(dataset_config), "--classifier", "nb",
+                  "--out", str(tmp_path / "model.ckpt")])
+        assert info.value.code == 2
+
+    def test_non_finite_loss_is_runtime_error(self, dataset_config, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(HiCnnLstmModel, "loss_and_grads",
+                            lambda self, batch, dropout_rng=None: (float("inf"), {}))
+        code = main(["train", "--dataset", str(dataset_config),
+                     "--out", str(tmp_path / "model.ckpt"), *FAST_OVERRIDES])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "epoch 1, batch 1: loss is inf" in err and "Traceback" not in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_non_utf8_input_is_data_error(self, dataset_config, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     *FAST_OVERRIDES]) == 0
+        capsys.readouterr()
+        inputs = tmp_path / "utf16.txt"
+        inputs.write_bytes(b"\xff\xfeb\x00a\x00d\x00")
+        code = main(["predict", "--model", str(ckpt), "--input", str(inputs)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(inputs) in err and "UTF-8" in err and "Traceback" not in err
 
     def test_missing_input_is_data_error(self, dataset_config, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"

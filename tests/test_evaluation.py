@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentihier.errors import ConfigurationError, ContractViolation
+from sentihier.errors import ConfigurationError, ContractViolation, ParseError
 from sentihier.evaluation import (
     compute_metrics,
     cross_validate,
@@ -178,6 +178,26 @@ class TestCrossValidate:
         assert np.array_equal(serial[1].confusion, parallel[1].confusion)
         for a, b in zip(serial[0], parallel[0]):
             assert np.array_equal(a.report.confusion, b.report.confusion)
+
+
+    @pytest.mark.parametrize("exc", [
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+        ParseError("row 3: bad label"),
+    ])
+    def test_error_in_a_fold_keeps_its_type_and_names_the_fold(self, exc):
+        labels = [0, 1] * 10
+        calls = []
+
+        def fails_in_fold_2(train_ix, test_ix, seed):
+            calls.append(seed)  # serial folds run in order
+            if len(calls) == 3:
+                raise exc
+            return {"predictions": [0] * len(test_ix)}
+
+        with pytest.raises(type(exc)) as info:
+            cross_validate(fails_in_fold_2, labels, k=4, seed=5)
+        assert info.value is exc
+        assert info.value.fold == 2
 
 
 class TestSplitAndResample:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentihier.errors import ContractViolation, ShapeError
 from sentihier.layers import (
@@ -10,8 +12,10 @@ from sentihier.layers import (
     SoftmaxHead,
     bilstm_backward,
     bilstm_encode,
+    relu_grad,
     sentence_matrix,
     sigmoid,
+    softmax,
 )
 
 EPS = 1e-5
@@ -39,6 +43,43 @@ def assert_matches_fd(analytic, fd_by_coord):
     for i, fd in fd_by_coord.items():
         denom = max(abs(fd), abs(flat[i]), 1e-8)
         assert abs(fd - flat[i]) / denom <= RTOL
+
+
+class TestSoftmax:
+    def test_uniform(self):
+        np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]), np.ones(3) / 3, atol=1e-15)
+
+    def test_direct_evaluation(self):
+        e = np.exp([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(softmax([1.0, 2.0, 3.0]), e / e.sum(), rtol=1e-14)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ShapeError):
+            softmax([])
+
+    @given(st.lists(st.floats(-700, 700), min_size=1, max_size=20),
+           st.floats(-1e8, 1e8))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_to_one_and_shift_invariant(self, values, shift):
+        out = softmax(values)
+        assert np.all(np.isfinite(out))
+        assert np.all((out >= 0) & (out <= 1 + 1e-12))
+        assert abs(out.sum() - 1.0) <= 1e-12
+        shifted = softmax(np.array(values) + shift)
+        # exact in real arithmetic; in float64 the rounding error of the
+        # shifted logits grows with the shift's magnitude
+        tol = 1e-12 + abs(shift) * 1e-14
+        assert np.max(np.abs(shifted - out)) <= tol
+
+    def test_extreme_inputs_stay_finite(self):
+        out = softmax([700.0, -700.0, 0.0])
+        assert np.all(np.isfinite(out))
+        assert abs(out.sum() - 1.0) <= 1e-12
+
+
+class TestRelu:
+    def test_subgradient_zero_at_zero(self):
+        np.testing.assert_array_equal(relu_grad([-1.0, 0.0, 2.0]), [0.0, 0.0, 1.0])
 
 
 class TestSentenceMatrix:
@@ -95,8 +136,8 @@ class TestConvMaxpool:
     def test_zero_upstream_gradient(self, rng):
         layer = self.make(rng)
         _, cache = layer.forward(rng.normal(size=(6, 4)))
-        grad_s, grad_f, grad_b = layer.backward(np.zeros(3), cache)
-        assert not grad_s.any() and not grad_f.any() and not grad_b.any()
+        grad_f, grad_b = layer.backward(np.zeros(3), cache)
+        assert not grad_f.any() and not grad_b.any()
 
     def test_backward_missing_cache(self, rng):
         layer = self.make(rng)
@@ -108,7 +149,7 @@ class TestConvMaxpool:
         s = rng.normal(size=(6, 4))
         feats, cache = layer.forward(s)
         g = rng.normal(size=3)
-        _, _, grad_b = layer.backward(g, cache)
+        _, grad_b = layer.backward(g, cache)
         cols = np.arange(3)
         gate = cache["pre"][cache["argmax"], cols] > 0
         np.testing.assert_array_equal(grad_b, np.where(gate, g, 0.0))
@@ -123,8 +164,7 @@ class TestConvMaxpool:
             return float(weights @ feats)
 
         feats, cache = layer.forward(s)
-        grad_s, grad_f, grad_b = layer.backward(weights, cache)
-        assert_matches_fd(grad_s, fd_grad(loss_fn, s, rng))
+        grad_f, grad_b = layer.backward(weights, cache)
         assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
@@ -195,6 +235,15 @@ class TestDenseRelu:
         np.testing.assert_array_equal(x * mask.mask, x)
 
 
+def lstm_step(cell, x, h_prev, c_prev):
+    """Closed-form LSTM step without dropout; returns (h, c)."""
+    H = cell.hidden_dim
+    z = cell.input_weights @ x + cell.recurrent_weights @ h_prev + cell.bias
+    z_i, z_f, z_g, z_o = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
+    c = sigmoid(z_f) * c_prev + sigmoid(z_i) * np.tanh(z_g)
+    return sigmoid(z_o) * np.tanh(c), c
+
+
 class TestLstm:
     def ones_masks(self, m, H):
         return DropoutMask.ones(m), DropoutMask.ones(H)
@@ -204,21 +253,27 @@ class TestLstm:
         cell.input_weights[:] = 0.0
         cell.recurrent_weights[:] = 0.0
         cell.bias[:] = 0.0
-        h, c, _ = cell.step(np.zeros(2), np.zeros(3), np.zeros(3), *self.ones_masks(2, 3))
+        h, cache = cell.run([np.zeros(2)], *self.ones_masks(2, 3))
         np.testing.assert_array_equal(h, np.zeros(3))
-        np.testing.assert_array_equal(c, np.zeros(3))
+        np.testing.assert_array_equal(cache["tanh_c"], np.zeros((1, 3)))
+        np.testing.assert_allclose(h, lstm_step(cell, np.zeros(2), np.zeros(3), np.zeros(3))[0])
 
     def test_forget_gate_retains_cell_state(self, rng):
-        # Scalar cell, all weights zero except forget bias +10: c ~= c_prev.
+        # Scalar cell. Step 1 (x=1) writes c1 through saturated input and
+        # candidate gates; step 2 (x=0) writes nothing, and the forget bias
+        # +10 keeps c2 ~= c1.
         cell = LstmCell(1, 1, rng)
-        cell.input_weights[:] = 0.0
+        cell.input_weights[:] = [[10.0], [0.0], [10.0], [0.0]]
         cell.recurrent_weights[:] = 0.0
-        cell.bias[:] = 0.0
-        cell.bias[1] = 10.0
-        _, c, _ = cell.step(np.zeros(1), np.zeros(1), np.array([2.0]), *self.ones_masks(1, 1))
-        expected = 2.0 * sigmoid(np.array([10.0]))[0]
-        assert abs(c[0] - expected) < 1e-12
-        assert abs(c[0] - 2.0) < 1e-4
+        cell.bias[:] = [0.0, 10.0, 0.0, 0.0]
+        h, cache = cell.run([np.ones(1), np.zeros(1)], *self.ones_masks(1, 1))
+        h1, c1 = lstm_step(cell, np.ones(1), np.zeros(1), np.zeros(1))
+        h2, c2 = lstm_step(cell, np.zeros(1), h1, c1)
+        assert abs(cache["c_prev"][1, 0] - c1[0]) < 1e-12
+        assert abs(cache["tanh_c"][1, 0] - np.tanh(c2[0])) < 1e-12
+        assert abs(h[0] - h2[0]) < 1e-12
+        assert abs(c2[0] - sigmoid(np.array([10.0]))[0] * c1[0]) < 1e-12
+        assert abs(c2[0] - c1[0]) < 1e-4
 
     def test_forget_bias_initialized_to_one(self, rng):
         cell = LstmCell(3, 4, rng)
@@ -243,6 +298,28 @@ class TestLstm:
         for t in range(3):
             assert_matches_fd(grad_xs[t], fd_grad(loss_fn, seq[t], rng))
 
+    def test_bptt_with_sampled_masks_matches_finite_differences(self, rng):
+        cell = LstmCell(6, 4, rng)
+        cell.bias[:] = rng.normal(size=16)
+        seq = [rng.normal(size=6) for _ in range(5)]
+        weights = rng.normal(size=4)
+        masks = DropoutMask.sample(rng, 6, 0.5), DropoutMask.sample(rng, 4, 0.5)
+        for mask in masks:
+            assert set(mask.mask) == {0.0, 2.0}
+
+        def loss_fn():
+            h, _ = cell.run(seq, *masks)
+            return float(weights @ h)
+
+        h, cache = cell.run(seq, *masks)
+        grad_xs, gW, gU, gb = cell.backward(weights, cache)
+        assert grad_xs.shape == (5, 6)
+        assert_matches_fd(gW, fd_grad(loss_fn, cell.input_weights, rng))
+        assert_matches_fd(gU, fd_grad(loss_fn, cell.recurrent_weights, rng))
+        assert_matches_fd(gb, fd_grad(loss_fn, cell.bias, rng))
+        for t in range(5):
+            assert_matches_fd(grad_xs[t], fd_grad(loss_fn, seq[t], rng))
+
 
 class TestBilstm:
     def masks(self, m, H):
@@ -253,9 +330,12 @@ class TestBilstm:
         fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
         x = rng.normal(size=3)
         enc, _ = bilstm_encode([x], fwd, bwd, self.masks(3, 2))
-        hf, _, _ = fwd.step(x, np.zeros(2), np.zeros(2), DropoutMask.ones(3), DropoutMask.ones(2))
-        hb, _, _ = bwd.step(x, np.zeros(2), np.zeros(2), DropoutMask.ones(3), DropoutMask.ones(2))
+        hf, _ = fwd.run([x], DropoutMask.ones(3), DropoutMask.ones(2))
+        hb, _ = bwd.run([x], DropoutMask.ones(3), DropoutMask.ones(2))
         np.testing.assert_array_equal(enc, np.concatenate([hf, hb]))
+        zeros = np.zeros(2)
+        closed_form = [lstm_step(cell, x, zeros, zeros)[0] for cell in (fwd, bwd)]
+        np.testing.assert_allclose(enc, np.concatenate(closed_form), rtol=1e-12, atol=1e-15)
 
     def test_backward_half_equals_forward_run_on_reversed(self, rng):
         fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)

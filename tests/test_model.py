@@ -8,7 +8,13 @@ from sentihier.errors import (
     CheckpointVersionError,
     ContractViolation,
 )
-from sentihier.model import Document, HiCnnLstmModel, load_checkpoint, save_checkpoint
+from sentihier.model import (
+    Document,
+    HiCnnLstmModel,
+    ModelConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def random_doc(rng, vocab_size=9, num_sents=None, label=None):
@@ -120,6 +126,27 @@ class TestLossAndGrads:
         finite_difference_check(loss_fn, model.params(), grads, rng,
                                 coords_per_tensor=30)
 
+    def test_gradient_check_with_dropout_at_larger_shapes(self, rng):
+        cfg = ModelConfig(embedding_dim=6, filter_width=3, num_filters=5, sentence_dim=4,
+                          lstm_hidden=3, num_classes=3, seed=7)
+        assert cfg.dense_dropout > 0 and cfg.lstm_dropout > 0
+        emb = rng.normal(size=(40, 6))
+        emb[:2] = 0.0
+        model = HiCnnLstmModel(cfg, emb)
+        doc = Document(tuple(tuple(int(t) for t in rng.integers(2, 40, size=12))
+                             for _ in range(4)), label=1)
+
+        def loss_fn():  # a fresh stream keeps every dropout mask fixed
+            loss, _ = model.loss_and_grads([doc], dropout_rng=np.random.default_rng(9))
+            return loss
+
+        dropped, _ = model.forward(doc, train=True, dropout_rng=np.random.default_rng(9))
+        assert not np.allclose(dropped, model.forward(doc)[0])
+        loss, grads = model.loss_and_grads([doc], dropout_rng=np.random.default_rng(9))
+        worst = finite_difference_check(loss_fn, model.params(), grads, rng,
+                                        coords_per_tensor=40, rtol=1e-4)
+        assert worst <= 1e-4
+
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, rng, tmp_path):
@@ -148,6 +175,14 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointTruncatedError):
+            load_checkpoint(path)
+
+    def test_parameter_shape_mismatch(self, tmp_path):
+        model = desk_model()
+        model.config = ModelConfig(**{**model.config.__dict__, "num_filters": 4})
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointTruncatedError, match="conv.filters"):
             load_checkpoint(path)
 
     def test_wrong_magic(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_model
-from sentihier.errors import ConfigurationError
+from sentihier.errors import ConfigurationError, TrainingDivergedError
 from sentihier.model import Document
 from sentihier.train import AdamState, TrainConfig, fit
 
@@ -59,6 +59,24 @@ class TestFit:
         model = desk_model()
         with pytest.raises(ConfigurationError):
             fit(model, labeled_docs(rng, 5), TrainConfig(seed=1))
+
+    def test_non_finite_loss_raises_with_epoch_and_batch(self, rng, monkeypatch):
+        model = desk_model()
+        real = type(model).loss_and_grads
+        weights_seen = []
+
+        def nan_on_second_batch(self, batch, dropout_rng=None):
+            weights_seen.append(self.snapshot())
+            loss, grads = real(self, batch, dropout_rng)
+            return (float("nan") if len(weights_seen) == 2 else loss), grads
+
+        monkeypatch.setattr(type(model), "loss_and_grads", nan_on_second_batch)
+        with pytest.raises(TrainingDivergedError, match="epoch 1, batch 2: loss is nan"):
+            fit(model, labeled_docs(rng, 40), TrainConfig(batch_size=8, seed=1))
+        assert len(weights_seen) == 2
+        # The diverged batch's update was not applied.
+        for name, p in model.params().items():
+            np.testing.assert_array_equal(p, weights_seen[1][name])
 
     def test_converges_on_marker_task(self, rng):
         model = desk_model()
