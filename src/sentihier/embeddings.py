@@ -11,7 +11,11 @@ from .textprep import fnv1a_64
 
 
 class EmbeddingTable:
-    """Read-only token -> float64 vector map of a fixed dimension."""
+    """Read-only token -> vector map of a fixed dimension.
+
+    Vectors are float64, or float32 rows for a word2vec .bin table; lookup
+    returns the same array object for a token on every call.
+    """
 
     def __init__(self, dim: int, vectors: dict):
         if dim <= 0:
@@ -45,7 +49,9 @@ def load_word2vec_binary(path, limit: int | None = None) -> EmbeddingTable:
     """Parse the canonical word2vec .bin format.
 
     Header is an ASCII "V D\\n" line; each record is a space-terminated token
-    followed by D little-endian float32 values and an optional newline.
+    followed by D little-endian float32 values and an optional newline. The
+    vectors are kept as float32 rows of one contiguous matrix, and each token
+    maps to a view of its row; widening to float64 is exact.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -60,7 +66,7 @@ def load_word2vec_binary(path, limit: int | None = None) -> EmbeddingTable:
         raise ParseError(f"{path}: non-positive header counts {vocab_size} {dim}")
     if limit is not None:
         vocab_size = min(vocab_size, limit)
-    vectors = {}
+    records = []  # (token, byte offset of its vector)
     offset = newline + 1
     record_bytes = 4 * dim
     for _ in range(vocab_size):
@@ -72,12 +78,14 @@ def load_word2vec_binary(path, limit: int | None = None) -> EmbeddingTable:
         end = start + record_bytes
         if end > len(data):
             raise ParseError(f"{path}: truncated record for {token!r} at byte offset {start}")
-        vec = np.frombuffer(data[start:end], dtype="<f4").astype(np.float64)
-        vectors[token] = vec
+        records.append((token, start))
         offset = end
         if offset < len(data) and data[offset : offset + 1] == b"\n":
             offset += 1
-    return EmbeddingTable(dim, vectors)
+    matrix = np.empty((len(records), dim), dtype=np.float32)
+    for row, (_, start) in zip(matrix, records):
+        row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
+    return EmbeddingTable(dim, {token: row for (token, _), row in zip(records, matrix)})
 
 
 def load_word2vec_text(path) -> EmbeddingTable:

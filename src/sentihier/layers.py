@@ -2,10 +2,14 @@
 a dense ReLU projection, LSTM cells and the softmax classification head.
 
 Every layer exposes a forward pass that returns a cache, and a backward pass
-that consumes it and hand-computes gradients with respect to its parameters
-and its input; the convolution skips the input gradient, because the word
-vectors under it are static. No autodiff anywhere; the finite-difference
-tests in the suite are the correctness authority.
+that consumes it and hand-computes the gradient with respect to its input
+plus small per-row factors (the gradient at its pre-activation, paired with
+the cached input it multiplied); the convolution skips the input gradient,
+because the word vectors under it are static. Parameter gradients are formed
+later, once per batch, from the factors of every row: one matrix product per
+weight matrix and one row sum per bias, written into the caller's buffers.
+No autodiff anywhere; the finite-difference tests in the suite are the
+correctness authority.
 """
 
 import numpy as np
@@ -41,6 +45,26 @@ def relu_grad(v) -> np.ndarray:
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+
+def _weights(rng: np.random.Generator | None, fan_out: int, fan_in: int) -> np.ndarray:
+    """Glorot-uniform weights; with no rng, an uninitialised buffer that the
+    caller fills (a checkpoint load reads the stored weights into it)."""
+    if rng is None:
+        return np.empty((fan_out, fan_in))
+    return glorot_uniform(rng, fan_out, fan_in)
+
+
+def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
+                       grad_weights: np.ndarray, grad_bias: np.ndarray):
+    """Gradients of `weights @ x + bias`, summed over a batch of rows.
+
+    grad_pre is (N, out) and inputs is (N, in), row n pairing the gradient at
+    the pre-activation with the input it multiplied. Writes grad_pre.T @
+    inputs into grad_weights and the row sum into grad_bias.
+    """
+    np.matmul(grad_pre.T, inputs, out=grad_weights)
+    np.sum(grad_pre, axis=0, out=grad_bias)
 
 
 class DropoutMask:
@@ -80,11 +104,11 @@ class ConvLayer:
     """Temporal convolution over word-vector windows, ReLU, max-over-time pool."""
 
     def __init__(self, filter_width: int, num_filters: int, embedding_dim: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.filter_width = filter_width
         self.num_filters = num_filters
         self.embedding_dim = embedding_dim
-        self.filters = glorot_uniform(rng, num_filters, filter_width * embedding_dim)
+        self.filters = _weights(rng, num_filters, filter_width * embedding_dim)
         self.bias = np.zeros(num_filters, dtype=np.float64)
 
     def forward(self, s: np.ndarray):
@@ -106,30 +130,54 @@ class ConvLayer:
         act = np.maximum(pre, 0.0)
         argmax = np.argmax(act, axis=0)  # first occurrence = smallest p
         features = act[argmax, np.arange(self.num_filters)]
-        cache = {"windows": windows, "pre": pre, "argmax": argmax}
+        cache = {"pre": pre, "argmax": argmax}
         return features, cache
 
     def backward(self, grad_features: np.ndarray, cache):
-        """Routes gradient through each filter's argmax window and ReLU gate.
+        """Routes gradient through each filter's ReLU gate at its argmax window.
 
-        Returns (grad_filters, grad_bias). There is no input gradient: the
+        Returns the gated gradient g of shape (F,): filter j's gradient is
+        g[j] times the window starting at cache["argmax"][j], and its bias
+        gradient is g[j] (see param_grads). There is no input gradient: the
         word vectors are static, so nothing upstream would use it.
         """
-        if cache is None or "windows" not in cache:
+        if cache is None or "argmax" not in cache:
             raise ContractViolation("conv backward called without a matching forward cache")
-        argmax = cache["argmax"]
-        gate = cache["pre"][argmax, np.arange(self.num_filters)] > 0.0
-        grad_bias = grad_features * gate  # (F,)
-        grad_filters = cache["windows"][argmax]  # the gather copies
-        grad_filters *= grad_bias[:, None]
-        return grad_filters, grad_bias
+        gate = cache["pre"][cache["argmax"], np.arange(self.num_filters)] > 0.0
+        return grad_features * gate
+
+    @staticmethod
+    def param_grads(rows: np.ndarray, row_index: np.ndarray, gated: np.ndarray,
+                    grad_filters: np.ndarray, grad_bias: np.ndarray):
+        """Filter and bias gradients summed over a batch of S sentences.
+
+        rows (U, k) holds the distinct input rows the batch touched.
+        row_index (S, F, f) gives, for sentence s, filter j and offset o, the
+        row of `rows` at position argmax[s, j] + o, or -1 where that position
+        is zero padding. gated (S, F) stacks the backward outputs. For each
+        offset o, the (F, U) weight of every row under every filter is
+        gathered with one bincount, and one matrix product turns it into the
+        filters' slice for that offset: the windows themselves are never
+        formed.
+        """
+        S, F, f = row_index.shape
+        U, k = rows.shape
+        by_offset = grad_filters.reshape(F, f, k)
+        filter_ids = np.broadcast_to(np.arange(F), (S, F))
+        for o in range(f):
+            index = row_index[:, :, o]
+            real = index >= 0
+            weight = np.bincount(filter_ids[real] * U + index[real], weights=gated[real],
+                                 minlength=F * U)
+            np.matmul(weight.reshape(F, U), rows, out=by_offset[:, o, :])
+        np.sum(gated, axis=0, out=grad_bias)
 
 
 class DenseLayer:
     """Fully connected ReLU layer with inverted dropout on its input."""
 
-    def __init__(self, out_dim: int, in_dim: int, rng: np.random.Generator):
-        self.weights = glorot_uniform(rng, out_dim, in_dim)
+    def __init__(self, out_dim: int, in_dim: int, rng: np.random.Generator | None):
+        self.weights = _weights(rng, out_dim, in_dim)
         self.bias = np.zeros(out_dim, dtype=np.float64)
 
     def forward(self, x: np.ndarray, mask: DropoutMask):
@@ -144,11 +192,11 @@ class DenseLayer:
         return out, cache
 
     def backward(self, grad_out: np.ndarray, cache):
+        """Returns (grad_x, grad_pre); the parameter gradients are
+        linear_param_grads of grad_pre paired with cache["x_masked"]."""
         grad_pre = grad_out * relu_grad(cache["pre"])
-        grad_weights = np.outer(grad_pre, cache["x_masked"])
-        grad_bias = grad_pre
         grad_x = (self.weights.T @ grad_pre) * cache["mask"]
-        return grad_x, grad_weights, grad_bias
+        return grad_x, grad_pre
 
 
 class LstmCell:
@@ -159,11 +207,11 @@ class LstmCell:
     caller samples them once and reuses them at every step.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.input_weights = glorot_uniform(rng, 4 * hidden_dim, input_dim)
-        self.recurrent_weights = glorot_uniform(rng, 4 * hidden_dim, hidden_dim)
+        self.input_weights = _weights(rng, 4 * hidden_dim, input_dim)
+        self.recurrent_weights = _weights(rng, 4 * hidden_dim, hidden_dim)
         self.bias = np.zeros(4 * hidden_dim, dtype=np.float64)
         self.bias[hidden_dim : 2 * hidden_dim] = 1.0
 
@@ -203,10 +251,10 @@ class LstmCell:
     def backward(self, grad_h_final: np.ndarray, cache):
         """Backpropagation through time from a gradient on the final hidden state.
 
-        Returns ((T, m) input gradients, grad_W, grad_U, grad_b). The loop
+        Returns ((T, m) input gradients, (T, 4H) gate gradients dz). The loop
         carries dh and dc back through the recurrence and stacks each step's
-        gate gradient dz; the parameter and input gradients are then one GEMM
-        or reduction each.
+        dz; the input gradients are then one GEMM. The parameter gradients are
+        param_grads of dz paired with cache["x_m"] and cache["h_m"].
         """
         H = self.hidden_dim
         gates, tanh_c = cache["gates"], cache["tanh_c"]
@@ -227,11 +275,17 @@ class LstmCell:
             dh = (self.recurrent_weights.T @ dz[t].reshape(-1)) * cache["recurrent_mask"]
             dc = dc * f[t]
         dz = dz.reshape(T, 4 * H)
-        grad_W = dz.T @ cache["x_m"]
-        grad_U = dz.T @ cache["h_m"]
-        grad_b = dz.sum(axis=0)
         grad_xs = (dz @ self.input_weights) * cache["input_mask"]
-        return grad_xs, grad_W, grad_U, grad_b
+        return grad_xs, dz
+
+    @staticmethod
+    def param_grads(dz: np.ndarray, x_m: np.ndarray, h_m: np.ndarray,
+                    grad_W: np.ndarray, grad_U: np.ndarray, grad_b: np.ndarray):
+        """Weight and bias gradients summed over the steps of a batch of
+        sequences: dz (N, 4H) paired row by row with the masked inputs x_m
+        (N, m) and the masked previous hidden states h_m (N, H)."""
+        linear_param_grads(dz, x_m, grad_W, grad_b)
+        np.matmul(dz.T, h_m, out=grad_U)
 
 
 def bilstm_encode(seq, fwd: LstmCell, bwd: LstmCell, masks):
@@ -249,18 +303,19 @@ def bilstm_encode(seq, fwd: LstmCell, bwd: LstmCell, masks):
 
 
 def bilstm_backward(grad_encoded: np.ndarray, fwd: LstmCell, bwd: LstmCell, cache):
-    """Returns ((T, m) gradient w.r.t. seq, fwd param grads, bwd param grads)."""
+    """Returns ((T, m) gradient w.r.t. seq, fwd dz, bwd dz); each dz pairs
+    with the x_m and h_m of its direction's cache."""
     H = fwd.hidden_dim
-    gx_fwd, gW_f, gU_f, gb_f = fwd.backward(grad_encoded[:H], cache["fwd"])
-    gx_bwd, gW_b, gU_b, gb_b = bwd.backward(grad_encoded[H:], cache["bwd"])
-    return gx_fwd + gx_bwd[::-1], (gW_f, gU_f, gb_f), (gW_b, gU_b, gb_b)
+    gx_fwd, dz_fwd = fwd.backward(grad_encoded[:H], cache["fwd"])
+    gx_bwd, dz_bwd = bwd.backward(grad_encoded[H:], cache["bwd"])
+    return gx_fwd + gx_bwd[::-1], dz_fwd, dz_bwd
 
 
 class SoftmaxHead:
     """Linear layer plus softmax over C classes."""
 
-    def __init__(self, num_classes: int, in_dim: int, rng: np.random.Generator):
-        self.weights = glorot_uniform(rng, num_classes, in_dim)
+    def __init__(self, num_classes: int, in_dim: int, rng: np.random.Generator | None):
+        self.weights = _weights(rng, num_classes, in_dim)
         self.bias = np.zeros(num_classes, dtype=np.float64)
 
     @property
@@ -273,8 +328,9 @@ class SoftmaxHead:
     def loss_and_grads(self, x: np.ndarray, gold: int):
         """Cross-entropy loss, probabilities and gradients.
 
-        Returns (loss, probs, grad_x, grad_weights, grad_bias). The logit
-        gradient is probs - onehot(gold).
+        Returns (loss, probs, grad_x, grad_logits), where grad_logits is
+        probs - onehot(gold); the parameter gradients are linear_param_grads
+        of grad_logits paired with x.
         """
         C = self.num_classes
         if not 0 <= gold < C:
@@ -283,7 +339,5 @@ class SoftmaxHead:
         loss = -np.log(max(probs[gold], 1e-300))
         grad_logits = probs.copy()
         grad_logits[gold] -= 1.0
-        grad_weights = np.outer(grad_logits, x)
-        grad_bias = grad_logits
         grad_x = self.weights.T @ grad_logits
-        return loss, probs, grad_x, grad_weights, grad_bias
+        return loss, probs, grad_x, grad_logits

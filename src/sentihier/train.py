@@ -22,9 +22,17 @@ class AdamState:
         self.eps = eps
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self._scratch = np.empty(max((p.size for p in params.values()), default=0))
 
     def step(self, params: dict, grads: dict):
-        """Update params in place with one bias-corrected Adam step."""
+        """Update params in place with one bias-corrected Adam step.
+
+        Consumes grads: each gradient array is overwritten as a temporary.
+        The operations are those of
+            m += (1 - beta1) * (g - m);  v += (1 - beta2) * (g * g - v)
+            p -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+        in the same order, so the result is bit-identical to that formula.
+        """
         self.t += 1
         corr1 = 1.0 - self.beta1 ** self.t
         corr2 = 1.0 - self.beta2 ** self.t
@@ -36,11 +44,21 @@ class AdamState:
                     f"{name} shape {p.shape}")
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            m_hat = m / corr1
-            v_hat = v / corr2
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            tmp = self._scratch[: g.size].reshape(g.shape)
+            np.subtract(g, m, out=tmp)
+            tmp *= 1.0 - self.beta1
+            m += tmp
+            np.multiply(g, g, out=g)
+            g -= v
+            g *= 1.0 - self.beta2
+            v += g
+            np.divide(m, corr1, out=tmp)  # m_hat
+            np.divide(v, corr2, out=g)    # v_hat
+            np.sqrt(g, out=g)
+            g += self.eps
+            tmp *= self.learning_rate
+            tmp /= g
+            p -= tmp
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,22 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert str(missing) in err and "Traceback" not in err
 
+    def test_malformed_checkpoint_config_is_data_error(self, dataset_config, tmp_path,
+                                                       capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     *FAST_OVERRIDES]) == 0
+        capsys.readouterr()
+        data = ckpt.read_bytes()
+        record = b'{"unknown_key": 1}'
+        old_len = int.from_bytes(data[8:12], "little")
+        ckpt.write_bytes(data[:8] + len(record).to_bytes(4, "little") + record
+                         + data[12 + old_len :])
+        code = main(["predict", "--model", str(ckpt), "--input", "-"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "config record" in err and "Traceback" not in err
+
     def test_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         code = main(["predict", "--model", str(tmp_path / "none.ckpt"), "--input", "-"])
         assert code == 3

@@ -59,6 +59,32 @@ class TestBinaryLoader:
         with pytest.raises(ParseError, match="non-positive"):
             load_word2vec_binary(path)
 
+    def test_values_equal_the_float32_records_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(4, 6)).astype(np.float32)
+        values[0, :3] = [np.float32(1e-45), -0.0, np.finfo(np.float32).max]
+        path = tmp_path / "vec.bin"
+        write_binary(path, [(f"w{i}", list(row)) for i, row in enumerate(values)])
+        table = load_word2vec_binary(path)
+        for i, row in enumerate(values):
+            vec = table.lookup(f"w{i}")
+            assert vec is table.lookup(f"w{i}")  # one view per row, made once
+            old = np.frombuffer(row.astype("<f4").tobytes(), dtype="<f4").astype(np.float64)
+            assert vec.astype(np.float64).tobytes() == old.tobytes()
+
+    def test_truncation_errors_name_the_record_and_offset(self, tmp_path):
+        path = tmp_path / "vec.bin"
+        write_binary(path, [("hi", [1, 2, 3]), ("yo", [4, 5, 6])], header=(3, 3))
+        data = path.read_bytes()
+        with pytest.raises(ParseError) as info:
+            load_word2vec_binary(path)
+        assert str(info.value) == f"{path}: truncated token at byte offset {len(data)}"
+        path.write_bytes(data[:-2])
+        with pytest.raises(ParseError) as info:
+            load_word2vec_binary(path)
+        start = len(b"3 3\n") + len(b"hi ") + 12 + len(b"\nyo ")
+        assert str(info.value) == f"{path}: truncated record for 'yo' at byte offset {start}"
+
     def test_load_twice_identical(self, tmp_path):
         path = tmp_path / "vec.bin"
         write_binary(path, [("a", [0.25, -1.5]), ("b", [3.125, 9.0])])

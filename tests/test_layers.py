@@ -12,6 +12,7 @@ from sentihier.layers import (
     SoftmaxHead,
     bilstm_backward,
     bilstm_encode,
+    linear_param_grads,
     relu_grad,
     sentence_matrix,
     sigmoid,
@@ -43,6 +44,29 @@ def assert_matches_fd(analytic, fd_by_coord):
     for i, fd in fd_by_coord.items():
         denom = max(abs(fd), abs(flat[i]), 1e-8)
         assert abs(fd - flat[i]) / denom <= RTOL
+
+
+def linear_grads(layer, grad_pre, inputs):
+    """(grad_weights, grad_bias) of a dense layer or softmax head."""
+    grad_w, grad_b = np.empty_like(layer.weights), np.empty_like(layer.bias)
+    linear_param_grads(grad_pre, inputs, grad_w, grad_b)
+    return grad_w, grad_b
+
+
+def lstm_param_grads(cell, dz, cache):
+    """(grad_W, grad_U, grad_b) of one sequence's gate gradients."""
+    grads = (np.empty_like(cell.input_weights), np.empty_like(cell.recurrent_weights),
+             np.empty_like(cell.bias))
+    LstmCell.param_grads(dz, cache["x_m"], cache["h_m"], *grads)
+    return grads
+
+
+def conv_param_grads(layer, s, argmax, gated):
+    """(grad_filters, grad_bias) of one sentence matrix with no padding rows."""
+    row_index = argmax[None, :, None] + np.arange(layer.filter_width)
+    grad_f, grad_b = np.empty_like(layer.filters), np.empty_like(layer.bias)
+    layer.param_grads(s, row_index, gated[None], grad_f, grad_b)
+    return grad_f, grad_b
 
 
 class TestSoftmax:
@@ -135,9 +159,11 @@ class TestConvMaxpool:
 
     def test_zero_upstream_gradient(self, rng):
         layer = self.make(rng)
-        _, cache = layer.forward(rng.normal(size=(6, 4)))
-        grad_f, grad_b = layer.backward(np.zeros(3), cache)
-        assert not grad_f.any() and not grad_b.any()
+        s = rng.normal(size=(6, 4))
+        _, cache = layer.forward(s)
+        gated = layer.backward(np.zeros(3), cache)
+        grad_f, grad_b = conv_param_grads(layer, s, cache["argmax"], gated)
+        assert not gated.any() and not grad_f.any() and not grad_b.any()
 
     def test_backward_missing_cache(self, rng):
         layer = self.make(rng)
@@ -149,7 +175,7 @@ class TestConvMaxpool:
         s = rng.normal(size=(6, 4))
         feats, cache = layer.forward(s)
         g = rng.normal(size=3)
-        _, grad_b = layer.backward(g, cache)
+        grad_b = layer.backward(g, cache)
         cols = np.arange(3)
         gate = cache["pre"][cache["argmax"], cols] > 0
         np.testing.assert_array_equal(grad_b, np.where(gate, g, 0.0))
@@ -164,7 +190,38 @@ class TestConvMaxpool:
             return float(weights @ feats)
 
         feats, cache = layer.forward(s)
-        grad_f, grad_b = layer.backward(weights, cache)
+        grad_f, grad_b = conv_param_grads(layer, s, cache["argmax"],
+                                          layer.backward(weights, cache))
+        assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
+        assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
+
+    def test_param_grads_over_a_batch_match_finite_differences(self, rng):
+        # Three sentences sharing tokens; the last is shorter than the filter
+        # width, so its windows reach into sentence_matrix's zero padding.
+        f, F, k = 3, 4, 5
+        layer = ConvLayer(f, F, k, rng)
+        layer.bias[:] = rng.normal(scale=0.1, size=F)
+        emb = rng.normal(size=(7, k))
+        sentences = [(2, 3, 4, 3, 5), (5, 2, 6, 2), (3, 6)]
+        weights = rng.normal(size=(3, F))
+
+        def loss_fn():
+            return sum(float(w @ layer.forward(sentence_matrix(t, emb, f))[0])
+                       for w, t in zip(weights, sentences))
+
+        used = sorted({t for sent in sentences for t in sent})
+        row_index = np.full((3, F, f), -1)
+        gated = np.empty((3, F))
+        for s_no, (w, tokens) in enumerate(zip(weights, sentences)):
+            _, cache = layer.forward(sentence_matrix(tokens, emb, f))
+            gated[s_no] = layer.backward(w, cache)
+            for j, start in enumerate(cache["argmax"]):
+                for o in range(f):
+                    if start + o < len(tokens):
+                        row_index[s_no, j, o] = used.index(tokens[start + o])
+        assert (row_index == -1).any()
+        grad_f, grad_b = np.empty_like(layer.filters), np.empty_like(layer.bias)
+        layer.param_grads(emb[used], row_index, gated, grad_f, grad_b)
         assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
@@ -215,8 +272,28 @@ class TestDenseRelu:
             return float(weights @ out)
 
         out, cache = layer.forward(x, mask)
-        grad_x, grad_w, grad_b = layer.backward(weights, cache)
+        grad_x, grad_pre = layer.backward(weights, cache)
+        grad_w, grad_b = linear_grads(layer, grad_pre[None], cache["x_masked"][None])
         assert_matches_fd(grad_x, fd_grad(loss_fn, x, rng))
+        assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
+        assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
+
+    def test_param_grads_over_a_batch_match_finite_differences(self, rng):
+        layer = DenseLayer(3, 4, rng)
+        layer.bias[:] = rng.normal(size=3)  # off the ReLU kink if a mask drops every input
+        xs = rng.normal(size=(3, 4))
+        masks = [DropoutMask.sample(rng, 4, 0.5) for _ in range(3)]
+        weights = rng.normal(size=(3, 3))
+
+        def loss_fn():
+            return sum(float(w @ layer.forward(x, m)[0]) for w, x, m in zip(weights, xs, masks))
+
+        grad_pre, inputs = [], []
+        for w, x, m in zip(weights, xs, masks):
+            _, cache = layer.forward(x, m)
+            grad_pre.append(layer.backward(w, cache)[1])
+            inputs.append(cache["x_masked"])
+        grad_w, grad_b = linear_grads(layer, np.stack(grad_pre), np.stack(inputs))
         assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
@@ -291,7 +368,8 @@ class TestLstm:
             return float(weights @ h)
 
         h, caches = cell.run(seq, *masks)
-        grad_xs, gW, gU, gb = cell.backward(weights, caches)
+        grad_xs, dz = cell.backward(weights, caches)
+        gW, gU, gb = lstm_param_grads(cell, dz, caches)
         assert_matches_fd(gW, fd_grad(loss_fn, cell.input_weights, rng))
         assert_matches_fd(gU, fd_grad(loss_fn, cell.recurrent_weights, rng))
         assert_matches_fd(gb, fd_grad(loss_fn, cell.bias, rng))
@@ -312,13 +390,38 @@ class TestLstm:
             return float(weights @ h)
 
         h, cache = cell.run(seq, *masks)
-        grad_xs, gW, gU, gb = cell.backward(weights, cache)
+        grad_xs, dz = cell.backward(weights, cache)
+        gW, gU, gb = lstm_param_grads(cell, dz, cache)
         assert grad_xs.shape == (5, 6)
         assert_matches_fd(gW, fd_grad(loss_fn, cell.input_weights, rng))
         assert_matches_fd(gU, fd_grad(loss_fn, cell.recurrent_weights, rng))
         assert_matches_fd(gb, fd_grad(loss_fn, cell.bias, rng))
         for t in range(5):
             assert_matches_fd(grad_xs[t], fd_grad(loss_fn, seq[t], rng))
+
+
+    def test_param_grads_over_a_batch_match_finite_differences(self, rng):
+        # Two sequences of different lengths, each with its own masks: the
+        # gradients are one product over the stacked steps of both.
+        cell = LstmCell(4, 3, rng)
+        cell.bias[:] = rng.normal(size=12)
+        seqs = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
+        masks = [(DropoutMask.sample(rng, 4, 0.5), DropoutMask.sample(rng, 3, 0.5))
+                 for _ in seqs]
+        weights = rng.normal(size=(2, 3))
+
+        def loss_fn():
+            return sum(float(w @ cell.run(seq, *m)[0]) for w, seq, m in zip(weights, seqs, masks))
+
+        parts = []
+        for w, seq, m in zip(weights, seqs, masks):
+            _, cache = cell.run(seq, *m)
+            parts.append((cell.backward(w, cache)[1], cache["x_m"], cache["h_m"]))
+        grads = (np.empty_like(cell.input_weights), np.empty_like(cell.recurrent_weights),
+                 np.empty_like(cell.bias))
+        LstmCell.param_grads(*(np.concatenate(p) for p in zip(*parts)), *grads)
+        for grad, param in zip(grads, (cell.input_weights, cell.recurrent_weights, cell.bias)):
+            assert_matches_fd(grad, fd_grad(loss_fn, param, rng))
 
 
 class TestBilstm:
@@ -360,9 +463,11 @@ class TestBilstm:
             return float(weights @ enc)
 
         enc, cache = bilstm_encode(seq, fwd, bwd, masks)
-        grad_seq, fwd_g, bwd_g = bilstm_backward(weights, fwd, bwd, cache)
+        grad_seq, dz_fwd, dz_bwd = bilstm_backward(weights, fwd, bwd, cache)
         for t in range(3):
             assert_matches_fd(grad_seq[t], fd_grad(loss_fn, seq[t], rng))
+        fwd_g = lstm_param_grads(fwd, dz_fwd, cache["fwd"])
+        bwd_g = lstm_param_grads(bwd, dz_bwd, cache["bwd"])
         assert_matches_fd(fwd_g[0], fd_grad(loss_fn, fwd.input_weights, rng))
         assert_matches_fd(bwd_g[1], fd_grad(loss_fn, bwd.recurrent_weights, rng))
 
@@ -390,10 +495,10 @@ class TestSoftmaxHead:
     def test_logit_gradient_is_probs_minus_onehot(self, rng):
         head = SoftmaxHead(3, 4, rng)
         x = rng.normal(size=4)
-        loss, probs, _, _, grad_bias = head.loss_and_grads(x, 2)
+        loss, probs, _, grad_logits = head.loss_and_grads(x, 2)
         expected = probs.copy()
         expected[2] -= 1.0
-        np.testing.assert_allclose(grad_bias, expected)
+        np.testing.assert_allclose(grad_logits, expected)
 
     def test_gradients_match_finite_differences(self, rng):
         head = SoftmaxHead(3, 4, rng)
@@ -403,7 +508,21 @@ class TestSoftmaxHead:
             loss, *_ = head.loss_and_grads(x, 1)
             return loss
 
-        loss, probs, grad_x, grad_w, grad_b = head.loss_and_grads(x, 1)
+        loss, probs, grad_x, grad_logits = head.loss_and_grads(x, 1)
+        grad_w, grad_b = linear_grads(head, grad_logits[None], x[None])
         assert_matches_fd(grad_x, fd_grad(loss_fn, x, rng))
+        assert_matches_fd(grad_w, fd_grad(loss_fn, head.weights, rng))
+        assert_matches_fd(grad_b, fd_grad(loss_fn, head.bias, rng))
+
+    def test_param_grads_over_a_batch_match_finite_differences(self, rng):
+        head = SoftmaxHead(3, 4, rng)
+        xs = rng.normal(size=(3, 4))
+        golds = [0, 2, 2]
+
+        def loss_fn():
+            return sum(head.loss_and_grads(x, gold)[0] for x, gold in zip(xs, golds))
+
+        grad_logits = np.stack([head.loss_and_grads(x, gold)[3] for x, gold in zip(xs, golds)])
+        grad_w, grad_b = linear_grads(head, grad_logits, xs)
         assert_matches_fd(grad_w, fd_grad(loss_fn, head.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, head.bias, rng))

@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import desk_config, desk_model, finite_difference_check
+from sentihier import layers
 from sentihier.errors import (
+    CheckpointError,
     CheckpointFingerprintError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -148,6 +152,43 @@ class TestLossAndGrads:
         assert worst <= 1e-4
 
 
+    def three_doc_batch(self, rng):
+        """A filter-width-3 model and three documents that share tokens, one
+        with a sentence shorter than the filter width."""
+        cfg = ModelConfig(embedding_dim=5, filter_width=3, num_filters=4, sentence_dim=3,
+                          lstm_hidden=2, num_classes=3, seed=3)
+        emb = rng.normal(size=(12, 5))
+        emb[:2] = 0.0
+        batch = [Document(((2, 3, 4, 5), (6, 2)), label=0),
+                 Document(((3, 3, 7, 8, 9, 2),), label=2),
+                 Document(((10, 4, 6), (11, 2, 0, 5), (7,)), label=1)]
+        model = HiCnnLstmModel(cfg, emb)
+        # Nonzero biases keep ReLU pre-activations off their kink at 0, where
+        # a finite difference straddles two slopes.
+        model.conv.bias[:] = rng.normal(scale=0.5, size=4)
+        model.dense.bias[:] = rng.normal(scale=0.5, size=3)
+        return model, batch
+
+    def test_three_document_batch_gradient_check(self, rng):
+        model, batch = self.three_doc_batch(rng)
+
+        def loss_fn():
+            loss, _ = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
+            return loss
+
+        loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
+        finite_difference_check(loss_fn, model.params(), grads, rng,
+                                coords_per_tensor=40, rtol=1e-4)
+
+    def test_batch_gradients_equal_mean_of_single_document_gradients(self, rng):
+        model, batch = self.three_doc_batch(rng)
+        _, batch_grads = model.loss_and_grads(batch)
+        singles = [model.loss_and_grads([doc])[1] for doc in batch]
+        for name, g in batch_grads.items():
+            mean = sum(single[name] for single in singles) / len(batch)
+            np.testing.assert_allclose(g, mean, rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, rng, tmp_path):
         model = desk_model()
@@ -184,6 +225,32 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointTruncatedError, match="conv.filters"):
             load_checkpoint(path)
+
+    def test_load_draws_no_initialisation(self, rng, tmp_path, monkeypatch):
+        model = desk_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        monkeypatch.setattr(layers, "glorot_uniform", pytest.fail)
+        loaded = load_checkpoint(path)
+        for name, p in model.params().items():
+            np.testing.assert_array_equal(loaded.params()[name], p)
+
+    @pytest.mark.parametrize("record", [
+        b'{"unknown_key": 1}',                            # unexpected keyword
+        b'[1, 2, 3]',                                     # not a JSON object
+        b'{"seed": "\xff"}',                             # not UTF-8
+        b'{"embedding_dim": -4}',                         # negative dimension
+    ], ids=["unknown-key", "not-an-object", "bad-utf8", "negative-dimension"])
+    def test_malformed_config_record(self, tmp_path, record):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(desk_model(), path)
+        data = path.read_bytes()
+        (old_len,) = struct.unpack("<I", data[8:12])
+        path.write_bytes(data[:8] + struct.pack("<I", len(record)) + record
+                         + data[12 + old_len :])
+        with pytest.raises(CheckpointError, match="malformed config record") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -47,6 +47,34 @@ class TestAdam:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_in_place_step_is_bit_identical_to_the_formula(self):
+        def reference_step(params, m, v, grads, t, lr=1e-3, beta1=0.9, beta2=0.999,
+                           eps=1e-8):
+            corr1 = 1.0 - beta1 ** t
+            corr2 = 1.0 - beta2 ** t
+            for name, p in params.items():
+                g = grads[name]
+                m[name] += (1.0 - beta1) * (g - m[name])
+                v[name] += (1.0 - beta2) * (g * g - v[name])
+                m_hat = m[name] / corr1
+                v_hat = v[name] / corr2
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        rng = np.random.default_rng(3)
+        params = {"w": rng.normal(size=(4, 6)), "b": rng.normal(size=5)}
+        expected = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(p) for name, p in params.items()}
+        v = {name: np.zeros_like(p) for name, p in params.items()}
+        state = AdamState(params)
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            reference_step(expected, m, v, {n: g.copy() for n, g in grads.items()}, t)
+            state.step(params, grads)
+            for name, p in params.items():
+                assert p.tobytes() == expected[name].tobytes()
+                assert state.m[name].tobytes() == m[name].tobytes()
+                assert state.v[name].tobytes() == v[name].tobytes()
+
     def test_shape_mismatch(self):
         params = {"w": np.zeros(3)}
         state = AdamState(params)
