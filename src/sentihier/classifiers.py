@@ -49,31 +49,33 @@ class HiCnnLstmClassifier:
 
     name = "hicnnlstm"
 
-    def __init__(self, model_config: ModelConfig, train_config: TrainConfig,
+    def __init__(self, model_config: ModelConfig, train_config: TrainConfig, label_names,
                  table: EmbeddingTable | None = None, embedding_seed: int = 42):
         self.model_config = model_config
         self.train_config = train_config
+        self.label_names = label_names
         self.table = table
         self.embedding_seed = embedding_seed
 
     def build(self, tokenized, labels, seed: int):
-        """Vocabulary, encoded documents and a fresh model seeded with `seed`."""
+        """Encoded documents and a fresh model seeded with `seed`, whose
+        vocabulary is that of `tokenized`."""
         vocab = build_vocab(tokenized)
         matrix = embedding_matrix_for(vocab, self.table, self.model_config.embedding_dim,
                                       self.embedding_seed)
         docs = [encode(t, vocab, label) for t, label in zip(tokenized, labels)]
-        model = HiCnnLstmModel(replace(self.model_config, seed=seed), matrix,
-                               vocab.fingerprint())
-        return vocab, docs, model
+        model = HiCnnLstmModel(replace(self.model_config, seed=seed), matrix, vocab,
+                               self.label_names)
+        return docs, model
 
     def fit_predict_factory(self, tokenized, labels):
         def fit_predict(train_ix, test_ix, seed):
-            vocab, train_docs, model = self.build(
+            train_docs, model = self.build(
                 [tokenized[i] for i in train_ix], [labels[i] for i in train_ix], seed)
             t0 = time.perf_counter()
             model, history = fit(model, train_docs, replace(self.train_config, seed=seed))
             t1 = time.perf_counter()
-            preds = [model.predict(encode(tokenized[i], vocab)) for i in test_ix]
+            preds = [model.predict(encode(tokenized[i], model.vocab)) for i in test_ix]
             t2 = time.perf_counter()
             return {"predictions": preds, "history": history,
                     "train_seconds": t1 - t0, "test_seconds": t2 - t1}
@@ -104,9 +106,10 @@ class NaiveBayesClassifier:
 
 
 def make_classifier(spec: str, model_config: ModelConfig, train_config: TrainConfig,
-                    table: EmbeddingTable | None, embedding_seed: int = 42):
+                    label_names, table: EmbeddingTable | None, embedding_seed: int = 42):
     if spec == "hicnnlstm":
-        return HiCnnLstmClassifier(model_config, train_config, table, embedding_seed)
+        return HiCnnLstmClassifier(model_config, train_config, label_names, table,
+                                   embedding_seed)
     if spec == "nb":
         return NaiveBayesClassifier()
     raise ConfigurationError(f"unknown classifier {spec!r}; choose from {CLASSIFIER_NAMES}")

@@ -26,7 +26,7 @@ from .embeddings import load_word2vec_binary, load_word2vec_text
 from .errors import ConfigurationError, ParseError, SentihierError
 from .evaluation import cross_validate, learning_curve, report_to_csv_rows, report_to_markdown
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .textprep import Vocabulary, encode, tokenize_document
+from .textprep import encode, tokenize_document
 from .train import TrainConfig, fit
 
 EXIT_CONFIG = 2
@@ -58,25 +58,15 @@ def _parse_overrides(pairs):
 def _load_embeddings(spec: str):
     if spec == "random":
         return None
-    path = Path(spec)
-    if not path.exists():
-        raise ParseError(f"embeddings file {path} does not exist")
+    path = Path(spec)  # a missing file is an OSError naming it
     if path.suffix == ".bin":
         return load_word2vec_binary(path)
     return load_word2vec_text(path)
 
 
-def _manifest_lines(manifest: dict):
-    for key in sorted(manifest):
-        yield f"# {key}: {manifest[key]}"
-
-
 def _write_report(path: Path, manifest: dict, body_lines):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _manifest_lines(manifest):
-            fh.write(line + "\n")
-        for line in body_lines:
-            fh.write(line + "\n")
+    header = [f"# {key}: {manifest[key]}" for key in sorted(manifest)]
+    path.write_text("".join(line + "\n" for line in [*header, *body_lines]), encoding="utf-8")
 
 
 def _manifest(command: str, args, ds, **fields) -> dict:
@@ -102,10 +92,10 @@ def _dataset_and_classifiers(args, classifier_specs):
         print(f"warning: {w}", file=sys.stderr)
     table = _load_embeddings(args.embeddings)
     model_over, train_over = _parse_overrides(getattr(args, "override", None))
-    num_classes = len(ds.label_set)
-    mcfg = ModelConfig(**{"num_classes": num_classes, **model_over})
+    mcfg = ModelConfig(**{"num_classes": len(ds.label_set), **model_over})
     tcfg = TrainConfig(**{"seed": args.seed, **train_over})
-    classifiers = [make_classifier(spec, mcfg, tcfg, table, embedding_seed=args.seed)
+    classifiers = [make_classifier(spec, mcfg, tcfg, ds.label_set, table,
+                                   embedding_seed=args.seed)
                    for spec in classifier_specs]
     return ds, classifiers
 
@@ -120,8 +110,7 @@ def cmd_crossval(args) -> int:
     fit_predict = classifier.fit_predict_factory(tokenized, labels)
     t0 = time.perf_counter()
     fold_results, pooled = cross_validate(fit_predict, labels, k=args.folds,
-                                          seed=args.seed, num_classes=len(ds.label_set),
-                                          threads=args.threads)
+                                          seed=args.seed, num_classes=len(ds.label_set))
     total = time.perf_counter() - t0
     manifest = _manifest("crossval", args, ds, classifier=args.classifier, folds=args.folds)
     names = list(ds.label_set)
@@ -184,13 +173,11 @@ def cmd_learning_curve(args) -> int:
 def cmd_train(args) -> int:
     ds, (classifier,) = _dataset_and_classifiers(args, ["hicnnlstm"])
     tokenized, labels = prepare(ds)
-    vocab, docs, model = classifier.build(tokenized, labels, args.seed)
+    docs, model = classifier.build(tokenized, labels, args.seed)
     model, history = fit(model, docs, classifier.train_config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out)
-    meta = {"vocab": list(vocab.index_to_token), "labels": list(ds.label_set)}
-    Path(str(out) + ".meta.json").write_text(json.dumps(meta), encoding="utf-8")
     _write_report(Path(str(out) + ".history.csv"),
                   _manifest("train", args, ds, classifier="hicnnlstm"), history.to_csv_rows())
     best = history.epochs[history.best_epoch - 1]
@@ -200,17 +187,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ckpt = Path(args.model)
-    if not ckpt.exists():
-        raise ParseError(f"checkpoint {ckpt} does not exist")
-    meta_path = Path(str(ckpt) + ".meta.json")
-    if not meta_path.exists():
-        raise ParseError(f"checkpoint metadata {meta_path} does not exist")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    tokens = tuple(meta["vocab"])
-    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
-    model = load_checkpoint(ckpt, expected_fingerprint=vocab.fingerprint())
-    label_names = meta["labels"]
+    model = load_checkpoint(args.model)  # a missing file is an OSError naming it
     from_stdin = args.input == "-"
     try:
         text = sys.stdin.read() if from_stdin else Path(args.input).read_text(encoding="utf-8")
@@ -218,8 +195,8 @@ def cmd_predict(args) -> int:
         source = "standard input" if from_stdin else args.input
         raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
     for line in text.splitlines():
-        probs, _ = model.forward(encode(tokenize_document(line), vocab), train=False)
-        label = label_names[int(probs.argmax())]
+        probs, _ = model.forward(encode(tokenize_document(line), model.vocab), train=False)
+        label = model.labels[int(probs.argmax())]
         print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
     return 0
 
@@ -243,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help=out_dir_help)
     p.add_argument("--classifier", default="hicnnlstm", choices=CLASSIFIER_NAMES)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("learning-curve", help="bootstrap learning curve")

@@ -45,7 +45,7 @@ class EmbeddingTable:
         return self.oov_vector
 
 
-def load_word2vec_binary(path, limit: int | None = None) -> EmbeddingTable:
+def load_word2vec_binary(path) -> EmbeddingTable:
     """Parse the canonical word2vec .bin format.
 
     Header is an ASCII "V D\\n" line; each record is a space-terminated token
@@ -64,8 +64,6 @@ def load_word2vec_binary(path, limit: int | None = None) -> EmbeddingTable:
         raise ParseError(f"{path}: malformed header {data[:newline]!r} (byte offset 0)") from None
     if vocab_size <= 0 or dim <= 0:
         raise ParseError(f"{path}: non-positive header counts {vocab_size} {dim}")
-    if limit is not None:
-        vocab_size = min(vocab_size, limit)
     records = []  # (token, byte offset of its vector)
     offset = newline + 1
     record_bytes = 4 * dim
@@ -92,28 +90,31 @@ def load_word2vec_text(path) -> EmbeddingTable:
     """Parse "token v1 ... vD" lines; a leading "V D" header is auto-detected."""
     vectors = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split()
-            if not fields:
-                continue
-            if lineno == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
-                continue  # header line
-            token, values = fields[0], fields[1:]
-            if not values:
-                raise ParseError(f"{path}: no vector values at line {lineno}")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric value at line {lineno}") from None
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise ParseError(
-                    f"{path}: inconsistent dimension at line {lineno}: "
-                    f"got {vec.shape[0]}, expected {dim}"
-                )
-            vectors[token] = vec
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.rstrip("\n").split()
+                if not fields:
+                    continue
+                if lineno == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
+                    continue  # header line
+                token, values = fields[0], fields[1:]
+                if not values:
+                    raise ParseError(f"{path}: no vector values at line {lineno}")
+                try:
+                    vec = np.array([float(v) for v in values], dtype=np.float64)
+                except ValueError:
+                    raise ParseError(f"{path}: non-numeric value at line {lineno}") from None
+                if dim is None:
+                    dim = vec.shape[0]
+                elif vec.shape[0] != dim:
+                    raise ParseError(
+                        f"{path}: inconsistent dimension at line {lineno}: "
+                        f"got {vec.shape[0]}, expected {dim}"
+                    )
+                vectors[token] = vec
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if dim is None:
         raise ParseError(f"{path}: no vectors found")
     return EmbeddingTable(dim, vectors)

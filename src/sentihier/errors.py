@@ -34,7 +34,7 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointFingerprintError(CheckpointError):
-    """Checkpoint vocabulary fingerprint does not match the supplied vocabulary."""
+    """Checkpoint vocabulary fingerprint does not match its stored token list."""
 
 
 class CheckpointTruncatedError(CheckpointError):

@@ -114,15 +114,15 @@ class FoldResult:
 
 
 def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
-                   num_classes: int | None = None, threads: int = 1):
+                   num_classes: int | None = None):
     """Run the k-fold protocol for one classifier.
 
     fit_predict(train_indices, test_indices, fold_seed) must train on the
     train indices and return a dict with at least "predictions" (one class
     index per test index, in order); it may also report "history",
     "train_seconds" and "test_seconds". Returns (list of FoldResult, pooled
-    MetricsReport). Fold seeds are pre-generated, so running folds in
-    parallel cannot change any result. An exception raised in a fold
+    MetricsReport). Fold seeds are drawn up front, so a fold's result does
+    not depend on the folds run before it. An exception raised in a fold
     propagates unchanged, with the fold number in its `fold` attribute.
     """
     labels = list(labels)
@@ -131,7 +131,8 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
     fold_seeds = [int(s.generate_state(1)[0])
                   for s in np.random.SeedSequence([seed, 0xCF0]).spawn(k)]
 
-    def run_fold(fold):
+    results, pooled_gold, pooled_pred = [], [], []
+    for fold in range(k):
         train_ix, test_ix = plan.train_test(fold)
         t0 = time.perf_counter()
         try:
@@ -140,28 +141,13 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
             exc.fold = fold
             raise
         elapsed = time.perf_counter() - t0
-        preds = list(out["predictions"])
-        report = compute_metrics([labels[i] for i in test_ix], preds, C)
-        return FoldResult(fold, report,
-                          out.get("train_seconds", elapsed),
-                          out.get("test_seconds", 0.0),
-                          out.get("history")), preds, test_ix
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(run_fold, range(k)))
-    else:
-        outs = [run_fold(f) for f in range(k)]
-    results = []
-    pooled_gold = []
-    pooled_pred = []
-    for res, preds, test_ix in outs:
-        results.append(res)
-        pooled_gold.extend(labels[i] for i in test_ix)
+        gold, preds = [labels[i] for i in test_ix], list(out["predictions"])
+        results.append(FoldResult(fold, compute_metrics(gold, preds, C),
+                                  out.get("train_seconds", elapsed),
+                                  out.get("test_seconds", 0.0), out.get("history")))
+        pooled_gold.extend(gold)
         pooled_pred.extend(preds)
-    pooled = compute_metrics(pooled_gold, pooled_pred, C)
-    return results, pooled
+    return results, compute_metrics(pooled_gold, pooled_pred, C)
 
 
 def stratified_pick(labels, fraction: float, total: int, rng: np.random.Generator) -> list:

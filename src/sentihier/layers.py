@@ -325,19 +325,18 @@ class SoftmaxHead:
     def probs(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.weights @ x + self.bias)
 
-    def loss_and_grads(self, x: np.ndarray, gold: int):
-        """Cross-entropy loss, probabilities and gradients.
+    def loss_and_grads(self, probs: np.ndarray, gold: int):
+        """Cross-entropy loss and gradients, given probs = self.probs(x).
 
-        Returns (loss, probs, grad_x, grad_logits), where grad_logits is
+        Returns (loss, grad_x, grad_logits), where grad_logits is
         probs - onehot(gold); the parameter gradients are linear_param_grads
         of grad_logits paired with x.
         """
         C = self.num_classes
         if not 0 <= gold < C:
             raise ContractViolation(f"gold class {gold} outside [0, {C})")
-        probs = self.probs(x)
         loss = -np.log(max(probs[gold], 1e-300))
         grad_logits = probs.copy()
         grad_logits[gold] -= 1.0
         grad_x = self.weights.T @ grad_logits
-        return loss, probs, grad_x, grad_logits
+        return loss, grad_x, grad_logits

@@ -4,15 +4,19 @@ sentence vectors, softmax head; plus checkpoint persistence.
 Documents are processed one at a time (variable length, no cross-document
 padding); batch gradients are the mean of per-document gradients, formed once
 per batch from the factors every document's backward pass collects.
+
+A model carries the vocabulary that indexes its embedding rows and the names
+of its classes, so one checkpoint file is all `predict` needs.
 """
 
 import io
 import itertools
 import json
+import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,9 +30,10 @@ from .errors import (
     ShapeError,
 )
 from .layers import DropoutMask
+from .textprep import Document, Vocabulary
 
 CHECKPOINT_MAGIC = b"SHCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -54,35 +59,31 @@ class ModelConfig:
         for rate in (self.dense_dropout, self.lstm_dropout):
             if not 0.0 <= rate < 1.0:
                 raise ContractViolation(f"dropout rates must be in [0, 1): {self}")
-
-
-@dataclass(frozen=True)
-class Document:
-    """Sentences of token indices, with an optional gold label."""
-    sentences: tuple  # tuple of tuples of int
-    label: int | None = None
-
-    def __post_init__(self):
-        if len(self.sentences) == 0 or any(len(s) == 0 for s in self.sentences):
-            raise ContractViolation("a document needs at least one non-empty sentence")
+        if any(type(getattr(self, f.name)) is not type(f.default) for f in fields(self)):
+            raise ContractViolation(f"every field must have the type of its default: {self}")
 
 
 class HiCnnLstmModel:
-    """All trainable parameters plus the static embedding matrix."""
+    """All trainable parameters plus the static embedding matrix, whose row i
+    is the vector of vocab token i; labels[c] names class c."""
 
     def __init__(self, config: ModelConfig, embedding_matrix: np.ndarray,
-                 vocab_fingerprint: int = 0, *, _draw_weights: bool = True):
+                 vocab: Vocabulary, labels, *, _draw_weights: bool = True):
         """Weights are drawn from config.seed. load_checkpoint passes
         _draw_weights=False: it reads every parameter from the file, so the
         weight buffers are left uninitialised instead."""
-        if embedding_matrix.ndim != 2 or embedding_matrix.shape[1] != config.embedding_dim:
+        if embedding_matrix.shape != (len(vocab), config.embedding_dim):
             raise ShapeError(
                 f"embedding matrix shape {embedding_matrix.shape} does not match "
-                f"embedding_dim {config.embedding_dim}"
+                f"{len(vocab)} tokens x embedding_dim {config.embedding_dim}"
             )
+        if len(labels) != config.num_classes:
+            raise ContractViolation(
+                f"{len(labels)} label names for {config.num_classes} classes")
         self.config = config
         self.embedding_matrix = np.ascontiguousarray(embedding_matrix, dtype=np.float64)
-        self.vocab_fingerprint = vocab_fingerprint
+        self.vocab = vocab
+        self.labels = tuple(labels)
         rng = (np.random.default_rng(np.random.SeedSequence([config.seed, 0xA11]))
                if _draw_weights else None)
         self.conv = layers.ConvLayer(config.filter_width, config.num_filters,
@@ -204,7 +205,7 @@ class HiCnnLstmModel:
         """Backward pass of one document: writes its factors to row i of the
         per-document buffers and to rows `span` of the per-sentence ones."""
         probs, cache = self.forward(doc, train=True, dropout_rng=dropout_rng)
-        loss, _, grad_enc, grad_logits = self.head.loss_and_grads(cache["encoded"], doc.label)
+        loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, doc.label)
         rows["head.grad"][i] = grad_logits
         rows["head.x"][i] = cache["encoded"]
         bilstm_cache = cache["bilstm_cache"]
@@ -243,34 +244,35 @@ class HiCnnLstmModel:
 
 
 def save_checkpoint(model: HiCnnLstmModel, path):
-    """Versioned little-endian binary container: config JSON, vocabulary
-    fingerprint, embedding matrix and every trainable parameter."""
-    cfg_json = json.dumps(model.config.__dict__, sort_keys=True).encode("utf-8")
+    """Versioned little-endian binary container: the config, the token list
+    (in index order) and the label names (in class order) as JSON records,
+    the token list's fingerprint, then the embedding matrix and every
+    trainable parameter."""
     arrays = dict(model.params())
     arrays["embedding_matrix"] = model.embedding_matrix
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(cfg_json)))
-    buf.write(cfg_json)
-    buf.write(struct.pack("<Q", model.vocab_fingerprint))
+    for record in (model.config.__dict__, model.vocab.index_to_token, model.labels):
+        raw = json.dumps(record, sort_keys=True).encode("utf-8")
+        buf.write(struct.pack("<I", len(raw)))
+        buf.write(raw)
+    buf.write(struct.pack("<Q", model.vocab.fingerprint()))
     buf.write(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         name_b = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(name_b)))
-        buf.write(name_b)
-        buf.write(struct.pack("<I", arr.ndim))
-        for d in arr.shape:
-            buf.write(struct.pack("<I", d))
-        buf.write(arr.astype("<f8").tobytes())
+        buf.write(struct.pack(f"<I{len(name_b)}sI{arr.ndim}I", len(name_b), name_b, arr.ndim,
+                              *arr.shape))
+        buf.write(arr.tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
 
-def load_checkpoint(path, expected_fingerprint: int | None = None) -> HiCnnLstmModel:
+def load_checkpoint(path) -> HiCnnLstmModel:
     """Reads each stored array straight into the model's own buffer: no copy
-    of the file is held, which keeps start-up cost low for a large model."""
+    of the file is held, which keeps start-up cost low for a large model.
+    Every way the file can be malformed raises a CheckpointError naming it."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
         if reader.take(4) != CHECKPOINT_MAGIC:
@@ -278,23 +280,33 @@ def load_checkpoint(path, expected_fingerprint: int | None = None) -> HiCnnLstmM
         version = reader.unpack("<I")
         if version != CHECKPOINT_VERSION:
             raise CheckpointVersionError(
-                f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-        cfg = _config_record(reader.take(reader.unpack("<I")), path)
+                f"{path}: checkpoint format version {version}, but this sentihier reads "
+                f"only version {CHECKPOINT_VERSION}; retrain the model with `sentihier train`")
+        try:
+            cfg = ModelConfig(**reader.json("config"))
+        except (TypeError, ContractViolation) as exc:
+            raise CheckpointError(f"{path}: malformed config record: {exc}") from None
+        vocab = Vocabulary.of(_names(reader.json("token"), path, "token"))
+        labels = _names(reader.json("label"), path, "label")
         fingerprint = reader.unpack("<Q")
-        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+        if fingerprint != vocab.fingerprint():
             raise CheckpointFingerprintError(
-                f"{path}: vocabulary fingerprint {fingerprint:#x} does not match "
-                f"expected {expected_fingerprint:#x}")
+                f"{path}: stored vocabulary fingerprint {fingerprint:#x} does not match "
+                f"its token list ({vocab.fingerprint():#x})")
         stored = {}  # name -> (shape, file offset of its data)
         for _ in range(reader.unpack("<I")):
-            name = reader.take(reader.unpack("<I")).decode("utf-8")
+            name = reader.take(reader.unpack("<I")).decode("utf-8", "backslashreplace")
             shape = tuple(reader.unpack("<I") for _ in range(reader.unpack("<I")))
-            stored[name] = shape, reader.skip(8 * (int(np.prod(shape)) if shape else 1))
+            stored[name] = shape, reader.skip(8 * math.prod(shape))
         if "embedding_matrix" not in stored:
             raise CheckpointTruncatedError(f"{path}: missing embedding matrix")
         shape, at = stored.pop("embedding_matrix")
-        model = HiCnnLstmModel(cfg, reader.read_into(np.empty(shape), at), fingerprint,
-                               _draw_weights=False)
+        try:
+            model = HiCnnLstmModel(cfg, reader.read_into(np.empty(shape), at), vocab, labels,
+                                   _draw_weights=False)
+        except (ShapeError, ContractViolation, MemoryError) as exc:
+            # a token or label count that is off, or a config too large to build
+            raise CheckpointError(f"{path}: {exc}") from None
         params = model.params()
         found = {(name, shape) for name, (shape, _) in stored.items()}
         expected = {(name, p.shape) for name, p in params.items()}
@@ -306,11 +318,13 @@ def load_checkpoint(path, expected_fingerprint: int | None = None) -> HiCnnLstmM
     return model
 
 
-def _config_record(raw: bytes, path) -> ModelConfig:
-    try:
-        return ModelConfig(**json.loads(raw.decode("utf-8")))
-    except (ValueError, TypeError, ContractViolation) as exc:  # ValueError: bad UTF-8 or JSON
-        raise CheckpointError(f"{path}: malformed config record: {exc}") from None
+def _names(names, path, kind: str) -> tuple:
+    """The tokens or the label names: a non-empty list of distinct strings."""
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names)):
+        raise CheckpointError(f"{path}: malformed {kind} record: "
+                              f"not a non-empty list of distinct {kind} names")
+    return tuple(names)
 
 
 class _Reader:
@@ -331,6 +345,13 @@ class _Reader:
     def take(self, n: int) -> bytes:
         self.fh.seek(self.skip(n))
         return self.fh.read(n)
+
+    def json(self, kind: str):
+        """The value of a length-prefixed JSON record."""
+        try:
+            return json.loads(self.take(self.unpack("<I")).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON
+            raise CheckpointError(f"{self.path}: malformed {kind} record: {exc}") from None
 
     def unpack(self, fmt: str) -> int:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]

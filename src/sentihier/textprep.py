@@ -7,10 +7,9 @@ models) with a small guard list for common abbreviations.
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConfigurationError
-from .model import Document
+from .errors import ConfigurationError, ContractViolation
 
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
@@ -38,6 +37,12 @@ class TokenizedDocument:
 class Vocabulary:
     token_to_index: dict
     index_to_token: tuple
+
+    @classmethod
+    def of(cls, tokens) -> "Vocabulary":
+        """The vocabulary whose index i is tokens[i]."""
+        tokens = tuple(tokens)
+        return cls({tok: i for i, tok in enumerate(tokens)}, tokens)
 
     def __len__(self):
         return len(self.index_to_token)
@@ -117,15 +122,13 @@ def tokenize_document(text: str) -> TokenizedDocument:
     return TokenizedDocument(sentences=sentences, raw_text=text)
 
 
-def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
-    """Vocabulary over all tokens with frequency >= min_count.
+def build_vocab(corpus) -> Vocabulary:
+    """Vocabulary over all tokens of the corpus.
 
     Indices 0 and 1 are reserved for UNK and PAD. Remaining tokens are ordered
     by descending frequency, ties broken lexicographically, so the result is
     independent of document order.
     """
-    if min_count < 1:
-        raise ConfigurationError(f"min_count must be >= 1, got {min_count}")
     corpus = list(corpus)
     if not corpus:
         raise ConfigurationError("cannot build a vocabulary from an empty corpus")
@@ -135,18 +138,24 @@ def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
             counts.update(sent)
     counts.pop(UNK_TOKEN, None)
     counts.pop(PAD_TOKEN, None)
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_count),
-        key=lambda t: (-counts[t], t),
-    )
-    index_to_token = (UNK_TOKEN, PAD_TOKEN) + tuple(kept)
-    token_to_index = {tok: i for i, tok in enumerate(index_to_token)}
-    return Vocabulary(token_to_index=token_to_index, index_to_token=index_to_token)
+    kept = sorted(counts, key=lambda t: (-counts[t], t))
+    return Vocabulary.of((UNK_TOKEN, PAD_TOKEN, *kept))
 
 
 def index_document(doc: TokenizedDocument, vocab: Vocabulary) -> list:
     """Map every token to its vocabulary index; unknown tokens map to UNK."""
     return [[vocab.index_of(tok) for tok in sent] for sent in doc.sentences]
+
+
+@dataclass(frozen=True)
+class Document:
+    """Sentences of token indices, with an optional gold label: the model input."""
+    sentences: tuple  # tuple of tuples of int
+    label: int | None = None
+
+    def __post_init__(self):
+        if len(self.sentences) == 0 or any(len(s) == 0 for s in self.sentences):
+            raise ContractViolation("a document needs at least one non-empty sentence")
 
 
 def encode(doc: TokenizedDocument, vocab: Vocabulary, label: int | None = None) -> Document:

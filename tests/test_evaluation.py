@@ -166,19 +166,6 @@ class TestCrossValidate:
         r2 = cross_validate(noisy_but_seeded, labels, k=5, seed=9)
         assert np.array_equal(r1[1].confusion, r2[1].confusion)
 
-    def test_threads_do_not_change_results(self):
-        labels = ([0] * 30) + ([1] * 30)
-
-        def seeded(train_ix, test_ix, seed):
-            r = np.random.default_rng(seed)
-            return {"predictions": r.integers(0, 2, size=len(test_ix)).tolist()}
-
-        serial = cross_validate(seeded, labels, k=6, seed=3, threads=1)
-        parallel = cross_validate(seeded, labels, k=6, seed=3, threads=4)
-        assert np.array_equal(serial[1].confusion, parallel[1].confusion)
-        for a, b in zip(serial[0], parallel[0]):
-            assert np.array_equal(a.report.confusion, b.report.confusion)
-
 
     @pytest.mark.parametrize("exc", [
         UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),

@@ -477,25 +477,27 @@ class TestSoftmaxHead:
         head = SoftmaxHead(2, 3, rng)
         head.weights[:] = 0.0
         head.bias[:] = [500.0, -500.0]
-        loss, probs, *_ = head.loss_and_grads(np.zeros(3), 0)
+        probs = head.probs(np.zeros(3))
+        loss, *_ = head.loss_and_grads(probs, 0)
         assert loss < 1e-12 and probs[0] > 1 - 1e-12
 
     def test_uniform_loss_is_log_c(self, rng):
         head = SoftmaxHead(3, 4, rng)
         head.weights[:] = 0.0
         head.bias[:] = 0.0
-        loss, *_ = head.loss_and_grads(np.ones(4), 1)
+        loss, *_ = head.loss_and_grads(head.probs(np.ones(4)), 1)
         assert abs(loss - np.log(3)) < 1e-12
 
     def test_gold_out_of_range(self, rng):
         head = SoftmaxHead(2, 3, rng)
         with pytest.raises(ContractViolation):
-            head.loss_and_grads(np.zeros(3), 2)
+            head.loss_and_grads(head.probs(np.zeros(3)), 2)
 
     def test_logit_gradient_is_probs_minus_onehot(self, rng):
         head = SoftmaxHead(3, 4, rng)
         x = rng.normal(size=4)
-        loss, probs, _, grad_logits = head.loss_and_grads(x, 2)
+        probs = head.probs(x)
+        _, _, grad_logits = head.loss_and_grads(probs, 2)
         expected = probs.copy()
         expected[2] -= 1.0
         np.testing.assert_allclose(grad_logits, expected)
@@ -505,10 +507,10 @@ class TestSoftmaxHead:
         x = rng.normal(size=4)
 
         def loss_fn():
-            loss, *_ = head.loss_and_grads(x, 1)
+            loss, *_ = head.loss_and_grads(head.probs(x), 1)
             return loss
 
-        loss, probs, grad_x, grad_logits = head.loss_and_grads(x, 1)
+        _, grad_x, grad_logits = head.loss_and_grads(head.probs(x), 1)
         grad_w, grad_b = linear_grads(head, grad_logits[None], x[None])
         assert_matches_fd(grad_x, fd_grad(loss_fn, x, rng))
         assert_matches_fd(grad_w, fd_grad(loss_fn, head.weights, rng))
@@ -520,9 +522,9 @@ class TestSoftmaxHead:
         golds = [0, 2, 2]
 
         def loss_fn():
-            return sum(head.loss_and_grads(x, gold)[0] for x, gold in zip(xs, golds))
+            return sum(head.loss_and_grads(head.probs(x), gold)[0] for x, gold in zip(xs, golds))
 
-        grad_logits = np.stack([head.loss_and_grads(x, gold)[3] for x, gold in zip(xs, golds)])
+        grad_logits = np.stack([head.loss_and_grads(head.probs(x), gold)[2] for x, gold in zip(xs, golds)])
         grad_w, grad_b = linear_grads(head, grad_logits, xs)
         assert_matches_fd(grad_w, fd_grad(loss_fn, head.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, head.bias, rng))

@@ -1,0 +1,180 @@
+"""Fuzzing of the three file loaders.
+
+Each case starts from a valid fixture and truncates it, flips one bit or
+inflates one length field. The loader must then either load the file or
+raise a ParseError subclass whose message names the file; and `main()`
+must turn such a file into exit code 3 with the path in the message.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import desk_model
+from sentihier.cli import main
+from sentihier.embeddings import (
+    EmbeddingTable,
+    load_word2vec_binary,
+    load_word2vec_text,
+    save_word2vec_text,
+)
+from sentihier.errors import ParseError
+from sentihier.model import load_checkpoint, save_checkpoint
+from sentihier.synthetic import make_marker_dataset, write_dataset_csv
+
+FUZZ = settings(max_examples=150, deadline=None)
+WORDS = [("great", [0.5, -1.25, 2.0]), ("bug", [1e-3, 0.0, -7.5]), ("Fix", [3.0, 2.0, 1.0])]
+
+
+def checkpoint_bytes(tmp) -> bytes:
+    path = tmp / "valid.ckpt"
+    save_checkpoint(desk_model(), path)
+    return path.read_bytes()
+
+
+def binary_bytes() -> bytes:
+    out = [f"{len(WORDS)} 3\n".encode()]
+    for token, vec in WORDS:
+        out.append(token.encode() + b" " + struct.pack("<3f", *vec) + b"\n")
+    return b"".join(out)
+
+
+def text_bytes(tmp) -> bytes:
+    path = tmp / "valid.txt"
+    save_word2vec_text(EmbeddingTable(3, {t: np.array(v) for t, v in WORDS}), path)
+    return path.read_bytes()
+
+
+def checkpoint_length_fields(data: bytes) -> list:
+    """Offsets of every u32 length, count or dimension field of a checkpoint."""
+    fields, at = [], 8
+    for _ in range(3):  # the config, token and label records
+        fields.append(at)
+        at += 4 + struct.unpack_from("<I", data, at)[0]
+    at += 8  # the vocabulary fingerprint
+    fields.append(at)
+    (count,) = struct.unpack_from("<I", data, at)
+    at += 4
+    for _ in range(count):
+        fields.append(at)
+        at += 4 + struct.unpack_from("<I", data, at)[0]
+        (ndim,) = struct.unpack_from("<I", data, at)
+        dims = struct.unpack_from(f"<{ndim}I", data, at + 4)
+        fields.extend(at + 4 * i for i in range(ndim + 1))
+        at += 4 + 4 * ndim + 8 * math.prod(dims)
+    assert at == len(data)
+    return fields
+
+
+def mutations(size: int, inflatable: list):
+    """('truncate', n), ('flip', bit) or ('inflate', field, amount)."""
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, size - 1)),
+        st.tuples(st.just("flip"), st.integers(0, 8 * size - 1)),
+        st.tuples(st.just("inflate"), st.sampled_from(inflatable), st.integers(1, 2**32)))
+
+
+def mutate(data: bytes, mutation, inflate) -> bytes:
+    kind, at, *amount = mutation
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        flipped = bytearray(data)
+        flipped[at // 8] ^= 1 << (at % 8)
+        return bytes(flipped)
+    return inflate(data, at, amount[0])
+
+
+def inflate_u32(data: bytes, at: int, amount: int) -> bytes:
+    (old,) = struct.unpack_from("<I", data, at)
+    return data[:at] + struct.pack("<I", min(old + amount, 2**32 - 1)) + data[at + 4 :]
+
+
+def inflate_header(data: bytes, which: int, amount: int) -> bytes:
+    """Raises the vocabulary size (0) or the dimension (1) in a "V D" header."""
+    header, rest = data.split(b"\n", 1)
+    counts = [int(c) for c in header.split()]
+    counts[which] += amount
+    return b"%d %d\n" % tuple(counts) + rest
+
+
+def loads_or_names_the_file(load, path):
+    try:
+        load(path)
+    except ParseError as exc:
+        assert str(path) in str(exc), exc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_checkpoint(fuzz_dir):
+    valid = checkpoint_bytes(fuzz_dir)
+
+    @FUZZ
+    @given(mutations(len(valid), checkpoint_length_fields(valid)))
+    def case(mutation):
+        path = fuzz_dir / "case.ckpt"
+        path.write_bytes(mutate(valid, mutation, inflate_u32))
+        loads_or_names_the_file(load_checkpoint, path)
+    case()
+
+
+def test_word2vec_binary(fuzz_dir):
+    valid = binary_bytes()
+
+    @FUZZ
+    @given(mutations(len(valid), [0, 1]))
+    def case(mutation):
+        path = fuzz_dir / "case.bin"
+        path.write_bytes(mutate(valid, mutation, inflate_header))
+        loads_or_names_the_file(load_word2vec_binary, path)
+    case()
+
+
+def test_word2vec_text(fuzz_dir):
+    valid = text_bytes(fuzz_dir)
+
+    @FUZZ
+    @given(mutations(len(valid), [0, 1]))
+    def case(mutation):
+        path = fuzz_dir / "case.txt"
+        path.write_bytes(mutate(valid, mutation, inflate_header))
+        loads_or_names_the_file(load_word2vec_text, path)
+    case()
+
+
+@pytest.fixture(scope="module")
+def dataset_config(fuzz_dir):
+    write_dataset_csv(make_marker_dataset(20, seed=3), fuzz_dir / "data.csv")
+    conf = fuzz_dir / "data.conf"
+    conf.write_text("name = fuzz\npath = data.csv\ntext_column = text\nlabel_column = label\n",
+                    encoding="utf-8")
+    return conf
+
+
+def test_cli_malformed_checkpoint_exits_3(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(checkpoint_bytes(tmp_path)[:-5])
+    assert main(["predict", "--model", str(path), "--input", "-"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, data", [
+    ("vectors.bin", binary_bytes()[:-5]),
+    ("vectors.txt", b"great 0.5 1.0\nbug \xff\xfe 2.0\n"),
+], ids=["binary-truncated", "text-not-utf8"])
+def test_cli_malformed_word_vectors_exit_3(dataset_config, tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["crossval", "--dataset", str(dataset_config), "--classifier", "nb",
+                 "--folds", "2", "--embeddings", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err

@@ -1,9 +1,10 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import desk_config, desk_model, finite_difference_check
+from conftest import desk_config, desk_model, desk_names, finite_difference_check
 from sentihier import layers
 from sentihier.errors import (
     CheckpointError,
@@ -11,6 +12,7 @@ from sentihier.errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ContractViolation,
+    ShapeError,
 )
 from sentihier.model import (
     Document,
@@ -19,6 +21,16 @@ from sentihier.model import (
     load_checkpoint,
     save_checkpoint,
 )
+
+
+def replace_record(data: bytes, index: int, record: bytes) -> bytes:
+    """A checkpoint with its index-th JSON record (0 config, 1 tokens,
+    2 labels) replaced."""
+    at = 8
+    for _ in range(index):
+        at += 4 + struct.unpack_from("<I", data, at)[0]
+    (old_len,) = struct.unpack_from("<I", data, at)
+    return data[:at] + struct.pack("<I", len(record)) + record + data[at + 4 + old_len :]
 
 
 def random_doc(rng, vocab_size=9, num_sents=None, label=None):
@@ -87,7 +99,28 @@ class TestPredict:
         assert model.predict(doc) == pred
 
 
+class TestConstruction:
+    def test_vocabulary_must_index_every_embedding_row(self):
+        vocab, labels = desk_names(8, 2)
+        with pytest.raises(ShapeError, match="8 tokens"):
+            HiCnnLstmModel(desk_config(), np.zeros((9, 4)), vocab, labels)
+
+    def test_one_label_name_per_class(self):
+        vocab, _ = desk_names(9, 2)
+        with pytest.raises(ContractViolation, match="1 label names for 2 classes"):
+            HiCnnLstmModel(desk_config(), np.zeros((9, 4)), vocab, ("only",))
+
+
 class TestLossAndGrads:
+    def test_one_softmax_per_training_document(self, rng, monkeypatch):
+        model = desk_model()
+        calls = []
+        probs = layers.SoftmaxHead.probs
+        monkeypatch.setattr(layers.SoftmaxHead, "probs",
+                            lambda head, x: calls.append(x) or probs(head, x))
+        model.loss_and_grads([random_doc(rng, label=i % 2) for i in range(3)])
+        assert len(calls) == 3
+
     def test_perfect_prediction_zero_loss(self, rng):
         model = desk_model()
         model.head.weights[:] = 0.0
@@ -136,7 +169,7 @@ class TestLossAndGrads:
         assert cfg.dense_dropout > 0 and cfg.lstm_dropout > 0
         emb = rng.normal(size=(40, 6))
         emb[:2] = 0.0
-        model = HiCnnLstmModel(cfg, emb)
+        model = HiCnnLstmModel(cfg, emb, *desk_names(40, 3))
         doc = Document(tuple(tuple(int(t) for t in rng.integers(2, 40, size=12))
                              for _ in range(4)), label=1)
 
@@ -162,7 +195,7 @@ class TestLossAndGrads:
         batch = [Document(((2, 3, 4, 5), (6, 2)), label=0),
                  Document(((3, 3, 7, 8, 9, 2),), label=2),
                  Document(((10, 4, 6), (11, 2, 0, 5), (7,)), label=1)]
-        model = HiCnnLstmModel(cfg, emb)
+        model = HiCnnLstmModel(cfg, emb, *desk_names(12, 3))
         # Nonzero biases keep ReLU pre-activations off their kink at 0, where
         # a finite difference straddles two slopes.
         model.conv.bias[:] = rng.normal(scale=0.5, size=4)
@@ -200,14 +233,17 @@ class TestCheckpoint:
             p1, _ = model.forward(doc)
             p2, _ = loaded.forward(doc)
             np.testing.assert_array_equal(p1, p2)
+        assert loaded.vocab == model.vocab and loaded.labels == model.labels
 
     def test_fingerprint_mismatch(self, rng, tmp_path):
-        model = desk_model()
-        model.vocab_fingerprint = 0xDEAD
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        with pytest.raises(CheckpointFingerprintError):
-            load_checkpoint(path, expected_fingerprint=0xBEEF)
+        save_checkpoint(desk_model(), path)
+        data = path.read_bytes()
+        assert data.count(b'"w5"') == 1
+        path.write_bytes(data.replace(b'"w5"', b'"x5"'))  # same length, still distinct
+        with pytest.raises(CheckpointFingerprintError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_truncated_file(self, rng, tmp_path):
         model = desk_model()
@@ -240,14 +276,13 @@ class TestCheckpoint:
         b'[1, 2, 3]',                                     # not a JSON object
         b'{"seed": "\xff"}',                             # not UTF-8
         b'{"embedding_dim": -4}',                         # negative dimension
-    ], ids=["unknown-key", "not-an-object", "bad-utf8", "negative-dimension"])
+        b'{"num_filters": 3.0}',                          # a float dimension
+    ], ids=["unknown-key", "not-an-object", "bad-utf8", "negative-dimension",
+            "float-dimension"])
     def test_malformed_config_record(self, tmp_path, record):
         path = tmp_path / "model.ckpt"
         save_checkpoint(desk_model(), path)
-        data = path.read_bytes()
-        (old_len,) = struct.unpack("<I", data[8:12])
-        path.write_bytes(data[:8] + struct.pack("<I", len(record)) + record
-                         + data[12 + old_len :])
+        path.write_bytes(replace_record(path.read_bytes(), 0, record))
         with pytest.raises(CheckpointError, match="malformed config record") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
@@ -257,3 +292,67 @@ class TestCheckpoint:
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
+
+    def test_config_too_large_to_build(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = desk_model()
+        save_checkpoint(model, path)
+        record = json.dumps({**model.config.__dict__, "num_filters": 2**31}).encode()
+        path.write_bytes(replace_record(path.read_bytes(), 0, record))
+        with pytest.raises(CheckpointError) as info:  # the config asks for 128 GiB of filters
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_version_1_file_says_retrain(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(desk_model(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+        with pytest.raises(CheckpointVersionError, match="version 1.*retrain") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("index, record, message", [
+        (1, b'{"w2": 2}', "malformed token record"),
+        (1, b'["<unk>", "<pad>", "w2", "w2"]', "malformed token record"),
+        (1, b'["<unk>", 7]', "malformed token record"),
+        (1, b"[]", "malformed token record"),
+        (1, b'["\xff"', "malformed token record"),
+        (2, b'["negative", "negative"]', "malformed label record"),
+        (2, b'["neg\xff"]', "malformed label record"),
+        (2, b'["only"]', "1 label names for 2 classes"),
+    ], ids=["tokens-not-a-list", "duplicate-token", "non-string-token", "no-tokens",
+            "tokens-bad-json", "duplicate-label", "labels-bad-utf8", "too-few-labels"])
+    def test_malformed_name_records(self, tmp_path, index, record, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(desk_model(), path)
+        path.write_bytes(replace_record(path.read_bytes(), index, record))
+        with pytest.raises(CheckpointError, match=message) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("shape, error, message", [
+        ((2**31, 2**31, 4), CheckpointTruncatedError, f"needed {8 * 2**64} more"),  # wraps in int64
+        ((4, 9), CheckpointError, "embedding matrix shape"),          # right size, wrong shape
+    ], ids=["product-overflow", "transposed"])
+    def test_malformed_embedding_shape(self, tmp_path, shape, error, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(desk_model(), path)
+        data = path.read_bytes()
+        at = data.index(b"embedding_matrix") + len(b"embedding_matrix")
+        assert struct.unpack_from("<3I", data, at) == (2, 9, 4)
+        dims = struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+        path.write_bytes(data[:at] + dims + data[at + 12 :])
+        with pytest.raises(error, match=message) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_array_name_not_utf8(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(desk_model(), path)
+        data = path.read_bytes()
+        assert data.count(b"head.bias") == 1
+        path.write_bytes(data.replace(b"head.bias", b"head.b\xff\xfe\xfd"))
+        with pytest.raises(CheckpointError, match="parameter set mismatch") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)

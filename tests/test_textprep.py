@@ -60,12 +60,6 @@ class TestBuildVocab:
         vocab = build_vocab(corpus)
         assert vocab.token_to_index == {UNK_TOKEN: 0, "<pad>": 1, "a": 2, "b": 3}
 
-    def test_min_count_threshold(self):
-        corpus = [tokenize_document("a b"), tokenize_document("a")]
-        vocab = build_vocab(corpus, min_count=2)
-        assert "a" in vocab.token_to_index
-        assert "b" not in vocab.token_to_index
-
     def test_frequency_ties_break_lexicographically(self):
         corpus = [tokenize_document("zz aa zz aa zz aa")]
         vocab = build_vocab(corpus)
