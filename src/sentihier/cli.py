@@ -51,7 +51,12 @@ def _parse_overrides(pairs):
             target, anno = train_over, TrainConfig.__dataclass_fields__[key].type
         else:
             raise ConfigurationError(f"unknown override key {key!r}")
-        target[key] = float(value) if "float" in str(anno) else int(value)
+        kind = float if "float" in str(anno) else int
+        try:
+            target[key] = kind(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"override {key!r}: cannot read {value!r} as {kind.__name__}") from None
     return model_over, train_over
 
 

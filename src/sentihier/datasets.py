@@ -110,8 +110,11 @@ def load_csv(path, text_column: str, label_column: str, name: str = "",
                 raise ParseError(f"{path}: row {rownum}: {exc}") from None
     if not samples:
         raise ParseError(f"{path}: no data rows")
-    return LabeledDataset(name=name or path.stem, samples=tuple(samples),
-                          label_set=_canonical_label_set(lab for _, lab in samples))
+    label_set = _canonical_label_set(lab for _, lab in samples)
+    if len(label_set) < 2:
+        raise ParseError(f"{path}: every row has the label {label_set[0]!r}; "
+                         "a classifier needs at least 2 classes")
+    return LabeledDataset(name=name or path.stem, samples=tuple(samples), label_set=label_set)
 
 
 def verify_distribution(ds: LabeledDataset, expected: dict,

@@ -33,9 +33,6 @@ class EmbeddingTable:
     def __contains__(self, token):
         return token in self._vectors
 
-    def tokens(self):
-        return self._vectors.keys()
-
     def lookup(self, token: str) -> np.ndarray:
         """Exact match, then lowercase, then capitalized; zeros on miss."""
         for candidate in (token, token.lower(), token.capitalize()):
@@ -118,14 +115,6 @@ def load_word2vec_text(path) -> EmbeddingTable:
     if dim is None:
         raise ParseError(f"{path}: no vectors found")
     return EmbeddingTable(dim, vectors)
-
-
-def save_word2vec_text(table: EmbeddingTable, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for token in table.tokens():
-            values = " ".join(repr(float(v)) for v in table.lookup(token))
-            fh.write(f"{token} {values}\n")
 
 
 def random_table(tokens, dim: int, seed: int) -> EmbeddingTable:

@@ -1,15 +1,16 @@
 """Neural building blocks: temporal convolution with max-over-time pooling,
 a dense ReLU projection, LSTM cells and the softmax classification head.
 
-Every layer exposes a forward pass that returns a cache, and a backward pass
-that consumes it and hand-computes the gradient with respect to its input
-plus small per-row factors (the gradient at its pre-activation, paired with
-the cached input it multiplied); the convolution skips the input gradient,
-because the word vectors under it are static. Parameter gradients are formed
-later, once per batch, from the factors of every row: one matrix product per
-weight matrix and one row sum per bias, written into the caller's buffers.
-No autodiff anywhere; the finite-difference tests in the suite are the
-correctness authority.
+Every layer's forward pass returns what its backward pass needs (a cache, or
+for the convolution its pooled features and argmax windows), and the backward
+pass hand-computes the gradient with respect to its input plus small per-row
+factors (the gradient at its pre-activation, paired with the input it
+multiplied); the convolution skips the input gradient, because the word
+vectors under it are static. Parameter gradients are formed later, once per
+batch, from the factors of every row: one matrix product per weight matrix
+and one row sum per bias, written into the caller's buffers. No autodiff
+anywhere; the finite-difference tests in the suite are the correctness
+authority.
 """
 
 import numpy as np
@@ -67,26 +68,13 @@ def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
     np.sum(grad_pre, axis=0, out=grad_bias)
 
 
-class DropoutMask:
-    """Inverted-dropout mask: entries are 0 or 1/(1 - dropout_rate).
-
-    An inference-mode mask is all ones, so applying it is the identity map.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
-
-    @classmethod
-    def ones(cls, size: int) -> "DropoutMask":
-        return cls(np.ones(size, dtype=np.float64))
-
-    @classmethod
-    def sample(cls, rng: np.random.Generator | None, size: int,
-               dropout_rate: float) -> "DropoutMask":
-        keep = 1.0 - dropout_rate
-        if rng is None or dropout_rate <= 0.0:
-            return cls.ones(size)
-        return cls((rng.random(size) < keep).astype(np.float64) / keep)
+def dropout_mask(rng: np.random.Generator | None, size: int, rate: float) -> np.ndarray:
+    """Inverted-dropout mask: entries are 0 or 1/(1 - rate). With no rng or
+    a zero rate (inference) it is all ones, so applying it is the identity."""
+    if rng is None or rate <= 0.0:
+        return np.ones(size)
+    keep = 1.0 - rate
+    return (rng.random(size) < keep).astype(np.float64) / keep
 
 
 def sentence_matrix(token_indices, embedding_matrix: np.ndarray, min_rows: int) -> np.ndarray:
@@ -112,7 +100,7 @@ class ConvLayer:
         self.bias = np.zeros(num_filters, dtype=np.float64)
 
     def forward(self, s: np.ndarray):
-        """Returns (pooled features of length F, cache).
+        """Returns (pooled features, argmax window), each of length F.
 
         Feature map value at window p is relu(filter . window_p + bias); the
         pooled feature keeps the max over p, ties going to the smallest p.
@@ -129,22 +117,19 @@ class ConvLayer:
         pre = windows @ self.filters.T + self.bias  # (P, F)
         act = np.maximum(pre, 0.0)
         argmax = np.argmax(act, axis=0)  # first occurrence = smallest p
-        features = act[argmax, np.arange(self.num_filters)]
-        cache = {"pre": pre, "argmax": argmax}
-        return features, cache
+        return act[argmax, np.arange(self.num_filters)], argmax
 
-    def backward(self, grad_features: np.ndarray, cache):
+    def backward(self, grad_features: np.ndarray, features: np.ndarray):
         """Routes gradient through each filter's ReLU gate at its argmax window.
 
-        Returns the gated gradient g of shape (F,): filter j's gradient is
-        g[j] times the window starting at cache["argmax"][j], and its bias
-        gradient is g[j] (see param_grads). There is no input gradient: the
-        word vectors are static, so nothing upstream would use it.
+        features are the pooled forward outputs, for one sentence (F,) or a
+        stack of them (S, F); a feature is max(pre[argmax], 0), so it is
+        positive exactly where the gate is open. Returns the gated gradient g:
+        filter j's gradient is g[j] times the window starting at argmax[j],
+        and its bias gradient is g[j] (see param_grads). There is no input
+        gradient: the word vectors are static, so nothing upstream would use it.
         """
-        if cache is None or "argmax" not in cache:
-            raise ContractViolation("conv backward called without a matching forward cache")
-        gate = cache["pre"][cache["argmax"], np.arange(self.num_filters)] > 0.0
-        return grad_features * gate
+        return grad_features * (features > 0.0)
 
     @staticmethod
     def param_grads(rows: np.ndarray, row_index: np.ndarray, gated: np.ndarray,
@@ -174,28 +159,28 @@ class ConvLayer:
 
 
 class DenseLayer:
-    """Fully connected ReLU layer with inverted dropout on its input."""
+    """Fully connected ReLU layer with inverted dropout on its input, applied
+    to one vector (in,) or to the rows of a matrix (S, in) under one mask."""
 
     def __init__(self, out_dim: int, in_dim: int, rng: np.random.Generator | None):
         self.weights = _weights(rng, out_dim, in_dim)
         self.bias = np.zeros(out_dim, dtype=np.float64)
 
-    def forward(self, x: np.ndarray, mask: DropoutMask):
-        if x.shape[0] != self.weights.shape[1]:
+    def forward(self, x: np.ndarray, mask: np.ndarray):
+        if x.shape[-1] != self.weights.shape[1]:
             raise ShapeError(
-                f"dense input has length {x.shape[0]}, layer expects {self.weights.shape[1]}"
+                f"dense input has length {x.shape[-1]}, layer expects {self.weights.shape[1]}"
             )
-        x_masked = x * mask.mask
-        pre = self.weights @ x_masked + self.bias
-        out = np.maximum(pre, 0.0)
-        cache = {"x_masked": x_masked, "pre": pre, "mask": mask.mask}
-        return out, cache
+        x_masked = x * mask
+        pre = x_masked @ self.weights.T + self.bias
+        cache = {"x_masked": x_masked, "pre": pre, "mask": mask}
+        return np.maximum(pre, 0.0), cache
 
     def backward(self, grad_out: np.ndarray, cache):
         """Returns (grad_x, grad_pre); the parameter gradients are
         linear_param_grads of grad_pre paired with cache["x_masked"]."""
         grad_pre = grad_out * relu_grad(cache["pre"])
-        grad_x = (self.weights.T @ grad_pre) * cache["mask"]
+        grad_x = (grad_pre @ self.weights) * cache["mask"]
         return grad_x, grad_pre
 
 
@@ -215,7 +200,7 @@ class LstmCell:
         self.bias = np.zeros(4 * hidden_dim, dtype=np.float64)
         self.bias[hidden_dim : 2 * hidden_dim] = 1.0
 
-    def run(self, seq, input_mask: DropoutMask, recurrent_mask: DropoutMask):
+    def run(self, seq, input_mask: np.ndarray, recurrent_mask: np.ndarray):
         """Run over a full sequence; returns (final h, cache for backward).
 
         The input projection of every step is one GEMM before the recurrence,
@@ -226,7 +211,7 @@ class LstmCell:
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise ShapeError(f"lstm input shape {xs.shape} vs (T, m={self.input_dim})")
         T = len(xs)
-        x_m = xs * input_mask.mask
+        x_m = xs * input_mask
         z_in = x_m @ self.input_weights.T + self.bias  # (T, 4H)
         h_m = np.empty((T, H))
         gates = np.empty((T, 4 * H))  # i, f, g, o after their nonlinearities
@@ -235,7 +220,7 @@ class LstmCell:
         h = np.zeros(H, dtype=np.float64)
         c = np.zeros(H, dtype=np.float64)
         for t in range(T):
-            np.multiply(h, recurrent_mask.mask, out=h_m[t])
+            np.multiply(h, recurrent_mask, out=h_m[t])
             z = z_in[t] + self.recurrent_weights @ h_m[t]
             gt = gates[t]
             gt[:] = sigmoid(z)
@@ -245,7 +230,7 @@ class LstmCell:
             np.tanh(c, out=tanh_c[t])
             h = gt[3 * H :] * tanh_c[t]
         cache = {"x_m": x_m, "h_m": h_m, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c,
-                 "input_mask": input_mask.mask, "recurrent_mask": recurrent_mask.mask}
+                 "input_mask": input_mask, "recurrent_mask": recurrent_mask}
         return h, cache
 
     def backward(self, grad_h_final: np.ndarray, cache):

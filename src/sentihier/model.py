@@ -2,8 +2,11 @@
 sentence vectors, softmax head; plus checkpoint persistence.
 
 Documents are processed one at a time (variable length, no cross-document
-padding); batch gradients are the mean of per-document gradients, formed once
-per batch from the factors every document's backward pass collects.
+padding). Within a document the sentences stay stacked as (S, .) rows from
+forward to gradient: the convolution pools each sentence into one row, the
+dense layer runs once on all S rows, and the backward pass gates and writes
+them as one block. Batch gradients are the mean of per-document gradients,
+formed once per batch from the factors every document's backward pass collects.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs.
@@ -29,7 +32,6 @@ from .errors import (
     ContractViolation,
     ShapeError,
 )
-from .layers import DropoutMask
 from .textprep import Document, Vocabulary
 
 CHECKPOINT_MAGIC = b"SHCK"
@@ -119,8 +121,8 @@ class HiCnnLstmModel:
 
     def _masks(self, dropout_rng):
         cfg = self.config
-        dense = DropoutMask.sample(dropout_rng, cfg.num_filters, cfg.dense_dropout)
-        lstm = tuple(DropoutMask.sample(dropout_rng, d, cfg.lstm_dropout) for d in
+        dense = layers.dropout_mask(dropout_rng, cfg.num_filters, cfg.dense_dropout)
+        lstm = tuple(layers.dropout_mask(dropout_rng, d, cfg.lstm_dropout) for d in
                      (cfg.sentence_dim, cfg.lstm_hidden, cfg.sentence_dim, cfg.lstm_hidden))
         return dense, lstm
 
@@ -129,25 +131,20 @@ class HiCnnLstmModel:
         train=True and a dropout_rng is supplied; masks are fixed per document."""
         cfg = self.config
         sentences = doc.sentences[: cfg.max_sentences_per_doc]
-        rng = dropout_rng if train else None
-        dense_mask, lstm_masks = self._masks(rng)
-        sent_vecs = []
-        conv_caches = []
-        dense_caches = []
-        for sent in sentences:
+        dense_mask, lstm_masks = self._masks(dropout_rng if train else None)
+        features = np.empty((len(sentences), cfg.num_filters))
+        argmax = np.empty((len(sentences), cfg.num_filters), dtype=np.intp)
+        for t, sent in enumerate(sentences):
             s = layers.sentence_matrix(sent, self.embedding_matrix, cfg.filter_width)
-            feats, conv_cache = self.conv.forward(s)
-            vec, dense_cache = self.dense.forward(feats, dense_mask)
-            conv_caches.append(conv_cache)
-            dense_caches.append(dense_cache)
-            sent_vecs.append(vec)
+            features[t], argmax[t] = self.conv.forward(s)
+        sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
         encoded, bilstm_cache = layers.bilstm_encode(sent_vecs, self.lstm_fwd,
                                                      self.lstm_bwd, lstm_masks)
         probs = self.head.probs(encoded)
         cache = None
         if train:
-            cache = {"conv_caches": conv_caches, "dense_caches": dense_caches,
-                     "bilstm_cache": bilstm_cache, "encoded": encoded}
+            cache = {"features": features, "argmax": argmax, "dense": dense_cache,
+                     "bilstm": bilstm_cache, "encoded": encoded}
         return probs, cache
 
     def predict(self, doc: Document) -> int:
@@ -208,20 +205,17 @@ class HiCnnLstmModel:
         loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, doc.label)
         rows["head.grad"][i] = grad_logits
         rows["head.x"][i] = cache["encoded"]
-        bilstm_cache = cache["bilstm_cache"]
+        bilstm_cache = cache["bilstm"]
         grad_seq, dz_fwd, dz_bwd = layers.bilstm_backward(
             grad_enc, self.lstm_fwd, self.lstm_bwd, bilstm_cache)
         for d, dz in (("fwd", dz_fwd), ("bwd", dz_bwd)):
             rows[f"{d}.dz"][span] = dz
             rows[f"{d}.x_m"][span] = bilstm_cache[d]["x_m"]
             rows[f"{d}.h_m"][span] = bilstm_cache[d]["h_m"]
-        for t, r in enumerate(range(span.start, span.stop)):
-            dense_cache, conv_cache = cache["dense_caches"][t], cache["conv_caches"][t]
-            grad_feats, grad_pre = self.dense.backward(grad_seq[t], dense_cache)
-            rows["dense.grad"][r] = grad_pre
-            rows["dense.x"][r] = dense_cache["x_masked"]
-            rows["conv.grad"][r] = self.conv.backward(grad_feats, conv_cache)
-            rows["conv.argmax"][r] = conv_cache["argmax"]
+        grad_feats, rows["dense.grad"][span] = self.dense.backward(grad_seq, cache["dense"])
+        rows["dense.x"][span] = cache["dense"]["x_masked"]
+        rows["conv.grad"][span] = self.conv.backward(grad_feats, cache["features"])
+        rows["conv.argmax"][span] = cache["argmax"]
         return loss
 
     def _conv_param_grads(self, sentences, argmax: np.ndarray, gated: np.ndarray,

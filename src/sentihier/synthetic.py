@@ -54,12 +54,3 @@ def make_marker_dataset(n: int, seed: int, class_fractions=None,
     order = rng.permutation(len(samples))
     return LabeledDataset(name=name, samples=tuple(samples[i] for i in order),
                           label_set=tuple(label_set))
-
-
-def write_dataset_csv(ds: LabeledDataset, path):
-    import csv
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["text", "label"])
-        for text, label in ds.samples:
-            writer.writerow([text, label])

@@ -30,7 +30,6 @@ _PUNCT = "\"'`()[]{}<>,.;:!?*~^#@&/\\|="
 @dataclass(frozen=True)
 class TokenizedDocument:
     sentences: tuple  # tuple of tuples of token strings, each non-empty
-    raw_text: str
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def tokenize(sentence: str) -> list:
 
 def tokenize_document(text: str) -> TokenizedDocument:
     sentences = tuple(tuple(tokenize(s)) for s in split_sentences(text))
-    return TokenizedDocument(sentences=sentences, raw_text=text)
+    return TokenizedDocument(sentences=sentences)
 
 
 def build_vocab(corpus) -> Vocabulary:

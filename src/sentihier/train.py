@@ -71,8 +71,12 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.val_fraction < 0.5:
             raise ConfigurationError(
                 f"val_fraction must be in (0, 0.5), got {self.val_fraction}")

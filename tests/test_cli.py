@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_dataset_csv
 from sentihier import baseline, cli
 from sentihier.cli import main
 from sentihier.errors import ParseError
 from sentihier.model import HiCnnLstmModel
-from sentihier.synthetic import make_marker_dataset, write_dataset_csv
+from sentihier.synthetic import make_marker_dataset
 
 FAST_OVERRIDES = [
     "--override", "embedding_dim=12", "--override", "filter_width=2",
@@ -271,6 +272,37 @@ class TestTrainPredict:
         assert main(["predict", "--model", str(ckpt), "--input", "-"]) == 3
         err = capsys.readouterr().err
         assert str(ckpt) in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override", [
+        "max_epochs=0", "max_epochs=-3", "batch_size=-1", "batch_size=0", "learning_rate=-1",
+        "embedding_dim=abc",
+    ])
+    def test_unusable_override_is_config_error_naming_the_key(self, dataset_config, tmp_path,
+                                                              capsys, override):
+        ckpt = tmp_path / "model.ckpt"
+        code = main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     *FAST_OVERRIDES, "--override", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err and "Traceback" not in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "model.ckpt"],
+        ["crossval", "--classifier", "nb", "--folds", "2", "--out", "cv"],
+    ], ids=["train", "crossval-nb"])
+    def test_one_class_dataset_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                             monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        csv_path = tmp_path / "one_class.csv"
+        csv_path.write_text("text,label\n" + "".join(f"doc {i} works,positive\n"
+                                                      for i in range(20)), encoding="utf-8")
+        conf = tmp_path / "one_class.conf"
+        conf.write_text("name = one\npath = one_class.csv\ntext_column = text\n"
+                        "label_column = label\n", encoding="utf-8")
+        assert main([command[0], "--dataset", str(conf), *command[1:]]) == 3
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "'positive'" in err and "Traceback" not in err
 
     def test_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         code = main(["predict", "--model", str(tmp_path / "none.ckpt"), "--input", "-"])

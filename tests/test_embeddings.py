@@ -3,12 +3,12 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import save_word2vec_text
 from sentihier.embeddings import (
     EmbeddingTable,
     load_word2vec_binary,
     load_word2vec_text,
     random_table,
-    save_word2vec_text,
 )
 from sentihier.errors import ParseError
 
@@ -117,7 +117,7 @@ class TestTextLoader:
         write_binary(bin_path, entries)
         table = load_word2vec_binary(bin_path)
         txt_path = tmp_path / "vec.txt"
-        save_word2vec_text(table, txt_path)
+        save_word2vec_text({tok: table.lookup(tok) for tok, _ in entries}, txt_path)
         reloaded = load_word2vec_text(txt_path)
         for tok, _ in entries:
             np.testing.assert_allclose(reloaded.lookup(tok), table.lookup(tok), rtol=1e-6)

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sentihier.errors import ContractViolation, ShapeError
 from sentihier.layers import (
     ConvLayer,
     DenseLayer,
-    DropoutMask,
     LstmCell,
     SoftmaxHead,
     bilstm_backward,
     bilstm_encode,
+    dropout_mask,
     linear_param_grads,
     relu_grad,
     sentence_matrix,
@@ -21,6 +22,7 @@ from sentihier.layers import (
 
 EPS = 1e-5
 RTOL = 1e-4
+SMALL_INTS = st.integers(-1, 1).map(float)
 
 
 def fd_grad(loss_fn, array, rng, n_coords=100):
@@ -59,6 +61,13 @@ def lstm_param_grads(cell, dz, cache):
              np.empty_like(cell.bias))
     LstmCell.param_grads(dz, cache["x_m"], cache["h_m"], *grads)
     return grads
+
+
+def window_pre(layer, s):
+    """(P, F) pre-activations of every window of s, computed directly."""
+    f = layer.filter_width
+    windows = [s[p : p + f].reshape(-1) for p in range(len(s) - f + 1)]
+    return np.array(windows) @ layer.filters.T + layer.bias
 
 
 def conv_param_grads(layer, s, argmax, gated):
@@ -146,38 +155,51 @@ class TestConvMaxpool:
         layer = ConvLayer(2, 1, 1, rng)
         layer.filters[:] = [[1.0, 1.0]]
         layer.bias[:] = 0.0
-        feats, cache = layer.forward(np.array([[1.0], [3.0], [2.0]]))
+        feats, argmax = layer.forward(np.array([[1.0], [3.0], [2.0]]))
         assert feats[0] == 5.0
-        assert cache["argmax"][0] == 1
+        assert argmax[0] == 1
 
     def test_argmax_tie_breaks_to_smallest_position(self, rng):
         layer = ConvLayer(2, 1, 1, rng)
         layer.filters[:] = [[1.0, 1.0]]
         layer.bias[:] = 0.0
-        _, cache = layer.forward(np.array([[2.0], [2.0], [2.0]]))
-        assert cache["argmax"][0] == 0
+        _, argmax = layer.forward(np.array([[2.0], [2.0], [2.0]]))
+        assert argmax[0] == 0
 
     def test_zero_upstream_gradient(self, rng):
         layer = self.make(rng)
         s = rng.normal(size=(6, 4))
-        _, cache = layer.forward(s)
-        gated = layer.backward(np.zeros(3), cache)
-        grad_f, grad_b = conv_param_grads(layer, s, cache["argmax"], gated)
+        feats, argmax = layer.forward(s)
+        gated = layer.backward(np.zeros(3), feats)
+        grad_f, grad_b = conv_param_grads(layer, s, argmax, gated)
         assert not gated.any() and not grad_f.any() and not grad_b.any()
 
-    def test_backward_missing_cache(self, rng):
-        layer = self.make(rng)
-        with pytest.raises(ContractViolation):
-            layer.backward(np.zeros(3), None)
+    @given(arrays(np.float64, (3, 4), elements=SMALL_INTS),
+           arrays(np.float64, 3, elements=SMALL_INTS),
+           arrays(np.float64, st.tuples(st.integers(2, 6), st.just(2)), elements=SMALL_INTS))
+    # Every window's pre-activation is exactly 0, so every window ties.
+    @example(np.zeros((3, 4)), np.zeros(3), np.zeros((4, 2)))
+    # Tied windows whose pre-activations are exactly 0, 1 and -1.
+    @example(np.ones((3, 4)), np.array([-4.0, -3.0, -5.0]), np.ones((3, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_gate_from_features_equals_gate_from_pre(self, filters, bias, s):
+        # Small integers keep every pre-activation exact, so exact zeros and
+        # tied windows are common.
+        layer = ConvLayer(2, 3, 2, None)
+        layer.filters[:] = filters
+        layer.bias[:] = bias
+        feats, argmax = layer.forward(s)
+        gate = window_pre(layer, s)[argmax, np.arange(3)] > 0
+        np.testing.assert_array_equal(feats > 0, gate)
+        np.testing.assert_array_equal(layer.backward(np.ones(3), feats), gate)
 
     def test_grad_bias_equals_gated_upstream(self, rng):
         layer = self.make(rng)
         s = rng.normal(size=(6, 4))
-        feats, cache = layer.forward(s)
+        feats, argmax = layer.forward(s)
         g = rng.normal(size=3)
-        grad_b = layer.backward(g, cache)
-        cols = np.arange(3)
-        gate = cache["pre"][cache["argmax"], cols] > 0
+        grad_b = layer.backward(g, feats)
+        gate = window_pre(layer, s)[argmax, np.arange(3)] > 0
         np.testing.assert_array_equal(grad_b, np.where(gate, g, 0.0))
 
     def test_gradients_match_finite_differences(self, rng):
@@ -189,9 +211,8 @@ class TestConvMaxpool:
             feats, _ = layer.forward(s)
             return float(weights @ feats)
 
-        feats, cache = layer.forward(s)
-        grad_f, grad_b = conv_param_grads(layer, s, cache["argmax"],
-                                          layer.backward(weights, cache))
+        feats, argmax = layer.forward(s)
+        grad_f, grad_b = conv_param_grads(layer, s, argmax, layer.backward(weights, feats))
         assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
@@ -213,9 +234,9 @@ class TestConvMaxpool:
         row_index = np.full((3, F, f), -1)
         gated = np.empty((3, F))
         for s_no, (w, tokens) in enumerate(zip(weights, sentences)):
-            _, cache = layer.forward(sentence_matrix(tokens, emb, f))
-            gated[s_no] = layer.backward(w, cache)
-            for j, start in enumerate(cache["argmax"]):
+            feats, argmax = layer.forward(sentence_matrix(tokens, emb, f))
+            gated[s_no] = layer.backward(w, feats)
+            for j, start in enumerate(argmax):
                 for o in range(f):
                     if start + o < len(tokens):
                         row_index[s_no, j, o] = used.index(tokens[start + o])
@@ -234,9 +255,9 @@ class TestConvMaxpool:
         assert np.all(padded >= feats - 1e-15)
         # When every max window excludes padding, features are unchanged.
         big = rng.normal(size=(4, 4)) + 10.0
-        f1, c1 = layer.forward(big)
-        f2, c2 = layer.forward(np.vstack([big, np.zeros((2, 4))]))
-        if np.all(c2["argmax"] <= 2):
+        f1, _ = layer.forward(big)
+        f2, argmax2 = layer.forward(np.vstack([big, np.zeros((2, 4))]))
+        if np.all(argmax2 <= 2):
             np.testing.assert_array_equal(f1, f2)
 
 
@@ -246,26 +267,26 @@ class TestDenseRelu:
         layer.weights[:] = np.eye(3)
         layer.bias[:] = 0.0
         x = np.array([-1.0, 0.5, 2.0])
-        out, _ = layer.forward(x, DropoutMask.ones(3))
+        out, _ = layer.forward(x, np.ones(3))
         np.testing.assert_array_equal(out, [0.0, 0.5, 2.0])
 
     def test_full_dropout_degenerate(self, rng):
         layer = DenseLayer(2, 3, rng)
         layer.bias[:] = [1.0, -1.0]
-        mask = DropoutMask(np.zeros(3))
+        mask = np.zeros(3)
         out, _ = layer.forward(np.ones(3), mask)
         np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_shape_mismatch(self, rng):
         layer = DenseLayer(2, 3, rng)
         with pytest.raises(ShapeError):
-            layer.forward(np.ones(4), DropoutMask.ones(4))
+            layer.forward(np.ones(4), np.ones(4))
 
     def test_gradients_match_finite_differences(self, rng):
         layer = DenseLayer(3, 4, rng)
         x = rng.normal(size=4)
         weights = rng.normal(size=3)
-        mask = DropoutMask.ones(4)
+        mask = np.ones(4)
 
         def loss_fn():
             out, _ = layer.forward(x, mask)
@@ -282,7 +303,7 @@ class TestDenseRelu:
         layer = DenseLayer(3, 4, rng)
         layer.bias[:] = rng.normal(size=3)  # off the ReLU kink if a mask drops every input
         xs = rng.normal(size=(3, 4))
-        masks = [DropoutMask.sample(rng, 4, 0.5) for _ in range(3)]
+        masks = [dropout_mask(rng, 4, 0.5) for _ in range(3)]
         weights = rng.normal(size=(3, 3))
 
         def loss_fn():
@@ -297,19 +318,40 @@ class TestDenseRelu:
         assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
+    def test_stacked_rows_under_one_mask_match_finite_differences(self, rng):
+        # A document's sentence rows: one forward and one backward call over
+        # (S, in) under the document's one sampled mask.
+        layer = DenseLayer(3, 5, rng)
+        layer.bias[:] = rng.normal(size=3)
+        xs = rng.normal(size=(4, 5))
+        mask = dropout_mask(rng, 5, 0.4)
+        assert set(mask) == {0.0, 1.0 / 0.6}
+        weights = rng.normal(size=(4, 3))
+
+        def loss_fn():
+            return float(np.sum(weights * layer.forward(xs, mask)[0]))
+
+        out, cache = layer.forward(xs, mask)
+        for x, row in zip(xs, out):
+            np.testing.assert_allclose(layer.forward(x, mask)[0], row, rtol=1e-12)
+        grad_x, grad_pre = layer.backward(weights, cache)
+        grad_w, grad_b = linear_grads(layer, grad_pre, cache["x_masked"])
+        assert_matches_fd(grad_x, fd_grad(loss_fn, xs, rng))
+        assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
+        assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
+
     def test_dropout_mask_expected_value_preserves_input(self, rng):
         x = rng.normal(size=6)
         total = np.zeros(6)
         n = 4000
         for _ in range(n):
-            mask = DropoutMask.sample(rng, 6, 0.4)
-            total += x * mask.mask
+            total += x * dropout_mask(rng, 6, 0.4)
         np.testing.assert_allclose(total / n, x, atol=0.05)
 
     def test_inference_mask_is_identity(self):
-        mask = DropoutMask.ones(5)
+        mask = dropout_mask(None, 5, 0.4)
         x = np.array([1.0, -2.0, 0.0, 3.5, 9.0])
-        np.testing.assert_array_equal(x * mask.mask, x)
+        np.testing.assert_array_equal(x * mask, x)
 
 
 def lstm_step(cell, x, h_prev, c_prev):
@@ -323,7 +365,7 @@ def lstm_step(cell, x, h_prev, c_prev):
 
 class TestLstm:
     def ones_masks(self, m, H):
-        return DropoutMask.ones(m), DropoutMask.ones(H)
+        return np.ones(m), np.ones(H)
 
     def test_all_zero_weights(self, rng):
         cell = LstmCell(2, 3, rng)
@@ -381,9 +423,9 @@ class TestLstm:
         cell.bias[:] = rng.normal(size=16)
         seq = [rng.normal(size=6) for _ in range(5)]
         weights = rng.normal(size=4)
-        masks = DropoutMask.sample(rng, 6, 0.5), DropoutMask.sample(rng, 4, 0.5)
+        masks = dropout_mask(rng, 6, 0.5), dropout_mask(rng, 4, 0.5)
         for mask in masks:
-            assert set(mask.mask) == {0.0, 2.0}
+            assert set(mask) == {0.0, 2.0}
 
         def loss_fn():
             h, _ = cell.run(seq, *masks)
@@ -406,7 +448,7 @@ class TestLstm:
         cell = LstmCell(4, 3, rng)
         cell.bias[:] = rng.normal(size=12)
         seqs = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
-        masks = [(DropoutMask.sample(rng, 4, 0.5), DropoutMask.sample(rng, 3, 0.5))
+        masks = [(dropout_mask(rng, 4, 0.5), dropout_mask(rng, 3, 0.5))
                  for _ in seqs]
         weights = rng.normal(size=(2, 3))
 
@@ -426,15 +468,14 @@ class TestLstm:
 
 class TestBilstm:
     def masks(self, m, H):
-        return (DropoutMask.ones(m), DropoutMask.ones(H),
-                DropoutMask.ones(m), DropoutMask.ones(H))
+        return np.ones(m), np.ones(H), np.ones(m), np.ones(H)
 
     def test_single_element_sequence(self, rng):
         fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
         x = rng.normal(size=3)
         enc, _ = bilstm_encode([x], fwd, bwd, self.masks(3, 2))
-        hf, _ = fwd.run([x], DropoutMask.ones(3), DropoutMask.ones(2))
-        hb, _ = bwd.run([x], DropoutMask.ones(3), DropoutMask.ones(2))
+        hf, _ = fwd.run([x], np.ones(3), np.ones(2))
+        hb, _ = bwd.run([x], np.ones(3), np.ones(2))
         np.testing.assert_array_equal(enc, np.concatenate([hf, hb]))
         zeros = np.zeros(2)
         closed_form = [lstm_step(cell, x, zeros, zeros)[0] for cell in (fwd, bwd)]
@@ -444,7 +485,7 @@ class TestBilstm:
         fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
         seq = [rng.normal(size=3) for _ in range(4)]
         enc, _ = bilstm_encode(seq, fwd, bwd, self.masks(3, 2))
-        h_rev, _ = bwd.run(list(reversed(seq)), DropoutMask.ones(3), DropoutMask.ones(2))
+        h_rev, _ = bwd.run(list(reversed(seq)), np.ones(3), np.ones(2))
         np.testing.assert_array_equal(enc[2:], h_rev)
 
     def test_empty_sequence_rejected(self, rng):

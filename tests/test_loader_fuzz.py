@@ -14,17 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import desk_model
+from conftest import desk_model, save_word2vec_text, write_dataset_csv
 from sentihier.cli import main
-from sentihier.embeddings import (
-    EmbeddingTable,
-    load_word2vec_binary,
-    load_word2vec_text,
-    save_word2vec_text,
-)
+from sentihier.embeddings import load_word2vec_binary, load_word2vec_text
 from sentihier.errors import ParseError
 from sentihier.model import load_checkpoint, save_checkpoint
-from sentihier.synthetic import make_marker_dataset, write_dataset_csv
+from sentihier.synthetic import make_marker_dataset
 
 FUZZ = settings(max_examples=150, deadline=None)
 WORDS = [("great", [0.5, -1.25, 2.0]), ("bug", [1e-3, 0.0, -7.5]), ("Fix", [3.0, 2.0, 1.0])]
@@ -45,7 +40,7 @@ def binary_bytes() -> bytes:
 
 def text_bytes(tmp) -> bytes:
     path = tmp / "valid.txt"
-    save_word2vec_text(EmbeddingTable(3, {t: np.array(v) for t, v in WORDS}), path)
+    save_word2vec_text({t: np.array(v) for t, v in WORDS}, path)
     return path.read_bytes()
 
 
