@@ -75,7 +75,8 @@ class HiCnnLstmClassifier:
             t0 = time.perf_counter()
             model, history = fit(model, train_docs, replace(self.train_config, seed=seed))
             t1 = time.perf_counter()
-            preds = [model.predict(encode(tokenized[i], model.vocab)) for i in test_ix]
+            scope = model.projection_scope()
+            preds = [model.predict(encode(tokenized[i], model.vocab), scope) for i in test_ix]
             t2 = time.perf_counter()
             return {"predictions": preds, "history": history,
                     "train_seconds": t1 - t0, "test_seconds": t2 - t1}

@@ -23,7 +23,7 @@ from . import __version__
 from .classifiers import CLASSIFIER_NAMES, make_classifier, prepare
 from .datasets import load_dataset_config, load_from_config
 from .embeddings import load_word2vec_binary, load_word2vec_text
-from .errors import ConfigurationError, ParseError, SentihierError
+from .errors import ConfigurationError, ContractViolation, ParseError, SentihierError
 from .evaluation import cross_validate, learning_curve, report_to_csv_rows, report_to_markdown
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .textprep import encode, tokenize_document
@@ -35,6 +35,9 @@ EXIT_RUNTIME = 4
 
 _MODEL_FIELDS = set(ModelConfig.__dataclass_fields__)
 _TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
+# Config fields that every command sets itself: key -> why no override.
+_FIXED_FIELDS = {"seed": "pass --seed instead",
+                 "num_classes": "it is the number of labels in the dataset"}
 
 
 def _parse_overrides(pairs):
@@ -43,8 +46,9 @@ def _parse_overrides(pairs):
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigurationError(f"override {pair!r} is not key=value")
-        if key == "seed":
-            raise ConfigurationError("override key 'seed' is not allowed; pass --seed instead")
+        if key in _FIXED_FIELDS:
+            raise ConfigurationError(
+                f"override key {key!r} is not allowed; {_FIXED_FIELDS[key]}")
         if key in _MODEL_FIELDS:
             target, anno = model_over, ModelConfig.__dataclass_fields__[key].type
         elif key in _TRAIN_FIELDS:
@@ -97,7 +101,11 @@ def _dataset_and_classifiers(args, classifier_specs):
         print(f"warning: {w}", file=sys.stderr)
     table = _load_embeddings(args.embeddings)
     model_over, train_over = _parse_overrides(getattr(args, "override", None))
-    mcfg = ModelConfig(**{"num_classes": len(ds.label_set), **model_over})
+    try:
+        mcfg = ModelConfig(**{"num_classes": len(ds.label_set), **model_over})
+    except ContractViolation as exc:
+        # num_classes comes from a loaded dataset, so the bad field is an override
+        raise ConfigurationError(f"model override out of range: {exc}") from None
     tcfg = TrainConfig(**{"seed": args.seed, **train_over})
     classifiers = [make_classifier(spec, mcfg, tcfg, ds.label_set, table,
                                    embedding_seed=args.seed)
@@ -140,9 +148,14 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_learning_curve(args) -> int:
-    fractions = [float(f) for f in args.fractions.split(",")]
+    fractions = []
+    for part in args.fractions.split(","):
+        try:
+            fractions.append(float(part))
+        except ValueError:
+            raise ConfigurationError(f"--fractions: {part!r} is not a number") from None
     if any(not 0.0 < f <= 1.0 for f in fractions):
-        raise ConfigurationError(f"fractions must be in (0, 1]: {fractions}")
+        raise ConfigurationError(f"--fractions must be in (0, 1]: {fractions}")
     out = _out_dir(args)
     started = datetime.now(timezone.utc).isoformat()
     specs = args.classifier or ["hicnnlstm"]
@@ -199,8 +212,10 @@ def cmd_predict(args) -> int:
     except UnicodeDecodeError as exc:
         source = "standard input" if from_stdin else args.input
         raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
+    scope = model.projection_scope()  # allocates nothing until the first forward
     for line in text.splitlines():
-        probs, _ = model.forward(encode(tokenize_document(line), model.vocab), train=False)
+        probs, _ = model.forward(encode(tokenize_document(line), model.vocab), train=False,
+                                 scope=scope)
         label = model.labels[int(probs.argmax())]
         print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
     return 0

@@ -1,6 +1,12 @@
 """Neural building blocks: temporal convolution with max-over-time pooling,
 a dense ReLU projection, LSTM cells and the softmax classification head.
 
+The convolution runs in embedding-row space. Its input is static word
+vectors, so a ProjectionScope computes each distinct vector's products with
+the filters once, one (F,) product per filter offset, and a sentence enters
+the layer as the table rows of its tokens (sentence_matrix): each window
+sums f of them instead of multiplying its own copy of the vectors.
+
 Every layer's forward pass returns what its backward pass needs (a cache, or
 for the convolution its pooled features and argmax windows), and the backward
 pass hand-computes the gradient with respect to its input plus small per-row
@@ -77,19 +83,27 @@ def dropout_mask(rng: np.random.Generator | None, size: int, rate: float) -> np.
     return (rng.random(size) < keep).astype(np.float64) / keep
 
 
-def sentence_matrix(token_indices, embedding_matrix: np.ndarray, min_rows: int) -> np.ndarray:
-    """Stack the embedding rows of a sentence; zero-pad up to min_rows."""
+def sentence_matrix(token_indices, scope: "ProjectionScope", min_rows: int) -> np.ndarray:
+    """A sentence as rows of the scope's table: the row of each token, then
+    the zero row (row 0) up to min_rows. The scope must have admitted every
+    token."""
     if len(token_indices) == 0:
         raise ContractViolation("sentence_matrix of an empty sentence")
-    s = embedding_matrix[np.asarray(token_indices, dtype=np.intp)]
-    n, k = s.shape
-    if n < min_rows:
-        s = np.vstack([s, np.zeros((min_rows - n, k), dtype=np.float64)])
-    return s
+    rows = scope.slot[np.asarray(token_indices, dtype=np.intp)]
+    if rows.min() < 0:
+        raise ContractViolation("sentence_matrix of a token its scope has not admitted")
+    if len(rows) < min_rows:
+        rows = np.concatenate([rows, np.zeros(min_rows - len(rows), dtype=np.intp)])
+    return rows
 
 
 class ConvLayer:
-    """Temporal convolution over word-vector windows, ReLU, max-over-time pool."""
+    """Temporal convolution over word-vector windows, ReLU, max-over-time pool.
+
+    The word vectors are static, so the filters' products with each vector
+    are computed once per ProjectionScope (project) and every window sums f
+    of them (forward), instead of multiplying every window again.
+    """
 
     def __init__(self, filter_width: int, num_filters: int, embedding_dim: int,
                  rng: np.random.Generator | None):
@@ -99,25 +113,39 @@ class ConvLayer:
         self.filters = _weights(rng, num_filters, filter_width * embedding_dim)
         self.bias = np.zeros(num_filters, dtype=np.float64)
 
-    def forward(self, s: np.ndarray):
+    def project(self, vectors: np.ndarray, out: np.ndarray):
+        """Writes out[o, u] = filters[:, o*k:(o+1)*k] @ vectors[u] for every
+        offset o: vectors is (U, k) and out (f, U, F). One GEMM per offset
+        reads that offset's columns of the filters in place."""
+        k = self.embedding_dim
+        if vectors.ndim != 2 or vectors.shape[1] != k:
+            raise ShapeError(f"vectors have shape {vectors.shape}, layer expects (U, {k})")
+        for o in range(self.filter_width):
+            np.matmul(vectors, self.filters[:, o * k : (o + 1) * k].T, out=out[o])
+
+    def forward(self, rows: np.ndarray, scope: "ProjectionScope"):
         """Returns (pooled features, argmax window), each of length F.
 
-        Feature map value at window p is relu(filter . window_p + bias); the
-        pooled feature keeps the max over p, ties going to the smallest p.
+        rows are a sentence's rows of the scope's table (sentence_matrix),
+        at least f of them. Window p's pre-activation, filter . window_p +
+        bias, is bias + sum over o of table[o, rows[p + o]]; the feature map
+        is its relu, and the pooled feature keeps the max over p, ties going
+        to the smallest p.
         """
-        n, k = s.shape
-        f = self.filter_width
-        if k != self.embedding_dim:
-            raise ShapeError(f"input has embedding dim {k}, layer expects {self.embedding_dim}")
+        n, f = len(rows), self.filter_width
         if n < f:
             raise ShapeError(f"input has {n} rows, below filter width {f}")
+        if scope.conv is not self:
+            raise ContractViolation("forward with a scope of another conv layer")
         num_windows = n - f + 1
-        windows = np.lib.stride_tricks.sliding_window_view(s, (f, k))
-        windows = windows.reshape(num_windows, f * k)
-        pre = windows @ self.filters.T + self.bias  # (P, F)
-        act = np.maximum(pre, 0.0)
+        table = scope.table
+        pre = table[0].take(rows[:num_windows], axis=0)  # (P, F)
+        for o in range(1, f):
+            pre += table[o].take(rows[o : o + num_windows], axis=0)
+        pre += self.bias
+        act = np.maximum(pre, 0.0, out=pre)
         argmax = np.argmax(act, axis=0)  # first occurrence = smallest p
-        return act[argmax, np.arange(self.num_filters)], argmax
+        return act.max(axis=0), argmax
 
     def backward(self, grad_features: np.ndarray, features: np.ndarray):
         """Routes gradient through each filter's ReLU gate at its argmax window.
@@ -156,6 +184,92 @@ class ConvLayer:
                                  minlength=F * U)
             np.matmul(weight.reshape(F, U), rows, out=by_offset[:, o, :])
         np.sum(gated, axis=0, out=grad_bias)
+
+
+class ProjectionScope:
+    """The conv filters' products with the word vectors that a run of
+    documents uses, each computed once (the precomputation of Devlin et al.
+    2014, "Fast and Robust Neural Network Joint Models").
+
+    table[o, r] holds the (F,) products of the filters' offset-o columns with
+    the vector of the token in row r; row 0 holds the zero vector's, which
+    pads sentences shorter than the filter width. Rows fill lazily, one
+    document at a time (admit), into a fixed budget of embedding_dim rows,
+    which makes the table exactly as large as conv.filters. When a
+    document's new tokens do not fit, the table starts over, keeping the
+    rows of vocabulary indices below half its size (the tokens most frequent
+    in training) if the document fits beside them. A document with more
+    distinct tokens than the table has rows grows the table to fit it.
+
+    A scope is valid only while the conv weights stay as they were when it
+    projected: make one per batch, per evaluation or per prediction run, and
+    never keep one across a weight update.
+    """
+
+    def __init__(self, conv: ConvLayer, embedding_matrix: np.ndarray,
+                 memory: np.ndarray | None = None):
+        """`memory`, if given, is a contiguous float64 array as large as
+        conv.filters that nothing else uses while the scope lives; the table
+        is kept in it unless a document grows the table."""
+        self.conv = conv
+        self.embedding_matrix = embedding_matrix
+        self.memory = memory
+        self.table = None  # (f, rows, F), allocated by the first admit
+        self.slot = None   # vocabulary index -> table row, or -1
+        self.held = None   # table row -> vocabulary index
+        self.used = 0      # rows in use, the zero row included
+
+    def admit(self, tokens: np.ndarray):
+        """Gives every token of `tokens`, an array of vocabulary indices, a
+        row of the table, projecting the vectors of those that had none."""
+        if self.table is None:
+            self._allocate(self.conv.embedding_dim)
+        capacity = self.table.shape[1]
+        new = self._missing(tokens)
+        if self.used + len(new) > capacity:
+            self._start_over(keep_below=capacity // 2)
+            new = self._missing(tokens)
+            if self.used + len(new) > capacity:
+                new = np.unique(tokens)
+                if 1 + len(new) > capacity:
+                    self._allocate(1 + len(new))
+                else:
+                    self._start_over(keep_below=0)
+        rows = slice(self.used, self.used + len(new))
+        self.slot[new] = np.arange(rows.start, rows.stop)
+        self.held[rows] = new
+        self.conv.project(self.embedding_matrix[new], self.table[:, rows])
+        self.used = rows.stop
+
+    def _missing(self, tokens: np.ndarray) -> np.ndarray:
+        """The distinct tokens that have no row, in ascending order."""
+        return np.unique(tokens[self.slot[tokens] < 0])
+
+    def _allocate(self, rows: int):
+        """A new table of `rows` rows that holds only the zero row."""
+        if self.slot is None:
+            self.slot = np.full(len(self.embedding_matrix), -1, dtype=np.intp)
+        else:
+            self.slot[self.held[1 : self.used]] = -1
+        shape = (self.conv.filter_width, rows, self.conv.num_filters)
+        if self.memory is not None and rows == self.conv.embedding_dim:
+            self.table = self.memory.reshape(shape)
+        else:
+            self.table = np.empty(shape)
+        self.table[:, 0] = 0.0
+        self.held = np.empty(rows, dtype=np.intp)
+        self.used = 1
+
+    def _start_over(self, keep_below: int):
+        """Empties the table down to the zero row and the rows of tokens
+        below keep_below, which move to the front in their order."""
+        held = self.held[1 : self.used]
+        keep = held[held < keep_below]
+        self.table[:, 1 : 1 + len(keep)] = self.table[:, self.slot[keep]]
+        self.slot[held] = -1
+        self.slot[keep] = np.arange(1, 1 + len(keep))
+        self.held[1 : 1 + len(keep)] = keep
+        self.used = 1 + len(keep)
 
 
 class DenseLayer:

@@ -8,11 +8,16 @@ dense layer runs once on all S rows, and the backward pass gates and writes
 them as one block. Batch gradients are the mean of per-document gradients,
 formed once per batch from the factors every document's backward pass collects.
 
+The convolution reads its filter products from a layers.ProjectionScope,
+which projects each distinct word vector once for as long as the conv
+weights stay fixed: loss_and_grads uses one scope per batch, and callers
+that run many documents in inference (validation, a fold's test set,
+`predict`) pass one scope to all of them.
+
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs.
 """
 
-import io
 import itertools
 import json
 import math
@@ -52,17 +57,17 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = (self.embedding_dim, self.filter_width, self.num_filters,
-                self.sentence_dim, self.lstm_hidden, self.max_sentences_per_doc)
-        if any(d <= 0 for d in dims):
-            raise ContractViolation(f"all dimensions must be positive: {self}")
-        if self.num_classes < 2:
-            raise ContractViolation(f"num_classes must be >= 2, got {self.num_classes}")
-        for rate in (self.dense_dropout, self.lstm_dropout):
-            if not 0.0 <= rate < 1.0:
-                raise ContractViolation(f"dropout rates must be in [0, 1): {self}")
         if any(type(getattr(self, f.name)) is not type(f.default) for f in fields(self)):
             raise ContractViolation(f"every field must have the type of its default: {self}")
+        for name in ("embedding_dim", "filter_width", "num_filters", "sentence_dim",
+                     "lstm_hidden", "max_sentences_per_doc"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.num_classes < 2:
+            raise ContractViolation(f"num_classes must be >= 2, got {self.num_classes}")
+        for name in ("dense_dropout", "lstm_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractViolation(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 class HiCnnLstmModel:
@@ -126,17 +131,32 @@ class HiCnnLstmModel:
                      (cfg.sentence_dim, cfg.lstm_hidden, cfg.sentence_dim, cfg.lstm_hidden))
         return dense, lstm
 
-    def forward(self, doc: Document, train: bool = False, dropout_rng=None):
+    def projection_scope(self) -> layers.ProjectionScope:
+        """A new, empty scope for projecting word vectors under the current
+        conv weights; it allocates its table on first use."""
+        return layers.ProjectionScope(self.conv, self.embedding_matrix)
+
+    def forward(self, doc: Document, train: bool = False, dropout_rng=None, scope=None):
         """Returns (class probabilities, cache). Dropout is active only when
-        train=True and a dropout_rng is supplied; masks are fixed per document."""
+        train=True and a dropout_rng is supplied; masks are fixed per document.
+
+        The convolution reads the word vectors' filter products from `scope`
+        (a ProjectionScope of this model), which projects the vectors of the
+        document's tokens it does not hold yet. A caller that runs many
+        documents under the same weights passes one scope to them all; with
+        none, the document gets a scope of its own.
+        """
         cfg = self.config
         sentences = doc.sentences[: cfg.max_sentences_per_doc]
+        if scope is None:
+            scope = self.projection_scope()
+        scope.admit(np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp))
         dense_mask, lstm_masks = self._masks(dropout_rng if train else None)
         features = np.empty((len(sentences), cfg.num_filters))
         argmax = np.empty((len(sentences), cfg.num_filters), dtype=np.intp)
         for t, sent in enumerate(sentences):
-            s = layers.sentence_matrix(sent, self.embedding_matrix, cfg.filter_width)
-            features[t], argmax[t] = self.conv.forward(s)
+            rows = layers.sentence_matrix(sent, scope, cfg.filter_width)
+            features[t], argmax[t] = self.conv.forward(rows, scope)
         sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
         encoded, bilstm_cache = layers.bilstm_encode(sent_vecs, self.lstm_fwd,
                                                      self.lstm_bwd, lstm_masks)
@@ -147,8 +167,8 @@ class HiCnnLstmModel:
                      "bilstm": bilstm_cache, "encoded": encoded}
         return probs, cache
 
-    def predict(self, doc: Document) -> int:
-        probs, _ = self.forward(doc, train=False)
+    def predict(self, doc: Document, scope=None) -> int:
+        probs, _ = self.forward(doc, train=False, scope=scope)
         return int(np.argmax(probs))  # ties break toward the lowest index
 
     def loss_and_grads(self, batch, dropout_rng=None):
@@ -178,10 +198,14 @@ class HiCnnLstmModel:
             rows.update({f"{d}.dz": np.empty((n, 4 * H)), f"{d}.x_m": np.empty((n, m)),
                          f"{d}.h_m": np.empty((n, H))})
         grads = {name: np.empty_like(p) for name, p in self.params().items()}
+        # The filter gradient is written only after every document has run, so
+        # until then its buffer, which is as large, holds the projection table.
+        scope = layers.ProjectionScope(self.conv, self.embedding_matrix,
+                                       memory=grads["conv.filters"])
         total_loss = 0.0
         for i, doc in enumerate(batch):
             span = slice(int(ends[i]) - len(sentences[i]), int(ends[i]))
-            total_loss += self._document_backward(doc, i, span, rows, dropout_rng)
+            total_loss += self._document_backward(doc, i, span, rows, scope, dropout_rng)
         layers.linear_param_grads(rows["head.grad"], rows["head.x"],
                                   grads["head.weights"], grads["head.bias"])
         for d in ("fwd", "bwd"):
@@ -198,10 +222,10 @@ class HiCnnLstmModel:
         return total_loss / B, grads
 
     def _document_backward(self, doc: Document, i: int, span: slice, rows: dict,
-                           dropout_rng) -> float:
+                           scope: layers.ProjectionScope, dropout_rng) -> float:
         """Backward pass of one document: writes its factors to row i of the
         per-document buffers and to rows `span` of the per-sentence ones."""
-        probs, cache = self.forward(doc, train=True, dropout_rng=dropout_rng)
+        probs, cache = self.forward(doc, train=True, dropout_rng=dropout_rng, scope=scope)
         loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, doc.label)
         rows["head.grad"][i] = grad_logits
         rows["head.x"][i] = cache["encoded"]
@@ -241,26 +265,25 @@ def save_checkpoint(model: HiCnnLstmModel, path):
     """Versioned little-endian binary container: the config, the token list
     (in index order) and the label names (in class order) as JSON records,
     the token list's fingerprint, then the embedding matrix and every
-    trainable parameter."""
+    trainable parameter. The arrays are written from their own memory,
+    never gathered into a buffer of the whole file."""
     arrays = dict(model.params())
     arrays["embedding_matrix"] = model.embedding_matrix
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    for record in (model.config.__dict__, model.vocab.index_to_token, model.labels):
-        raw = json.dumps(record, sort_keys=True).encode("utf-8")
-        buf.write(struct.pack("<I", len(raw)))
-        buf.write(raw)
-    buf.write(struct.pack("<Q", model.vocab.fingerprint()))
-    buf.write(struct.pack("<I", len(arrays)))
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        name_b = name.encode("utf-8")
-        buf.write(struct.pack(f"<I{len(name_b)}sI{arr.ndim}I", len(name_b), name_b, arr.ndim,
-                              *arr.shape))
-        buf.write(arr.tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        for record in (model.config.__dict__, model.vocab.index_to_token, model.labels):
+            raw = json.dumps(record, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+        fh.write(struct.pack("<Q", model.vocab.fingerprint()))
+        fh.write(struct.pack("<I", len(arrays)))
+        for name in sorted(arrays):
+            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+            name_b = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(name_b)}sI{arr.ndim}I", len(name_b), name_b, arr.ndim,
+                                 *arr.shape))
+            fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_checkpoint(path) -> HiCnnLstmModel:

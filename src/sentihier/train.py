@@ -115,8 +115,9 @@ def _evaluate(model, docs):
     """Mean cross-entropy and accuracy in inference mode."""
     total = 0.0
     correct = 0
+    scope = model.projection_scope()
     for doc in docs:
-        probs, _ = model.forward(doc, train=False)
+        probs, _ = model.forward(doc, train=False, scope=scope)
         total += -np.log(max(probs[doc.label], 1e-300))
         if int(np.argmax(probs)) == doc.label:
             correct += 1

@@ -146,6 +146,15 @@ class TestLearningCurve:
                      "--fractions", "0.2,1.5", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_fraction_that_is_not_a_number_names_the_flag(self, dataset_config, tmp_path,
+                                                          capsys):
+        code = main(["learning-curve", "--dataset", str(dataset_config),
+                     "--fractions", "0.5,abc", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--fractions" in err and "'abc'" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_byte_identical_reruns(self, dataset_config, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -286,6 +295,34 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert override.split("=")[0] in err and "Traceback" not in err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("override, allowed", [
+        ("max_sentences_per_doc=0", ">= 1"),
+        ("lstm_dropout=1.0", "[0, 1)"),
+    ])
+    def test_out_of_range_model_override_names_the_key_and_its_range(
+            self, dataset_config, tmp_path, capsys, override, allowed):
+        ckpt = tmp_path / "model.ckpt"
+        code = main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     *FAST_OVERRIDES, "--override", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        key, value = override.split("=")
+        assert key in err and allowed in err and value in err
+        assert "ModelConfig(" not in err and "Traceback" not in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "model.ckpt"],
+        ["crossval", "--classifier", "nb", "--folds", "2", "--out", "cv"],
+    ], ids=["train", "crossval-nb"])
+    def test_num_classes_override_is_config_error(self, dataset_config, tmp_path, capsys,
+                                                  monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        code = main([command[0], "--dataset", str(dataset_config), *command[1:],
+                     "--override", "num_classes=3"])
+        assert code == 2
+        assert "num_classes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["train", "--out", "model.ckpt"],

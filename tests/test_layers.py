@@ -9,6 +9,7 @@ from sentihier.layers import (
     ConvLayer,
     DenseLayer,
     LstmCell,
+    ProjectionScope,
     SoftmaxHead,
     bilstm_backward,
     bilstm_encode,
@@ -61,6 +62,35 @@ def lstm_param_grads(cell, dz, cache):
              np.empty_like(cell.bias))
     LstmCell.param_grads(dz, cache["x_m"], cache["h_m"], *grads)
     return grads
+
+
+def admitted(layer, emb, tokens):
+    """A scope of `layer` over embedding matrix `emb` that holds `tokens`."""
+    scope = ProjectionScope(layer, emb)
+    scope.admit(np.asarray(tokens, dtype=np.intp))
+    return scope
+
+
+def pooled(layer, emb, tokens, scope=None):
+    """(features, argmax) of one sentence of token indices into emb."""
+    scope = admitted(layer, emb, tokens) if scope is None else scope
+    return layer.forward(sentence_matrix(tokens, scope, layer.filter_width), scope)
+
+
+def pooled_matrix(layer, s):
+    """(features, argmax) of a sentence matrix: row i of s is token i."""
+    return pooled(layer, s, range(len(s)))
+
+
+def window_oracle(filters, bias, emb, tokens, f):
+    """(features, argmax) by multiplying every zero-padded window directly."""
+    k = emb.shape[1]
+    s = np.vstack([emb[list(tokens)], np.zeros((max(f - len(tokens), 0), k))])
+    pre = np.array([filters @ s[p : p + f].reshape(-1) + bias
+                    for p in range(len(s) - f + 1)])
+    act = np.maximum(pre, 0.0)
+    argmax = np.array([int(np.flatnonzero(col == col.max())[0]) for col in act.T])
+    return act.max(axis=0), argmax
 
 
 def window_pre(layer, s):
@@ -118,20 +148,32 @@ class TestRelu:
 class TestSentenceMatrix:
     def test_shape(self):
         emb = np.arange(40, dtype=float).reshape(10, 4)
-        s = sentence_matrix([2, 3, 4, 5, 6, 7, 8], emb, min_rows=5)
-        assert s.shape == (7, 4)
+        tokens = [2, 3, 4, 5, 6, 7, 8]
+        scope = admitted(ConvLayer(5, 3, 4, None), emb, tokens)
+        rows = sentence_matrix(tokens, scope, min_rows=5)
+        assert rows.shape == (7,)
+        np.testing.assert_array_equal(scope.held[rows], tokens)
 
     def test_padding(self):
         emb = np.ones((6, 4))
-        s = sentence_matrix([2, 3], emb, min_rows=5)
-        assert s.shape == (5, 4)
-        np.testing.assert_array_equal(s[2:], np.zeros((3, 4)))
+        layer = ConvLayer(5, 3, 4, np.random.default_rng(0))
+        scope = admitted(layer, emb, [2, 3])
+        rows = sentence_matrix([2, 3], scope, min_rows=5)
+        assert rows.shape == (5,)
+        np.testing.assert_array_equal(rows[2:], [0, 0, 0])
+        np.testing.assert_array_equal(scope.table[:, rows[2:]], np.zeros((5, 3, 3)))
 
     def test_all_oov_is_zero_matrix(self):
         emb = np.ones((6, 4))
         emb[0] = 0.0
-        s = sentence_matrix([0, 0, 0], emb, min_rows=3)
-        np.testing.assert_array_equal(s, np.zeros((3, 4)))
+        scope = admitted(ConvLayer(3, 3, 4, np.random.default_rng(0)), emb, [0, 0, 0])
+        rows = sentence_matrix([0, 0, 0], scope, min_rows=3)
+        np.testing.assert_array_equal(scope.table[:, rows], np.zeros((3, 3, 3)))
+
+    def test_token_the_scope_has_not_admitted_is_rejected(self):
+        scope = admitted(ConvLayer(2, 3, 4, np.random.default_rng(0)), np.ones((6, 4)), [2, 3])
+        with pytest.raises(ContractViolation):
+            sentence_matrix([2, 4], scope, min_rows=2)
 
 
 class TestConvMaxpool:
@@ -141,13 +183,13 @@ class TestConvMaxpool:
 
     def test_zero_input_zero_bias(self, rng):
         layer = self.make(rng)
-        feats, _ = layer.forward(np.zeros((5, 4)))
+        feats, _ = pooled_matrix(layer, np.zeros((5, 4)))
         np.testing.assert_array_equal(feats, np.zeros(3))
 
     def test_zero_input_bias_passthrough(self, rng):
         layer = self.make(rng)
         layer.bias[:] = [0.5, 0.0, 2.0]
-        feats, _ = layer.forward(np.zeros((5, 4)))
+        feats, _ = pooled_matrix(layer, np.zeros((5, 4)))
         np.testing.assert_array_equal(feats, [0.5, 0.0, 2.0])
 
     def test_exhaustive_window_oracle(self, rng):
@@ -155,7 +197,7 @@ class TestConvMaxpool:
         layer = ConvLayer(2, 1, 1, rng)
         layer.filters[:] = [[1.0, 1.0]]
         layer.bias[:] = 0.0
-        feats, argmax = layer.forward(np.array([[1.0], [3.0], [2.0]]))
+        feats, argmax = pooled_matrix(layer, np.array([[1.0], [3.0], [2.0]]))
         assert feats[0] == 5.0
         assert argmax[0] == 1
 
@@ -163,13 +205,13 @@ class TestConvMaxpool:
         layer = ConvLayer(2, 1, 1, rng)
         layer.filters[:] = [[1.0, 1.0]]
         layer.bias[:] = 0.0
-        _, argmax = layer.forward(np.array([[2.0], [2.0], [2.0]]))
+        _, argmax = pooled_matrix(layer, np.array([[2.0], [2.0], [2.0]]))
         assert argmax[0] == 0
 
     def test_zero_upstream_gradient(self, rng):
         layer = self.make(rng)
         s = rng.normal(size=(6, 4))
-        feats, argmax = layer.forward(s)
+        feats, argmax = pooled_matrix(layer, s)
         gated = layer.backward(np.zeros(3), feats)
         grad_f, grad_b = conv_param_grads(layer, s, argmax, gated)
         assert not gated.any() and not grad_f.any() and not grad_b.any()
@@ -188,7 +230,7 @@ class TestConvMaxpool:
         layer = ConvLayer(2, 3, 2, None)
         layer.filters[:] = filters
         layer.bias[:] = bias
-        feats, argmax = layer.forward(s)
+        feats, argmax = pooled_matrix(layer, s)
         gate = window_pre(layer, s)[argmax, np.arange(3)] > 0
         np.testing.assert_array_equal(feats > 0, gate)
         np.testing.assert_array_equal(layer.backward(np.ones(3), feats), gate)
@@ -196,7 +238,7 @@ class TestConvMaxpool:
     def test_grad_bias_equals_gated_upstream(self, rng):
         layer = self.make(rng)
         s = rng.normal(size=(6, 4))
-        feats, argmax = layer.forward(s)
+        feats, argmax = pooled_matrix(layer, s)
         g = rng.normal(size=3)
         grad_b = layer.backward(g, feats)
         gate = window_pre(layer, s)[argmax, np.arange(3)] > 0
@@ -208,10 +250,10 @@ class TestConvMaxpool:
         weights = rng.normal(size=3)
 
         def loss_fn():
-            feats, _ = layer.forward(s)
+            feats, _ = pooled_matrix(layer, s)
             return float(weights @ feats)
 
-        feats, argmax = layer.forward(s)
+        feats, argmax = pooled_matrix(layer, s)
         grad_f, grad_b = conv_param_grads(layer, s, argmax, layer.backward(weights, feats))
         assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
@@ -227,14 +269,13 @@ class TestConvMaxpool:
         weights = rng.normal(size=(3, F))
 
         def loss_fn():
-            return sum(float(w @ layer.forward(sentence_matrix(t, emb, f))[0])
-                       for w, t in zip(weights, sentences))
+            return sum(float(w @ pooled(layer, emb, t)[0]) for w, t in zip(weights, sentences))
 
         used = sorted({t for sent in sentences for t in sent})
         row_index = np.full((3, F, f), -1)
         gated = np.empty((3, F))
         for s_no, (w, tokens) in enumerate(zip(weights, sentences)):
-            feats, argmax = layer.forward(sentence_matrix(tokens, emb, f))
+            feats, argmax = pooled(layer, emb, tokens)
             gated[s_no] = layer.backward(w, feats)
             for j, start in enumerate(argmax):
                 for o in range(f):
@@ -250,15 +291,81 @@ class TestConvMaxpool:
         layer = self.make(rng)
         layer.bias[:] = np.abs(layer.bias)
         s = rng.normal(size=(4, 4))
-        feats, _ = layer.forward(s)
-        padded, _ = layer.forward(np.vstack([s, np.zeros((3, 4))]))
+        feats, _ = pooled_matrix(layer, s)
+        padded, _ = pooled_matrix(layer, np.vstack([s, np.zeros((3, 4))]))
         assert np.all(padded >= feats - 1e-15)
         # When every max window excludes padding, features are unchanged.
         big = rng.normal(size=(4, 4)) + 10.0
-        f1, _ = layer.forward(big)
-        f2, argmax2 = layer.forward(np.vstack([big, np.zeros((2, 4))]))
+        f1, _ = pooled_matrix(layer, big)
+        f2, argmax2 = pooled_matrix(layer, np.vstack([big, np.zeros((2, 4))]))
         if np.all(argmax2 <= 2):
             np.testing.assert_array_equal(f1, f2)
+
+    def test_shared_scope_equals_a_fresh_scope_per_document(self, rng):
+        # Small integers keep every product and sum exact, so the comparison
+        # is bit for bit whichever rows BLAS projects together; what it checks
+        # is that a shared scope never serves a token another token's row.
+        # Its budget is k = 6 rows, the zero row included: the small documents
+        # restart it, and the one holding every token grows it.
+        f, F, k, V = 3, 4, 6, 30
+        layer = ConvLayer(f, F, k, None)
+        layer.filters[:] = rng.integers(-3, 4, size=layer.filters.shape)
+        layer.bias[:] = rng.integers(-2, 3, size=F)
+        emb = rng.integers(-3, 4, size=(V, k)).astype(float)
+        small = [[list(rng.integers(0, V, size=n)) for n in rng.integers(1, 4, size=2)]
+                 for _ in range(16)]
+        docs = small[:12] + [[list(range(V))]] + small[12:]
+        shared = ProjectionScope(layer, emb)
+        held_before, restarts = set(), 0
+        for doc in docs:
+            tokens = np.concatenate(doc).astype(np.intp)
+            shared.admit(tokens)
+            held = set(shared.held[1 : shared.used].tolist())
+            restarts += not held_before <= held
+            held_before = held
+            fresh = admitted(layer, emb, tokens)
+            for sent in doc:
+                got = pooled(layer, emb, sent, shared)
+                want = pooled(layer, emb, sent, fresh)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+        assert restarts >= 3 and shared.table.shape[1] == V + 1
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
+    # All windows negative: every feature is 0 and every argmax is 0.
+    @example(2, 1, 1, None)
+    @settings(max_examples=300, deadline=None)
+    def test_scope_matches_the_exhaustive_window_oracle(self, f, F, k, data):
+        # Small-integer filters and vectors keep every pre-activation exact.
+        # One scope serves every sentence, and its budget is only k rows, so
+        # sentences admitted later restart or grow its table.
+        V = 6
+        layer = ConvLayer(f, F, k, None)
+        ints = st.integers(-2, 2).map(float)
+        if data is None:
+            layer.filters[:] = 1.0
+            layer.bias[:] = -100.0
+            emb = np.ones((V, k))
+            sentences = [[3, 3, 1]]
+        else:
+            layer.filters[:] = data.draw(arrays(np.float64, layer.filters.shape, elements=ints))
+            layer.bias[:] = data.draw(arrays(np.float64, F, elements=ints))
+            emb = data.draw(arrays(np.float64, (V, k), elements=ints))
+            sentences = data.draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1,
+                                                    max_size=8), min_size=1, max_size=4))
+        scope = ProjectionScope(layer, emb)
+        for sent in sentences:
+            scope.admit(np.asarray(sent, dtype=np.intp))
+            feats, argmax = pooled(layer, emb, sent, scope)
+            want_feats, want_argmax = window_oracle(layer.filters, layer.bias, emb, sent, f)
+            np.testing.assert_array_equal(feats, want_feats)
+            np.testing.assert_array_equal(argmax, want_argmax)
+
+    def test_forward_rejects_a_scope_of_another_layer(self, rng):
+        layer, other = ConvLayer(2, 3, 4, rng), ConvLayer(2, 3, 4, rng)
+        scope = admitted(other, rng.normal(size=(5, 4)), [2, 3, 4])
+        with pytest.raises(ContractViolation):
+            layer.forward(sentence_matrix([2, 3, 4], scope, 2), scope)
 
 
 class TestDenseRelu:
