@@ -37,7 +37,9 @@ for rec in history.epochs[-3:]:
     print(f"epoch {rec.epoch:2d}  train_loss {rec.train_loss:.4f}  "
           f"val_loss {rec.val_loss:.4f}  val_acc {rec.val_accuracy:.3f}")
 
-test_acc = np.mean([model.predict(to_doc(i, False)) == labels[i] for i in test_ix])
+test_docs = [to_doc(i, False) for i in test_ix]
+test_acc = np.mean([probs.argmax() == labels[i]
+                    for i, probs in zip(test_ix, model.probabilities(test_docs))])
 print(f"held-out accuracy: {test_acc:.3f}")
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -45,8 +47,7 @@ with tempfile.TemporaryDirectory() as tmp:
     save_checkpoint(model, path)
     print(f"checkpoint: {path.stat().st_size} bytes")
     loaded = load_checkpoint(path)
-    for i in test_ix[:20]:
-        p1, _ = model.forward(to_doc(i, False))
-        p2, _ = loaded.forward(to_doc(i, False))
+    for p1, p2 in zip(model.probabilities(test_docs[:20]),
+                      loaded.probabilities(test_docs[:20])):
         assert np.array_equal(p1, p2)
 print("reloaded model reproduces probabilities bit-for-bit.")

@@ -75,8 +75,8 @@ class HiCnnLstmClassifier:
             t0 = time.perf_counter()
             model, history = fit(model, train_docs, replace(self.train_config, seed=seed))
             t1 = time.perf_counter()
-            scope = model.projection_scope()
-            preds = [model.predict(encode(tokenized[i], model.vocab), scope) for i in test_ix]
+            test_docs = (encode(tokenized[i], model.vocab) for i in test_ix)
+            preds = [int(np.argmax(p)) for p in model.probabilities(test_docs)]
             t2 = time.perf_counter()
             return {"predictions": preds, "history": history,
                     "train_seconds": t1 - t0, "test_seconds": t2 - t1}

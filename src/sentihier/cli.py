@@ -86,12 +86,11 @@ def _manifest(command: str, args, ds, **fields) -> dict:
 
 
 def _out_dir(args) -> Path:
+    """The output directory; callers create it once every input is checked."""
     out = args.out or os.environ.get("SENTIHIER_OUT_DIR")
     if not out:
         raise ConfigurationError("no output directory: pass --out or set SENTIHIER_OUT_DIR")
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(out)
 
 
 def _dataset_and_classifiers(args, classifier_specs):
@@ -119,6 +118,7 @@ def cmd_crossval(args) -> int:
     out = _out_dir(args)
     started = datetime.now(timezone.utc).isoformat()
     ds, (classifier,) = _dataset_and_classifiers(args, [args.classifier])
+    out.mkdir(parents=True, exist_ok=True)
     tokenized, labels = prepare(ds)
     fit_predict = classifier.fit_predict_factory(tokenized, labels)
     t0 = time.perf_counter()
@@ -154,12 +154,13 @@ def cmd_learning_curve(args) -> int:
             fractions.append(float(part))
         except ValueError:
             raise ConfigurationError(f"--fractions: {part!r} is not a number") from None
-    if any(not 0.0 < f <= 1.0 for f in fractions):
-        raise ConfigurationError(f"--fractions must be in (0, 1]: {fractions}")
+    if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
+        raise ConfigurationError(f"--fractions must be ascending and in (0, 1]: {fractions}")
     out = _out_dir(args)
     started = datetime.now(timezone.utc).isoformat()
     specs = args.classifier or ["hicnnlstm"]
     ds, classifiers = _dataset_and_classifiers(args, specs)
+    out.mkdir(parents=True, exist_ok=True)
     tokenized, labels = prepare(ds)
     manifest = _manifest("learning-curve", args, ds, classifiers=",".join(specs),
                          fractions=args.fractions)
@@ -190,11 +191,13 @@ def cmd_learning_curve(args) -> int:
 
 def cmd_train(args) -> int:
     ds, (classifier,) = _dataset_and_classifiers(args, ["hicnnlstm"])
+    out = Path(args.out)
+    if out.is_dir():  # checked before the fit, which may take hours
+        raise IsADirectoryError(f"--out {out} is a directory, not a checkpoint path")
+    out.parent.mkdir(parents=True, exist_ok=True)
     tokenized, labels = prepare(ds)
     docs, model = classifier.build(tokenized, labels, args.seed)
     model, history = fit(model, docs, classifier.train_config)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out)
     _write_report(Path(str(out) + ".history.csv"),
                   _manifest("train", args, ds, classifier="hicnnlstm"), history.to_csv_rows())
@@ -212,13 +215,18 @@ def cmd_predict(args) -> int:
     except UnicodeDecodeError as exc:
         source = "standard input" if from_stdin else args.input
         raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
-    scope = model.projection_scope()  # allocates nothing until the first forward
-    for line in text.splitlines():
-        probs, _ = model.forward(encode(tokenize_document(line), model.vocab), train=False,
-                                 scope=scope)
+    docs = (encode(tokenize_document(line), model.vocab) for line in text.splitlines())
+    for probs in model.probabilities(docs):
         label = model.labels[int(probs.argmax())]
         print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
     return 0
+
+
+def _seed(text: str) -> int:
+    """The type of --seed: numpy takes integer seeds >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--dataset", required=True, help="dataset config file")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_seed, default=42)
         p.add_argument("--embeddings", default="random",
                        help="word-vector file (.bin or text) or 'random'")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",

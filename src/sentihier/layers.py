@@ -34,14 +34,11 @@ def softmax(v) -> np.ndarray:
 
 
 def sigmoid(v) -> np.ndarray:
-    # Split by sign so exp never overflows.
+    # e = exp(-|v|) <= 1 never overflows: 1/(1+e) for v >= 0, e/(1+e) below.
+    # minimum(v, -v) is -|v| but leaves a NaN's sign bit as it is.
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(np.minimum(v, -v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def relu_grad(v) -> np.ndarray:
@@ -202,8 +199,8 @@ class ProjectionScope:
     distinct tokens than the table has rows grows the table to fit it.
 
     A scope is valid only while the conv weights stay as they were when it
-    projected: make one per batch, per evaluation or per prediction run, and
-    never keep one across a weight update.
+    projected. Only the model makes scopes: one per training batch
+    (loss_and_grads) and one per inference run (probabilities).
     """
 
     def __init__(self, conv: ConvLayer, embedding_matrix: np.ndarray,

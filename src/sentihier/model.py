@@ -10,9 +10,8 @@ formed once per batch from the factors every document's backward pass collects.
 
 The convolution reads its filter products from a layers.ProjectionScope,
 which projects each distinct word vector once for as long as the conv
-weights stay fixed: loss_and_grads uses one scope per batch, and callers
-that run many documents in inference (validation, a fold's test set,
-`predict`) pass one scope to all of them.
+weights stay fixed. Only this module makes scopes: one per loss_and_grads
+batch and one per call of probabilities, the one inference path.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs.
@@ -131,25 +130,24 @@ class HiCnnLstmModel:
                      (cfg.sentence_dim, cfg.lstm_hidden, cfg.sentence_dim, cfg.lstm_hidden))
         return dense, lstm
 
-    def projection_scope(self) -> layers.ProjectionScope:
-        """A new, empty scope for projecting word vectors under the current
-        conv weights; it allocates its table on first use."""
-        return layers.ProjectionScope(self.conv, self.embedding_matrix)
+    def probabilities(self, docs):
+        """Yields the class probabilities of each document of `docs` in
+        inference mode. The documents share one ProjectionScope, so the
+        weights must not change until the generator is done."""
+        scope = layers.ProjectionScope(self.conv, self.embedding_matrix)
+        for doc in docs:
+            yield self.forward(doc, scope=scope)[0]
 
-    def forward(self, doc: Document, train: bool = False, dropout_rng=None, scope=None):
+    def forward(self, doc: Document, train: bool = False, dropout_rng=None, *, scope):
         """Returns (class probabilities, cache). Dropout is active only when
         train=True and a dropout_rng is supplied; masks are fixed per document.
 
         The convolution reads the word vectors' filter products from `scope`
         (a ProjectionScope of this model), which projects the vectors of the
-        document's tokens it does not hold yet. A caller that runs many
-        documents under the same weights passes one scope to them all; with
-        none, the document gets a scope of its own.
+        document's tokens it does not hold yet.
         """
         cfg = self.config
         sentences = doc.sentences[: cfg.max_sentences_per_doc]
-        if scope is None:
-            scope = self.projection_scope()
         scope.admit(np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp))
         dense_mask, lstm_masks = self._masks(dropout_rng if train else None)
         features = np.empty((len(sentences), cfg.num_filters))
@@ -166,10 +164,6 @@ class HiCnnLstmModel:
             cache = {"features": features, "argmax": argmax, "dense": dense_cache,
                      "bilstm": bilstm_cache, "encoded": encoded}
         return probs, cache
-
-    def predict(self, doc: Document, scope=None) -> int:
-        probs, _ = self.forward(doc, train=False, scope=scope)
-        return int(np.argmax(probs))  # ties break toward the lowest index
 
     def loss_and_grads(self, batch, dropout_rng=None):
         """Mean cross-entropy loss and mean gradients over a batch of documents.

@@ -115,9 +115,7 @@ def _evaluate(model, docs):
     """Mean cross-entropy and accuracy in inference mode."""
     total = 0.0
     correct = 0
-    scope = model.projection_scope()
-    for doc in docs:
-        probs, _ = model.forward(doc, train=False, scope=scope)
+    for doc, probs in zip(docs, model.probabilities(docs)):
         total += -np.log(max(probs[doc.label], 1e-300))
         if int(np.argmax(probs)) == doc.label:
             correct += 1
@@ -160,6 +158,7 @@ def fit(model, train_set, config: TrainConfig = TrainConfig()):
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"epoch {epoch}, batch {batch_no}: loss is {loss}")
             opt.step(model.params(), grads)
+            del grads  # consumed by Adam; free them before the next batch allocates its own
             epoch_loss += loss * len(batch)
         val_loss, val_acc = _evaluate(model, val_docs)
         history.epochs.append(EpochRecord(epoch, float(epoch_loss / len(train_docs)),

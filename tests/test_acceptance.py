@@ -153,8 +153,13 @@ def test_criterion_4_synthetic_convergence():
     tcfg = TrainConfig(max_epochs=50, patience=8, learning_rate=0.005, seed=99)
     model, history = fit(model, [to_doc(i) for i in train_ix], tcfg)
     assert len(history.epochs) <= 50
-    train_acc = np.mean([model.predict(to_doc(i, False)) == labels[i] for i in train_ix])
-    test_acc = np.mean([model.predict(to_doc(i, False)) == labels[i] for i in test_ix])
+
+    def accuracy(ix):
+        probs = model.probabilities(to_doc(i, False) for i in ix)
+        return np.mean([int(np.argmax(p)) == labels[i] for p, i in zip(probs, ix)])
+
+    train_acc = accuracy(train_ix)
+    test_acc = accuracy(test_ix)
     elapsed = time.monotonic() - start
     assert train_acc == 1.0, f"training accuracy {train_acc}"
     assert test_acc >= 0.95, f"held-out accuracy {test_acc}"
@@ -271,8 +276,8 @@ def test_criterion_8_format_round_trips(tmp_path, rng):
             tuple(int(t) for t in rng.integers(2, 9, size=rng.integers(1, 6)))
             for _ in range(rng.integers(1, 4)))
         d = Document(sents)
-        p1, _ = model.forward(d)
-        p2, _ = loaded.forward(d)
+        (p1,) = model.probabilities([d])  # one scope per document on each side
+        (p2,) = loaded.probabilities([d])
         np.testing.assert_array_equal(p1, p2)
 
     # word2vec binary fixture -> text -> reload within 1e-6 relative error.

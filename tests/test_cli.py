@@ -341,6 +341,43 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert str(csv_path) in err and "'positive'" in err and "Traceback" not in err
 
+    def test_out_that_is_a_directory_fails_before_training(self, dataset_config, tmp_path,
+                                                           capsys, monkeypatch):
+        monkeypatch.setattr(cli, "fit", pytest.fail)
+        code = main(["train", "--dataset", str(dataset_config), "--out", str(tmp_path),
+                     *FAST_OVERRIDES])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Traceback" not in err
+
     def test_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         code = main(["predict", "--model", str(tmp_path / "none.ckpt"), "--input", "-"])
         assert code == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["crossval", "--classifier", "nb", "--override", "num_classes=3"],
+    ["crossval", "--classifier", "nb", "--seed", "-1"],
+    ["learning-curve", "--classifier", "nb", "--override", "max_epochs=0"],
+    ["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.2"],
+], ids=["crossval-num-classes", "crossval-negative-seed", "learning-curve-max-epochs",
+        "learning-curve-descending-fractions"])
+def test_rejected_flag_leaves_no_output_directory(dataset_config, tmp_path, command):
+    out = tmp_path / "out"
+    try:
+        code = main([command[0], "--dataset", str(dataset_config), *command[1:],
+                     "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a flag's value itself
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+
+
+def test_negative_seed_error_names_the_flag(dataset_config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_dataset_config", pytest.fail)
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--dataset", str(dataset_config), "--seed", "-1",
+              "--out", str(tmp_path / "model.ckpt")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "'-1'" in err and ">= 0" in err

@@ -140,6 +140,26 @@ class TestSoftmax:
         assert abs(out.sum() - 1.0) <= 1e-12
 
 
+class TestSigmoid:
+    def test_bit_identical_to_the_two_branch_formula(self, rng):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        v = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0, 709.8,
+             -709.8, tiny, -tiny, 1e-310, -1e-310],
+            rng.normal(scale=10.0, size=500),
+            rng.uniform(-800.0, 800.0, size=500),
+        ])
+        expected = np.empty_like(v)
+        pos = v >= 0
+        with np.errstate(over="ignore"):
+            expected[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+            ev = np.exp(v[~pos])
+            expected[~pos] = ev / (1.0 + ev)
+        with np.errstate(over="raise"):
+            out = sigmoid(v)
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
 class TestRelu:
     def test_subgradient_zero_at_zero(self):
         np.testing.assert_array_equal(relu_grad([-1.0, 0.0, 2.0]), [0.0, 0.0, 1.0])

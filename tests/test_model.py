@@ -42,11 +42,21 @@ def random_doc(rng, vocab_size=9, num_sents=None, label=None):
     return Document(sents, label)
 
 
+def probabilities(model, doc):
+    """The probabilities of one document, under a projection scope of its own."""
+    (probs,) = model.probabilities([doc])
+    return probs
+
+
+def predict(model, doc) -> int:
+    return int(np.argmax(probabilities(model, doc)))  # ties break toward the lowest index
+
+
 class TestForward:
     def test_probs_sum_to_one(self, rng):
         model = desk_model()
         for _ in range(10):
-            probs, _ = model.forward(random_doc(rng))
+            probs = probabilities(model, random_doc(rng))
             assert probs.shape == (2,)
             assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -54,27 +64,45 @@ class TestForward:
         model = desk_model()
         d1 = Document(((0, 0, 0),))
         d2 = Document(((0, 0),))
-        p1, _ = model.forward(d1)
-        p2, _ = model.forward(d2)
+        p1 = probabilities(model, d1)
+        p2 = probabilities(model, d2)
         np.testing.assert_array_equal(p1, p2)
 
     def test_purity_and_order_sensitivity(self, rng):
         model = desk_model()
         doc = Document(((2, 3, 4), (5, 6, 7), (8, 2, 5)))
-        p1, _ = model.forward(doc)
-        p2, _ = model.forward(doc)
+        p1 = probabilities(model, doc)
+        p2 = probabilities(model, doc)
         np.testing.assert_array_equal(p1, p2)
         permuted = Document((doc.sentences[2], doc.sentences[0], doc.sentences[1]))
-        p3, _ = model.forward(permuted)
+        p3 = probabilities(model, permuted)
         assert not np.array_equal(p1, p3)
 
     def test_truncation_not_rejection(self, rng):
         model = desk_model()
         many = tuple((2, 3) for _ in range(model.config.max_sentences_per_doc + 20))
-        probs, _ = model.forward(Document(many))
+        probs = probabilities(model, Document(many))
         truncated = Document(many[: model.config.max_sentences_per_doc])
-        probs_t, _ = model.forward(truncated)
+        probs_t = probabilities(model, truncated)
         np.testing.assert_array_equal(probs, probs_t)
+
+
+class TestProbabilities:
+    def test_one_scope_shared_by_every_document(self, rng, monkeypatch):
+        model = desk_model()
+        docs = [random_doc(rng) for _ in range(6)]
+        shared = layers.ProjectionScope(model.conv, model.embedding_matrix)
+        expected = [model.forward(doc, scope=shared)[0] for doc in docs]
+        scope_class, made = layers.ProjectionScope, []
+
+        def counting_scope(*args, **kwargs):
+            made.append(args)
+            return scope_class(*args, **kwargs)
+        monkeypatch.setattr(layers, "ProjectionScope", counting_scope)
+        got = list(model.probabilities(iter(docs)))
+        assert len(made) == 1
+        for p, q in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(p, q)
 
 
 class TestPredict:
@@ -82,21 +110,21 @@ class TestPredict:
         model = desk_model(num_classes=3)
         model.head.weights[:] = 0.0
         model.head.bias[:] = [0.2, 0.5, 0.3]
-        assert model.predict(Document(((0, 0),))) == 1
+        assert predict(model, Document(((0, 0),))) == 1
 
     def test_tie_breaks_to_lowest(self, rng):
         model = desk_model()
         model.head.weights[:] = 0.0
         model.head.bias[:] = [0.5, 0.5]
-        assert model.predict(Document(((0,),))) == 0
+        assert predict(model, Document(((0,),))) == 0
 
     def test_monotone_rescaling_invariance(self, rng):
         model = desk_model(num_classes=3)
         doc = random_doc(rng)
-        pred = model.predict(doc)
+        pred = predict(model, doc)
         model.head.weights *= 2.0
         model.head.bias *= 2.0
-        assert model.predict(doc) == pred
+        assert predict(model, doc) == pred
 
 
 class TestConstruction:
@@ -177,8 +205,10 @@ class TestLossAndGrads:
             loss, _ = model.loss_and_grads([doc], dropout_rng=np.random.default_rng(9))
             return loss
 
-        dropped, _ = model.forward(doc, train=True, dropout_rng=np.random.default_rng(9))
-        assert not np.allclose(dropped, model.forward(doc)[0])
+        scope = layers.ProjectionScope(model.conv, model.embedding_matrix)
+        dropped, _ = model.forward(doc, train=True, dropout_rng=np.random.default_rng(9),
+                                   scope=scope)
+        assert not np.allclose(dropped, probabilities(model, doc))
         loss, grads = model.loss_and_grads([doc], dropout_rng=np.random.default_rng(9))
         worst = finite_difference_check(loss_fn, model.params(), grads, rng,
                                         coords_per_tensor=40, rtol=1e-4)
@@ -230,8 +260,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for _ in range(10):
             doc = random_doc(rng)
-            p1, _ = model.forward(doc)
-            p2, _ = loaded.forward(doc)
+            p1 = probabilities(model, doc)
+            p2 = probabilities(loaded, doc)
             np.testing.assert_array_equal(p1, p2)
         assert loaded.vocab == model.vocab and loaded.labels == model.labels
 

@@ -43,7 +43,8 @@ def windows(texts, f: int) -> int:
                for text in texts for sent in tokenize_document(text).sentences)
 
 
-def test_train_and_predict_keep_every_traced_name_and_count(tracing, tmp_path):
+def write_inputs(tmp_path):
+    """A 40-document dataset config, the predict input and the checkpoint path."""
     ds = make_marker_dataset(40, seed=5)
     write_dataset_csv(ds, tmp_path / "d.csv")
     conf = tmp_path / "d.conf"
@@ -51,7 +52,11 @@ def test_train_and_predict_keep_every_traced_name_and_count(tracing, tmp_path):
                     encoding="utf-8")
     lines = tmp_path / "lines.txt"
     lines.write_text("\n".join(PREDICT_LINES) + "\n", encoding="utf-8")
-    ckpt = tmp_path / "model.ckpt"
+    return ds, conf, lines, tmp_path / "model.ckpt"
+
+
+def test_train_and_predict_keep_every_traced_name_and_count(tracing, tmp_path):
+    ds, conf, lines, ckpt = write_inputs(tmp_path)
     tracer = tracing.Tracer()
     with tracer.installed(), redirect_stdout(io.StringIO()):
         assert cli.main(["train", "--dataset", str(conf), "--out", str(ckpt),
@@ -67,3 +72,31 @@ def test_train_and_predict_keep_every_traced_name_and_count(tracing, tmp_path):
     assert m["layers.conv.windows"] == want
     assert m["layers.conv.pad_window_ratio"] > 0
     assert m["layers.sentence_matrix.calls"] == m["layers.conv.forward.calls"]
+
+
+def test_predict_reaches_every_line_through_the_loaded_models_forward(tmp_path, monkeypatch):
+    # The benchmark's predict set-up time ends at the first call of `forward`
+    # on the model that cli.load_checkpoint returns (perfbench/run.py,
+    # work_boundary), so predict must look `forward` up on that instance.
+    _, conf, lines, ckpt = write_inputs(tmp_path)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--dataset", str(conf), "--out", str(ckpt),
+                         *SMALL_MODEL]) == 0
+    calls = []
+    load = cli.load_checkpoint
+
+    def load_counting(*args, **kwargs):
+        model = load(*args, **kwargs)
+        forward = model.forward
+
+        def counting_forward(*a, **k):
+            calls.append(a[0])
+            return forward(*a, **k)
+        model.forward = counting_forward
+        return model
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_counting)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["predict", "--model", str(ckpt), "--input", str(lines)]) == 0
+    assert len(calls) == len(PREDICT_LINES) == len(out.getvalue().splitlines())

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -106,13 +108,33 @@ class TestFit:
         for name, p in model.params().items():
             np.testing.assert_array_equal(p, weights_seen[1][name])
 
+    def test_batch_gradients_are_released_before_the_next_batch(self, rng):
+        model = desk_model()
+        real = model.loss_and_grads
+        previous = []
+
+        class Grads(dict):  # a dict subclass can be weakly referenced
+            pass
+
+        def tracked(batch, dropout_rng=None):
+            assert all(ref() is None for ref in previous), "last batch's gradients alive"
+            loss, grads = real(batch, dropout_rng)
+            grads = Grads(grads)
+            previous[:] = [weakref.ref(grads)]
+            return loss, grads
+
+        model.loss_and_grads = tracked
+        fit(model, labeled_docs(rng, 40), TrainConfig(batch_size=8, max_epochs=2, seed=1))
+        assert previous
+
     def test_converges_on_marker_task(self, rng):
         model = desk_model()
         docs = labeled_docs(rng, 40)
         cfg = TrainConfig(batch_size=8, max_epochs=50, patience=50,
                           learning_rate=0.01, seed=1)
         model, history = fit(model, docs, cfg)
-        correct = sum(model.predict(Document(d.sentences)) == d.label for d in docs)
+        probs = model.probabilities(Document(d.sentences) for d in docs)
+        correct = sum(int(np.argmax(p)) == d.label for p, d in zip(probs, docs))
         assert correct == len(docs)
 
     def test_stopping_rule_patience_one(self, rng):
