@@ -47,24 +47,27 @@ def load_word2vec_binary(path) -> EmbeddingTable:
 
     Header is an ASCII "V D\\n" line; each record is a space-terminated token
     followed by D little-endian float32 values and an optional newline. The
-    vectors are kept as float32 rows of one contiguous matrix, and each token
-    maps to a view of its row; widening to float64 is exact.
+    vectors are float32 rows of one contiguous matrix, the very buffer the file
+    is read into, and each token maps to a view of its row (exact as float64).
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = bytearray(fh.seek(0, 2))  # as long as the file
+        fh.seek(0)
+        del data[fh.readinto(data):]
     newline = data.find(b"\n")
     if newline < 0:
         raise ParseError(f"{path}: missing header line (byte offset 0)")
     try:
         vocab_size, dim = (int(x) for x in data[:newline].split())
     except ValueError:
-        raise ParseError(f"{path}: malformed header {data[:newline]!r} (byte offset 0)") from None
+        raise ParseError(f"{path}: malformed header {bytes(data[:newline])!r} "
+                         "(byte offset 0)") from None
     if vocab_size <= 0 or dim <= 0:
         raise ParseError(f"{path}: non-positive header counts {vocab_size} {dim}")
-    records = []  # (token, byte offset of its vector)
+    tokens = []
     offset = newline + 1
     record_bytes = 4 * dim
-    for _ in range(vocab_size):
+    for row in range(vocab_size):
         space = data.find(b" ", offset)
         if space < 0:
             raise ParseError(f"{path}: truncated token at byte offset {offset}")
@@ -73,14 +76,12 @@ def load_word2vec_binary(path) -> EmbeddingTable:
         end = start + record_bytes
         if end > len(data):
             raise ParseError(f"{path}: truncated record for {token!r} at byte offset {start}")
-        records.append((token, start))
-        offset = end
-        if offset < len(data) and data[offset : offset + 1] == b"\n":
-            offset += 1
-    matrix = np.empty((len(records), dim), dtype=np.float32)
-    for row, (_, start) in zip(matrix, records):
-        row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
-    return EmbeddingTable(dim, {token: row for (token, _), row in zip(records, matrix)})
+        tokens.append(token)
+        # Move the values down to their row, over bytes the parse has passed.
+        data[row * record_bytes : (row + 1) * record_bytes] = data[start:end]
+        offset = end + (data[end : end + 1] == b"\n")  # the optional newline
+    matrix = np.frombuffer(data, dtype="<f4", count=vocab_size * dim).reshape(vocab_size, dim)
+    return EmbeddingTable(dim, dict(zip(tokens, matrix)))
 
 
 def load_word2vec_text(path) -> EmbeddingTable:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,22 @@ class TestBinaryLoader:
             load_word2vec_binary(path)
         start = len(b"3 3\n") + len(b"hi ") + 12 + len(b"\nyo ")
         assert str(info.value) == f"{path}: truncated record for 'yo' at byte offset {start}"
+
+    def test_file_bytes_and_matrix_share_one_buffer(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(2000, 300)).astype(np.float32)
+        path = tmp_path / "vec.bin"
+        write_binary(path, [(f"w{i}", list(row)) for i, row in enumerate(values)])
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            table = load_word2vec_binary(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One file-sized buffer plus tokens and views, not the bytes and a copy.
+        assert peak < 1.5 * size
+        assert table.lookup("w1999").tobytes() == values[1999].tobytes()
 
     def test_load_twice_identical(self, tmp_path):
         path = tmp_path / "vec.bin"
