@@ -84,12 +84,9 @@ class HiCnnLstmClassifier:
 
 
 class NaiveBayesClassifier:
-    """Multinomial NB bag-of-words pipeline."""
+    """Multinomial NB bag-of-words pipeline with add-one smoothing."""
 
     name = "nb"
-
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = alpha
 
     def fit_predict_factory(self, tokenized, labels):
         num_classes = max(labels) + 1
@@ -97,7 +94,7 @@ class NaiveBayesClassifier:
             vocab = build_vocab(tokenized[i] for i in train_ix)
             t0 = time.perf_counter()
             nb = baseline.nb_fit([encode(tokenized[i], vocab, labels[i]) for i in train_ix],
-                                 len(vocab), num_classes, self.alpha)
+                                 len(vocab), num_classes)
             t1 = time.perf_counter()
             preds = [baseline.nb_predict(nb, encode(tokenized[i], vocab)) for i in test_ix]
             t2 = time.perf_counter()

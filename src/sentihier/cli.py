@@ -118,8 +118,11 @@ def cmd_crossval(args) -> int:
     out = _out_dir(args)
     started = datetime.now(timezone.utc).isoformat()
     ds, (classifier,) = _dataset_and_classifiers(args, [args.classifier])
-    out.mkdir(parents=True, exist_ok=True)
     tokenized, labels = prepare(ds)
+    if args.folds > len(labels):
+        raise ConfigurationError(f"--folds {args.folds} exceeds the dataset's "
+                                 f"{len(labels)} documents")
+    out.mkdir(parents=True, exist_ok=True)
     fit_predict = classifier.fit_predict_factory(tokenized, labels)
     t0 = time.perf_counter()
     fold_results, pooled = cross_validate(fit_predict, labels, k=args.folds,

@@ -14,15 +14,13 @@ class EmbeddingTable:
     """Read-only token -> vector map of a fixed dimension.
 
     Vectors are float64, or float32 rows for a word2vec .bin table; lookup
-    returns the same array object for a token on every call.
+    returns the same array object for a token on every call. Every vector
+    has shape (dim,): each constructor checks or builds that itself.
     """
 
     def __init__(self, dim: int, vectors: dict):
         if dim <= 0:
             raise ParseError(f"embedding dimension must be positive, got {dim}")
-        for tok, vec in vectors.items():
-            if vec.shape != (dim,):
-                raise ParseError(f"vector for {tok!r} has length {vec.shape[0]}, expected {dim}")
         self.dim = dim
         self._vectors = vectors
         self.oov_vector = np.zeros(dim, dtype=np.float64)

@@ -5,7 +5,10 @@ The convolution runs in embedding-row space. Its input is static word
 vectors, so a ProjectionScope computes each distinct vector's products with
 the filters once, one (F,) product per filter offset, and a sentence enters
 the layer as the table rows of its tokens (sentence_matrix): each window
-sums f of them instead of multiplying its own copy of the vectors.
+sums f of them instead of multiplying its own copy of the vectors. The
+table lives in any idle block its owner lends (`memory`) whenever it fits.
+The filter gradient reads the same rows (window_rows, ProjectionScope.vectors),
+so only this module knows how a sentence maps to rows and padding.
 
 Every layer's forward pass returns what its backward pass needs (a cache, or
 for the convolution its pooled features and argmax windows), and the backward
@@ -156,30 +159,32 @@ class ConvLayer:
         """
         return grad_features * (features > 0.0)
 
+    def window_rows(self, rows: np.ndarray, argmax: np.ndarray) -> np.ndarray:
+        """(F, f): [j, o] is the row at position argmax[j] + o of rows."""
+        return rows[argmax[:, None] + np.arange(self.filter_width)]
+
     @staticmethod
-    def param_grads(rows: np.ndarray, row_index: np.ndarray, gated: np.ndarray,
+    def param_grads(vectors: np.ndarray, windows: np.ndarray, gated: np.ndarray,
                     grad_filters: np.ndarray, grad_bias: np.ndarray):
         """Filter and bias gradients summed over a batch of S sentences.
 
-        rows (U, k) holds the distinct input rows the batch touched.
-        row_index (S, F, f) gives, for sentence s, filter j and offset o, the
-        row of `rows` at position argmax[s, j] + o, or -1 where that position
-        is zero padding. gated (S, F) stacks the backward outputs. For each
-        offset o, the (F, U) weight of every row under every filter is
-        gathered with one bincount, and one matrix product turns it into the
-        filters' slice for that offset: the windows themselves are never
-        formed.
+        vectors (U, k) holds the input rows the batch touched, a zero row
+        among them for padding. windows (S, F, f) gives, for sentence s,
+        filter j and offset o, the row of `vectors` at position
+        argmax[s, j] + o (window_rows). gated (S, F) stacks the backward
+        outputs. For each offset o, the (F, U) weight of every row under
+        every filter is gathered with one bincount, and one matrix product
+        turns it into the filters' slice for that offset: the windows
+        themselves are never formed.
         """
-        S, F, f = row_index.shape
-        U, k = rows.shape
+        S, F, f = windows.shape
+        U, k = vectors.shape
         by_offset = grad_filters.reshape(F, f, k)
-        filter_ids = np.broadcast_to(np.arange(F), (S, F))
+        filter_bins = np.arange(F) * U  # the bin of (filter j, row 0)
         for o in range(f):
-            index = row_index[:, :, o]
-            real = index >= 0
-            weight = np.bincount(filter_ids[real] * U + index[real], weights=gated[real],
-                                 minlength=F * U)
-            np.matmul(weight.reshape(F, U), rows, out=by_offset[:, o, :])
+            weight = np.bincount((filter_bins + windows[:, :, o]).ravel(),
+                                 weights=gated.ravel(), minlength=F * U)
+            np.matmul(weight.reshape(F, U), vectors, out=by_offset[:, o, :])
         np.sum(gated, axis=0, out=grad_bias)
 
 
@@ -190,24 +195,23 @@ class ProjectionScope:
 
     table[o, r] holds the (F,) products of the filters' offset-o columns with
     the vector of the token in row r; row 0 holds the zero vector's, which
-    pads sentences shorter than the filter width. Rows fill lazily, one
-    document at a time (admit), into a fixed budget of embedding_dim rows,
-    which makes the table exactly as large as conv.filters. When a
-    document's new tokens do not fit, the table starts over, keeping the
-    rows of vocabulary indices below half its size (the tokens most frequent
-    in training) if the document fits beside them. A document with more
-    distinct tokens than the table has rows grows the table to fit it.
+    pads sentences shorter than the filter width. Rows are admitted a group
+    at a time (admit), into a budget of at least embedding_dim rows. When a
+    group's new tokens do not fit, the table starts over, keeping the rows of
+    vocabulary indices below half its size (the tokens most frequent in
+    training) if the group fits beside them; a group with more distinct
+    tokens than the table has rows grows the table to fit it.
 
     A scope is valid only while the conv weights stay as they were when it
-    projected. Only the model makes scopes: one per training batch
-    (loss_and_grads) and one per inference run (probabilities).
+    projected. Only the model makes scopes: one per training batch, which
+    admits the batch at once, and one per inference run, document by document.
     """
 
     def __init__(self, conv: ConvLayer, embedding_matrix: np.ndarray,
                  memory: np.ndarray | None = None):
-        """`memory`, if given, is a contiguous float64 array as large as
-        conv.filters that nothing else uses while the scope lives; the table
-        is kept in it unless a document grows the table."""
+        """`memory`, if given, is a contiguous float64 array that nothing
+        else uses while the scope lives; the table is kept in it whenever
+        the table fits."""
         self.conv = conv
         self.embedding_matrix = embedding_matrix
         self.memory = memory
@@ -223,20 +227,27 @@ class ProjectionScope:
             self._allocate(self.conv.embedding_dim)
         capacity = self.table.shape[1]
         new = self._missing(tokens)
+        if len(new) == 0:
+            return
         if self.used + len(new) > capacity:
             self._start_over(keep_below=capacity // 2)
             new = self._missing(tokens)
             if self.used + len(new) > capacity:
+                self._start_over(keep_below=0)
                 new = np.unique(tokens)
                 if 1 + len(new) > capacity:
                     self._allocate(1 + len(new))
-                else:
-                    self._start_over(keep_below=0)
         rows = slice(self.used, self.used + len(new))
         self.slot[new] = np.arange(rows.start, rows.stop)
         self.held[rows] = new
         self.conv.project(self.embedding_matrix[new], self.table[:, rows])
         self.used = rows.stop
+
+    def vectors(self) -> np.ndarray:
+        """A copy of the word vector of each row in use; row 0's is zero."""
+        vectors = self.embedding_matrix[self.held[: self.used]]
+        vectors[0] = 0.0
+        return vectors
 
     def _missing(self, tokens: np.ndarray) -> np.ndarray:
         """The distinct tokens that have no row, in ascending order."""
@@ -249,12 +260,13 @@ class ProjectionScope:
         else:
             self.slot[self.held[1 : self.used]] = -1
         shape = (self.conv.filter_width, rows, self.conv.num_filters)
-        if self.memory is not None and rows == self.conv.embedding_dim:
-            self.table = self.memory.reshape(shape)
+        size = shape[0] * shape[1] * shape[2]
+        if self.memory is not None and size <= self.memory.size:
+            self.table = self.memory[:size].reshape(shape)
         else:
             self.table = np.empty(shape)
         self.table[:, 0] = 0.0
-        self.held = np.empty(rows, dtype=np.intp)
+        self.held = np.zeros(rows, dtype=np.intp)  # row 0: any index, vectors() zeroes it
         self.used = 1
 
     def _start_over(self, keep_below: int):

@@ -10,8 +10,9 @@ formed once per batch from the factors every document's backward pass collects.
 
 The convolution reads its filter products from a layers.ProjectionScope,
 which projects each distinct word vector once for as long as the conv
-weights stay fixed. Only this module makes scopes: one per loss_and_grads
-batch and one per call of probabilities, the one inference path.
+weights stay fixed. Only this module makes scopes: one per call of
+probabilities, the one inference path, which admits one document at a time,
+and one per loss_and_grads batch, projected at once into the idle gradients.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs.
@@ -151,17 +152,20 @@ class HiCnnLstmModel:
         scope.admit(np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp))
         dense_mask, lstm_masks = self._masks(dropout_rng if train else None)
         features = np.empty((len(sentences), cfg.num_filters))
-        argmax = np.empty((len(sentences), cfg.num_filters), dtype=np.intp)
+        windows = (np.empty((len(sentences), cfg.num_filters, cfg.filter_width), dtype=np.intp)
+                   if train else None)
         for t, sent in enumerate(sentences):
             rows = layers.sentence_matrix(sent, scope, cfg.filter_width)
-            features[t], argmax[t] = self.conv.forward(rows, scope)
+            features[t], argmax = self.conv.forward(rows, scope)
+            if train:
+                windows[t] = self.conv.window_rows(rows, argmax)
         sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
         encoded, bilstm_cache = layers.bilstm_encode(sent_vecs, self.lstm_fwd,
                                                      self.lstm_bwd, lstm_masks)
         probs = self.head.probs(encoded)
         cache = None
         if train:
-            cache = {"features": features, "argmax": argmax, "dense": dense_cache,
+            cache = {"features": features, "windows": windows, "dense": dense_cache,
                      "bilstm": bilstm_cache, "encoded": encoded}
         return probs, cache
 
@@ -187,15 +191,20 @@ class HiCnnLstmModel:
         # (train-jira peak RSS read 86 MB that way, against 78 MB).
         rows = {"head.grad": np.empty((B, cfg.num_classes)), "head.x": np.empty((B, 2 * H)),
                 "dense.grad": np.empty((n, m)), "dense.x": np.empty((n, F)),
-                "conv.grad": np.empty((n, F)), "conv.argmax": np.empty((n, F), dtype=np.intp)}
+                "conv.grad": np.empty((n, F)),
+                "conv.windows": np.empty((n, F, cfg.filter_width), dtype=np.intp)}
         for d in ("fwd", "bwd"):
             rows.update({f"{d}.dz": np.empty((n, 4 * H)), f"{d}.x_m": np.empty((n, m)),
                          f"{d}.h_m": np.empty((n, H))})
-        grads = {name: np.empty_like(p) for name, p in self.params().items()}
-        # The filter gradient is written only after every document has run, so
-        # until then its buffer, which is as large, holds the projection table.
-        scope = layers.ProjectionScope(self.conv, self.embedding_matrix,
-                                       memory=grads["conv.filters"])
+        sizes = [p.size for p in self.params().values()]
+        block = np.empty(sum(sizes))
+        grads = {name: part.reshape(p.shape) for (name, p), part in
+                 zip(self.params().items(), np.split(block, np.cumsum(sizes)[:-1]))}
+        # The gradients are views of one block, written only after every
+        # document has run: until then it holds the batch's projection table.
+        scope = layers.ProjectionScope(self.conv, self.embedding_matrix, memory=block)
+        scope.admit(np.fromiter(itertools.chain.from_iterable(itertools.chain(*sentences)),
+                                dtype=np.intp))
         total_loss = 0.0
         for i, doc in enumerate(batch):
             span = slice(int(ends[i]) - len(sentences[i]), int(ends[i]))
@@ -209,10 +218,9 @@ class HiCnnLstmModel:
                                         grads[f"lstm_{d}.bias"])
         layers.linear_param_grads(rows["dense.grad"], rows["dense.x"],
                                   grads["dense.weights"], grads["dense.bias"])
-        self._conv_param_grads([s for doc_sents in sentences for s in doc_sents],
-                               rows["conv.argmax"], rows["conv.grad"], grads)
-        for g in grads.values():
-            g /= B
+        self.conv.param_grads(scope.vectors(), rows["conv.windows"], rows["conv.grad"],
+                              grads["conv.filters"], grads["conv.bias"])
+        block /= B
         return total_loss / B, grads
 
     def _document_backward(self, doc: Document, i: int, span: slice, rows: dict,
@@ -233,26 +241,8 @@ class HiCnnLstmModel:
         grad_feats, rows["dense.grad"][span] = self.dense.backward(grad_seq, cache["dense"])
         rows["dense.x"][span] = cache["dense"]["x_masked"]
         rows["conv.grad"][span] = self.conv.backward(grad_feats, cache["features"])
-        rows["conv.argmax"][span] = cache["argmax"]
+        rows["conv.windows"][span] = cache["windows"]
         return loss
-
-    def _conv_param_grads(self, sentences, argmax: np.ndarray, gated: np.ndarray,
-                          grads: dict):
-        """Conv gradients of a batch in the space of the distinct embedding
-        rows it touched: each sentence is laid out zero-padded to the filter
-        width, as sentence_matrix pads it, with -1 marking a padding row."""
-        f = self.config.filter_width
-        padded = np.array([max(len(s), f) for s in sentences])
-        starts = np.cumsum(padded) - padded
-        tokens = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain(s, itertools.repeat(-1, f - len(s))) for s in sentences),
-            dtype=np.intp, count=int(padded.sum()))
-        used, layout = np.unique(tokens, return_inverse=True)
-        if used[0] < 0:  # the padding marker sorts first
-            used, layout = used[1:], layout - 1
-        row_index = layout[starts[:, None, None] + argmax[:, :, None] + np.arange(f)]
-        self.conv.param_grads(self.embedding_matrix[used], row_index, gated,
-                              grads["conv.filters"], grads["conv.bias"])
 
 
 def save_checkpoint(model: HiCnnLstmModel, path):

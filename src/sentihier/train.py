@@ -13,13 +13,11 @@ from .evaluation import stratified_pick
 class AdamState:
     """Per-parameter first/second moment accumulators and the step counter."""
 
-    def __init__(self, params: dict, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba 2015
+
+    def __init__(self, params: dict, learning_rate: float = 1e-3):
         self.t = 0
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
         self._scratch = np.empty(max((p.size for p in params.values()), default=0))
@@ -29,13 +27,13 @@ class AdamState:
 
         Consumes grads: each gradient array is overwritten as a temporary.
         The operations are those of
-            m += (1 - beta1) * (g - m);  v += (1 - beta2) * (g * g - v)
-            p -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+            m += (1 - BETA1) * (g - m);  v += (1 - BETA2) * (g * g - v)
+            p -= lr * (m / corr1) / (sqrt(v / corr2) + EPS)
         in the same order, so the result is bit-identical to that formula.
         """
         self.t += 1
-        corr1 = 1.0 - self.beta1 ** self.t
-        corr2 = 1.0 - self.beta2 ** self.t
+        corr1 = 1.0 - self.BETA1 ** self.t
+        corr2 = 1.0 - self.BETA2 ** self.t
         for name, p in params.items():
             g = grads[name]
             if g.shape != p.shape:
@@ -46,16 +44,16 @@ class AdamState:
             v = self.v[name]
             tmp = self._scratch[: g.size].reshape(g.shape)
             np.subtract(g, m, out=tmp)
-            tmp *= 1.0 - self.beta1
+            tmp *= 1.0 - self.BETA1
             m += tmp
             np.multiply(g, g, out=g)
             g -= v
-            g *= 1.0 - self.beta2
+            g *= 1.0 - self.BETA2
             v += g
             np.divide(m, corr1, out=tmp)  # m_hat
             np.divide(v, corr2, out=g)    # v_hat
             np.sqrt(g, out=g)
-            g += self.eps
+            g += self.EPS
             tmp *= self.learning_rate
             tmp /= g
             p -= tmp

@@ -358,10 +358,11 @@ class TestTrainPredict:
 @pytest.mark.parametrize("command", [
     ["crossval", "--classifier", "nb", "--override", "num_classes=3"],
     ["crossval", "--classifier", "nb", "--seed", "-1"],
+    ["crossval", "--classifier", "nb", "--folds", "100000"],
     ["learning-curve", "--classifier", "nb", "--override", "max_epochs=0"],
     ["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.2"],
-], ids=["crossval-num-classes", "crossval-negative-seed", "learning-curve-max-epochs",
-        "learning-curve-descending-fractions"])
+], ids=["crossval-num-classes", "crossval-negative-seed", "crossval-folds-above-size",
+        "learning-curve-max-epochs", "learning-curve-descending-fractions"])
 def test_rejected_flag_leaves_no_output_directory(dataset_config, tmp_path, command):
     out = tmp_path / "out"
     try:

@@ -291,8 +291,9 @@ class TestConvMaxpool:
         def loss_fn():
             return sum(float(w @ pooled(layer, emb, t)[0]) for w, t in zip(weights, sentences))
 
+        # Row 0 of the vectors is the zero row that pads; token t is row 1 + used.index(t).
         used = sorted({t for sent in sentences for t in sent})
-        row_index = np.full((3, F, f), -1)
+        windows = np.zeros((3, F, f), dtype=np.intp)
         gated = np.empty((3, F))
         for s_no, (w, tokens) in enumerate(zip(weights, sentences)):
             feats, argmax = pooled(layer, emb, tokens)
@@ -300,10 +301,10 @@ class TestConvMaxpool:
             for j, start in enumerate(argmax):
                 for o in range(f):
                     if start + o < len(tokens):
-                        row_index[s_no, j, o] = used.index(tokens[start + o])
-        assert (row_index == -1).any()
+                        windows[s_no, j, o] = 1 + used.index(tokens[start + o])
+        assert (windows == 0).any()
         grad_f, grad_b = np.empty_like(layer.filters), np.empty_like(layer.bias)
-        layer.param_grads(emb[used], row_index, gated, grad_f, grad_b)
+        layer.param_grads(np.vstack([np.zeros(k), emb[used]]), windows, gated, grad_f, grad_b)
         assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
@@ -380,6 +381,16 @@ class TestConvMaxpool:
             want_feats, want_argmax = window_oracle(layer.filters, layer.bias, emb, sent, f)
             np.testing.assert_array_equal(feats, want_feats)
             np.testing.assert_array_equal(argmax, want_argmax)
+
+    def test_admit_projects_nothing_when_every_token_has_a_row(self, rng, monkeypatch):
+        layer = ConvLayer(2, 3, 4, rng)
+        scope = admitted(layer, rng.normal(size=(9, 4)), [2, 3, 4, 5])
+        table, slot = scope.table.copy(), scope.slot.copy()
+        monkeypatch.setattr(layer, "project", pytest.fail)
+        scope.admit(np.array([5, 3, 3], dtype=np.intp))
+        np.testing.assert_array_equal(scope.table, table)
+        np.testing.assert_array_equal(scope.slot, slot)
+        assert scope.used == 5
 
     def test_forward_rejects_a_scope_of_another_layer(self, rng):
         layer, other = ConvLayer(2, 3, 4, rng), ConvLayer(2, 3, 4, rng)

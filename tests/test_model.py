@@ -215,33 +215,63 @@ class TestLossAndGrads:
         assert worst <= 1e-4
 
 
-    def three_doc_batch(self, rng):
+    def three_doc_batch(self, rng, extra_tokens=0):
         """A filter-width-3 model and three documents that share tokens, one
-        with a sentence shorter than the filter width."""
+        with a sentence shorter than the filter width; with extra_tokens, a
+        fourth document holds that many more distinct tokens."""
         cfg = ModelConfig(embedding_dim=5, filter_width=3, num_filters=4, sentence_dim=3,
                           lstm_hidden=2, num_classes=3, seed=3)
-        emb = rng.normal(size=(12, 5))
+        V = 12 + extra_tokens
+        emb = rng.normal(size=(V, 5))
         emb[:2] = 0.0
         batch = [Document(((2, 3, 4, 5), (6, 2)), label=0),
                  Document(((3, 3, 7, 8, 9, 2),), label=2),
                  Document(((10, 4, 6), (11, 2, 0, 5), (7,)), label=1)]
-        model = HiCnnLstmModel(cfg, emb, *desk_names(12, 3))
+        if extra_tokens:
+            batch.append(Document((tuple(range(12, V)), (V - 1, 3)), label=2))
+        model = HiCnnLstmModel(cfg, emb, *desk_names(V, 3))
         # Nonzero biases keep ReLU pre-activations off their kink at 0, where
         # a finite difference straddles two slopes.
         model.conv.bias[:] = rng.normal(scale=0.5, size=4)
         model.dense.bias[:] = rng.normal(scale=0.5, size=3)
         return model, batch
 
-    def test_three_document_batch_gradient_check(self, rng):
-        model, batch = self.three_doc_batch(rng)
+    def check_batch_gradients(self, rng, monkeypatch, extra_tokens, table_in_block):
+        """Finite-difference check of three_doc_batch(rng, extra_tokens),
+        whose projection table must live in the gradient block or not."""
+        model, batch = self.three_doc_batch(rng, extra_tokens)
+        scope_class, made = layers.ProjectionScope, []
+        monkeypatch.setattr(layers, "ProjectionScope",
+                            lambda *args, **kw: made.append(scope_class(*args, **kw)) or made[-1])
 
         def loss_fn():
             loss, _ = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
             return loss
 
         loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
+        (scope,) = made
+        assert scope.used == 12 + extra_tokens
+        assert np.shares_memory(scope.table, scope.memory) == table_in_block
         finite_difference_check(loss_fn, model.params(), grads, rng,
                                 coords_per_tensor=40, rtol=1e-4)
+
+    # The gradient block holds 190 floats, 15 table rows of f * F = 12: the
+    # three documents' 11 distinct tokens fit beside the zero row, and with
+    # a fourth document's 30 more they do not.
+    def test_three_document_batch_gradient_check(self, rng, monkeypatch):
+        self.check_batch_gradients(rng, monkeypatch, extra_tokens=0, table_in_block=True)
+
+    def test_gradient_check_of_a_batch_too_large_for_the_gradient_block(self, rng,
+                                                                        monkeypatch):
+        self.check_batch_gradients(rng, monkeypatch, extra_tokens=30, table_in_block=False)
+
+    def test_one_projection_per_batch(self, rng, monkeypatch):
+        model, batch = self.three_doc_batch(rng)
+        project, projected = layers.ConvLayer.project, []
+        monkeypatch.setattr(layers.ConvLayer, "project", lambda conv, vectors, out: (
+            projected.append(len(vectors)) or project(conv, vectors, out)))
+        model.loss_and_grads(batch)
+        assert projected == [11]  # the batch's distinct tokens
 
     def test_batch_gradients_equal_mean_of_single_document_gradients(self, rng):
         model, batch = self.three_doc_batch(rng)
