@@ -24,7 +24,6 @@ def round_half_away(x: float) -> int:
 class FoldPlan:
     k: int
     folds: tuple  # k tuples of indices; disjoint, covering the dataset
-    seed: int
 
     def train_test(self, fold: int):
         test = list(self.folds[fold])
@@ -53,7 +52,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
         rng.shuffle(ix)
         for pos, idx in enumerate(ix.tolist()):
             folds[pos % k].append(idx)
-    return FoldPlan(k=k, folds=tuple(tuple(sorted(f)) for f in folds), seed=seed)
+    return FoldPlan(k=k, folds=tuple(tuple(sorted(f)) for f in folds))
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,9 @@ class MetricsReport:
         return len(self.per_class)
 
 
-def compute_metrics(gold, predicted, num_classes: int | None = None) -> MetricsReport:
-    """Accuracy plus per-class precision/recall/F1 from the confusion matrix.
+def compute_metrics(gold, predicted, num_classes: int) -> MetricsReport:
+    """Accuracy plus per-class precision/recall/F1 from the num_classes x
+    num_classes confusion matrix.
 
     A class with zero precision and recall gets F1 = 0 (no division error).
     """
@@ -87,13 +87,12 @@ def compute_metrics(gold, predicted, num_classes: int | None = None) -> MetricsR
             f"gold has {len(gold)} entries, predicted has {len(predicted)}")
     if not gold:
         raise ContractViolation("compute_metrics on empty sequences")
-    C = num_classes if num_classes is not None else max(max(gold), max(predicted)) + 1
-    confusion = np.zeros((C, C), dtype=np.int64)
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     for g, p in zip(gold, predicted):
         confusion[g, p] += 1
     accuracy = float(np.trace(confusion)) / len(gold)
     per_class = []
-    for c in range(C):
+    for c in range(num_classes):
         tp = confusion[c, c]
         gold_c = confusion[c, :].sum()
         pred_c = confusion[:, c].sum()
@@ -113,8 +112,7 @@ class FoldResult:
     history: object = None
 
 
-def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
-                   num_classes: int | None = None):
+def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42, *, num_classes: int):
     """Run the k-fold protocol for one classifier.
 
     fit_predict(train_indices, test_indices, fold_seed) must train on the
@@ -126,7 +124,6 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
     propagates unchanged, with the fold number in its `fold` attribute.
     """
     labels = list(labels)
-    C = num_classes if num_classes is not None else max(labels) + 1
     plan = stratified_kfold(labels, k, seed)
     fold_seeds = [int(s.generate_state(1)[0])
                   for s in np.random.SeedSequence([seed, 0xCF0]).spawn(k)]
@@ -142,12 +139,12 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42,
             raise
         elapsed = time.perf_counter() - t0
         gold, preds = [labels[i] for i in test_ix], list(out["predictions"])
-        results.append(FoldResult(fold, compute_metrics(gold, preds, C),
+        results.append(FoldResult(fold, compute_metrics(gold, preds, num_classes),
                                   out.get("train_seconds", elapsed),
                                   out.get("test_seconds", 0.0), out.get("history")))
         pooled_gold.extend(gold)
         pooled_pred.extend(preds)
-    return results, compute_metrics(pooled_gold, pooled_pred, C)
+    return results, compute_metrics(pooled_gold, pooled_pred, num_classes)
 
 
 def stratified_pick(labels, fraction: float, total: int, rng: np.random.Generator) -> list:
@@ -208,7 +205,7 @@ def resample_plan(labels, fractions, seed: int):
 
 
 def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
-                   seed: int = 42, num_classes: int | None = None):
+                   seed: int = 42, *, num_classes: int):
     """Bootstrap learning curve on a fixed stratified 70/30 split.
 
     Returns (list of CurvePoint, list of skipped-point warnings).
@@ -217,7 +214,6 @@ def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
     if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
         raise ConfigurationError(f"fractions must be ascending and in (0, 1]: {fractions}")
     labels = list(labels)
-    C = num_classes if num_classes is not None else max(labels) + 1
     train_ix, test_ix, draws = resample_plan(labels, fractions, seed)
     point_seeds = [int(s.generate_state(1)[0])
                    for s in np.random.SeedSequence([seed, 0xC0]).spawn(len(draws))]
@@ -225,11 +221,12 @@ def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
     warnings = []
     gold = [labels[i] for i in test_ix]
     for (frac, sample_ix), pseed in zip(draws, point_seeds):
-        if len(sample_ix) < C:
-            warnings.append(f"fraction {frac}: resample size {len(sample_ix)} < {C} classes, skipped")
+        if len(sample_ix) < num_classes:
+            warnings.append(f"fraction {frac}: resample size {len(sample_ix)} < {num_classes} "
+                            "classes, skipped")
             continue
         preds = list(fit_predict(sample_ix, test_ix, pseed)["predictions"])
-        report = compute_metrics(gold, preds, C)
+        report = compute_metrics(gold, preds, num_classes)
         points.append(CurvePoint(frac, len(sample_ix), report.accuracy))
     return points, warnings
 

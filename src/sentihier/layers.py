@@ -1,13 +1,15 @@
 """Neural building blocks: temporal convolution with max-over-time pooling,
 a dense ReLU projection, LSTM cells and the softmax classification head.
+The convolution and the dense layer take a batch's sentences as one stack
+of rows and the head its documents as rows; the LSTM runs one sequence.
 
 The convolution runs in embedding-row space. Its input is static word
 vectors, so a ProjectionScope computes each distinct vector's products with
-the filters once, one (F,) product per filter offset, and a sentence enters
-the layer as the table rows of its tokens (sentence_matrix): each window
+the filters once, one (F,) product per filter offset, and sentences enter
+the layer as the table rows of their tokens (sentence_matrix): each window
 sums f of them instead of multiplying its own copy of the vectors. The
 table lives in any idle block its owner lends (`memory`) whenever it fits.
-The filter gradient reads the same rows (window_rows, ProjectionScope.vectors),
+The filter gradient reads the same rows (param_grads, ProjectionScope.vectors),
 so only this module knows how a sentence maps to rows and padding.
 
 Every layer's forward pass returns what its backward pass needs (a cache, or
@@ -22,18 +24,21 @@ anywhere; the finite-difference tests in the suite are the correctness
 authority.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import ContractViolation, ShapeError
 
 
 def softmax(v) -> np.ndarray:
-    """Numerically stable softmax via max-subtraction."""
+    """Numerically stable softmax via max-subtraction, of a vector or of
+    each row of a matrix."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"softmax needs a non-empty 1-d vector, got shape {v.shape}")
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ShapeError(f"softmax needs a non-empty vector or matrix, got shape {v.shape}")
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def sigmoid(v) -> np.ndarray:
@@ -83,18 +88,22 @@ def dropout_mask(rng: np.random.Generator | None, size: int, rate: float) -> np.
     return (rng.random(size) < keep).astype(np.float64) / keep
 
 
-def sentence_matrix(token_indices, scope: "ProjectionScope", min_rows: int) -> np.ndarray:
-    """A sentence as rows of the scope's table: the row of each token, then
-    the zero row (row 0) up to min_rows. The scope must have admitted every
-    token."""
-    if len(token_indices) == 0:
-        raise ContractViolation("sentence_matrix of an empty sentence")
-    rows = scope.slot[np.asarray(token_indices, dtype=np.intp)]
+def sentence_matrix(seqs, scope: "ProjectionScope", min_rows: int):
+    """Sentences (sequences of token indices) as one stack of rows of the
+    scope's table: each sentence's token rows, then the zero row (row 0) up
+    to min_rows. Returns (rows, starts): sentence s begins at rows[starts[s]].
+    The scope must have admitted every token."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    if len(lengths) == 0 or lengths.min() == 0:
+        raise ContractViolation("sentence_matrix of no sentence or of an empty one")
+    padded = np.maximum(lengths, min_rows)
+    starts = np.cumsum(padded) - padded
+    rows = np.zeros(padded.sum(), dtype=np.intp)
+    at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    rows[at] = scope.slot[np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp)]
     if rows.min() < 0:
         raise ContractViolation("sentence_matrix of a token its scope has not admitted")
-    if len(rows) < min_rows:
-        rows = np.concatenate([rows, np.zeros(min_rows - len(rows), dtype=np.intp)])
-    return rows
+    return rows, starts
 
 
 class ConvLayer:
@@ -123,29 +132,39 @@ class ConvLayer:
         for o in range(self.filter_width):
             np.matmul(vectors, self.filters[:, o * k : (o + 1) * k].T, out=out[o])
 
-    def forward(self, rows: np.ndarray, scope: "ProjectionScope"):
-        """Returns (pooled features, argmax window), each of length F.
+    def forward(self, rows: np.ndarray, starts: np.ndarray, scope: "ProjectionScope",
+                first_max: bool = False):
+        """Returns (pooled features (S, F), first-max windows (S, F) or None).
 
-        rows are a sentence's rows of the scope's table (sentence_matrix),
-        at least f of them. Window p's pre-activation, filter . window_p +
-        bias, is bias + sum over o of table[o, rows[p + o]]; the feature map
-        is its relu, and the pooled feature keeps the max over p, ties going
-        to the smallest p.
+        rows and starts are S sentences' rows of the scope's table, at least
+        f each (sentence_matrix). Window p's pre-activation, filter .
+        window_p + bias, is bias + sum over o of table[o, rows[p + o]], for
+        each window inside one sentence; the feature map is its relu, and a
+        sentence's pooled feature keeps the max over its windows. With
+        first_max, the windows are the positions in rows where each max is
+        first reached, ties going to the smallest position.
         """
-        n, f = len(rows), self.filter_width
-        if n < f:
-            raise ShapeError(f"input has {n} rows, below filter width {f}")
+        f = self.filter_width
+        lengths = np.diff(starts, append=len(rows))
+        if lengths.min() < f:
+            raise ShapeError(f"a sentence has {lengths.min()} rows, below filter width {f}")
         if scope.conv is not self:
             raise ContractViolation("forward with a scope of another conv layer")
-        num_windows = n - f + 1
+        counts = lengths - (f - 1)          # windows per sentence
+        first = np.cumsum(counts) - counts  # each sentence's first window
+        at = np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
         table = scope.table
-        pre = table[0].take(rows[:num_windows], axis=0)  # (P, F)
+        pre = table[0].take(rows[at], axis=0)  # (windows, F)
         for o in range(1, f):
-            pre += table[o].take(rows[o : o + num_windows], axis=0)
+            pre += table[o].take(rows[at + o], axis=0)
         pre += self.bias
         act = np.maximum(pre, 0.0, out=pre)
-        argmax = np.argmax(act, axis=0)  # first occurrence = smallest p
-        return act.max(axis=0), argmax
+        pooled = np.maximum.reduceat(act, first, axis=0)
+        if not first_max:
+            return pooled, None
+        below = act < np.repeat(pooled, counts, axis=0)
+        window = np.where(below, len(at), np.arange(len(at))[:, None])
+        return pooled, at[np.minimum.reduceat(window, first, axis=0)]
 
     def backward(self, grad_features: np.ndarray, features: np.ndarray):
         """Routes gradient through each filter's ReLU gate at its argmax window.
@@ -159,30 +178,25 @@ class ConvLayer:
         """
         return grad_features * (features > 0.0)
 
-    def window_rows(self, rows: np.ndarray, argmax: np.ndarray) -> np.ndarray:
-        """(F, f): [j, o] is the row at position argmax[j] + o of rows."""
-        return rows[argmax[:, None] + np.arange(self.filter_width)]
-
-    @staticmethod
-    def param_grads(vectors: np.ndarray, windows: np.ndarray, gated: np.ndarray,
-                    grad_filters: np.ndarray, grad_bias: np.ndarray):
+    def param_grads(self, vectors: np.ndarray, rows: np.ndarray, windows: np.ndarray,
+                    gated: np.ndarray, grad_filters: np.ndarray, grad_bias: np.ndarray):
         """Filter and bias gradients summed over a batch of S sentences.
 
         vectors (U, k) holds the input rows the batch touched, a zero row
-        among them for padding. windows (S, F, f) gives, for sentence s,
-        filter j and offset o, the row of `vectors` at position
-        argmax[s, j] + o (window_rows). gated (S, F) stacks the backward
+        among them for padding; rows stack the batch's sentences as rows of
+        `vectors`, and windows (S, F) gives each filter's first-max window as
+        a position in rows (forward). gated (S, F) stacks the backward
         outputs. For each offset o, the (F, U) weight of every row under
         every filter is gathered with one bincount, and one matrix product
         turns it into the filters' slice for that offset: the windows
         themselves are never formed.
         """
-        S, F, f = windows.shape
+        F, f = windows.shape[1], self.filter_width
         U, k = vectors.shape
         by_offset = grad_filters.reshape(F, f, k)
         filter_bins = np.arange(F) * U  # the bin of (filter j, row 0)
         for o in range(f):
-            weight = np.bincount((filter_bins + windows[:, :, o]).ravel(),
+            weight = np.bincount((filter_bins + rows[windows + o]).ravel(),
                                  weights=gated.ravel(), minlength=F * U)
             np.matmul(weight.reshape(F, U), vectors, out=by_offset[:, o, :])
         np.sum(gated, axis=0, out=grad_bias)
@@ -204,7 +218,8 @@ class ProjectionScope:
 
     A scope is valid only while the conv weights stay as they were when it
     projected. Only the model makes scopes: one per training batch, which
-    admits the batch at once, and one per inference run, document by document.
+    admits the batch at once, and one per inference run, which admits one
+    chunk of documents at a time.
     """
 
     def __init__(self, conv: ConvLayer, embedding_matrix: np.ndarray,
@@ -283,7 +298,8 @@ class ProjectionScope:
 
 class DenseLayer:
     """Fully connected ReLU layer with inverted dropout on its input, applied
-    to one vector (in,) or to the rows of a matrix (S, in) under one mask."""
+    to one vector (in,) or to the rows of a matrix (S, in), under one mask
+    (in,) or a mask per row (S, in)."""
 
     def __init__(self, out_dim: int, in_dim: int, rng: np.random.Generator | None):
         self.weights = _weights(rng, out_dim, in_dim)
@@ -431,20 +447,24 @@ class SoftmaxHead:
         return self.weights.shape[0]
 
     def probs(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.weights @ x + self.bias)
+        """Class probabilities of one input (in,), or of each row of (B, in):
+        one matrix product and a softmax per row."""
+        return softmax(x @ self.weights.T + self.bias)
 
-    def loss_and_grads(self, probs: np.ndarray, gold: int):
-        """Cross-entropy loss and gradients, given probs = self.probs(x).
+    def loss_and_grads(self, probs: np.ndarray, gold):
+        """Cross-entropy loss and gradients, given probs = self.probs(x), for
+        rows x (B, in) with gold classes gold (B,), or one x (in,) and an int.
 
-        Returns (loss, grad_x, grad_logits), where grad_logits is
-        probs - onehot(gold); the parameter gradients are linear_param_grads
-        of grad_logits paired with x.
+        Returns (loss summed over the rows, grad_x, grad_logits), where
+        grad_logits is probs - onehot(gold); the parameter gradients are
+        linear_param_grads of grad_logits paired with x.
         """
         C = self.num_classes
-        if not 0 <= gold < C:
-            raise ContractViolation(f"gold class {gold} outside [0, {C})")
-        loss = -np.log(max(probs[gold], 1e-300))
+        gold = np.asarray(gold, dtype=np.intp)[..., None]
+        if np.any((gold < 0) | (gold >= C)):
+            raise ContractViolation(f"gold class outside [0, {C}): {gold.ravel()}")
+        picked = np.take_along_axis(probs, gold, axis=-1)
+        loss = float(np.sum(-np.log(np.maximum(picked, 1e-300))))
         grad_logits = probs.copy()
-        grad_logits[gold] -= 1.0
-        grad_x = self.weights.T @ grad_logits
-        return loss, grad_x, grad_logits
+        np.put_along_axis(grad_logits, gold, picked - 1.0, axis=-1)
+        return loss, grad_logits @ self.weights, grad_logits

@@ -1,18 +1,21 @@
 """End-to-end hierarchical model: per-sentence CNN encoder, BiLSTM over the
 sentence vectors, softmax head; plus checkpoint persistence.
 
-Documents are processed one at a time (variable length, no cross-document
-padding). Within a document the sentences stay stacked as (S, .) rows from
-forward to gradient: the convolution pools each sentence into one row, the
-dense layer runs once on all S rows, and the backward pass gates and writes
-them as one block. Batch gradients are the mean of per-document gradients,
-formed once per batch from the factors every document's backward pass collects.
+One forward pass runs a list of documents (variable length, no
+cross-document padding). The sentences of every document stay stacked as
+rows from forward to gradient: the convolution pools each sentence into one
+row, the dense layer runs once on all the rows, and the backward pass gates
+them as one block. Only the BiLSTM runs one document at a time, forward and
+backward. The head takes one row per document, in one matrix product and a
+softmax per row. Batch gradients are the mean of per-document gradients,
+formed once per batch from the factors of all rows.
 
 The convolution reads its filter products from a layers.ProjectionScope,
 which projects each distinct word vector once for as long as the conv
 weights stay fixed. Only this module makes scopes: one per call of
-probabilities, the one inference path, which admits one document at a time,
-and one per loss_and_grads batch, projected at once into the idle gradients.
+probabilities, the one inference path, which admits one chunk of documents
+at a time, and one per loss_and_grads batch, projected at once into the
+idle gradients.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs.
@@ -41,6 +44,7 @@ from .textprep import Document, Vocabulary
 
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 2
+INFERENCE_CHUNK = 32  # documents per forward call of probabilities, after the first
 
 
 @dataclass(frozen=True)
@@ -133,116 +137,90 @@ class HiCnnLstmModel:
 
     def probabilities(self, docs):
         """Yields the class probabilities of each document of `docs` in
-        inference mode. The documents share one ProjectionScope, so the
-        weights must not change until the generator is done."""
+        inference mode. forward runs a first chunk of one document, so the
+        first result comes after one document's work, then chunks of
+        INFERENCE_CHUNK. The chunks share one ProjectionScope, so the weights
+        must not change until the generator is done."""
         scope = layers.ProjectionScope(self.conv, self.embedding_matrix)
-        for doc in docs:
-            yield self.forward(doc, scope=scope)[0]
+        docs, size = iter(docs), 1
+        while chunk := list(itertools.islice(docs, size)):
+            yield from self.forward(chunk, scope=scope)[0]
+            size = INFERENCE_CHUNK
 
-    def forward(self, doc: Document, train: bool = False, dropout_rng=None, *, scope):
-        """Returns (class probabilities, cache). Dropout is active only when
-        train=True and a dropout_rng is supplied; masks are fixed per document.
+    def forward(self, docs, train: bool = False, dropout_rng=None, *, scope):
+        """Returns ((B, C) class probabilities of the B documents `docs`,
+        cache). Dropout is active only when train=True and a dropout_rng is
+        supplied; masks are fixed per document and drawn in document order.
 
-        The convolution reads the word vectors' filter products from `scope`
-        (a ProjectionScope of this model), which projects the vectors of the
-        document's tokens it does not hold yet.
+        The sentences of all documents run through the convolution and the
+        dense layer as one stack of rows, each under its document's dense
+        mask; the BiLSTM encodes one document at a time, and the head takes
+        the B encodings as one matrix. The convolution reads the word
+        vectors' filter products from `scope` (a ProjectionScope of this
+        model), which projects the vectors of the tokens it does not hold yet.
         """
         cfg = self.config
-        sentences = doc.sentences[: cfg.max_sentences_per_doc]
-        scope.admit(np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp))
-        dense_mask, lstm_masks = self._masks(dropout_rng if train else None)
-        features = np.empty((len(sentences), cfg.num_filters))
-        windows = (np.empty((len(sentences), cfg.num_filters, cfg.filter_width), dtype=np.intp)
-                   if train else None)
-        for t, sent in enumerate(sentences):
-            rows = layers.sentence_matrix(sent, scope, cfg.filter_width)
-            features[t], argmax = self.conv.forward(rows, scope)
-            if train:
-                windows[t] = self.conv.window_rows(rows, argmax)
-        sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
-        encoded, bilstm_cache = layers.bilstm_encode(sent_vecs, self.lstm_fwd,
-                                                     self.lstm_bwd, lstm_masks)
+        sentences = [doc.sentences[: cfg.max_sentences_per_doc] for doc in docs]
+        seqs = list(itertools.chain.from_iterable(sentences))
+        scope.admit(np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp))
+        masks = [self._masks(dropout_rng if train else None) for _ in sentences]
+        counts = [len(s) for s in sentences]
+        rows, starts = layers.sentence_matrix(seqs, scope, cfg.filter_width)
+        features, windows = self.conv.forward(rows, starts, scope, first_max=train)
+        sent_vecs, dense_cache = self.dense.forward(
+            features, np.repeat([dense for dense, _ in masks], counts, axis=0))
+        doc_vecs = np.split(sent_vecs, np.cumsum(counts)[:-1])
+        encodings = [layers.bilstm_encode(vecs, self.lstm_fwd, self.lstm_bwd, lstm)
+                     for vecs, (_, lstm) in zip(doc_vecs, masks)]
+        encoded = np.array([enc for enc, _ in encodings])
         probs = self.head.probs(encoded)
         cache = None
         if train:
-            cache = {"features": features, "windows": windows, "dense": dense_cache,
-                     "bilstm": bilstm_cache, "encoded": encoded}
+            cache = {"rows": rows, "windows": windows, "features": features, "dense": dense_cache,
+                     "bilstm": [bilstm for _, bilstm in encodings], "encoded": encoded}
         return probs, cache
 
     def loss_and_grads(self, batch, dropout_rng=None):
         """Mean cross-entropy loss and mean gradients over a batch of documents.
 
-        Each document's backward pass yields its input gradients plus small
-        per-row factors (one row per document for the head, one per sentence
-        elsewhere); once the batch is done, every weight gradient is one
+        One forward pass runs the batch. The backward pass runs the head, the
+        dense layer and the convolution once each over all their rows (one
+        row per document for the head, one per sentence elsewhere), and the
+        BiLSTM one document at a time; then every weight gradient is one
         matrix product over the factors of all its rows.
         """
         if len(batch) == 0:
             raise ContractViolation("loss_and_grads on an empty batch")
         if any(doc.label is None for doc in batch):
             raise ContractViolation("loss_and_grads requires labeled documents")
-        cfg = self.config
-        sentences = [doc.sentences[: cfg.max_sentences_per_doc] for doc in batch]
-        ends = np.cumsum([len(s) for s in sentences])
-        B, n, F, m, H = (len(batch), int(ends[-1]), cfg.num_filters, cfg.sentence_dim,
-                         cfg.lstm_hidden)
-        # Allocated up front, so that no array of one document outlives it:
-        # small per-document arrays kept across the batch fragment the heap
-        # (train-jira peak RSS read 86 MB that way, against 78 MB).
-        rows = {"head.grad": np.empty((B, cfg.num_classes)), "head.x": np.empty((B, 2 * H)),
-                "dense.grad": np.empty((n, m)), "dense.x": np.empty((n, F)),
-                "conv.grad": np.empty((n, F)),
-                "conv.windows": np.empty((n, F, cfg.filter_width), dtype=np.intp)}
-        for d in ("fwd", "bwd"):
-            rows.update({f"{d}.dz": np.empty((n, 4 * H)), f"{d}.x_m": np.empty((n, m)),
-                         f"{d}.h_m": np.empty((n, H))})
         sizes = [p.size for p in self.params().values()]
         block = np.empty(sum(sizes))
         grads = {name: part.reshape(p.shape) for (name, p), part in
                  zip(self.params().items(), np.split(block, np.cumsum(sizes)[:-1]))}
-        # The gradients are views of one block, written only after every
-        # document has run: until then it holds the batch's projection table.
+        # The gradients are views of one block, written only after the
+        # forward pass: until then it holds the batch's projection table.
         scope = layers.ProjectionScope(self.conv, self.embedding_matrix, memory=block)
-        scope.admit(np.fromiter(itertools.chain.from_iterable(itertools.chain(*sentences)),
-                                dtype=np.intp))
-        total_loss = 0.0
-        for i, doc in enumerate(batch):
-            span = slice(int(ends[i]) - len(sentences[i]), int(ends[i]))
-            total_loss += self._document_backward(doc, i, span, rows, scope, dropout_rng)
-        layers.linear_param_grads(rows["head.grad"], rows["head.x"],
+        probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng, scope=scope)
+        loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, [d.label for d in batch])
+        lstm_caches = cache["bilstm"]
+        per_doc = [layers.bilstm_backward(g, self.lstm_fwd, self.lstm_bwd, c)
+                   for g, c in zip(grad_enc, lstm_caches)]  # (grad_seq, dz_fwd, dz_bwd) each
+        grad_seq, dz_fwd, dz_bwd = (np.concatenate(parts) for parts in zip(*per_doc))
+        grad_feats, grad_pre = self.dense.backward(grad_seq, cache["dense"])
+        gated = self.conv.backward(grad_feats, cache["features"])
+        layers.linear_param_grads(grad_logits, cache["encoded"],
                                   grads["head.weights"], grads["head.bias"])
-        for d in ("fwd", "bwd"):
-            layers.LstmCell.param_grads(rows[f"{d}.dz"], rows[f"{d}.x_m"], rows[f"{d}.h_m"],
-                                        grads[f"lstm_{d}.input_weights"],
+        for d, dz in (("fwd", dz_fwd), ("bwd", dz_bwd)):
+            x_m, h_m = (np.concatenate([c[d][k] for c in lstm_caches]) for k in ("x_m", "h_m"))
+            layers.LstmCell.param_grads(dz, x_m, h_m, grads[f"lstm_{d}.input_weights"],
                                         grads[f"lstm_{d}.recurrent_weights"],
                                         grads[f"lstm_{d}.bias"])
-        layers.linear_param_grads(rows["dense.grad"], rows["dense.x"],
+        layers.linear_param_grads(grad_pre, cache["dense"]["x_masked"],
                                   grads["dense.weights"], grads["dense.bias"])
-        self.conv.param_grads(scope.vectors(), rows["conv.windows"], rows["conv.grad"],
+        self.conv.param_grads(scope.vectors(), cache["rows"], cache["windows"], gated,
                               grads["conv.filters"], grads["conv.bias"])
-        block /= B
-        return total_loss / B, grads
-
-    def _document_backward(self, doc: Document, i: int, span: slice, rows: dict,
-                           scope: layers.ProjectionScope, dropout_rng) -> float:
-        """Backward pass of one document: writes its factors to row i of the
-        per-document buffers and to rows `span` of the per-sentence ones."""
-        probs, cache = self.forward(doc, train=True, dropout_rng=dropout_rng, scope=scope)
-        loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, doc.label)
-        rows["head.grad"][i] = grad_logits
-        rows["head.x"][i] = cache["encoded"]
-        bilstm_cache = cache["bilstm"]
-        grad_seq, dz_fwd, dz_bwd = layers.bilstm_backward(
-            grad_enc, self.lstm_fwd, self.lstm_bwd, bilstm_cache)
-        for d, dz in (("fwd", dz_fwd), ("bwd", dz_bwd)):
-            rows[f"{d}.dz"][span] = dz
-            rows[f"{d}.x_m"][span] = bilstm_cache[d]["x_m"]
-            rows[f"{d}.h_m"][span] = bilstm_cache[d]["h_m"]
-        grad_feats, rows["dense.grad"][span] = self.dense.backward(grad_seq, cache["dense"])
-        rows["dense.x"][span] = cache["dense"]["x_masked"]
-        rows["conv.grad"][span] = self.conv.backward(grad_feats, cache["features"])
-        rows["conv.windows"][span] = cache["windows"]
-        return loss
+        block /= len(batch)
+        return loss / len(batch), grads
 
 
 def save_checkpoint(model: HiCnnLstmModel, path):

@@ -85,13 +85,13 @@ class TestStratifiedKfold:
 
 class TestComputeMetrics:
     def test_all_correct(self):
-        rep = compute_metrics([0, 1, 2], [0, 1, 2])
+        rep = compute_metrics([0, 1, 2], [0, 1, 2], 3)
         assert rep.accuracy == 1.0
         for m in rep.per_class:
             assert m.precision == m.recall == m.f1 == 1.0
 
     def test_worked_example(self):
-        rep = compute_metrics([0, 0, 1, 1, 2, 2], [0, 1, 1, 1, 2, 0])
+        rep = compute_metrics([0, 0, 1, 1, 2, 2], [0, 1, 1, 1, 2, 0], 3)
         assert rep.accuracy == pytest.approx(4 / 6)
         assert rep.per_class[0].precision == pytest.approx(1 / 2)
         assert rep.per_class[0].recall == pytest.approx(1 / 2)
@@ -108,7 +108,7 @@ class TestComputeMetrics:
 
     def test_length_mismatch(self):
         with pytest.raises(ContractViolation):
-            compute_metrics([0, 1], [0])
+            compute_metrics([0, 1], [0], 2)
 
     def test_matches_brute_force_on_random_cases(self):
         rng = np.random.default_rng(99)
@@ -141,7 +141,7 @@ class TestCrossValidate:
         def perfect(train_ix, test_ix, seed):
             return {"predictions": [labels[i] for i in test_ix]}
 
-        folds, pooled = cross_validate(perfect, labels, k=4, seed=1)
+        folds, pooled = cross_validate(perfect, labels, k=4, seed=1, num_classes=2)
         assert pooled.accuracy == 1.0
         assert all(f.report.accuracy == 1.0 for f in folds)
 
@@ -151,7 +151,7 @@ class TestCrossValidate:
         def majority(train_ix, test_ix, seed):
             return {"predictions": [0] * len(test_ix)}
 
-        _, pooled = cross_validate(majority, labels, k=10, seed=42)
+        _, pooled = cross_validate(majority, labels, k=10, seed=42, num_classes=2)
         assert pooled.accuracy == pytest.approx(636 / 926)
 
     def test_deterministic_per_seed(self):
@@ -162,8 +162,8 @@ class TestCrossValidate:
             r = np.random.default_rng(seed)
             return {"predictions": r.integers(0, 2, size=len(test_ix)).tolist()}
 
-        r1 = cross_validate(noisy_but_seeded, labels, k=5, seed=9)
-        r2 = cross_validate(noisy_but_seeded, labels, k=5, seed=9)
+        r1 = cross_validate(noisy_but_seeded, labels, k=5, seed=9, num_classes=2)
+        r2 = cross_validate(noisy_but_seeded, labels, k=5, seed=9, num_classes=2)
         assert np.array_equal(r1[1].confusion, r2[1].confusion)
 
 
@@ -182,7 +182,7 @@ class TestCrossValidate:
             return {"predictions": [0] * len(test_ix)}
 
         with pytest.raises(type(exc)) as info:
-            cross_validate(fails_in_fold_2, labels, k=4, seed=5)
+            cross_validate(fails_in_fold_2, labels, k=4, seed=5, num_classes=2)
         assert info.value is exc
         assert info.value.fold == 2
 
@@ -230,7 +230,7 @@ class TestLearningCurve:
         def majority(train_ix, test_ix, seed):
             return {"predictions": [0] * len(test_ix)}
 
-        points, warnings = learning_curve(majority, labels, [1.0], seed=6)
+        points, warnings = learning_curve(majority, labels, [1.0], seed=6, num_classes=2)
         train, test, _ = resample_plan(labels, [1.0], seed=6)
         share = sum(1 for i in test if labels[i] == 0) / len(test)
         assert points[0].test_accuracy == pytest.approx(share)
@@ -240,7 +240,7 @@ class TestLearningCurve:
         labels = [0, 1] * 50
         points, _ = learning_curve(
             lambda a, b, s: {"predictions": [0] * len(b)}, labels,
-            [0.2, 0.4, 0.6, 0.8, 1.0], seed=2)
+            [0.2, 0.4, 0.6, 0.8, 1.0], seed=2, num_classes=2)
         train, _, _ = resample_plan(labels, [1.0], seed=2)
         for p in points:
             assert p.resample_size == round_half_away(p.fraction * len(train))
@@ -248,7 +248,7 @@ class TestLearningCurve:
     def test_unsorted_fractions_rejected(self):
         with pytest.raises(ConfigurationError):
             learning_curve(lambda a, b, s: {"predictions": []}, [0, 1] * 10,
-                           [0.8, 0.2], seed=1)
+                           [0.8, 0.2], seed=1, num_classes=2)
 
     def test_tiny_resample_skipped_with_warning(self):
         labels = [0, 1, 2] * 10
@@ -261,14 +261,14 @@ class TestLearningCurve:
 
 class TestReportExport:
     def test_csv_rows(self):
-        rep = compute_metrics([0, 1], [0, 1])
+        rep = compute_metrics([0, 1], [0, 1], 2)
         rows = list(report_to_csv_rows(rep, ["negative", "positive"]))
         assert rows[0] == "class,precision,recall,f1,support"
         assert rows[1].startswith("negative,1.0,1.0,1.0,1")
         assert rows[-1].startswith("accuracy,1.0")
 
     def test_markdown_table_shape(self):
-        rep = compute_metrics([0, 1, 1], [0, 1, 0])
+        rep = compute_metrics([0, 1, 1], [0, 1, 0], 2)
         md = report_to_markdown(rep, ["negative", "positive"])
         lines = md.splitlines()
         assert len(lines) == 5  # header, rule, two classes, accuracy

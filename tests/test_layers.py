@@ -74,7 +74,9 @@ def admitted(layer, emb, tokens):
 def pooled(layer, emb, tokens, scope=None):
     """(features, argmax) of one sentence of token indices into emb."""
     scope = admitted(layer, emb, tokens) if scope is None else scope
-    return layer.forward(sentence_matrix(tokens, scope, layer.filter_width), scope)
+    feats, argmax = layer.forward(*sentence_matrix([tokens], scope, layer.filter_width), scope,
+                                  first_max=True)
+    return feats[0], argmax[0]  # a lone sentence starts at row 0
 
 
 def pooled_matrix(layer, s):
@@ -102,9 +104,8 @@ def window_pre(layer, s):
 
 def conv_param_grads(layer, s, argmax, gated):
     """(grad_filters, grad_bias) of one sentence matrix with no padding rows."""
-    row_index = argmax[None, :, None] + np.arange(layer.filter_width)
     grad_f, grad_b = np.empty_like(layer.filters), np.empty_like(layer.bias)
-    layer.param_grads(s, row_index, gated[None], grad_f, grad_b)
+    layer.param_grads(s, np.arange(len(s)), argmax[None], gated[None], grad_f, grad_b)
     return grad_f, grad_b
 
 
@@ -119,6 +120,12 @@ class TestSoftmax:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             softmax([])
+
+    def test_one_softmax_per_row(self):
+        rows = np.array([[1.0, 2.0, 3.0], [700.0, -700.0, 0.0]])
+        out = softmax(rows)
+        for row, got in zip(rows, out):
+            np.testing.assert_array_equal(got, softmax(row))
 
     @given(st.lists(st.floats(-700, 700), min_size=1, max_size=20),
            st.floats(-1e8, 1e8))
@@ -170,30 +177,47 @@ class TestSentenceMatrix:
         emb = np.arange(40, dtype=float).reshape(10, 4)
         tokens = [2, 3, 4, 5, 6, 7, 8]
         scope = admitted(ConvLayer(5, 3, 4, None), emb, tokens)
-        rows = sentence_matrix(tokens, scope, min_rows=5)
+        rows, starts = sentence_matrix([tokens], scope, min_rows=5)
         assert rows.shape == (7,)
+        np.testing.assert_array_equal(starts, [0])
         np.testing.assert_array_equal(scope.held[rows], tokens)
 
     def test_padding(self):
         emb = np.ones((6, 4))
         layer = ConvLayer(5, 3, 4, np.random.default_rng(0))
         scope = admitted(layer, emb, [2, 3])
-        rows = sentence_matrix([2, 3], scope, min_rows=5)
+        rows, _ = sentence_matrix([[2, 3]], scope, min_rows=5)
         assert rows.shape == (5,)
         np.testing.assert_array_equal(rows[2:], [0, 0, 0])
         np.testing.assert_array_equal(scope.table[:, rows[2:]], np.zeros((5, 3, 3)))
+
+    def test_sentences_stack_each_padded_to_min_rows(self):
+        emb = np.arange(40, dtype=float).reshape(10, 4)
+        sentences = [(2, 3, 4, 5), (6,), (7, 2, 8)]
+        scope = admitted(ConvLayer(3, 3, 4, None), emb, [2, 3, 4, 5, 6, 7, 8])
+        rows, starts = sentence_matrix(sentences, scope, min_rows=3)
+        np.testing.assert_array_equal(starts, [0, 4, 7])
+        np.testing.assert_array_equal(rows[[5, 6]], [0, 0])
+        np.testing.assert_array_equal(scope.held[np.delete(rows, [5, 6])],
+                                      [2, 3, 4, 5, 6, 7, 2, 8])
 
     def test_all_oov_is_zero_matrix(self):
         emb = np.ones((6, 4))
         emb[0] = 0.0
         scope = admitted(ConvLayer(3, 3, 4, np.random.default_rng(0)), emb, [0, 0, 0])
-        rows = sentence_matrix([0, 0, 0], scope, min_rows=3)
+        rows, _ = sentence_matrix([[0, 0, 0]], scope, min_rows=3)
         np.testing.assert_array_equal(scope.table[:, rows], np.zeros((3, 3, 3)))
 
     def test_token_the_scope_has_not_admitted_is_rejected(self):
         scope = admitted(ConvLayer(2, 3, 4, np.random.default_rng(0)), np.ones((6, 4)), [2, 3])
         with pytest.raises(ContractViolation):
-            sentence_matrix([2, 4], scope, min_rows=2)
+            sentence_matrix([[2, 3], [2, 4]], scope, min_rows=2)
+
+    @pytest.mark.parametrize("seqs", [[], [[2], []]], ids=["no-sentence", "empty-sentence"])
+    def test_empty_input_is_rejected(self, seqs):
+        scope = admitted(ConvLayer(2, 3, 4, np.random.default_rng(0)), np.ones((6, 4)), [2])
+        with pytest.raises(ContractViolation):
+            sentence_matrix(seqs, scope, min_rows=2)
 
 
 class TestConvMaxpool:
@@ -293,18 +317,18 @@ class TestConvMaxpool:
 
         # Row 0 of the vectors is the zero row that pads; token t is row 1 + used.index(t).
         used = sorted({t for sent in sentences for t in sent})
-        windows = np.zeros((3, F, f), dtype=np.intp)
+        stacked, windows = [], np.empty((3, F), dtype=np.intp)
         gated = np.empty((3, F))
         for s_no, (w, tokens) in enumerate(zip(weights, sentences)):
             feats, argmax = pooled(layer, emb, tokens)
             gated[s_no] = layer.backward(w, feats)
-            for j, start in enumerate(argmax):
-                for o in range(f):
-                    if start + o < len(tokens):
-                        windows[s_no, j, o] = 1 + used.index(tokens[start + o])
-        assert (windows == 0).any()
+            windows[s_no] = len(stacked) + argmax
+            stacked += [1 + used.index(t) for t in tokens] + [0] * (f - len(tokens))
+        rows = np.array(stacked)
+        assert (rows[windows[:, :, None] + np.arange(f)] == 0).any()
         grad_f, grad_b = np.empty_like(layer.filters), np.empty_like(layer.bias)
-        layer.param_grads(np.vstack([np.zeros(k), emb[used]]), windows, gated, grad_f, grad_b)
+        layer.param_grads(np.vstack([np.zeros(k), emb[used]]), rows, windows, gated,
+                          grad_f, grad_b)
         assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
@@ -382,6 +406,33 @@ class TestConvMaxpool:
             np.testing.assert_array_equal(feats, want_feats)
             np.testing.assert_array_equal(argmax, want_argmax)
 
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_the_exhaustive_window_oracle(self, f, F, k, data):
+        # One forward call over a batch of sentences of 1 to 3f tokens.
+        # Small-integer filters and vectors keep every pre-activation exact;
+        # zero filters and sentences of one repeated token force tied windows.
+        V = 6
+        layer = ConvLayer(f, F, k, None)
+        ints = st.integers(-2, 2).map(float)
+        layer.filters[:] = data.draw(arrays(np.float64, layer.filters.shape, elements=ints))
+        layer.filters[data.draw(st.lists(st.booleans(), min_size=F, max_size=F))] = 0.0
+        layer.bias[:] = data.draw(arrays(np.float64, F, elements=ints))
+        emb = data.draw(arrays(np.float64, (V, k), elements=ints))
+        token = st.integers(0, V - 1)
+        sentence = st.one_of(
+            st.lists(token, min_size=1, max_size=3 * f),
+            st.builds(lambda t, n: [t] * n, token, st.integers(1, 3 * f)))
+        sentences = data.draw(st.lists(sentence, min_size=1, max_size=6))
+        scope = admitted(layer, emb, np.concatenate(sentences))
+        rows, starts = sentence_matrix(sentences, scope, f)
+        feats, windows = layer.forward(rows, starts, scope, first_max=True)
+        np.testing.assert_array_equal(layer.forward(rows, starts, scope)[0], feats)
+        for s, sent in enumerate(sentences):
+            want_feats, want_argmax = window_oracle(layer.filters, layer.bias, emb, sent, f)
+            np.testing.assert_array_equal(feats[s], want_feats)
+            np.testing.assert_array_equal(windows[s] - starts[s], want_argmax)
+
     def test_admit_projects_nothing_when_every_token_has_a_row(self, rng, monkeypatch):
         layer = ConvLayer(2, 3, 4, rng)
         scope = admitted(layer, rng.normal(size=(9, 4)), [2, 3, 4, 5])
@@ -396,7 +447,7 @@ class TestConvMaxpool:
         layer, other = ConvLayer(2, 3, 4, rng), ConvLayer(2, 3, 4, rng)
         scope = admitted(other, rng.normal(size=(5, 4)), [2, 3, 4])
         with pytest.raises(ContractViolation):
-            layer.forward(sentence_matrix([2, 3, 4], scope, 2), scope)
+            layer.forward(*sentence_matrix([[2, 3, 4]], scope, 2), scope)
 
 
 class TestDenseRelu:
@@ -705,5 +756,11 @@ class TestSoftmaxHead:
 
         grad_logits = np.stack([head.loss_and_grads(head.probs(x), gold)[2] for x, gold in zip(xs, golds)])
         grad_w, grad_b = linear_grads(head, grad_logits, xs)
+        loss, grad_xs, batch_logits = head.loss_and_grads(head.probs(xs), golds)
+        assert loss == pytest.approx(loss_fn(), rel=1e-12)
+        np.testing.assert_allclose(batch_logits, grad_logits, rtol=1e-12)
+        for x, gold, grad_x in zip(xs, golds, grad_xs):
+            np.testing.assert_allclose(grad_x, head.loss_and_grads(head.probs(x), gold)[1],
+                                       rtol=1e-12)
         assert_matches_fd(grad_w, fd_grad(loss_fn, head.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, head.bias, rng))

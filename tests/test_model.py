@@ -15,6 +15,7 @@ from sentihier.errors import (
     ShapeError,
 )
 from sentihier.model import (
+    INFERENCE_CHUNK,
     Document,
     HiCnnLstmModel,
     ModelConfig,
@@ -92,7 +93,9 @@ class TestProbabilities:
         model = desk_model()
         docs = [random_doc(rng) for _ in range(6)]
         shared = layers.ProjectionScope(model.conv, model.embedding_matrix)
-        expected = [model.forward(doc, scope=shared)[0] for doc in docs]
+        # the chunks of probabilities: the first document, then the rest
+        expected = [*model.forward(docs[:1], scope=shared)[0],
+                    *model.forward(docs[1:], scope=shared)[0]]
         scope_class, made = layers.ProjectionScope, []
 
         def counting_scope(*args, **kwargs):
@@ -103,6 +106,18 @@ class TestProbabilities:
         assert len(made) == 1
         for p, q in zip(got, expected, strict=True):
             np.testing.assert_array_equal(p, q)
+
+    def test_chunks_of_one_then_inference_chunk_documents(self, rng, monkeypatch):
+        model = desk_model()
+        docs = [random_doc(rng) for _ in range(INFERENCE_CHUNK + 8)]
+        singles = [probabilities(model, doc) for doc in docs]
+        forward, chunks = model.forward, []
+        monkeypatch.setattr(model, "forward", lambda chunk, *a, **k: (
+            chunks.append(len(chunk)) or forward(chunk, *a, **k)))
+        got = list(model.probabilities(iter(docs)))
+        assert chunks == [1, INFERENCE_CHUNK, 7]
+        for p, q in zip(got, singles, strict=True):
+            np.testing.assert_allclose(p, q, rtol=0, atol=1e-15)
 
 
 class TestPredict:
@@ -147,7 +162,7 @@ class TestLossAndGrads:
         monkeypatch.setattr(layers.SoftmaxHead, "probs",
                             lambda head, x: calls.append(x) or probs(head, x))
         model.loss_and_grads([random_doc(rng, label=i % 2) for i in range(3)])
-        assert len(calls) == 3
+        assert [x.shape for x in calls] == [(3, 2 * model.config.lstm_hidden)]
 
     def test_perfect_prediction_zero_loss(self, rng):
         model = desk_model()
@@ -192,28 +207,44 @@ class TestLossAndGrads:
                                 coords_per_tensor=30)
 
     def test_gradient_check_with_dropout_at_larger_shapes(self, rng):
+        self.check_with_dropout_at_larger_shapes(rng, batched=False)
+
+    def test_batch_gradient_check_with_dropout_at_larger_shapes(self, rng):
+        self.check_with_dropout_at_larger_shapes(rng, batched=True)
+
+    def check_with_dropout_at_larger_shapes(self, rng, batched):
+        """Finite-difference check of one four-sentence document, or of it
+        and two more, under dropout."""
         cfg = ModelConfig(embedding_dim=6, filter_width=3, num_filters=5, sentence_dim=4,
                           lstm_hidden=3, num_classes=3, seed=7)
         assert cfg.dense_dropout > 0 and cfg.lstm_dropout > 0
         emb = rng.normal(size=(40, 6))
         emb[:2] = 0.0
         model = HiCnnLstmModel(cfg, emb, *desk_names(40, 3))
-        doc = Document(tuple(tuple(int(t) for t in rng.integers(2, 40, size=12))
-                             for _ in range(4)), label=1)
+        batch = [Document(tuple(tuple(int(t) for t in rng.integers(2, 40, size=12))
+                                for _ in range(4)), label=1)]
+        if batched:
+            # Unequal sentence counts, a sentence shorter than the filter
+            # width, and tokens shared within and across documents.
+            batch += [Document(((5, 9, 9, 12, 30), (7, 5)), label=0),
+                      Document(((12, 3, 8, 5, 21, 5, 9),), label=2)]
+            # A sentence whose kept features are all 0 meets the dense
+            # ReLU at its kink unless the bias moves it off.
+            model.conv.bias[:] = rng.normal(scale=0.5, size=5)
+            model.dense.bias[:] = rng.normal(scale=0.5, size=4)
 
         def loss_fn():  # a fresh stream keeps every dropout mask fixed
-            loss, _ = model.loss_and_grads([doc], dropout_rng=np.random.default_rng(9))
+            loss, _ = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(9))
             return loss
 
         scope = layers.ProjectionScope(model.conv, model.embedding_matrix)
-        dropped, _ = model.forward(doc, train=True, dropout_rng=np.random.default_rng(9),
+        dropped, _ = model.forward(batch, train=True, dropout_rng=np.random.default_rng(9),
                                    scope=scope)
-        assert not np.allclose(dropped, probabilities(model, doc))
-        loss, grads = model.loss_and_grads([doc], dropout_rng=np.random.default_rng(9))
+        assert not np.allclose(dropped, [probabilities(model, doc) for doc in batch])
+        loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(9))
         worst = finite_difference_check(loss_fn, model.params(), grads, rng,
                                         coords_per_tensor=40, rtol=1e-4)
         assert worst <= 1e-4
-
 
     def three_doc_batch(self, rng, extra_tokens=0):
         """A filter-width-3 model and three documents that share tokens, one

@@ -2,12 +2,16 @@
 (perfbench/tracing.py) must keep finding in sentihier.
 
 perfbench/tests cannot be collected beside these tests (both directories
-import from a conftest module of their own), so this test loads the tracer
-by path and drives the CLI under it the way a traced benchmark run does.
+import from a conftest module of their own), so these tests load the tracer
+by path and drive the CLI under it the way a traced benchmark run does, and
+run the benchmark's own suite in a process of its own.
 """
 
 import importlib.util
 import io
+import math
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -15,10 +19,13 @@ import pytest
 
 from conftest import write_dataset_csv
 from sentihier import cli
+from sentihier.model import INFERENCE_CHUNK
 from sentihier.synthetic import make_marker_dataset
 from sentihier.textprep import tokenize_document
+from sentihier.train import TrainConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 FILTER_WIDTH = 3
 SMALL_MODEL = [
     "--override", "embedding_dim=6", "--override", f"filter_width={FILTER_WIDTH}",
@@ -36,11 +43,20 @@ def tracing():
     return module
 
 
-def windows(texts, f: int) -> int:
-    """Windows the convolution sees over the sentences of `texts`, each
+def sentences(texts) -> list:
+    return [sent for text in texts for sent in tokenize_document(text).sentences]
+
+
+def rows(texts, f: int) -> int:
+    """Rows the convolution gets for the sentences of `texts`, each
     sentence zero-padded up to the filter width."""
-    return sum(max(len(sent), f) - f + 1
-               for text in texts for sent in tokenize_document(text).sentences)
+    return sum(max(len(sent), f) for sent in sentences(texts))
+
+
+def inference_chunks(n: int) -> int:
+    """Forward calls of probabilities over n documents: one document, then
+    INFERENCE_CHUNK at a time."""
+    return 1 + math.ceil((n - 1) / INFERENCE_CHUNK)
 
 
 def write_inputs(tmp_path):
@@ -64,20 +80,33 @@ def test_train_and_predict_keep_every_traced_name_and_count(tracing, tmp_path):
         assert cli.main(["predict", "--model", str(ckpt), "--input", str(lines)]) == 0
     assert tracer.missing == []
     m = tracer.metrics()
-    # Every epoch runs each document once: backward on the training split,
-    # forward on the validation split.
+    # Every epoch runs each document once: one forward call per training
+    # batch, and one per inference chunk of the validation split.
     epochs = m["train.epochs"]
     assert epochs == 2
-    want = epochs * windows(ds.texts(), FILTER_WIDTH) + windows(PREDICT_LINES, FILTER_WIDTH)
+    val = math.floor(TrainConfig().val_fraction * len(ds.texts()) + 0.5)
+    per_epoch = (math.ceil((len(ds.texts()) - val) / TrainConfig().batch_size)
+                 + inference_chunks(val))
+    calls = epochs * per_epoch + inference_chunks(len(PREDICT_LINES))
+    assert m["layers.conv.forward.calls"] == calls
+    assert m["layers.sentence_matrix.calls"] == m["layers.conv.forward.calls"]
+    # The tracer counts a call's windows as if its rows were one sentence:
+    # rows - f + 1.
+    want = (epochs * rows(ds.texts(), FILTER_WIDTH) + rows(PREDICT_LINES, FILTER_WIDTH)
+            - (FILTER_WIDTH - 1) * calls)
     assert m["layers.conv.windows"] == want
     assert m["layers.conv.pad_window_ratio"] > 0
-    assert m["layers.sentence_matrix.calls"] == m["layers.conv.forward.calls"]
+    # Both LSTM directions step once per sentence.
+    assert m["layers.lstm.steps"] == 2 * (epochs * len(sentences(ds.texts()))
+                                          + len(sentences(PREDICT_LINES)))
 
 
 def test_predict_reaches_every_line_through_the_loaded_models_forward(tmp_path, monkeypatch):
     # The benchmark's predict set-up time ends at the first call of `forward`
     # on the model that cli.load_checkpoint returns (perfbench/run.py,
-    # work_boundary), so predict must look `forward` up on that instance.
+    # work_boundary), so predict must look `forward` up on that instance,
+    # and its first call must carry one document: a larger first chunk
+    # would move tokenizing more lines into that set-up time.
     _, conf, lines, ckpt = write_inputs(tmp_path)
     with redirect_stdout(io.StringIO()):
         assert cli.main(["train", "--dataset", str(conf), "--out", str(ckpt),
@@ -99,4 +128,13 @@ def test_predict_reaches_every_line_through_the_loaded_models_forward(tmp_path, 
     out = io.StringIO()
     with redirect_stdout(out):
         assert cli.main(["predict", "--model", str(ckpt), "--input", str(lines)]) == 0
-    assert len(calls) == len(PREDICT_LINES) == len(out.getvalue().splitlines())
+    assert [len(docs) for docs in calls] == [1, len(PREDICT_LINES) - 1]
+    assert len(out.getvalue().splitlines()) == len(PREDICT_LINES)
+
+
+def test_the_benchmarks_own_suite_passes():
+    # It pins, among other things, one LSTM run per document and direction
+    # on a traced training run; nothing under tests/ reaches those tests.
+    done = subprocess.run([sys.executable, "-m", "pytest", "perfbench/tests", "-q"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
