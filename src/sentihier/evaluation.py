@@ -206,13 +206,11 @@ def resample_plan(labels, fractions, seed: int):
 
 def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
                    seed: int = 42, *, num_classes: int):
-    """Bootstrap learning curve on a fixed stratified 70/30 split.
+    """Bootstrap learning curve on a fixed stratified 70/30 split, at
+    fractions ascending in (0, 1] (cli.cmd_learning_curve checks them).
 
     Returns (list of CurvePoint, list of skipped-point warnings).
     """
-    fractions = list(fractions)
-    if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
-        raise ConfigurationError(f"fractions must be ascending and in (0, 1]: {fractions}")
     labels = list(labels)
     train_ix, test_ix, draws = resample_plan(labels, fractions, seed)
     point_seeds = [int(s.generate_state(1)[0])

@@ -4,13 +4,14 @@ The convolution and the dense layer take a batch's sentences as one stack
 of rows and the head its documents as rows; the LSTM runs one sequence.
 
 The convolution runs in embedding-row space. Its input is static word
-vectors, so a ProjectionScope computes each distinct vector's products with
-the filters once, one (F,) product per filter offset, and sentences enter
-the layer as the table rows of their tokens (sentence_matrix): each window
-sums f of them instead of multiplying its own copy of the vectors. The
-table lives in any idle block its owner lends (`memory`) whenever it fits.
-The filter gradient reads the same rows (param_grads, ProjectionScope.vectors),
-so only this module knows how a sentence maps to rows and padding.
+vectors, so each forward call's ProjectionScope computes the products of
+the call's distinct vectors with the filters once, one (F,) product per
+filter offset, and sentences enter the layer as the table rows of their
+tokens (sentence_matrix): each window sums f of them instead of multiplying
+its own copy of the vectors. The table lives in any idle block its owner
+lends (`memory`) whenever it fits. The filter gradient reads the same rows
+(param_grads, ProjectionScope.vectors), so only this module knows how a
+sentence maps to rows and padding.
 
 Every layer's forward pass returns what its backward pass needs (a cache, or
 for the convolution its pooled features and argmax windows), and the backward
@@ -23,8 +24,6 @@ and one row sum per bias, written into the caller's buffers. No autodiff
 anywhere; the finite-difference tests in the suite are the correctness
 authority.
 """
-
-import itertools
 
 import numpy as np
 
@@ -92,7 +91,7 @@ def sentence_matrix(seqs, scope: "ProjectionScope", min_rows: int):
     """Sentences (sequences of token indices) as one stack of rows of the
     scope's table: each sentence's token rows, then the zero row (row 0) up
     to min_rows. Returns (rows, starts): sentence s begins at rows[starts[s]].
-    The scope must have admitted every token."""
+    The scope must be the projection of these sentences' tokens, chained."""
     lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
     if len(lengths) == 0 or lengths.min() == 0:
         raise ContractViolation("sentence_matrix of no sentence or of an empty one")
@@ -100,18 +99,17 @@ def sentence_matrix(seqs, scope: "ProjectionScope", min_rows: int):
     starts = np.cumsum(padded) - padded
     rows = np.zeros(padded.sum(), dtype=np.intp)
     at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    rows[at] = scope.slot[np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp)]
-    if rows.min() < 0:
-        raise ContractViolation("sentence_matrix of a token its scope has not admitted")
+    rows[at] = scope.token_rows
     return rows, starts
 
 
 class ConvLayer:
     """Temporal convolution over word-vector windows, ReLU, max-over-time pool.
 
-    The word vectors are static, so the filters' products with each vector
-    are computed once per ProjectionScope (project) and every window sums f
-    of them (forward), instead of multiplying every window again.
+    The word vectors are static, so the filters' products with each
+    distinct vector of a forward call are computed once (project, in a
+    ProjectionScope) and every window sums f of them (forward), instead of
+    multiplying every window again.
     """
 
     def __init__(self, filter_width: int, num_filters: int, embedding_dim: int,
@@ -203,97 +201,43 @@ class ConvLayer:
 
 
 class ProjectionScope:
-    """The conv filters' products with the word vectors that a run of
-    documents uses, each computed once (the precomputation of Devlin et al.
-    2014, "Fast and Robust Neural Network Joint Models").
+    """The conv filters' products with the word vectors of the tokens of one
+    forward call, each distinct vector projected once (the precomputation of
+    Devlin et al. 2014, "Fast and Robust Neural Network Joint Models").
 
-    table[o, r] holds the (F,) products of the filters' offset-o columns with
-    the vector of the token in row r; row 0 holds the zero vector's, which
-    pads sentences shorter than the filter width. Rows are admitted a group
-    at a time (admit), into a budget of at least embedding_dim rows. When a
-    group's new tokens do not fit, the table starts over, keeping the rows of
-    vocabulary indices below half its size (the tokens most frequent in
-    training) if the group fits beside them; a group with more distinct
-    tokens than the table has rows grows the table to fit it.
-
-    A scope is valid only while the conv weights stay as they were when it
-    projected. Only the model makes scopes: one per training batch, which
-    admits the batch at once, and one per inference run, which admits one
-    chunk of documents at a time.
+    `tokens` are the call's token indices in the order sentence_matrix chains
+    its sentences. table[o, r] holds the (F,) products of the filters'
+    offset-o columns with the vector of ids[r - 1], the call's distinct
+    tokens in ascending order; row 0 holds the zero vector's, which pads
+    sentences shorter than the filter width. token_rows gives each token's
+    table row. A scope is valid only while the conv weights stay as they
+    were when it projected; only the model's forward makes one.
     """
 
-    def __init__(self, conv: ConvLayer, embedding_matrix: np.ndarray,
+    def __init__(self, conv: ConvLayer, embedding_matrix: np.ndarray, tokens: np.ndarray,
                  memory: np.ndarray | None = None):
         """`memory`, if given, is a contiguous float64 array that nothing
         else uses while the scope lives; the table is kept in it whenever
         the table fits."""
         self.conv = conv
         self.embedding_matrix = embedding_matrix
-        self.memory = memory
-        self.table = None  # (f, rows, F), allocated by the first admit
-        self.slot = None   # vocabulary index -> table row, or -1
-        self.held = None   # table row -> vocabulary index
-        self.used = 0      # rows in use, the zero row included
-
-    def admit(self, tokens: np.ndarray):
-        """Gives every token of `tokens`, an array of vocabulary indices, a
-        row of the table, projecting the vectors of those that had none."""
-        if self.table is None:
-            self._allocate(self.conv.embedding_dim)
-        capacity = self.table.shape[1]
-        new = self._missing(tokens)
-        if len(new) == 0:
-            return
-        if self.used + len(new) > capacity:
-            self._start_over(keep_below=capacity // 2)
-            new = self._missing(tokens)
-            if self.used + len(new) > capacity:
-                self._start_over(keep_below=0)
-                new = np.unique(tokens)
-                if 1 + len(new) > capacity:
-                    self._allocate(1 + len(new))
-        rows = slice(self.used, self.used + len(new))
-        self.slot[new] = np.arange(rows.start, rows.stop)
-        self.held[rows] = new
-        self.conv.project(self.embedding_matrix[new], self.table[:, rows])
-        self.used = rows.stop
-
-    def vectors(self) -> np.ndarray:
-        """A copy of the word vector of each row in use; row 0's is zero."""
-        vectors = self.embedding_matrix[self.held[: self.used]]
-        vectors[0] = 0.0
-        return vectors
-
-    def _missing(self, tokens: np.ndarray) -> np.ndarray:
-        """The distinct tokens that have no row, in ascending order."""
-        return np.unique(tokens[self.slot[tokens] < 0])
-
-    def _allocate(self, rows: int):
-        """A new table of `rows` rows that holds only the zero row."""
-        if self.slot is None:
-            self.slot = np.full(len(self.embedding_matrix), -1, dtype=np.intp)
-        else:
-            self.slot[self.held[1 : self.used]] = -1
-        shape = (self.conv.filter_width, rows, self.conv.num_filters)
+        self.ids, inverse = np.unique(tokens, return_inverse=True)
+        self.token_rows = inverse + 1
+        shape = (conv.filter_width, 1 + len(self.ids), conv.num_filters)
         size = shape[0] * shape[1] * shape[2]
-        if self.memory is not None and size <= self.memory.size:
-            self.table = self.memory[:size].reshape(shape)
+        if memory is not None and size <= memory.size:
+            self.table = memory[:size].reshape(shape)
         else:
             self.table = np.empty(shape)
         self.table[:, 0] = 0.0
-        self.held = np.zeros(rows, dtype=np.intp)  # row 0: any index, vectors() zeroes it
-        self.used = 1
+        conv.project(embedding_matrix[self.ids], self.table[:, 1:])
 
-    def _start_over(self, keep_below: int):
-        """Empties the table down to the zero row and the rows of tokens
-        below keep_below, which move to the front in their order."""
-        held = self.held[1 : self.used]
-        keep = held[held < keep_below]
-        self.table[:, 1 : 1 + len(keep)] = self.table[:, self.slot[keep]]
-        self.slot[held] = -1
-        self.slot[keep] = np.arange(1, 1 + len(keep))
-        self.held[1 : 1 + len(keep)] = keep
-        self.used = 1 + len(keep)
+    def vectors(self) -> np.ndarray:
+        """The word vector of each table row: a zero row, then those of ids."""
+        vectors = np.empty((1 + len(self.ids), self.embedding_matrix.shape[1]))
+        vectors[0] = 0.0
+        np.take(self.embedding_matrix, self.ids, axis=0, out=vectors[1:])
+        return vectors
 
 
 class DenseLayer:

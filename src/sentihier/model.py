@@ -10,12 +10,13 @@ backward. The head takes one row per document, in one matrix product and a
 softmax per row. Batch gradients are the mean of per-document gradients,
 formed once per batch from the factors of all rows.
 
-The convolution reads its filter products from a layers.ProjectionScope,
-which projects each distinct word vector once for as long as the conv
-weights stay fixed. Only this module makes scopes: one per call of
-probabilities, the one inference path, which admits one chunk of documents
-at a time, and one per loss_and_grads batch, projected at once into the
-idle gradients.
+Each forward call projects the distinct word vectors of its own documents
+through the conv filters once, into a layers.ProjectionScope that the
+convolution reads and that does not outlive the call (a training batch's
+filter gradient reads its vectors through the cache). Inference runs
+through probabilities, one forward call per chunk of documents; a
+loss_and_grads batch is one forward call, its table kept in the idle
+gradients.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs.
@@ -139,15 +140,13 @@ class HiCnnLstmModel:
         """Yields the class probabilities of each document of `docs` in
         inference mode. forward runs a first chunk of one document, so the
         first result comes after one document's work, then chunks of
-        INFERENCE_CHUNK. The chunks share one ProjectionScope, so the weights
-        must not change until the generator is done."""
-        scope = layers.ProjectionScope(self.conv, self.embedding_matrix)
+        INFERENCE_CHUNK; each chunk is projected by its own call."""
         docs, size = iter(docs), 1
         while chunk := list(itertools.islice(docs, size)):
-            yield from self.forward(chunk, scope=scope)[0]
+            yield from self.forward(chunk)[0]
             size = INFERENCE_CHUNK
 
-    def forward(self, docs, train: bool = False, dropout_rng=None, *, scope):
+    def forward(self, docs, train: bool = False, dropout_rng=None, *, memory=None):
         """Returns ((B, C) class probabilities of the B documents `docs`,
         cache). Dropout is active only when train=True and a dropout_rng is
         supplied; masks are fixed per document and drawn in document order.
@@ -155,14 +154,17 @@ class HiCnnLstmModel:
         The sentences of all documents run through the convolution and the
         dense layer as one stack of rows, each under its document's dense
         mask; the BiLSTM encodes one document at a time, and the head takes
-        the B encodings as one matrix. The convolution reads the word
-        vectors' filter products from `scope` (a ProjectionScope of this
-        model), which projects the vectors of the tokens it does not hold yet.
+        the B encodings as one matrix. The convolution reads the filter
+        products of the documents' distinct word vectors, projected once by
+        this call into a ProjectionScope whose table lives in `memory` (see
+        layers.ProjectionScope) whenever it fits.
         """
         cfg = self.config
         sentences = [doc.sentences[: cfg.max_sentences_per_doc] for doc in docs]
         seqs = list(itertools.chain.from_iterable(sentences))
-        scope.admit(np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp))
+        scope = layers.ProjectionScope(
+            self.conv, self.embedding_matrix,
+            np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp), memory)
         masks = [self._masks(dropout_rng if train else None) for _ in sentences]
         counts = [len(s) for s in sentences]
         rows, starts = layers.sentence_matrix(seqs, scope, cfg.filter_width)
@@ -176,8 +178,9 @@ class HiCnnLstmModel:
         probs = self.head.probs(encoded)
         cache = None
         if train:
-            cache = {"rows": rows, "windows": windows, "features": features, "dense": dense_cache,
-                     "bilstm": [bilstm for _, bilstm in encodings], "encoded": encoded}
+            cache = {"scope": scope, "rows": rows, "windows": windows, "features": features,
+                     "dense": dense_cache, "bilstm": [bilstm for _, bilstm in encodings],
+                     "encoded": encoded}
         return probs, cache
 
     def loss_and_grads(self, batch, dropout_rng=None):
@@ -199,8 +202,7 @@ class HiCnnLstmModel:
                  zip(self.params().items(), np.split(block, np.cumsum(sizes)[:-1]))}
         # The gradients are views of one block, written only after the
         # forward pass: until then it holds the batch's projection table.
-        scope = layers.ProjectionScope(self.conv, self.embedding_matrix, memory=block)
-        probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng, scope=scope)
+        probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng, memory=block)
         loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, [d.label for d in batch])
         lstm_caches = cache["bilstm"]
         per_doc = [layers.bilstm_backward(g, self.lstm_fwd, self.lstm_bwd, c)
@@ -217,7 +219,7 @@ class HiCnnLstmModel:
                                         grads[f"lstm_{d}.bias"])
         layers.linear_param_grads(grad_pre, cache["dense"]["x_masked"],
                                   grads["dense.weights"], grads["dense.bias"])
-        self.conv.param_grads(scope.vectors(), cache["rows"], cache["windows"], gated,
+        self.conv.param_grads(cache["scope"].vectors(), cache["rows"], cache["windows"], gated,
                               grads["conv.filters"], grads["conv.bias"])
         block /= len(batch)
         return loss / len(batch), grads

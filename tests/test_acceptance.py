@@ -276,7 +276,7 @@ def test_criterion_8_format_round_trips(tmp_path, rng):
             tuple(int(t) for t in rng.integers(2, 9, size=rng.integers(1, 6)))
             for _ in range(rng.integers(1, 4)))
         d = Document(sents)
-        (p1,) = model.probabilities([d])  # one scope per document on each side
+        (p1,) = model.probabilities([d])  # one forward call per document on each side
         (p2,) = loaded.probabilities([d])
         np.testing.assert_array_equal(p1, p2)
 

@@ -245,11 +245,6 @@ class TestLearningCurve:
         for p in points:
             assert p.resample_size == round_half_away(p.fraction * len(train))
 
-    def test_unsorted_fractions_rejected(self):
-        with pytest.raises(ConfigurationError):
-            learning_curve(lambda a, b, s: {"predictions": []}, [0, 1] * 10,
-                           [0.8, 0.2], seed=1, num_classes=2)
-
     def test_tiny_resample_skipped_with_warning(self):
         labels = [0, 1, 2] * 10
         points, warnings = learning_curve(

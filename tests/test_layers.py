@@ -64,16 +64,16 @@ def lstm_param_grads(cell, dz, cache):
     return grads
 
 
-def admitted(layer, emb, tokens):
-    """A scope of `layer` over embedding matrix `emb` that holds `tokens`."""
-    scope = ProjectionScope(layer, emb)
-    scope.admit(np.asarray(tokens, dtype=np.intp))
-    return scope
+def projected(layer, emb, sentences):
+    """The projection of `layer` over embedding matrix `emb` for one forward
+    call over `sentences`, their tokens chained as sentence_matrix reads them."""
+    return ProjectionScope(layer, emb, np.fromiter(
+        (t for sent in sentences for t in sent), dtype=np.intp))
 
 
-def pooled(layer, emb, tokens, scope=None):
+def pooled(layer, emb, tokens):
     """(features, argmax) of one sentence of token indices into emb."""
-    scope = admitted(layer, emb, tokens) if scope is None else scope
+    scope = projected(layer, emb, [tokens])
     feats, argmax = layer.forward(*sentence_matrix([tokens], scope, layer.filter_width), scope,
                                   first_max=True)
     return feats[0], argmax[0]  # a lone sentence starts at row 0
@@ -176,16 +176,16 @@ class TestSentenceMatrix:
     def test_shape(self):
         emb = np.arange(40, dtype=float).reshape(10, 4)
         tokens = [2, 3, 4, 5, 6, 7, 8]
-        scope = admitted(ConvLayer(5, 3, 4, None), emb, tokens)
+        scope = projected(ConvLayer(5, 3, 4, None), emb, [tokens])
         rows, starts = sentence_matrix([tokens], scope, min_rows=5)
         assert rows.shape == (7,)
         np.testing.assert_array_equal(starts, [0])
-        np.testing.assert_array_equal(scope.held[rows], tokens)
+        np.testing.assert_array_equal(scope.ids[rows - 1], tokens)
 
     def test_padding(self):
         emb = np.ones((6, 4))
         layer = ConvLayer(5, 3, 4, np.random.default_rng(0))
-        scope = admitted(layer, emb, [2, 3])
+        scope = projected(layer, emb, [[2, 3]])
         rows, _ = sentence_matrix([[2, 3]], scope, min_rows=5)
         assert rows.shape == (5,)
         np.testing.assert_array_equal(rows[2:], [0, 0, 0])
@@ -194,28 +194,23 @@ class TestSentenceMatrix:
     def test_sentences_stack_each_padded_to_min_rows(self):
         emb = np.arange(40, dtype=float).reshape(10, 4)
         sentences = [(2, 3, 4, 5), (6,), (7, 2, 8)]
-        scope = admitted(ConvLayer(3, 3, 4, None), emb, [2, 3, 4, 5, 6, 7, 8])
+        scope = projected(ConvLayer(3, 3, 4, None), emb, sentences)
         rows, starts = sentence_matrix(sentences, scope, min_rows=3)
         np.testing.assert_array_equal(starts, [0, 4, 7])
         np.testing.assert_array_equal(rows[[5, 6]], [0, 0])
-        np.testing.assert_array_equal(scope.held[np.delete(rows, [5, 6])],
+        np.testing.assert_array_equal(scope.ids[np.delete(rows, [5, 6]) - 1],
                                       [2, 3, 4, 5, 6, 7, 2, 8])
 
     def test_all_oov_is_zero_matrix(self):
         emb = np.ones((6, 4))
         emb[0] = 0.0
-        scope = admitted(ConvLayer(3, 3, 4, np.random.default_rng(0)), emb, [0, 0, 0])
+        scope = projected(ConvLayer(3, 3, 4, np.random.default_rng(0)), emb, [[0, 0, 0]])
         rows, _ = sentence_matrix([[0, 0, 0]], scope, min_rows=3)
         np.testing.assert_array_equal(scope.table[:, rows], np.zeros((3, 3, 3)))
 
-    def test_token_the_scope_has_not_admitted_is_rejected(self):
-        scope = admitted(ConvLayer(2, 3, 4, np.random.default_rng(0)), np.ones((6, 4)), [2, 3])
-        with pytest.raises(ContractViolation):
-            sentence_matrix([[2, 3], [2, 4]], scope, min_rows=2)
-
     @pytest.mark.parametrize("seqs", [[], [[2], []]], ids=["no-sentence", "empty-sentence"])
     def test_empty_input_is_rejected(self, seqs):
-        scope = admitted(ConvLayer(2, 3, 4, np.random.default_rng(0)), np.ones((6, 4)), [2])
+        scope = projected(ConvLayer(2, 3, 4, np.random.default_rng(0)), np.ones((6, 4)), [[2]])
         with pytest.raises(ContractViolation):
             sentence_matrix(seqs, scope, min_rows=2)
 
@@ -346,66 +341,6 @@ class TestConvMaxpool:
         if np.all(argmax2 <= 2):
             np.testing.assert_array_equal(f1, f2)
 
-    def test_shared_scope_equals_a_fresh_scope_per_document(self, rng):
-        # Small integers keep every product and sum exact, so the comparison
-        # is bit for bit whichever rows BLAS projects together; what it checks
-        # is that a shared scope never serves a token another token's row.
-        # Its budget is k = 6 rows, the zero row included: the small documents
-        # restart it, and the one holding every token grows it.
-        f, F, k, V = 3, 4, 6, 30
-        layer = ConvLayer(f, F, k, None)
-        layer.filters[:] = rng.integers(-3, 4, size=layer.filters.shape)
-        layer.bias[:] = rng.integers(-2, 3, size=F)
-        emb = rng.integers(-3, 4, size=(V, k)).astype(float)
-        small = [[list(rng.integers(0, V, size=n)) for n in rng.integers(1, 4, size=2)]
-                 for _ in range(16)]
-        docs = small[:12] + [[list(range(V))]] + small[12:]
-        shared = ProjectionScope(layer, emb)
-        held_before, restarts = set(), 0
-        for doc in docs:
-            tokens = np.concatenate(doc).astype(np.intp)
-            shared.admit(tokens)
-            held = set(shared.held[1 : shared.used].tolist())
-            restarts += not held_before <= held
-            held_before = held
-            fresh = admitted(layer, emb, tokens)
-            for sent in doc:
-                got = pooled(layer, emb, sent, shared)
-                want = pooled(layer, emb, sent, fresh)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
-        assert restarts >= 3 and shared.table.shape[1] == V + 1
-
-    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
-    # All windows negative: every feature is 0 and every argmax is 0.
-    @example(2, 1, 1, None)
-    @settings(max_examples=300, deadline=None)
-    def test_scope_matches_the_exhaustive_window_oracle(self, f, F, k, data):
-        # Small-integer filters and vectors keep every pre-activation exact.
-        # One scope serves every sentence, and its budget is only k rows, so
-        # sentences admitted later restart or grow its table.
-        V = 6
-        layer = ConvLayer(f, F, k, None)
-        ints = st.integers(-2, 2).map(float)
-        if data is None:
-            layer.filters[:] = 1.0
-            layer.bias[:] = -100.0
-            emb = np.ones((V, k))
-            sentences = [[3, 3, 1]]
-        else:
-            layer.filters[:] = data.draw(arrays(np.float64, layer.filters.shape, elements=ints))
-            layer.bias[:] = data.draw(arrays(np.float64, F, elements=ints))
-            emb = data.draw(arrays(np.float64, (V, k), elements=ints))
-            sentences = data.draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1,
-                                                    max_size=8), min_size=1, max_size=4))
-        scope = ProjectionScope(layer, emb)
-        for sent in sentences:
-            scope.admit(np.asarray(sent, dtype=np.intp))
-            feats, argmax = pooled(layer, emb, sent, scope)
-            want_feats, want_argmax = window_oracle(layer.filters, layer.bias, emb, sent, f)
-            np.testing.assert_array_equal(feats, want_feats)
-            np.testing.assert_array_equal(argmax, want_argmax)
-
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
     @settings(max_examples=300, deadline=None)
     def test_batch_matches_the_exhaustive_window_oracle(self, f, F, k, data):
@@ -424,7 +359,7 @@ class TestConvMaxpool:
             st.lists(token, min_size=1, max_size=3 * f),
             st.builds(lambda t, n: [t] * n, token, st.integers(1, 3 * f)))
         sentences = data.draw(st.lists(sentence, min_size=1, max_size=6))
-        scope = admitted(layer, emb, np.concatenate(sentences))
+        scope = projected(layer, emb, sentences)
         rows, starts = sentence_matrix(sentences, scope, f)
         feats, windows = layer.forward(rows, starts, scope, first_max=True)
         np.testing.assert_array_equal(layer.forward(rows, starts, scope)[0], feats)
@@ -433,19 +368,21 @@ class TestConvMaxpool:
             np.testing.assert_array_equal(feats[s], want_feats)
             np.testing.assert_array_equal(windows[s] - starts[s], want_argmax)
 
-    def test_admit_projects_nothing_when_every_token_has_a_row(self, rng, monkeypatch):
-        layer = ConvLayer(2, 3, 4, rng)
-        scope = admitted(layer, rng.normal(size=(9, 4)), [2, 3, 4, 5])
-        table, slot = scope.table.copy(), scope.slot.copy()
-        monkeypatch.setattr(layer, "project", pytest.fail)
-        scope.admit(np.array([5, 3, 3], dtype=np.intp))
-        np.testing.assert_array_equal(scope.table, table)
-        np.testing.assert_array_equal(scope.slot, slot)
-        assert scope.used == 5
+    def test_projection_holds_each_distinct_token_once(self, rng):
+        layer, emb = ConvLayer(2, 3, 4, rng), rng.normal(size=(9, 4))
+        scope = projected(layer, emb, [[5, 3, 5], [8, 3]])
+        np.testing.assert_array_equal(scope.ids, [3, 5, 8])
+        np.testing.assert_array_equal(scope.token_rows, [2, 1, 2, 3, 1])
+        assert scope.table.shape == (2, 4, 3)
+        np.testing.assert_array_equal(scope.table[:, 0], np.zeros((2, 3)))
+        vectors = scope.vectors()
+        np.testing.assert_array_equal(vectors, np.vstack([np.zeros(4), emb[[3, 5, 8]]]))
+        for o, filters in enumerate(np.split(layer.filters, 2, axis=1)):
+            np.testing.assert_allclose(scope.table[o], vectors @ filters.T, rtol=1e-12, atol=1e-15)
 
     def test_forward_rejects_a_scope_of_another_layer(self, rng):
         layer, other = ConvLayer(2, 3, 4, rng), ConvLayer(2, 3, 4, rng)
-        scope = admitted(other, rng.normal(size=(5, 4)), [2, 3, 4])
+        scope = projected(other, rng.normal(size=(5, 4)), [[2, 3, 4]])
         with pytest.raises(ContractViolation):
             layer.forward(*sentence_matrix([[2, 3, 4]], scope, 2), scope)
 

@@ -44,7 +44,7 @@ def random_doc(rng, vocab_size=9, num_sents=None, label=None):
 
 
 def probabilities(model, doc):
-    """The probabilities of one document, under a projection scope of its own."""
+    """The probabilities of one document, in a forward call of its own."""
     (probs,) = model.probabilities([doc])
     return probs
 
@@ -89,23 +89,26 @@ class TestForward:
 
 
 class TestProbabilities:
-    def test_one_scope_shared_by_every_document(self, rng, monkeypatch):
+    def test_one_projection_per_forward_call(self, rng, monkeypatch):
         model = desk_model()
-        docs = [random_doc(rng) for _ in range(6)]
-        shared = layers.ProjectionScope(model.conv, model.embedding_matrix)
-        # the chunks of probabilities: the first document, then the rest
-        expected = [*model.forward(docs[:1], scope=shared)[0],
-                    *model.forward(docs[1:], scope=shared)[0]]
+        docs = [random_doc(rng) for _ in range(INFERENCE_CHUNK + 8)]
+        forward, chunks = model.forward, []
+        monkeypatch.setattr(model, "forward", lambda chunk, *a, **k: (
+            chunks.append(chunk) or forward(chunk, *a, **k)))
         scope_class, made = layers.ProjectionScope, []
-
-        def counting_scope(*args, **kwargs):
-            made.append(args)
-            return scope_class(*args, **kwargs)
-        monkeypatch.setattr(layers, "ProjectionScope", counting_scope)
-        got = list(model.probabilities(iter(docs)))
-        assert len(made) == 1
-        for p, q in zip(got, expected, strict=True):
-            np.testing.assert_array_equal(p, q)
+        monkeypatch.setattr(layers, "ProjectionScope",
+                            lambda *args, **kw: made.append(scope_class(*args, **kw)) or made[-1])
+        project, projected = layers.ConvLayer.project, []
+        monkeypatch.setattr(layers.ConvLayer, "project", lambda conv, vectors, out: (
+            projected.append(vectors.copy()) or project(conv, vectors, out)))
+        assert len(list(model.probabilities(iter(docs)))) == len(docs)
+        assert [len(chunk) for chunk in chunks] == [1, INFERENCE_CHUNK, 7]
+        assert len(made) == len(projected) == len(chunks)
+        for chunk, scope, vectors in zip(chunks, made, projected):
+            distinct = sorted({t for doc in chunk for sent in doc.sentences for t in sent})
+            np.testing.assert_array_equal(scope.ids, distinct)
+            np.testing.assert_array_equal(vectors, model.embedding_matrix[distinct])
+            assert scope.table.shape[1] == 1 + len(distinct)
 
     def test_chunks_of_one_then_inference_chunk_documents(self, rng, monkeypatch):
         model = desk_model()
@@ -237,9 +240,7 @@ class TestLossAndGrads:
             loss, _ = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(9))
             return loss
 
-        scope = layers.ProjectionScope(model.conv, model.embedding_matrix)
-        dropped, _ = model.forward(batch, train=True, dropout_rng=np.random.default_rng(9),
-                                   scope=scope)
+        dropped, _ = model.forward(batch, train=True, dropout_rng=np.random.default_rng(9))
         assert not np.allclose(dropped, [probabilities(model, doc) for doc in batch])
         loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(9))
         worst = finite_difference_check(loss_fn, model.params(), grads, rng,
@@ -281,8 +282,8 @@ class TestLossAndGrads:
 
         loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
         (scope,) = made
-        assert scope.used == 12 + extra_tokens
-        assert np.shares_memory(scope.table, scope.memory) == table_in_block
+        assert scope.table.shape[1] == 12 + extra_tokens
+        assert np.shares_memory(scope.table, grads["conv.filters"].base) == table_in_block
         finite_difference_check(loss_fn, model.params(), grads, rng,
                                 coords_per_tensor=40, rtol=1e-4)
 
