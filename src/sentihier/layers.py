@@ -1,7 +1,8 @@
 """Neural building blocks: temporal convolution with max-over-time pooling,
 a dense ReLU projection, LSTM cells and the softmax classification head.
 The convolution and the dense layer take a batch's sentences as one stack
-of rows and the head its documents as rows; the LSTM runs one sequence.
+of rows and the head its documents as rows; an LSTM cell projects a batch's
+sequences as one stack of rows, then runs the recurrence of one sequence.
 
 The convolution runs in embedding-row space. Its input is static word
 vectors, so each forward call's ProjectionScope computes the products of
@@ -283,19 +284,22 @@ class LstmCell:
         self.bias = np.zeros(4 * hidden_dim, dtype=np.float64)
         self.bias[hidden_dim : 2 * hidden_dim] = 1.0
 
-    def run(self, seq, input_mask: np.ndarray, recurrent_mask: np.ndarray):
-        """Run over a full sequence; returns (final h, cache for backward).
+    def project(self, x_m: np.ndarray) -> np.ndarray:
+        """Input projections x_m @ W.T + b of N stacked steps (N, m), as (N, 4H):
+        one GEMM for every step of every sequence, ahead of the recurrence
+        (Appleyard et al. 2016)."""
+        if x_m.ndim != 2 or x_m.shape[1] != self.input_dim:
+            raise ShapeError(f"lstm input shape {x_m.shape} vs (N, m={self.input_dim})")
+        return x_m @ self.input_weights.T + self.bias
 
-        The input projection of every step is one GEMM before the recurrence,
-        so each step only adds the recurrent term (Appleyard et al. 2016).
-        """
+    def run(self, z_in: np.ndarray, recurrent_mask: np.ndarray):
+        """Runs the recurrence over one sequence; returns (final h, cache for
+        backward). z_in (T, 4H) holds the sequence's input projections
+        (project), so each step only adds the recurrent term."""
         H = self.hidden_dim
-        xs = np.asarray(seq, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
-            raise ShapeError(f"lstm input shape {xs.shape} vs (T, m={self.input_dim})")
-        T = len(xs)
-        x_m = xs * input_mask
-        z_in = x_m @ self.input_weights.T + self.bias  # (T, 4H)
+        if z_in.ndim != 2 or z_in.shape[1] != 4 * H:
+            raise ShapeError(f"lstm projected input shape {z_in.shape} vs (T, 4H={4 * H})")
+        T = len(z_in)
         h_m = np.empty((T, H))
         gates = np.empty((T, 4 * H))  # i, f, g, o after their nonlinearities
         c_prev = np.empty((T, H))
@@ -312,17 +316,18 @@ class LstmCell:
             c = gt[H : 2 * H] * c + gt[:H] * gt[2 * H : 3 * H]
             np.tanh(c, out=tanh_c[t])
             h = gt[3 * H :] * tanh_c[t]
-        cache = {"x_m": x_m, "h_m": h_m, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c,
-                 "input_mask": input_mask, "recurrent_mask": recurrent_mask}
+        cache = {"h_m": h_m, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c,
+                 "recurrent_mask": recurrent_mask}
         return h, cache
 
     def backward(self, grad_h_final: np.ndarray, cache):
         """Backpropagation through time from a gradient on the final hidden state.
 
-        Returns ((T, m) input gradients, (T, 4H) gate gradients dz). The loop
-        carries dh and dc back through the recurrence and stacks each step's
-        dz; the input gradients are then one GEMM. The parameter gradients are
-        param_grads of dz paired with cache["x_m"] and cache["h_m"].
+        Returns the (T, 4H) gradients dz at the gate pre-activations, so at
+        z_in. The loop carries dh and dc back through the recurrence and
+        stacks each step's dz. The caller forms the input gradients (dz @ W
+        under the input mask) and the parameter gradients (param_grads of dz,
+        the masked inputs and cache["h_m"]) once for a batch of sequences.
         """
         H = self.hidden_dim
         gates, tanh_c = cache["gates"], cache["tanh_c"]
@@ -342,9 +347,7 @@ class LstmCell:
             np.multiply(dh, dz_dh[t], out=dz[t, 3])
             dh = (self.recurrent_weights.T @ dz[t].reshape(-1)) * cache["recurrent_mask"]
             dc = dc * f[t]
-        dz = dz.reshape(T, 4 * H)
-        grad_xs = (dz @ self.input_weights) * cache["input_mask"]
-        return grad_xs, dz
+        return dz.reshape(T, 4 * H)
 
     @staticmethod
     def param_grads(dz: np.ndarray, x_m: np.ndarray, h_m: np.ndarray,
@@ -354,29 +357,6 @@ class LstmCell:
         (N, m) and the masked previous hidden states h_m (N, H)."""
         linear_param_grads(dz, x_m, grad_W, grad_b)
         np.matmul(dz.T, h_m, out=grad_U)
-
-
-def bilstm_encode(seq, fwd: LstmCell, bwd: LstmCell, masks):
-    """Encode a sequence as concat(final fwd hidden state, final bwd hidden state).
-
-    masks is a 4-tuple (fwd input, fwd recurrent, bwd input, bwd recurrent).
-    """
-    if len(seq) == 0:
-        raise ContractViolation("bilstm_encode of an empty sequence")
-    fwd_in, fwd_rec, bwd_in, bwd_rec = masks
-    xs = np.asarray(seq, dtype=np.float64)
-    h_fwd, cache_fwd = fwd.run(xs, fwd_in, fwd_rec)
-    h_bwd, cache_bwd = bwd.run(xs[::-1], bwd_in, bwd_rec)
-    return np.concatenate([h_fwd, h_bwd]), {"fwd": cache_fwd, "bwd": cache_bwd}
-
-
-def bilstm_backward(grad_encoded: np.ndarray, fwd: LstmCell, bwd: LstmCell, cache):
-    """Returns ((T, m) gradient w.r.t. seq, fwd dz, bwd dz); each dz pairs
-    with the x_m and h_m of its direction's cache."""
-    H = fwd.hidden_dim
-    gx_fwd, dz_fwd = fwd.backward(grad_encoded[:H], cache["fwd"])
-    gx_bwd, dz_bwd = bwd.backward(grad_encoded[H:], cache["bwd"])
-    return gx_fwd + gx_bwd[::-1], dz_fwd, dz_bwd
 
 
 class SoftmaxHead:

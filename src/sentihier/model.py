@@ -5,7 +5,9 @@ One forward pass runs a list of documents (variable length, no
 cross-document padding). The sentences of every document stay stacked as
 rows from forward to gradient: the convolution pools each sentence into one
 row, the dense layer runs once on all the rows, and the backward pass gates
-them as one block. Only the BiLSTM runs one document at a time, forward and
+them as one block. Each LSTM direction projects all the rows with one input
+GEMM per forward call and takes their input gradients with one GEMM per
+batch; only its recurrence runs one document at a time, forward and
 backward. The head takes one row per document, in one matrix product and a
 softmax per row. Batch gradients are the mean of per-document gradients,
 formed once per batch from the factors of all rows.
@@ -136,6 +138,11 @@ class HiCnnLstmModel:
                      (cfg.sentence_dim, cfg.lstm_hidden, cfg.sentence_dim, cfg.lstm_hidden))
         return dense, lstm
 
+    def _lstm_directions(self):
+        """(name, cell, row order) of each direction; bwd reads sentences last to first."""
+        return (("lstm_fwd", self.lstm_fwd, slice(None)),
+                ("lstm_bwd", self.lstm_bwd, slice(None, None, -1)))
+
     def probabilities(self, docs):
         """Yields the class probabilities of each document of `docs` in
         inference mode. forward runs a first chunk of one document, so the
@@ -153,10 +160,11 @@ class HiCnnLstmModel:
 
         The sentences of all documents run through the convolution and the
         dense layer as one stack of rows, each under its document's dense
-        mask; the BiLSTM encodes one document at a time, and the head takes
-        the B encodings as one matrix. The convolution reads the filter
-        products of the documents' distinct word vectors, projected once by
-        this call into a ProjectionScope whose table lives in `memory` (see
+        mask. Each LSTM direction projects all the rows at once and runs its
+        recurrence one document at a time; the head takes the B encodings as
+        one matrix. The convolution reads the filter products of the
+        documents' distinct word vectors, projected once by this call into a
+        ProjectionScope whose table lives in `memory` (see
         layers.ProjectionScope) whenever it fits.
         """
         cfg = self.config
@@ -171,16 +179,24 @@ class HiCnnLstmModel:
         features, windows = self.conv.forward(rows, starts, scope, first_max=train)
         sent_vecs, dense_cache = self.dense.forward(
             features, np.repeat([dense for dense, _ in masks], counts, axis=0))
-        doc_vecs = np.split(sent_vecs, np.cumsum(counts)[:-1])
-        encodings = [layers.bilstm_encode(vecs, self.lstm_fwd, self.lstm_bwd, lstm)
-                     for vecs, (_, lstm) in zip(doc_vecs, masks)]
-        encoded = np.array([enc for enc, _ in encodings])
+        H, ends = cfg.lstm_hidden, np.cumsum(counts)
+        encoded = np.empty((len(sentences), 2 * H))
+        lstm = []
+        for d, (_, cell, order) in enumerate(self._lstm_directions()):
+            x_m, in_mask = sent_vecs, None
+            if train:  # at inference every mask is all ones
+                in_mask = np.repeat([m[2 * d] for _, m in masks], counts, axis=0)
+                x_m = sent_vecs * in_mask
+            z = cell.project(x_m)
+            runs = [cell.run(z[end - count : end][order], m[2 * d + 1])
+                    for end, count, (_, m) in zip(ends, counts, masks)]
+            encoded[:, d * H : (d + 1) * H] = [h for h, _ in runs]
+            lstm.append({"x_m": x_m, "in_mask": in_mask, "runs": [run for _, run in runs]})
         probs = self.head.probs(encoded)
         cache = None
         if train:
             cache = {"scope": scope, "rows": rows, "windows": windows, "features": features,
-                     "dense": dense_cache, "bilstm": [bilstm for _, bilstm in encodings],
-                     "encoded": encoded}
+                     "dense": dense_cache, "lstm": lstm, "encoded": encoded}
         return probs, cache
 
     def loss_and_grads(self, batch, dropout_rng=None):
@@ -189,8 +205,8 @@ class HiCnnLstmModel:
         One forward pass runs the batch. The backward pass runs the head, the
         dense layer and the convolution once each over all their rows (one
         row per document for the head, one per sentence elsewhere), and the
-        BiLSTM one document at a time; then every weight gradient is one
-        matrix product over the factors of all its rows.
+        LSTM recurrences one document at a time; then each LSTM direction's
+        input gradient and every weight gradient is one product over all rows.
         """
         if len(batch) == 0:
             raise ContractViolation("loss_and_grads on an empty batch")
@@ -204,19 +220,21 @@ class HiCnnLstmModel:
         # forward pass: until then it holds the batch's projection table.
         probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng, memory=block)
         loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, [d.label for d in batch])
-        lstm_caches = cache["bilstm"]
-        per_doc = [layers.bilstm_backward(g, self.lstm_fwd, self.lstm_bwd, c)
-                   for g, c in zip(grad_enc, lstm_caches)]  # (grad_seq, dz_fwd, dz_bwd) each
-        grad_seq, dz_fwd, dz_bwd = (np.concatenate(parts) for parts in zip(*per_doc))
+        H = self.config.lstm_hidden
+        grad_seq = 0.0
+        for d, (name, cell, order) in enumerate(self._lstm_directions()):
+            lstm = cache["lstm"][d]
+            # dz and h_m back in sentence order, the order of x_m's rows
+            dz = np.concatenate([cell.backward(g, run)[order] for g, run in
+                                 zip(grad_enc[:, d * H : (d + 1) * H], lstm["runs"])])
+            h_m = np.concatenate([run["h_m"][order] for run in lstm["runs"]])
+            grad_seq = grad_seq + (dz @ cell.input_weights) * lstm["in_mask"]
+            layers.LstmCell.param_grads(dz, lstm["x_m"], h_m, grads[f"{name}.input_weights"],
+                                        grads[f"{name}.recurrent_weights"], grads[f"{name}.bias"])
         grad_feats, grad_pre = self.dense.backward(grad_seq, cache["dense"])
         gated = self.conv.backward(grad_feats, cache["features"])
         layers.linear_param_grads(grad_logits, cache["encoded"],
                                   grads["head.weights"], grads["head.bias"])
-        for d, dz in (("fwd", dz_fwd), ("bwd", dz_bwd)):
-            x_m, h_m = (np.concatenate([c[d][k] for c in lstm_caches]) for k in ("x_m", "h_m"))
-            layers.LstmCell.param_grads(dz, x_m, h_m, grads[f"lstm_{d}.input_weights"],
-                                        grads[f"lstm_{d}.recurrent_weights"],
-                                        grads[f"lstm_{d}.bias"])
         layers.linear_param_grads(grad_pre, cache["dense"]["x_masked"],
                                   grads["dense.weights"], grads["dense.bias"])
         self.conv.param_grads(cache["scope"].vectors(), cache["rows"], cache["windows"], gated,

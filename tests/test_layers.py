@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sentihier.errors import ContractViolation, ShapeError
+from sentihier.textprep import Document
 from sentihier.layers import (
     ConvLayer,
     DenseLayer,
     LstmCell,
     ProjectionScope,
     SoftmaxHead,
-    bilstm_backward,
-    bilstm_encode,
     dropout_mask,
     linear_param_grads,
     relu_grad,
@@ -56,11 +55,11 @@ def linear_grads(layer, grad_pre, inputs):
     return grad_w, grad_b
 
 
-def lstm_param_grads(cell, dz, cache):
+def lstm_param_grads(cell, dz, x_m, h_m):
     """(grad_W, grad_U, grad_b) of one sequence's gate gradients."""
     grads = (np.empty_like(cell.input_weights), np.empty_like(cell.recurrent_weights),
              np.empty_like(cell.bias))
-    LstmCell.param_grads(dz, cache["x_m"], cache["h_m"], *grads)
+    LstmCell.param_grads(dz, x_m, h_m, *grads)
     return grads
 
 
@@ -489,6 +488,45 @@ def lstm_step(cell, x, h_prev, c_prev):
     return sigmoid(z_o) * np.tanh(c), c
 
 
+def lstm_run(cell, seq, input_mask, recurrent_mask, reverse=False):
+    """One sequence through a cell as the model runs it: the masked inputs
+    x_m projected in one GEMM, then the recurrence over the projected rows,
+    last to first with reverse. Returns (final h, cache, x_m)."""
+    x_m = np.asarray(seq, dtype=np.float64) * input_mask
+    z = cell.project(x_m)
+    h, cache = cell.run(z[::-1] if reverse else z, recurrent_mask)
+    return h, cache, x_m
+
+
+def lstm_input_grads(cell, dz, input_mask):
+    """Gradients at the unmasked inputs from gate gradients dz (one row per
+    input row): one GEMM under the input mask."""
+    return (dz @ cell.input_weights) * input_mask
+
+
+def bilstm(fwd, bwd, seq, masks):
+    """concat(final fwd h, final bwd h) of one sequence, the backward cell
+    reading its projected rows last to first, and each direction's (cache,
+    x_m). masks is (fwd input, fwd recurrent, bwd input, bwd recurrent)."""
+    h_fwd, cache_fwd, x_fwd = lstm_run(fwd, seq, masks[0], masks[1])
+    h_bwd, cache_bwd, x_bwd = lstm_run(bwd, seq, masks[2], masks[3], reverse=True)
+    return np.concatenate([h_fwd, h_bwd]), ((cache_fwd, x_fwd), (cache_bwd, x_bwd))
+
+
+def bilstm_grads(fwd, bwd, grad_encoded, caches, masks):
+    """(gradient at seq, fwd (gW, gU, gb), bwd (gW, gU, gb)) of bilstm: the
+    backward direction's gate gradients and states go back into sequence
+    order, the order of its x_m."""
+    H = fwd.hidden_dim
+    (cache_fwd, x_fwd), (cache_bwd, x_bwd) = caches
+    dz_fwd = fwd.backward(grad_encoded[:H], cache_fwd)
+    dz_bwd = bwd.backward(grad_encoded[H:], cache_bwd)[::-1]
+    grad_seq = (lstm_input_grads(fwd, dz_fwd, masks[0])
+                + lstm_input_grads(bwd, dz_bwd, masks[2]))
+    return (grad_seq, lstm_param_grads(fwd, dz_fwd, x_fwd, cache_fwd["h_m"]),
+            lstm_param_grads(bwd, dz_bwd, x_bwd, cache_bwd["h_m"][::-1]))
+
+
 class TestLstm:
     def ones_masks(self, m, H):
         return np.ones(m), np.ones(H)
@@ -498,7 +536,7 @@ class TestLstm:
         cell.input_weights[:] = 0.0
         cell.recurrent_weights[:] = 0.0
         cell.bias[:] = 0.0
-        h, cache = cell.run([np.zeros(2)], *self.ones_masks(2, 3))
+        h, cache, _ = lstm_run(cell, [np.zeros(2)], *self.ones_masks(2, 3))
         np.testing.assert_array_equal(h, np.zeros(3))
         np.testing.assert_array_equal(cache["tanh_c"], np.zeros((1, 3)))
         np.testing.assert_allclose(h, lstm_step(cell, np.zeros(2), np.zeros(3), np.zeros(3))[0])
@@ -511,7 +549,7 @@ class TestLstm:
         cell.input_weights[:] = [[10.0], [0.0], [10.0], [0.0]]
         cell.recurrent_weights[:] = 0.0
         cell.bias[:] = [0.0, 10.0, 0.0, 0.0]
-        h, cache = cell.run([np.ones(1), np.zeros(1)], *self.ones_masks(1, 1))
+        h, cache, _ = lstm_run(cell, [np.ones(1), np.zeros(1)], *self.ones_masks(1, 1))
         h1, c1 = lstm_step(cell, np.ones(1), np.zeros(1), np.zeros(1))
         h2, c2 = lstm_step(cell, np.zeros(1), h1, c1)
         assert abs(cache["c_prev"][1, 0] - c1[0]) < 1e-12
@@ -525,6 +563,15 @@ class TestLstm:
         np.testing.assert_array_equal(cell.bias[4:8], np.ones(4))
         assert not cell.bias[:4].any() and not cell.bias[8:].any()
 
+    def test_input_widths_are_checked(self, rng):
+        cell = LstmCell(3, 2, rng)
+        for x_m in (np.zeros((2, 4)), np.zeros((2, 2)), np.zeros(3)):
+            with pytest.raises(ShapeError, match="m=3"):
+                cell.project(x_m)
+        for z_in in (np.zeros((2, 7)), np.zeros((2, 3)), np.zeros(8)):
+            with pytest.raises(ShapeError, match="4H=8"):
+                cell.run(z_in, np.ones(2))
+
     def test_bptt_matches_finite_differences(self, rng):
         cell = LstmCell(3, 2, rng)
         seq = [rng.normal(size=3) for _ in range(3)]
@@ -532,12 +579,13 @@ class TestLstm:
         masks = self.ones_masks(3, 2)
 
         def loss_fn():
-            h, _ = cell.run(seq, *masks)
+            h, *_ = lstm_run(cell, seq, *masks)
             return float(weights @ h)
 
-        h, caches = cell.run(seq, *masks)
-        grad_xs, dz = cell.backward(weights, caches)
-        gW, gU, gb = lstm_param_grads(cell, dz, caches)
+        h, caches, x_m = lstm_run(cell, seq, *masks)
+        dz = cell.backward(weights, caches)
+        grad_xs = lstm_input_grads(cell, dz, masks[0])
+        gW, gU, gb = lstm_param_grads(cell, dz, x_m, caches["h_m"])
         assert_matches_fd(gW, fd_grad(loss_fn, cell.input_weights, rng))
         assert_matches_fd(gU, fd_grad(loss_fn, cell.recurrent_weights, rng))
         assert_matches_fd(gb, fd_grad(loss_fn, cell.bias, rng))
@@ -554,12 +602,13 @@ class TestLstm:
             assert set(mask) == {0.0, 2.0}
 
         def loss_fn():
-            h, _ = cell.run(seq, *masks)
+            h, *_ = lstm_run(cell, seq, *masks)
             return float(weights @ h)
 
-        h, cache = cell.run(seq, *masks)
-        grad_xs, dz = cell.backward(weights, cache)
-        gW, gU, gb = lstm_param_grads(cell, dz, cache)
+        h, cache, x_m = lstm_run(cell, seq, *masks)
+        dz = cell.backward(weights, cache)
+        grad_xs = lstm_input_grads(cell, dz, masks[0])
+        gW, gU, gb = lstm_param_grads(cell, dz, x_m, cache["h_m"])
         assert grad_xs.shape == (5, 6)
         assert_matches_fd(gW, fd_grad(loss_fn, cell.input_weights, rng))
         assert_matches_fd(gU, fd_grad(loss_fn, cell.recurrent_weights, rng))
@@ -579,12 +628,13 @@ class TestLstm:
         weights = rng.normal(size=(2, 3))
 
         def loss_fn():
-            return sum(float(w @ cell.run(seq, *m)[0]) for w, seq, m in zip(weights, seqs, masks))
+            return sum(float(w @ lstm_run(cell, seq, *m)[0])
+                       for w, seq, m in zip(weights, seqs, masks))
 
         parts = []
         for w, seq, m in zip(weights, seqs, masks):
-            _, cache = cell.run(seq, *m)
-            parts.append((cell.backward(w, cache)[1], cache["x_m"], cache["h_m"]))
+            _, cache, x_m = lstm_run(cell, seq, *m)
+            parts.append((cell.backward(w, cache), x_m, cache["h_m"]))
         grads = (np.empty_like(cell.input_weights), np.empty_like(cell.recurrent_weights),
                  np.empty_like(cell.bias))
         LstmCell.param_grads(*(np.concatenate(p) for p in zip(*parts)), *grads)
@@ -599,9 +649,9 @@ class TestBilstm:
     def test_single_element_sequence(self, rng):
         fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
         x = rng.normal(size=3)
-        enc, _ = bilstm_encode([x], fwd, bwd, self.masks(3, 2))
-        hf, _ = fwd.run([x], np.ones(3), np.ones(2))
-        hb, _ = bwd.run([x], np.ones(3), np.ones(2))
+        enc, _ = bilstm(fwd, bwd, [x], self.masks(3, 2))
+        hf, _ = fwd.run(fwd.project(x[None]), np.ones(2))
+        hb, _ = bwd.run(bwd.project(x[None]), np.ones(2))
         np.testing.assert_array_equal(enc, np.concatenate([hf, hb]))
         zeros = np.zeros(2)
         closed_form = [lstm_step(cell, x, zeros, zeros)[0] for cell in (fwd, bwd)]
@@ -610,14 +660,16 @@ class TestBilstm:
     def test_backward_half_equals_forward_run_on_reversed(self, rng):
         fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
         seq = [rng.normal(size=3) for _ in range(4)]
-        enc, _ = bilstm_encode(seq, fwd, bwd, self.masks(3, 2))
-        h_rev, _ = bwd.run(list(reversed(seq)), np.ones(3), np.ones(2))
+        enc, _ = bilstm(fwd, bwd, seq, self.masks(3, 2))
+        h_rev, *_ = lstm_run(bwd, list(reversed(seq)), np.ones(3), np.ones(2))
         np.testing.assert_array_equal(enc[2:], h_rev)
 
-    def test_empty_sequence_rejected(self, rng):
-        fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
-        with pytest.raises(ContractViolation):
-            bilstm_encode([], fwd, bwd, self.masks(3, 2))
+    def test_empty_sequence_rejected(self):
+        # The BiLSTM never meets an empty sequence: a document needs a
+        # sentence, and a sentence a token.
+        for sentences in ((), ((),), ((2, 3), ())):
+            with pytest.raises(ContractViolation):
+                Document(sentences)
 
     def test_gradients_through_both_directions(self, rng):
         fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
@@ -626,16 +678,15 @@ class TestBilstm:
         masks = self.masks(3, 2)
 
         def loss_fn():
-            enc, _ = bilstm_encode(seq, fwd, bwd, masks)
+            enc, _ = bilstm(fwd, bwd, seq, masks)
             return float(weights @ enc)
 
-        enc, cache = bilstm_encode(seq, fwd, bwd, masks)
-        grad_seq, dz_fwd, dz_bwd = bilstm_backward(weights, fwd, bwd, cache)
+        enc, caches = bilstm(fwd, bwd, seq, masks)
+        grad_seq, fwd_g, bwd_g = bilstm_grads(fwd, bwd, weights, caches, masks)
         for t in range(3):
             assert_matches_fd(grad_seq[t], fd_grad(loss_fn, seq[t], rng))
-        fwd_g = lstm_param_grads(fwd, dz_fwd, cache["fwd"])
-        bwd_g = lstm_param_grads(bwd, dz_bwd, cache["bwd"])
         assert_matches_fd(fwd_g[0], fd_grad(loss_fn, fwd.input_weights, rng))
+        assert_matches_fd(bwd_g[0], fd_grad(loss_fn, bwd.input_weights, rng))
         assert_matches_fd(bwd_g[1], fd_grad(loss_fn, bwd.recurrent_weights, rng))
 
 

@@ -305,6 +305,42 @@ class TestLossAndGrads:
         model.loss_and_grads(batch)
         assert projected == [11]  # the batch's distinct tokens
 
+    @pytest.mark.parametrize("train", [False, True])
+    def test_one_input_projection_per_direction(self, rng, monkeypatch, train):
+        # Each direction projects all the call's sentence vectors at once;
+        # each run reads its document's rows of that array in place,
+        # reversed for the backward direction.
+        model, batch = self.three_doc_batch(rng)
+        project, run = layers.LstmCell.project, layers.LstmCell.run
+        projected, ran, sent_vecs = [], [], []
+        dense = layers.DenseLayer.forward
+
+        def dense_forward(*args):
+            out = dense(*args)
+            sent_vecs.append(out[0])
+            return out
+        monkeypatch.setattr(layers.DenseLayer, "forward", dense_forward)
+        monkeypatch.setattr(layers.LstmCell, "project", lambda cell, x_m: (
+            projected.append((cell, x_m, project(cell, x_m))) or projected[-1][2]))
+        monkeypatch.setattr(layers.LstmCell, "run", lambda cell, z_in, mask: (
+            ran.append((cell, z_in)) or run(cell, z_in, mask)))
+        model.forward(batch, train=train, dropout_rng=np.random.default_rng(2))
+        assert [cell for cell, *_ in projected] == [model.lstm_fwd, model.lstm_bwd]
+        ends = np.cumsum([len(doc.sentences) for doc in batch])
+        (vecs,) = sent_vecs
+        for cell, x_m, z in projected:
+            assert z.shape == (ends[-1], 4 * model.config.lstm_hidden)
+            if not train:  # all-ones masks: the sentence vectors themselves
+                assert x_m is vecs
+            z_ins = [z_in for c, z_in in ran if c is cell]
+            assert len(z_ins) == len(batch)
+            for z_in, end, doc in zip(z_ins, ends, batch):
+                rows = z[end - len(doc.sentences) : end]
+                if cell is model.lstm_bwd:
+                    rows = rows[::-1]
+                assert z_in.base is z and z_in.strides == rows.strides
+                assert z_in.ctypes.data == rows.ctypes.data
+
     def test_batch_gradients_equal_mean_of_single_document_gradients(self, rng):
         model, batch = self.three_doc_batch(rng)
         _, batch_grads = model.loss_and_grads(batch)

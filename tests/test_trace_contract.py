@@ -96,9 +96,15 @@ def test_train_and_predict_keep_every_traced_name_and_count(tracing, tmp_path):
             - (FILTER_WIDTH - 1) * calls)
     assert m["layers.conv.windows"] == want
     assert m["layers.conv.pad_window_ratio"] > 0
-    # Both LSTM directions step once per sentence.
+    # Both LSTM directions step once per sentence, and each runs once per
+    # document and backpropagates once per training document: perfbench/tests
+    # pins these counts, which a BiLSTM batched across documents must redefine.
     assert m["layers.lstm.steps"] == 2 * (epochs * len(sentences(ds.texts()))
                                           + len(sentences(PREDICT_LINES)))
+    docs_run = epochs * len(ds.texts()) + len(PREDICT_LINES)
+    assert m["layers.lstm_fwd.run.calls"] == m["layers.lstm_bwd.run.calls"] == docs_run
+    for direction in ("fwd", "bwd"):
+        assert m[f"layers.lstm_{direction}.backward.calls"] == epochs * (len(ds.texts()) - val)
 
 
 def test_predict_reaches_every_line_through_the_loaded_models_forward(tmp_path, monkeypatch):
