@@ -16,15 +16,10 @@ class NbModel:
         self.class_log_prior = class_log_prior
         self.token_log_likelihood = token_log_likelihood
 
-    @property
-    def num_classes(self):
-        return self.class_log_prior.shape[0]
 
-
-def nb_fit(docs, vocab_size: int, num_classes: int, alpha: float = 1.0) -> NbModel:
-    """Fit from labeled Documents; counts are pooled across sentences."""
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
+def nb_fit(docs, vocab_size: int, num_classes: int) -> NbModel:
+    """Fit from labeled Documents; counts are pooled across sentences, and
+    every count is smoothed by adding 1 (Laplace)."""
     class_counts = np.zeros(num_classes, dtype=np.float64)
     token_counts = np.zeros((num_classes, vocab_size), dtype=np.float64)
     for doc in docs:
@@ -37,7 +32,7 @@ def nb_fit(docs, vocab_size: int, num_classes: int, alpha: float = 1.0) -> NbMod
         raise ConfigurationError(f"classes {missing} have no training samples")
     class_log_prior = np.log(class_counts / class_counts.sum())
     totals = token_counts.sum(axis=1, keepdims=True)
-    token_log_likelihood = np.log((token_counts + alpha) / (totals + alpha * vocab_size))
+    token_log_likelihood = np.log((token_counts + 1.0) / (totals + vocab_size))
     return NbModel(class_log_prior, token_log_likelihood)
 
 

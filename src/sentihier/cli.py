@@ -289,9 +289,10 @@ def main(argv=None) -> int:
 
 
 def _fail(exc, code: int) -> int:
-    """Print the error, naming the cross-validation fold it came from, if any."""
-    fold = getattr(exc, "fold", None)
-    where = "" if fold is None else f"fold {fold}: "
+    """Print the error, naming the cross-validation fold or the learning-curve
+    fraction it came from, if any."""
+    where = "".join(f"{tag} {getattr(exc, tag)}: " for tag in ("fold", "fraction")
+                    if hasattr(exc, tag))
     print(f"error: {where}{exc}", file=sys.stderr)
     return code
 

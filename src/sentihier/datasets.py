@@ -16,6 +16,7 @@ from .errors import ConfigurationError, ParseError
 CLASS_ORDER_2 = ("negative", "positive")
 CLASS_ORDER_3 = ("negative", "neutral", "positive")
 GERRIT_ORDER = ("negative", "non-negative")
+DISTRIBUTION_TOLERANCE = 0.5  # percentage points, in verify_distribution
 
 JIRA_EMOTION_MAP = {
     "love": "positive",
@@ -117,26 +118,25 @@ def load_csv(path, text_column: str, label_column: str, name: str = "",
     return LabeledDataset(name=name or path.stem, samples=tuple(samples), label_set=label_set)
 
 
-def verify_distribution(ds: LabeledDataset, expected: dict,
-                        tolerance: float = 0.5) -> list:
+def verify_distribution(ds: LabeledDataset, expected: dict) -> list:
     """Compare observed class percentages with expected ones.
 
     Returns a list of warning strings; empty means everything matched within
-    `tolerance` percentage points. Never raises on deviation.
+    DISTRIBUTION_TOLERANCE percentage points. Never raises on deviation.
     """
     total_pct = sum(expected.values())
-    if abs(total_pct - 100.0) > tolerance:
-        raise ConfigurationError(
-            f"expected percentages sum to {total_pct}, not 100 +/- {tolerance}")
+    if abs(total_pct - 100.0) > DISTRIBUTION_TOLERANCE:
+        raise ConfigurationError(f"expected percentages sum to {total_pct}, "
+                                 f"not 100 +/- {DISTRIBUTION_TOLERANCE}")
     warnings = []
     n = len(ds.samples)
     counts = ds.class_counts
     for label, pct in expected.items():
         observed = 100.0 * counts.get(label, 0) / n
-        if abs(observed - pct) > tolerance:
+        if abs(observed - pct) > DISTRIBUTION_TOLERANCE:
             warnings.append(
                 f"{ds.name}: class {label!r} observed {observed:.1f}%, "
-                f"expected {pct:.1f}% (+/- {tolerance})")
+                f"expected {pct:.1f}% (+/- {DISTRIBUTION_TOLERANCE})")
     return warnings
 
 
@@ -171,6 +171,13 @@ def load_dataset_config(path) -> DatasetConfig:
     data_path = Path(values["path"])
     if not data_path.is_absolute():
         data_path = path.parent / data_path
+    expected_samples = None
+    if values.get("expected_samples"):
+        try:
+            expected_samples = int(values["expected_samples"])
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}: bad expected_samples {values['expected_samples']!r}") from None
     distribution = {}
     if values.get("expected_distribution"):
         for part in values["expected_distribution"].split(","):
@@ -186,7 +193,7 @@ def load_dataset_config(path) -> DatasetConfig:
         text_column=values["text_column"],
         label_column=values["label_column"],
         label_mapping=values.get("label_mapping", "none"),
-        expected_samples=int(values["expected_samples"]) if values.get("expected_samples") else None,
+        expected_samples=expected_samples,
         expected_distribution=distribution,
     )
 

@@ -69,10 +69,6 @@ class MetricsReport:
     accuracy: float
     per_class: tuple  # ClassMetrics per class index
 
-    @property
-    def num_classes(self):
-        return len(self.per_class)
-
 
 def compute_metrics(gold, predicted, num_classes: int) -> MetricsReport:
     """Accuracy plus per-class precision/recall/F1 from the num_classes x
@@ -147,8 +143,9 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42, *, num_clas
     return results, compute_metrics(pooled_gold, pooled_pred, num_classes)
 
 
-def stratified_pick(labels, fraction: float, total: int, rng: np.random.Generator) -> list:
-    """Sorted indices of `total` items drawn class by class in proportion.
+def stratified_pick(labels, fraction: float, total: int, rng: np.random.Generator):
+    """(picked, rest): the sorted indices of `total` items drawn class by
+    class in proportion, and the sorted indices of the others.
 
     Each class gets floor(fraction * its size) items; the rest of `total` goes
     one item per class to the largest remainders, ties to the lower label.
@@ -163,12 +160,13 @@ def stratified_pick(labels, fraction: float, total: int, rng: np.random.Generato
     order = sorted(by_class, key=lambda c: (-(shares[c] - take[c]), c))
     for c in order[:max(leftover, 0)]:
         take[c] += 1
-    picked = []
+    picked, rest = [], []
     for c in sorted(by_class):
         ix = np.array(by_class[c])
         rng.shuffle(ix)
         picked.extend(ix[: take[c]].tolist())
-    return sorted(picked)
+        rest.extend(ix[take[c] :].tolist())
+    return sorted(picked), sorted(rest)
 
 
 def stratified_split_70_30(labels, seed: int):
@@ -180,9 +178,7 @@ def stratified_split_70_30(labels, seed: int):
     labels = list(labels)
     n = len(labels)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7030]))
-    train = stratified_pick(labels, 0.7, n - int(math.floor(0.3 * n + 1e-9)), rng)
-    chosen = set(train)
-    return train, [i for i in range(n) if i not in chosen]
+    return stratified_pick(labels, 0.7, n - int(math.floor(0.3 * n + 1e-9)), rng)
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,9 @@ def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
     """Bootstrap learning curve on a fixed stratified 70/30 split, at
     fractions ascending in (0, 1] (cli.cmd_learning_curve checks them).
 
-    Returns (list of CurvePoint, list of skipped-point warnings).
+    Returns (list of CurvePoint, list of skipped-point warnings). An
+    exception raised at a point propagates unchanged, with the point's
+    fraction in its `fraction` attribute.
     """
     labels = list(labels)
     train_ix, test_ix, draws = resample_plan(labels, fractions, seed)
@@ -223,30 +221,32 @@ def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
             warnings.append(f"fraction {frac}: resample size {len(sample_ix)} < {num_classes} "
                             "classes, skipped")
             continue
-        preds = list(fit_predict(sample_ix, test_ix, pseed)["predictions"])
+        try:
+            preds = list(fit_predict(sample_ix, test_ix, pseed)["predictions"])
+        except Exception as exc:
+            exc.fraction = frac
+            raise
         report = compute_metrics(gold, preds, num_classes)
         points.append(CurvePoint(frac, len(sample_ix), report.accuracy))
     return points, warnings
 
 
-def report_to_csv_rows(report: MetricsReport, label_names=None):
-    names = label_names or [str(c) for c in range(report.num_classes)]
+def report_to_csv_rows(report: MetricsReport, label_names):
     yield "class,precision,recall,f1,support"
     for c, m in enumerate(report.per_class):
-        yield f"{names[c]},{m.precision!r},{m.recall!r},{m.f1!r},{m.support}"
+        yield f"{label_names[c]},{m.precision!r},{m.recall!r},{m.f1!r},{m.support}"
     yield f"accuracy,{report.accuracy!r},,,{int(report.confusion.sum())}"
 
 
-def report_to_markdown(report: MetricsReport, label_names=None) -> str:
-    names = label_names or [str(c) for c in range(report.num_classes)]
-    width = max(8, max(len(n) for n in names))
+def report_to_markdown(report: MetricsReport, label_names) -> str:
+    width = max(8, max(len(n) for n in label_names))
     lines = [
         f"| {'class'.ljust(width)} | P     | R     | F1    | support |",
         f"|{'-' * (width + 2)}|-------|-------|-------|---------|",
     ]
     for c, m in enumerate(report.per_class):
         lines.append(
-            f"| {names[c].ljust(width)} | {m.precision:.3f} | {m.recall:.3f} "
+            f"| {label_names[c].ljust(width)} | {m.precision:.3f} | {m.recall:.3f} "
             f"| {m.f1:.3f} | {m.support:7d} |")
     lines.append(f"| {'accuracy'.ljust(width)} | {report.accuracy:.3f} |       |       "
                  f"| {int(report.confusion.sum()):7d} |")

@@ -5,14 +5,14 @@ of rows and the head its documents as rows; an LSTM cell projects a batch's
 sequences as one stack of rows, then runs the recurrence of one sequence.
 
 The convolution runs in embedding-row space. Its input is static word
-vectors, so each forward call's ProjectionScope computes the products of
-the call's distinct vectors with the filters once, one (F,) product per
-filter offset, and sentences enter the layer as the table rows of their
+vectors, so each forward call projects the call's distinct vectors through
+the filters once (ConvLayer.project), one (F,) product per filter offset,
+into a table whose row 0 is the zero vector's and whose row 1 + u is
+distinct vector u's. Sentences enter the layer as the table rows of their
 tokens (sentence_matrix): each window sums f of them instead of multiplying
-its own copy of the vectors. The table lives in any idle block its owner
-lends (`memory`) whenever it fits. The filter gradient reads the same rows
-(param_grads, ProjectionScope.vectors), so only this module knows how a
-sentence maps to rows and padding.
+its own copy of the vectors. The filter gradient reads the same rows
+(param_grads), so only this module knows how a sentence maps to rows and
+padding.
 
 Every layer's forward pass returns what its backward pass needs (a cache, or
 for the convolution its pooled features and argmax windows), and the backward
@@ -88,11 +88,12 @@ def dropout_mask(rng: np.random.Generator | None, size: int, rate: float) -> np.
     return (rng.random(size) < keep).astype(np.float64) / keep
 
 
-def sentence_matrix(seqs, scope: "ProjectionScope", min_rows: int):
-    """Sentences (sequences of token indices) as one stack of rows of the
-    scope's table: each sentence's token rows, then the zero row (row 0) up
-    to min_rows. Returns (rows, starts): sentence s begins at rows[starts[s]].
-    The scope must be the projection of these sentences' tokens, chained."""
+def sentence_matrix(seqs, distinct: np.ndarray, min_rows: int):
+    """Sentences (sequences of token indices) as one stack of rows of a
+    ConvLayer.project table: each sentence's token rows, then the zero row
+    (row 0) up to min_rows. distinct gives each token of the sentences,
+    chained, as its index among the vectors projected (np.unique's inverse).
+    Returns (rows, starts): sentence s begins at rows[starts[s]]."""
     lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
     if len(lengths) == 0 or lengths.min() == 0:
         raise ContractViolation("sentence_matrix of no sentence or of an empty one")
@@ -100,7 +101,7 @@ def sentence_matrix(seqs, scope: "ProjectionScope", min_rows: int):
     starts = np.cumsum(padded) - padded
     rows = np.zeros(padded.sum(), dtype=np.intp)
     at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    rows[at] = scope.token_rows
+    rows[at] = distinct + 1
     return rows, starts
 
 
@@ -108,9 +109,9 @@ class ConvLayer:
     """Temporal convolution over word-vector windows, ReLU, max-over-time pool.
 
     The word vectors are static, so the filters' products with each
-    distinct vector of a forward call are computed once (project, in a
-    ProjectionScope) and every window sums f of them (forward), instead of
-    multiplying every window again.
+    distinct vector of a forward call are computed once (project) and every
+    window sums f of them (forward), instead of multiplying every window
+    again.
     """
 
     def __init__(self, filter_width: int, num_filters: int, embedding_dim: int,
@@ -121,38 +122,43 @@ class ConvLayer:
         self.filters = _weights(rng, num_filters, filter_width * embedding_dim)
         self.bias = np.zeros(num_filters, dtype=np.float64)
 
-    def project(self, vectors: np.ndarray, out: np.ndarray):
-        """Writes out[o, u] = filters[:, o*k:(o+1)*k] @ vectors[u] for every
-        offset o: vectors is (U, k) and out (f, U, F). One GEMM per offset
-        reads that offset's columns of the filters in place."""
+    def project(self, vectors: np.ndarray) -> np.ndarray:
+        """The (f, 1 + U, F) table of the filters' products with U distinct
+        word vectors (U, k), the precomputation of Devlin et al. 2014 ("Fast
+        and Robust Neural Network Joint Models"): table[o, 0] is zero, for
+        the padding, and table[o, 1 + u] = filters[:, o*k:(o+1)*k] @
+        vectors[u]. One GEMM per offset reads that offset's columns of the
+        filters in place. The table is valid only while the filters stay as
+        they are."""
         k = self.embedding_dim
         if vectors.ndim != 2 or vectors.shape[1] != k:
             raise ShapeError(f"vectors have shape {vectors.shape}, layer expects (U, {k})")
+        table = np.empty((self.filter_width, 1 + len(vectors), self.num_filters))
+        table[:, 0] = 0.0
         for o in range(self.filter_width):
-            np.matmul(vectors, self.filters[:, o * k : (o + 1) * k].T, out=out[o])
+            np.matmul(vectors, self.filters[:, o * k : (o + 1) * k].T, out=table[o, 1:])
+        return table
 
-    def forward(self, rows: np.ndarray, starts: np.ndarray, scope: "ProjectionScope",
+    def forward(self, rows: np.ndarray, starts: np.ndarray, table: np.ndarray,
                 first_max: bool = False):
         """Returns (pooled features (S, F), first-max windows (S, F) or None).
 
-        rows and starts are S sentences' rows of the scope's table, at least
-        f each (sentence_matrix). Window p's pre-activation, filter .
-        window_p + bias, is bias + sum over o of table[o, rows[p + o]], for
-        each window inside one sentence; the feature map is its relu, and a
-        sentence's pooled feature keeps the max over its windows. With
-        first_max, the windows are the positions in rows where each max is
-        first reached, ties going to the smallest position.
+        rows and starts are S sentences' rows of this layer's table
+        (project), at least f each (sentence_matrix). Window p's
+        pre-activation, filter . window_p + bias, is bias + sum over o of
+        table[o, rows[p + o]], for each window inside one sentence; the
+        feature map is its relu, and a sentence's pooled feature keeps the
+        max over its windows. With first_max, the windows are the positions
+        in rows where each max is first reached, ties going to the smallest
+        position.
         """
         f = self.filter_width
         lengths = np.diff(starts, append=len(rows))
         if lengths.min() < f:
             raise ShapeError(f"a sentence has {lengths.min()} rows, below filter width {f}")
-        if scope.conv is not self:
-            raise ContractViolation("forward with a scope of another conv layer")
         counts = lengths - (f - 1)          # windows per sentence
         first = np.cumsum(counts) - counts  # each sentence's first window
         at = np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
-        table = scope.table
         pre = table[0].take(rows[at], axis=0)  # (windows, F)
         for o in range(1, f):
             pre += table[o].take(rows[at + o], axis=0)
@@ -177,68 +183,33 @@ class ConvLayer:
         """
         return grad_features * (features > 0.0)
 
-    def param_grads(self, vectors: np.ndarray, rows: np.ndarray, windows: np.ndarray,
-                    gated: np.ndarray, grad_filters: np.ndarray, grad_bias: np.ndarray):
+    def param_grads(self, embedding_matrix: np.ndarray, ids: np.ndarray, rows: np.ndarray,
+                    windows: np.ndarray, gated: np.ndarray, grad_filters: np.ndarray,
+                    grad_bias: np.ndarray):
         """Filter and bias gradients summed over a batch of S sentences.
 
-        vectors (U, k) holds the input rows the batch touched, a zero row
-        among them for padding; rows stack the batch's sentences as rows of
-        `vectors`, and windows (S, F) gives each filter's first-max window as
-        a position in rows (forward). gated (S, F) stacks the backward
-        outputs. For each offset o, the (F, U) weight of every row under
-        every filter is gathered with one bincount, and one matrix product
-        turns it into the filters' slice for that offset: the windows
-        themselves are never formed.
+        ids are the distinct tokens, rows of embedding_matrix, that the
+        batch's table projected (project); rows stack the batch's sentences
+        as rows of that table, and windows (S, F) gives each filter's
+        first-max window as a position in rows (forward). gated (S, F)
+        stacks the backward outputs. For each offset o, the (F, 1 + U)
+        weight of every table row under every filter is gathered with one
+        bincount, and one matrix product with the rows' word vectors turns
+        it into the filters' slice for that offset: the windows themselves
+        are never formed.
         """
         F, f = windows.shape[1], self.filter_width
-        U, k = vectors.shape
+        R, k = 1 + len(ids), self.embedding_dim
+        vectors = np.empty((R, k))  # each table row's word vector
+        vectors[0] = 0.0
+        np.take(embedding_matrix, ids, axis=0, out=vectors[1:])
         by_offset = grad_filters.reshape(F, f, k)
-        filter_bins = np.arange(F) * U  # the bin of (filter j, row 0)
+        filter_bins = np.arange(F) * R  # the bin of (filter j, row 0)
         for o in range(f):
             weight = np.bincount((filter_bins + rows[windows + o]).ravel(),
-                                 weights=gated.ravel(), minlength=F * U)
-            np.matmul(weight.reshape(F, U), vectors, out=by_offset[:, o, :])
+                                 weights=gated.ravel(), minlength=F * R)
+            np.matmul(weight.reshape(F, R), vectors, out=by_offset[:, o, :])
         np.sum(gated, axis=0, out=grad_bias)
-
-
-class ProjectionScope:
-    """The conv filters' products with the word vectors of the tokens of one
-    forward call, each distinct vector projected once (the precomputation of
-    Devlin et al. 2014, "Fast and Robust Neural Network Joint Models").
-
-    `tokens` are the call's token indices in the order sentence_matrix chains
-    its sentences. table[o, r] holds the (F,) products of the filters'
-    offset-o columns with the vector of ids[r - 1], the call's distinct
-    tokens in ascending order; row 0 holds the zero vector's, which pads
-    sentences shorter than the filter width. token_rows gives each token's
-    table row. A scope is valid only while the conv weights stay as they
-    were when it projected; only the model's forward makes one.
-    """
-
-    def __init__(self, conv: ConvLayer, embedding_matrix: np.ndarray, tokens: np.ndarray,
-                 memory: np.ndarray | None = None):
-        """`memory`, if given, is a contiguous float64 array that nothing
-        else uses while the scope lives; the table is kept in it whenever
-        the table fits."""
-        self.conv = conv
-        self.embedding_matrix = embedding_matrix
-        self.ids, inverse = np.unique(tokens, return_inverse=True)
-        self.token_rows = inverse + 1
-        shape = (conv.filter_width, 1 + len(self.ids), conv.num_filters)
-        size = shape[0] * shape[1] * shape[2]
-        if memory is not None and size <= memory.size:
-            self.table = memory[:size].reshape(shape)
-        else:
-            self.table = np.empty(shape)
-        self.table[:, 0] = 0.0
-        conv.project(embedding_matrix[self.ids], self.table[:, 1:])
-
-    def vectors(self) -> np.ndarray:
-        """The word vector of each table row: a zero row, then those of ids."""
-        vectors = np.empty((1 + len(self.ids), self.embedding_matrix.shape[1]))
-        vectors[0] = 0.0
-        np.take(self.embedding_matrix, self.ids, axis=0, out=vectors[1:])
-        return vectors
 
 
 class DenseLayer:

@@ -13,12 +13,12 @@ softmax per row. Batch gradients are the mean of per-document gradients,
 formed once per batch from the factors of all rows.
 
 Each forward call projects the distinct word vectors of its own documents
-through the conv filters once, into a layers.ProjectionScope that the
-convolution reads and that does not outlive the call (a training batch's
-filter gradient reads its vectors through the cache). Inference runs
-through probabilities, one forward call per chunk of documents; a
-loss_and_grads batch is one forward call, its table kept in the idle
-gradients.
+through the conv filters once (layers.ConvLayer.project), into a table
+that the convolution reads and that is freed before the call returns (a
+training batch's filter gradient gathers its word vectors again, from the
+ids in the cache). Inference runs through probabilities, one forward call
+per chunk of documents; a loss_and_grads batch is one forward call, and
+its gradient block is allocated only after the table is gone.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs.
@@ -153,7 +153,7 @@ class HiCnnLstmModel:
             yield from self.forward(chunk)[0]
             size = INFERENCE_CHUNK
 
-    def forward(self, docs, train: bool = False, dropout_rng=None, *, memory=None):
+    def forward(self, docs, train: bool = False, dropout_rng=None):
         """Returns ((B, C) class probabilities of the B documents `docs`,
         cache). Dropout is active only when train=True and a dropout_rng is
         supplied; masks are fixed per document and drawn in document order.
@@ -164,19 +164,18 @@ class HiCnnLstmModel:
         recurrence one document at a time; the head takes the B encodings as
         one matrix. The convolution reads the filter products of the
         documents' distinct word vectors, projected once by this call into a
-        ProjectionScope whose table lives in `memory` (see
-        layers.ProjectionScope) whenever it fits.
+        table that is freed as soon as the convolution has read it.
         """
         cfg = self.config
         sentences = [doc.sentences[: cfg.max_sentences_per_doc] for doc in docs]
         seqs = list(itertools.chain.from_iterable(sentences))
-        scope = layers.ProjectionScope(
-            self.conv, self.embedding_matrix,
-            np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp), memory)
+        ids, distinct = np.unique(
+            np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp), return_inverse=True)
         masks = [self._masks(dropout_rng if train else None) for _ in sentences]
         counts = [len(s) for s in sentences]
-        rows, starts = layers.sentence_matrix(seqs, scope, cfg.filter_width)
-        features, windows = self.conv.forward(rows, starts, scope, first_max=train)
+        rows, starts = layers.sentence_matrix(seqs, distinct, cfg.filter_width)
+        features, windows = self.conv.forward(
+            rows, starts, self.conv.project(self.embedding_matrix[ids]), first_max=train)
         sent_vecs, dense_cache = self.dense.forward(
             features, np.repeat([dense for dense, _ in masks], counts, axis=0))
         H, ends = cfg.lstm_hidden, np.cumsum(counts)
@@ -195,7 +194,7 @@ class HiCnnLstmModel:
         probs = self.head.probs(encoded)
         cache = None
         if train:
-            cache = {"scope": scope, "rows": rows, "windows": windows, "features": features,
+            cache = {"ids": ids, "rows": rows, "windows": windows, "features": features,
                      "dense": dense_cache, "lstm": lstm, "encoded": encoded}
         return probs, cache
 
@@ -212,13 +211,13 @@ class HiCnnLstmModel:
             raise ContractViolation("loss_and_grads on an empty batch")
         if any(doc.label is None for doc in batch):
             raise ContractViolation("loss_and_grads requires labeled documents")
+        # The gradient block is made after the forward pass, whose projection
+        # table is freed by then: the two are never alive at once.
+        probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng)
         sizes = [p.size for p in self.params().values()]
         block = np.empty(sum(sizes))
         grads = {name: part.reshape(p.shape) for (name, p), part in
                  zip(self.params().items(), np.split(block, np.cumsum(sizes)[:-1]))}
-        # The gradients are views of one block, written only after the
-        # forward pass: until then it holds the batch's projection table.
-        probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng, memory=block)
         loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, [d.label for d in batch])
         H = self.config.lstm_hidden
         grad_seq = 0.0
@@ -237,8 +236,8 @@ class HiCnnLstmModel:
                                   grads["head.weights"], grads["head.bias"])
         layers.linear_param_grads(grad_pre, cache["dense"]["x_masked"],
                                   grads["dense.weights"], grads["dense.bias"])
-        self.conv.param_grads(cache["scope"].vectors(), cache["rows"], cache["windows"], gated,
-                              grads["conv.filters"], grads["conv.bias"])
+        self.conv.param_grads(self.embedding_matrix, cache["ids"], cache["rows"], cache["windows"],
+                              gated, grads["conv.filters"], grads["conv.bias"])
         block /= len(batch)
         return loss / len(batch), grads
 
@@ -247,8 +246,8 @@ def save_checkpoint(model: HiCnnLstmModel, path):
     """Versioned little-endian binary container: the config, the token list
     (in index order) and the label names (in class order) as JSON records,
     the token list's fingerprint, then the embedding matrix and every
-    trainable parameter. The arrays are written from their own memory,
-    never gathered into a buffer of the whole file."""
+    trainable parameter. The arrays are written in place, never gathered
+    into a buffer of the whole file."""
     arrays = dict(model.params())
     arrays["embedding_matrix"] = model.embedding_matrix
     with open(path, "wb") as fh:

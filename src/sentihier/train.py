@@ -104,9 +104,8 @@ def _stratified_val_split(labels, val_fraction: float, rng: np.random.Generator)
     """Indices (train, val); the validation slice preserves class proportions."""
     n = len(labels)
     n_val = max(1, int(math.floor(val_fraction * n + 0.5)))
-    val = stratified_pick(labels, val_fraction, n_val, rng)
-    val_set = set(val)
-    return [i for i in range(n) if i not in val_set], val
+    val, train = stratified_pick(labels, val_fraction, n_val, rng)
+    return train, val
 
 
 def _evaluate(model, docs):

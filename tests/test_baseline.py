@@ -41,7 +41,7 @@ class TestNbFit:
     def test_closed_form_likelihood(self):
         # Docs: "good" -> pos(1), "bad" -> neg(0); V = {unk, pad, good, bad}.
         train = [doc([2], 1), doc([3], 0)]
-        model = nb_fit(train, vocab_size=4, num_classes=2, alpha=1.0)
+        model = nb_fit(train, vocab_size=4, num_classes=2)
         # P(good|pos) = (1+1)/(1+4) with the reserved indices in V; check the
         # two-token universe explicitly instead: counts 1 of 1 token, V=4.
         assert math.isclose(math.exp(model.token_log_likelihood[1, 2]), 2 / 5)
@@ -50,7 +50,7 @@ class TestNbFit:
     def test_two_token_universe_matches_hand_arithmetic(self):
         # With only the two content tokens in V: P(good|pos) = (1+1)/(1+2).
         train = [doc([0], 1), doc([1], 0)]
-        model = nb_fit(train, vocab_size=2, num_classes=2, alpha=1.0)
+        model = nb_fit(train, vocab_size=2, num_classes=2)
         assert math.isclose(math.exp(model.token_log_likelihood[1, 0]), 2 / 3)
 
     def test_balanced_priors(self):
@@ -68,18 +68,9 @@ class TestNbFit:
         sums = np.exp(model.token_log_likelihood).sum(axis=1)
         np.testing.assert_allclose(sums, np.ones(2), atol=1e-9)
 
-    def test_large_alpha_approaches_uniform(self):
-        train = [doc([2, 2, 2], 0), doc([3], 1)]
-        model = nb_fit(train, vocab_size=4, num_classes=2, alpha=1e6)
-        np.testing.assert_allclose(np.exp(model.token_log_likelihood), 0.25, atol=1e-3)
-
     def test_missing_class_rejected(self):
         with pytest.raises(ConfigurationError):
             nb_fit([doc([2], 0)], vocab_size=3, num_classes=2)
-
-    def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(ConfigurationError):
-            nb_fit([doc([2], 0), doc([3], 1)], vocab_size=4, num_classes=2, alpha=0.0)
 
 
 class TestNbPredict:

@@ -155,6 +155,22 @@ class TestLearningCurve:
         assert "--fractions" in err and "'abc'" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_resample_without_a_class_names_the_fraction(self, tmp_path, capsys):
+        # 3 positive documents of 40: seed 4's bootstrap resample at 0.2 draws
+        # none of them, and naive Bayes cannot fit a class with no documents.
+        ds = make_marker_dataset(40, seed=21,
+                                 class_fractions={"negative": 37 / 40, "positive": 3 / 40})
+        write_dataset_csv(ds, tmp_path / "skewed.csv")
+        cfg = tmp_path / "skewed.conf"
+        cfg.write_text("name = skewed\npath = skewed.csv\ntext_column = text\n"
+                       "label_column = label\n", encoding="utf-8")
+        code = main(["learning-curve", "--dataset", str(cfg), "--classifier", "nb",
+                     "--fractions", "0.2,1.0", "--seed", "4", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fraction 0.2: classes [1] have no training samples")
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, dataset_config, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -131,6 +131,16 @@ class TestDatasetConfig:
         with pytest.raises(ConfigurationError, match="text_column"):
             load_dataset_config(cfg_path)
 
+    def test_expected_samples_that_is_not_an_integer_names_file_and_key(self, tmp_path):
+        cfg_path = write(tmp_path, "d.conf", "\n".join([
+            "name = demo", "path = d.csv", "text_column = text",
+            "label_column = label", "expected_samples = abc",
+        ]))
+        with pytest.raises(ConfigurationError) as info:
+            load_dataset_config(cfg_path)
+        assert str(cfg_path) in str(info.value)
+        assert "expected_samples" in str(info.value) and "'abc'" in str(info.value)
+
     def test_sample_count_warning(self, tmp_path):
         write(tmp_path, "d.csv", "text,label\na,positive\nb,negative\n")
         cfg_path = write(tmp_path, "d.conf", "\n".join([

@@ -253,6 +253,19 @@ class TestLearningCurve:
         assert len(warnings) == 1 and "skipped" in warnings[0]
         assert len(points) == 1
 
+    def test_exception_at_a_learning_curve_point_carries_its_fraction(self):
+        exc = ValueError("boom")
+
+        def fails_at_the_second_point(train_ix, test_ix, seed):
+            if len(train_ix) > 20:
+                raise exc
+            return {"predictions": [0] * len(test_ix)}
+
+        with pytest.raises(ValueError) as info:
+            learning_curve(fails_at_the_second_point, [0, 1] * 20, [0.5, 1.0], seed=3,
+                           num_classes=2)
+        assert info.value is exc and info.value.fraction == 1.0
+
 
 class TestReportExport:
     def test_csv_rows(self):

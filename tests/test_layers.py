@@ -10,7 +10,6 @@ from sentihier.layers import (
     ConvLayer,
     DenseLayer,
     LstmCell,
-    ProjectionScope,
     SoftmaxHead,
     dropout_mask,
     linear_param_grads,
@@ -64,17 +63,19 @@ def lstm_param_grads(cell, dz, x_m, h_m):
 
 
 def projected(layer, emb, sentences):
-    """The projection of `layer` over embedding matrix `emb` for one forward
-    call over `sentences`, their tokens chained as sentence_matrix reads them."""
-    return ProjectionScope(layer, emb, np.fromiter(
-        (t for sent in sentences for t in sent), dtype=np.intp))
+    """(ids, rows, starts, table) of one forward call of `layer` over
+    `sentences` (token indices into embedding matrix emb), built as the
+    model's forward builds them: ids are the distinct tokens, ascending."""
+    tokens = np.fromiter((t for sent in sentences for t in sent), dtype=np.intp)
+    ids, distinct = np.unique(tokens, return_inverse=True)
+    rows, starts = sentence_matrix(sentences, distinct, layer.filter_width)
+    return ids, rows, starts, layer.project(emb[ids])
 
 
 def pooled(layer, emb, tokens):
     """(features, argmax) of one sentence of token indices into emb."""
-    scope = projected(layer, emb, [tokens])
-    feats, argmax = layer.forward(*sentence_matrix([tokens], scope, layer.filter_width), scope,
-                                  first_max=True)
+    _, rows, starts, table = projected(layer, emb, [tokens])
+    feats, argmax = layer.forward(rows, starts, table, first_max=True)
     return feats[0], argmax[0]  # a lone sentence starts at row 0
 
 
@@ -102,9 +103,11 @@ def window_pre(layer, s):
 
 
 def conv_param_grads(layer, s, argmax, gated):
-    """(grad_filters, grad_bias) of one sentence matrix with no padding rows."""
+    """(grad_filters, grad_bias) of one sentence matrix with no padding rows:
+    row i of s is token i, table row 1 + i."""
     grad_f, grad_b = np.empty_like(layer.filters), np.empty_like(layer.bias)
-    layer.param_grads(s, np.arange(len(s)), argmax[None], gated[None], grad_f, grad_b)
+    layer.param_grads(s, np.arange(len(s)), np.arange(1, 1 + len(s)), argmax[None],
+                      gated[None], grad_f, grad_b)
     return grad_f, grad_b
 
 
@@ -175,43 +178,39 @@ class TestSentenceMatrix:
     def test_shape(self):
         emb = np.arange(40, dtype=float).reshape(10, 4)
         tokens = [2, 3, 4, 5, 6, 7, 8]
-        scope = projected(ConvLayer(5, 3, 4, None), emb, [tokens])
-        rows, starts = sentence_matrix([tokens], scope, min_rows=5)
+        ids, rows, starts, _ = projected(ConvLayer(5, 3, 4, None), emb, [tokens])
         assert rows.shape == (7,)
         np.testing.assert_array_equal(starts, [0])
-        np.testing.assert_array_equal(scope.ids[rows - 1], tokens)
+        np.testing.assert_array_equal(ids[rows - 1], tokens)
 
     def test_padding(self):
         emb = np.ones((6, 4))
         layer = ConvLayer(5, 3, 4, np.random.default_rng(0))
-        scope = projected(layer, emb, [[2, 3]])
-        rows, _ = sentence_matrix([[2, 3]], scope, min_rows=5)
+        _, rows, _, table = projected(layer, emb, [[2, 3]])
         assert rows.shape == (5,)
         np.testing.assert_array_equal(rows[2:], [0, 0, 0])
-        np.testing.assert_array_equal(scope.table[:, rows[2:]], np.zeros((5, 3, 3)))
+        np.testing.assert_array_equal(table[:, rows[2:]], np.zeros((5, 3, 3)))
 
     def test_sentences_stack_each_padded_to_min_rows(self):
         emb = np.arange(40, dtype=float).reshape(10, 4)
         sentences = [(2, 3, 4, 5), (6,), (7, 2, 8)]
-        scope = projected(ConvLayer(3, 3, 4, None), emb, sentences)
-        rows, starts = sentence_matrix(sentences, scope, min_rows=3)
+        ids, rows, starts, _ = projected(ConvLayer(3, 3, 4, None), emb, sentences)
         np.testing.assert_array_equal(starts, [0, 4, 7])
         np.testing.assert_array_equal(rows[[5, 6]], [0, 0])
-        np.testing.assert_array_equal(scope.ids[np.delete(rows, [5, 6]) - 1],
+        np.testing.assert_array_equal(ids[np.delete(rows, [5, 6]) - 1],
                                       [2, 3, 4, 5, 6, 7, 2, 8])
 
     def test_all_oov_is_zero_matrix(self):
         emb = np.ones((6, 4))
         emb[0] = 0.0
-        scope = projected(ConvLayer(3, 3, 4, np.random.default_rng(0)), emb, [[0, 0, 0]])
-        rows, _ = sentence_matrix([[0, 0, 0]], scope, min_rows=3)
-        np.testing.assert_array_equal(scope.table[:, rows], np.zeros((3, 3, 3)))
+        _, rows, _, table = projected(ConvLayer(3, 3, 4, np.random.default_rng(0)), emb,
+                                      [[0, 0, 0]])
+        np.testing.assert_array_equal(table[:, rows], np.zeros((3, 3, 3)))
 
     @pytest.mark.parametrize("seqs", [[], [[2], []]], ids=["no-sentence", "empty-sentence"])
     def test_empty_input_is_rejected(self, seqs):
-        scope = projected(ConvLayer(2, 3, 4, np.random.default_rng(0)), np.ones((6, 4)), [[2]])
         with pytest.raises(ContractViolation):
-            sentence_matrix(seqs, scope, min_rows=2)
+            sentence_matrix(seqs, np.zeros(sum(map(len, seqs)), dtype=np.intp), min_rows=2)
 
 
 class TestConvMaxpool:
@@ -309,7 +308,7 @@ class TestConvMaxpool:
         def loss_fn():
             return sum(float(w @ pooled(layer, emb, t)[0]) for w, t in zip(weights, sentences))
 
-        # Row 0 of the vectors is the zero row that pads; token t is row 1 + used.index(t).
+        # Row 0 of the table is the zero row that pads; token t is row 1 + used.index(t).
         used = sorted({t for sent in sentences for t in sent})
         stacked, windows = [], np.empty((3, F), dtype=np.intp)
         gated = np.empty((3, F))
@@ -321,8 +320,7 @@ class TestConvMaxpool:
         rows = np.array(stacked)
         assert (rows[windows[:, :, None] + np.arange(f)] == 0).any()
         grad_f, grad_b = np.empty_like(layer.filters), np.empty_like(layer.bias)
-        layer.param_grads(np.vstack([np.zeros(k), emb[used]]), rows, windows, gated,
-                          grad_f, grad_b)
+        layer.param_grads(emb, np.array(used), rows, windows, gated, grad_f, grad_b)
         assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
@@ -358,10 +356,9 @@ class TestConvMaxpool:
             st.lists(token, min_size=1, max_size=3 * f),
             st.builds(lambda t, n: [t] * n, token, st.integers(1, 3 * f)))
         sentences = data.draw(st.lists(sentence, min_size=1, max_size=6))
-        scope = projected(layer, emb, sentences)
-        rows, starts = sentence_matrix(sentences, scope, f)
-        feats, windows = layer.forward(rows, starts, scope, first_max=True)
-        np.testing.assert_array_equal(layer.forward(rows, starts, scope)[0], feats)
+        _, rows, starts, table = projected(layer, emb, sentences)
+        feats, windows = layer.forward(rows, starts, table, first_max=True)
+        np.testing.assert_array_equal(layer.forward(rows, starts, table)[0], feats)
         for s, sent in enumerate(sentences):
             want_feats, want_argmax = window_oracle(layer.filters, layer.bias, emb, sent, f)
             np.testing.assert_array_equal(feats[s], want_feats)
@@ -369,21 +366,14 @@ class TestConvMaxpool:
 
     def test_projection_holds_each_distinct_token_once(self, rng):
         layer, emb = ConvLayer(2, 3, 4, rng), rng.normal(size=(9, 4))
-        scope = projected(layer, emb, [[5, 3, 5], [8, 3]])
-        np.testing.assert_array_equal(scope.ids, [3, 5, 8])
-        np.testing.assert_array_equal(scope.token_rows, [2, 1, 2, 3, 1])
-        assert scope.table.shape == (2, 4, 3)
-        np.testing.assert_array_equal(scope.table[:, 0], np.zeros((2, 3)))
-        vectors = scope.vectors()
-        np.testing.assert_array_equal(vectors, np.vstack([np.zeros(4), emb[[3, 5, 8]]]))
+        ids, rows, _, table = projected(layer, emb, [[5, 3, 5], [8, 3]])
+        np.testing.assert_array_equal(ids, [3, 5, 8])
+        np.testing.assert_array_equal(rows, [2, 1, 2, 3, 1])
+        assert table.shape == (2, 4, 3)
+        np.testing.assert_array_equal(table[:, 0], np.zeros((2, 3)))
         for o, filters in enumerate(np.split(layer.filters, 2, axis=1)):
-            np.testing.assert_allclose(scope.table[o], vectors @ filters.T, rtol=1e-12, atol=1e-15)
-
-    def test_forward_rejects_a_scope_of_another_layer(self, rng):
-        layer, other = ConvLayer(2, 3, 4, rng), ConvLayer(2, 3, 4, rng)
-        scope = projected(other, rng.normal(size=(5, 4)), [[2, 3, 4]])
-        with pytest.raises(ContractViolation):
-            layer.forward(*sentence_matrix([[2, 3, 4]], scope, 2), scope)
+            np.testing.assert_allclose(table[o, 1:], emb[ids] @ filters.T,
+                                       rtol=1e-12, atol=1e-15)
 
 
 class TestDenseRelu:

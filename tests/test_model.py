@@ -1,5 +1,6 @@
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ def random_doc(rng, vocab_size=9, num_sents=None, label=None):
         for _ in range(num_sents)
     )
     return Document(sents, label)
+
+
+def weakly_recorded_tables(monkeypatch) -> list:
+    """Patches ConvLayer.project to record a weak reference to each table it
+    returns; returns the list of those references."""
+    project, tables = layers.ConvLayer.project, []
+    monkeypatch.setattr(layers.ConvLayer, "project", lambda conv, vectors: (
+        tables.append(weakref.ref(table := project(conv, vectors))) or table))
+    return tables
 
 
 def probabilities(model, doc):
@@ -95,20 +105,16 @@ class TestProbabilities:
         forward, chunks = model.forward, []
         monkeypatch.setattr(model, "forward", lambda chunk, *a, **k: (
             chunks.append(chunk) or forward(chunk, *a, **k)))
-        scope_class, made = layers.ProjectionScope, []
-        monkeypatch.setattr(layers, "ProjectionScope",
-                            lambda *args, **kw: made.append(scope_class(*args, **kw)) or made[-1])
         project, projected = layers.ConvLayer.project, []
-        monkeypatch.setattr(layers.ConvLayer, "project", lambda conv, vectors, out: (
-            projected.append(vectors.copy()) or project(conv, vectors, out)))
+        monkeypatch.setattr(layers.ConvLayer, "project", lambda conv, vectors: (
+            projected.append((vectors.copy(), project(conv, vectors))) or projected[-1][1]))
         assert len(list(model.probabilities(iter(docs)))) == len(docs)
         assert [len(chunk) for chunk in chunks] == [1, INFERENCE_CHUNK, 7]
-        assert len(made) == len(projected) == len(chunks)
-        for chunk, scope, vectors in zip(chunks, made, projected):
+        assert len(projected) == len(chunks)
+        for chunk, (vectors, table) in zip(chunks, projected):
             distinct = sorted({t for doc in chunk for sent in doc.sentences for t in sent})
-            np.testing.assert_array_equal(scope.ids, distinct)
             np.testing.assert_array_equal(vectors, model.embedding_matrix[distinct])
-            assert scope.table.shape[1] == 1 + len(distinct)
+            assert table.shape[1] == 1 + len(distinct)
 
     def test_chunks_of_one_then_inference_chunk_documents(self, rng, monkeypatch):
         model = desk_model()
@@ -268,42 +274,47 @@ class TestLossAndGrads:
         model.dense.bias[:] = rng.normal(scale=0.5, size=3)
         return model, batch
 
-    def check_batch_gradients(self, rng, monkeypatch, extra_tokens, table_in_block):
-        """Finite-difference check of three_doc_batch(rng, extra_tokens),
-        whose projection table must live in the gradient block or not."""
-        model, batch = self.three_doc_batch(rng, extra_tokens)
-        scope_class, made = layers.ProjectionScope, []
-        monkeypatch.setattr(layers, "ProjectionScope",
-                            lambda *args, **kw: made.append(scope_class(*args, **kw)) or made[-1])
+    def test_three_document_batch_gradient_check(self, rng):
+        # Without and with a fourth document of 30 more distinct tokens.
+        for extra_tokens in (0, 30):
+            model, batch = self.three_doc_batch(rng, extra_tokens)
 
-        def loss_fn():
-            loss, _ = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
-            return loss
+            def loss_fn():
+                loss, _ = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
+                return loss
 
-        loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
-        (scope,) = made
-        assert scope.table.shape[1] == 12 + extra_tokens
-        assert np.shares_memory(scope.table, grads["conv.filters"].base) == table_in_block
-        finite_difference_check(loss_fn, model.params(), grads, rng,
-                                coords_per_tensor=40, rtol=1e-4)
-
-    # The gradient block holds 190 floats, 15 table rows of f * F = 12: the
-    # three documents' 11 distinct tokens fit beside the zero row, and with
-    # a fourth document's 30 more they do not.
-    def test_three_document_batch_gradient_check(self, rng, monkeypatch):
-        self.check_batch_gradients(rng, monkeypatch, extra_tokens=0, table_in_block=True)
-
-    def test_gradient_check_of_a_batch_too_large_for_the_gradient_block(self, rng,
-                                                                        monkeypatch):
-        self.check_batch_gradients(rng, monkeypatch, extra_tokens=30, table_in_block=False)
+            loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
+            finite_difference_check(loss_fn, model.params(), grads, rng,
+                                    coords_per_tensor=40, rtol=1e-4)
 
     def test_one_projection_per_batch(self, rng, monkeypatch):
         model, batch = self.three_doc_batch(rng)
         project, projected = layers.ConvLayer.project, []
-        monkeypatch.setattr(layers.ConvLayer, "project", lambda conv, vectors, out: (
-            projected.append(len(vectors)) or project(conv, vectors, out)))
+        monkeypatch.setattr(layers.ConvLayer, "project", lambda conv, vectors: (
+            projected.append(len(vectors)) or project(conv, vectors)))
         model.loss_and_grads(batch)
         assert projected == [11]  # the batch's distinct tokens
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_projection_table_is_freed_when_forward_returns(self, rng, monkeypatch, train):
+        model, batch = self.three_doc_batch(rng)
+        tables = weakly_recorded_tables(monkeypatch)
+        # The results, the training cache among them, hold no reference to it.
+        results = model.forward(batch, train=train, dropout_rng=np.random.default_rng(2))
+        (table,) = tables
+        assert table() is None
+
+    def test_projection_table_and_gradient_block_are_never_alive_together(self, rng,
+                                                                         monkeypatch):
+        # loss_and_grads sizes its gradient block from params(), so each
+        # params() call must come after the projection and find it freed.
+        model, batch = self.three_doc_batch(rng)
+        tables, freed = weakly_recorded_tables(monkeypatch), []
+        params = model.params
+        monkeypatch.setattr(model, "params", lambda: (
+            freed.append(len(tables) == 1 and tables[0]() is None) or params()))
+        model.loss_and_grads(batch)
+        assert freed and all(freed)
 
     @pytest.mark.parametrize("train", [False, True])
     def test_one_input_projection_per_direction(self, rng, monkeypatch, train):
