@@ -274,18 +274,25 @@ class TestLossAndGrads:
         model.dense.bias[:] = rng.normal(scale=0.5, size=3)
         return model, batch
 
+    def check_batch_gradients(self, rng, extra_tokens):
+        """Finite-difference check of three_doc_batch(rng, extra_tokens)."""
+        model, batch = self.three_doc_batch(rng, extra_tokens)
+
+        def loss_fn():
+            loss, _ = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
+            return loss
+
+        loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
+        finite_difference_check(loss_fn, model.params(), grads, rng,
+                                coords_per_tensor=40, rtol=1e-4)
+
     def test_three_document_batch_gradient_check(self, rng):
-        # Without and with a fourth document of 30 more distinct tokens.
-        for extra_tokens in (0, 30):
-            model, batch = self.three_doc_batch(rng, extra_tokens)
+        self.check_batch_gradients(rng, extra_tokens=0)
 
-            def loss_fn():
-                loss, _ = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
-                return loss
-
-            loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
-            finite_difference_check(loss_fn, model.params(), grads, rng,
-                                    coords_per_tensor=40, rtol=1e-4)
+    # A fourth document of 30 more distinct tokens gives a projection table
+    # of 42 rows of 12 floats, larger than the whole 190-float gradient block.
+    def test_gradient_check_of_a_batch_too_large_for_the_gradient_block(self, rng):
+        self.check_batch_gradients(rng, extra_tokens=30)
 
     def test_one_projection_per_batch(self, rng, monkeypatch):
         model, batch = self.three_doc_batch(rng)
