@@ -15,7 +15,6 @@ for i, sentence in enumerate(doc.sentences):
 
 vocab = build_vocab([doc])
 print(f"\nvocabulary size (incl. <unk>/<pad>): {len(vocab)}")
-print(f"vocabulary fingerprint: {vocab.fingerprint():#018x}")
 
 indexed = index_document(doc, vocab)
 print(f"indexed first sentence: {indexed[0]}")

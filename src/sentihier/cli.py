@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -85,14 +84,6 @@ def _manifest(command: str, args, ds, **fields) -> dict:
             "overrides": ",".join(args.override or []), "version": __version__}
 
 
-def _out_dir(args) -> Path:
-    """The output directory; callers create it once every input is checked."""
-    out = args.out or os.environ.get("SENTIHIER_OUT_DIR")
-    if not out:
-        raise ConfigurationError("no output directory: pass --out or set SENTIHIER_OUT_DIR")
-    return Path(out)
-
-
 def _dataset_and_classifiers(args, classifier_specs):
     config = load_dataset_config(args.dataset)
     ds, warnings = load_from_config(config)
@@ -115,7 +106,7 @@ def _dataset_and_classifiers(args, classifier_specs):
 def cmd_crossval(args) -> int:
     if args.folds < 2:
         raise ConfigurationError("folds must be >= 2")
-    out = _out_dir(args)
+    out = Path(args.out)  # created once every input is checked
     started = datetime.now(timezone.utc).isoformat()
     ds, (classifier,) = _dataset_and_classifiers(args, [args.classifier])
     tokenized, labels = prepare(ds)
@@ -159,7 +150,7 @@ def cmd_learning_curve(args) -> int:
             raise ConfigurationError(f"--fractions: {part!r} is not a number") from None
     if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
         raise ConfigurationError(f"--fractions must be ascending and in (0, 1]: {fractions}")
-    out = _out_dir(args)
+    out = Path(args.out)  # created once every input is checked
     started = datetime.now(timezone.utc).isoformat()
     specs = args.classifier or ["hicnnlstm"]
     ds, classifiers = _dataset_and_classifiers(args, specs)
@@ -245,17 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="model/training config override, repeatable")
 
-    out_dir_help = "output directory (or SENTIHIER_OUT_DIR)"
     p = sub.add_parser("crossval", help="stratified k-fold cross-validation")
     common(p)
-    p.add_argument("--out", help=out_dir_help)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--classifier", default="hicnnlstm", choices=CLASSIFIER_NAMES)
     p.add_argument("--folds", type=int, default=10)
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("learning-curve", help="bootstrap learning curve")
     common(p)
-    p.add_argument("--out", help=out_dir_help)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--classifier", action="append", choices=CLASSIFIER_NAMES,
                    help="repeatable; default hicnnlstm")
     p.add_argument("--fractions", default="0.2,0.4,0.6,0.8,1.0")

@@ -7,7 +7,6 @@ resolve to the all-zero vector, which is neutral under the convolution.
 import numpy as np
 
 from .errors import ParseError
-from .textprep import fnv1a_64
 
 
 class EmbeddingTable:
@@ -128,6 +127,15 @@ def random_table(tokens, dim: int, seed: int) -> EmbeddingTable:
         rng = np.random.default_rng(ss)
         vectors[token] = rng.uniform(-0.25, 0.25, size=dim)
     return EmbeddingTable(dim, vectors)
+
+
+def fnv1a_64(data: bytes) -> int:
+    """64-bit FNV-1a hash."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def _is_int(s: str) -> bool:

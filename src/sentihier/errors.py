@@ -33,9 +33,5 @@ class CheckpointVersionError(CheckpointError):
     """Checkpoint was written by an incompatible format version."""
 
 
-class CheckpointFingerprintError(CheckpointError):
-    """Checkpoint vocabulary fingerprint does not match its stored token list."""
-
-
 class CheckpointTruncatedError(CheckpointError):
-    """Checkpoint file ended before all parameters were read."""
+    """Checkpoint file ended early, or stores arrays its config does not ask for."""

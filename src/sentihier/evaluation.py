@@ -205,9 +205,11 @@ def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
     """Bootstrap learning curve on a fixed stratified 70/30 split, at
     fractions ascending in (0, 1] (cli.cmd_learning_curve checks them).
 
-    Returns (list of CurvePoint, list of skipped-point warnings). An
-    exception raised at a point propagates unchanged, with the point's
-    fraction in its `fraction` attribute.
+    Returns (list of CurvePoint, list of skipped-point warnings). A point
+    whose resample has no document of some class is skipped; the draws
+    depend only on the labels and the seed, so every classifier skips the
+    same points. An exception raised at a point propagates unchanged, with
+    the point's fraction in its `fraction` attribute.
     """
     labels = list(labels)
     train_ix, test_ix, draws = resample_plan(labels, fractions, seed)
@@ -217,9 +219,10 @@ def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
     warnings = []
     gold = [labels[i] for i in test_ix]
     for (frac, sample_ix), pseed in zip(draws, point_seeds):
-        if len(sample_ix) < num_classes:
-            warnings.append(f"fraction {frac}: resample size {len(sample_ix)} < {num_classes} "
-                            "classes, skipped")
+        missing = sorted(set(range(num_classes)) - {labels[i] for i in sample_ix})
+        if missing:
+            warnings.append(f"fraction {frac}: resample of {len(sample_ix)} documents has no "
+                            f"document of classes {missing}, skipped")
             continue
         try:
             preds = list(fit_predict(sample_ix, test_ix, pseed)["predictions"])

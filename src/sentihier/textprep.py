@@ -49,19 +49,6 @@ class Vocabulary:
     def index_of(self, token: str) -> int:
         return self.token_to_index.get(token, UNK_INDEX)
 
-    def fingerprint(self) -> int:
-        """Order-sensitive hash of the token list, each token NUL-terminated."""
-        return fnv1a_64(b"".join(tok.encode("utf-8") + b"\x00" for tok in self.index_to_token))
-
-
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
 
 def split_sentences(text: str) -> list:
     """Split on '.', '!' or '?' followed by whitespace or end of text.

@@ -1,4 +1,6 @@
 import csv
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -71,6 +73,17 @@ def save_word2vec_text(vectors: dict, path):
         fh.write(f"{len(vectors)} {dim}\n")
         for token, vec in vectors.items():
             fh.write(f"{token} {' '.join(repr(float(v)) for v in vec)}\n")
+
+
+def replace_record(data: bytes, index: int, record: bytes) -> bytes:
+    """A checkpoint with its index-th JSON record (0 config, 1 tokens,
+    2 labels) replaced, under a valid CRC-32."""
+    at = 8
+    for _ in range(index):
+        at += 8 + struct.unpack_from("<I", data, at)[0]
+    (old_len,) = struct.unpack_from("<I", data, at)
+    framed = struct.pack("<I", len(record)) + record
+    return data[:at] + framed + struct.pack("<I", zlib.crc32(framed)) + data[at + 8 + old_len :]
 
 
 @pytest.fixture

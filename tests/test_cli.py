@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_dataset_csv
+from conftest import replace_record, write_dataset_csv
 from sentihier import baseline, cli
 from sentihier.cli import main
 from sentihier.errors import ParseError
@@ -31,6 +31,12 @@ def dataset_config(tmp_path_factory):
         "label_column = label",
     ]), encoding="utf-8")
     return cfg
+
+
+def with_config(data: bytes, **fields) -> bytes:
+    """A checkpoint whose config record has `fields` changed."""
+    config = json.loads(data[12 : 12 + int.from_bytes(data[8:12], "little")])
+    return replace_record(data, 0, json.dumps({**config, **fields}).encode())
 
 
 def read_reports(out: Path) -> dict:
@@ -68,6 +74,16 @@ class TestCrossval:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "folds must be >= 2" in capsys.readouterr().err
+
+    def test_out_is_required(self, dataset_config, tmp_path, monkeypatch):
+        # no environment variable stands in for --out
+        monkeypatch.setenv("SENTIHIER_OUT_DIR", str(tmp_path / "env"))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["crossval", "--dataset", str(dataset_config), "--classifier", "nb",
+                  "--folds", "2"])
+        assert info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = main(["crossval", "--dataset", str(tmp_path / "nope.conf"),
@@ -155,21 +171,34 @@ class TestLearningCurve:
         assert "--fractions" in err and "'abc'" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-    def test_resample_without_a_class_names_the_fraction(self, tmp_path, capsys):
-        # 3 positive documents of 40: seed 4's bootstrap resample at 0.2 draws
-        # none of them, and naive Bayes cannot fit a class with no documents.
-        ds = make_marker_dataset(40, seed=21,
+    @pytest.mark.parametrize("seed, skipped", [
+        (4, ["0.2"]), (5, []), (6, []), (7, ["1.0"]), (8, ["1.0"])],
+        ids=[f"seed-{seed}" for seed in range(4, 9)])
+    def test_resample_without_a_class_is_skipped(self, tmp_path, capsys, seed, skipped):
+        # 3 positive documents of 40: some bootstrap resamples draw none of
+        # them, and naive Bayes cannot fit a class with no documents.
+        ds = make_marker_dataset(40, seed=3,
                                  class_fractions={"negative": 37 / 40, "positive": 3 / 40})
         write_dataset_csv(ds, tmp_path / "skewed.csv")
         cfg = tmp_path / "skewed.conf"
         cfg.write_text("name = skewed\npath = skewed.csv\ntext_column = text\n"
                        "label_column = label\n", encoding="utf-8")
         code = main(["learning-curve", "--dataset", str(cfg), "--classifier", "nb",
-                     "--fractions", "0.2,1.0", "--seed", "4", "--out", str(tmp_path / "x")])
-        assert code == 2
+                     "--fractions", "0.2,1.0", "--seed", str(seed), "--out", str(tmp_path / "x")])
+        assert code == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+        assert [w.split()[2].rstrip(":") for w in warnings] == skipped
+        assert all("no document of classes [1], skipped" in w for w in warnings)
+
+    def test_error_at_a_point_names_the_fraction(self, dataset_config, tmp_path, capsys,
+                                                 monkeypatch):
+        def fail(*args, **kwargs):
+            raise ParseError("row 3: bad label")
+        monkeypatch.setattr(baseline, "nb_fit", fail)
+        assert main(["learning-curve", "--dataset", str(dataset_config), "--classifier", "nb",
+                     "--fractions", "0.5,1.0", "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: fraction 0.2: classes [1] have no training samples")
-        assert "Traceback" not in err
+        assert err.startswith("error: fraction 0.5: row 3: bad label") and "Traceback" not in err
 
     def test_byte_identical_reruns(self, dataset_config, tmp_path):
         outs = []
@@ -272,11 +301,7 @@ class TestTrainPredict:
         assert main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
                      *FAST_OVERRIDES]) == 0
         capsys.readouterr()
-        data = ckpt.read_bytes()
-        record = b'{"unknown_key": 1}'
-        old_len = int.from_bytes(data[8:12], "little")
-        ckpt.write_bytes(data[:8] + len(record).to_bytes(4, "little") + record
-                         + data[12 + old_len :])
+        ckpt.write_bytes(replace_record(ckpt.read_bytes(), 0, b'{"unknown_key": 1}'))
         code = main(["predict", "--model", str(ckpt), "--input", "-"])
         assert code == 3
         err = capsys.readouterr().err
@@ -284,9 +309,11 @@ class TestTrainPredict:
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda data: data[:4] + (1).to_bytes(4, "little") + data[8:], "retrain"),
-        (lambda data: data.replace(b'["negative", "positive"]', b'["negative", "negative"]'),
+        (lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:], "retrain"),
+        (lambda data: replace_record(data, 2, b'["negative", "negative"]'),
          "malformed label record"),
-    ], ids=["version-1", "duplicate-label"])
+        (lambda data: with_config(data, lstm_hidden=10**30), "cannot build the model"),
+    ], ids=["version-1", "version-2", "duplicate-label", "too-large-to-build"])
     def test_unreadable_checkpoint_is_data_error(self, dataset_config, tmp_path, capsys,
                                                  corrupt, message):
         ckpt = tmp_path / "model.ckpt"

@@ -7,6 +7,7 @@ import pytest
 from conftest import save_word2vec_text
 from sentihier.embeddings import (
     EmbeddingTable,
+    fnv1a_64,
     load_word2vec_binary,
     load_word2vec_text,
     random_table,
@@ -177,3 +178,10 @@ class TestRandomTablePinned:
         vec = random_table(["crash"], 4, seed=42).lookup("crash")
         assert vec.tolist() == [-0.09578634364372035, -0.04358977347325799,
                                 0.0181766285438712, -0.18597202221142733]
+
+
+class TestFnv1a64:
+    def test_standard_vectors(self):
+        assert fnv1a_64(b"") == 0xCBF29CE484222325
+        assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
+        assert fnv1a_64(b"foobar") == 0x85944171F73967E8

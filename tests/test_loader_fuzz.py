@@ -3,7 +3,9 @@
 Each case starts from a valid fixture and truncates it, flips one bit or
 inflates one length field. The loader must then either load the file or
 raise a ParseError subclass whose message names the file; and `main()`
-must turn such a file into exit code 3 with the path in the message.
+must turn such a file into exit code 3 with the path in the message. A
+checkpoint must always raise a CheckpointError naming the file, unless the
+flipped bit lies in an array's float data.
 """
 
 import math
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import desk_model, save_word2vec_text, write_dataset_csv
 from sentihier.cli import main
 from sentihier.embeddings import load_word2vec_binary, load_word2vec_text
-from sentihier.errors import ParseError
+from sentihier.errors import CheckpointError, ParseError
 from sentihier.model import load_checkpoint, save_checkpoint
 from sentihier.synthetic import make_marker_dataset
 
@@ -44,25 +46,24 @@ def text_bytes(tmp) -> bytes:
     return path.read_bytes()
 
 
-def checkpoint_length_fields(data: bytes) -> list:
-    """Offsets of every u32 length, count or dimension field of a checkpoint."""
-    fields, at = [], 8
-    for _ in range(3):  # the config, token and label records
+def checkpoint_layout(data: bytes):
+    """(offsets of every u32 length or dimension field, (start, end) byte
+    range of every array's float data) of a checkpoint."""
+    fields, floats, at = [], [], 8
+    for _ in range(3):  # the config, token and label records, each with a CRC-32
         fields.append(at)
-        at += 4 + struct.unpack_from("<I", data, at)[0]
-    at += 8  # the vocabulary fingerprint
-    fields.append(at)
-    (count,) = struct.unpack_from("<I", data, at)
-    at += 4
-    for _ in range(count):
+        at += 8 + struct.unpack_from("<I", data, at)[0]
+    while at < len(data):  # the arrays: name, shape, float data
         fields.append(at)
         at += 4 + struct.unpack_from("<I", data, at)[0]
         (ndim,) = struct.unpack_from("<I", data, at)
         dims = struct.unpack_from(f"<{ndim}I", data, at + 4)
         fields.extend(at + 4 * i for i in range(ndim + 1))
-        at += 4 + 4 * ndim + 8 * math.prod(dims)
+        at += 4 + 4 * ndim
+        floats.append((at, at + 8 * math.prod(dims)))
+        at = floats[-1][1]
     assert at == len(data)
-    return fields
+    return fields, floats
 
 
 def mutations(size: int, inflatable: list):
@@ -111,13 +112,27 @@ def fuzz_dir(tmp_path_factory):
 
 def test_checkpoint(fuzz_dir):
     valid = checkpoint_bytes(fuzz_dir)
+    fields, floats = checkpoint_layout(valid)
+
+    def in_float_data(bit):
+        return any(start <= bit // 8 < end for start, end in floats)
+    # Most of the file is float data, where a flip may load: also draw flips
+    # of the other bits, so that most examples assert an error.
+    checked_bits = [bit for bit in range(8 * len(valid)) if not in_float_data(bit)]
 
     @FUZZ
-    @given(mutations(len(valid), checkpoint_length_fields(valid)))
+    @given(st.one_of(mutations(len(valid), fields),
+                     st.tuples(st.just("flip"), st.sampled_from(checked_bits))))
     def case(mutation):
         path = fuzz_dir / "case.ckpt"
         path.write_bytes(mutate(valid, mutation, inflate_u32))
-        loads_or_names_the_file(load_checkpoint, path)
+        kind, at, *_ = mutation
+        if kind == "flip" and in_float_data(at):
+            loads_or_names_the_file(load_checkpoint, path)  # array data carries no checksum
+        else:
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+            assert str(path) in str(info.value)
     case()
 
 
