@@ -14,7 +14,7 @@ for i, sentence in enumerate(doc.sentences):
     print(f"sentence {i}: {sentence}")
 
 vocab = build_vocab([doc])
-print(f"\nvocabulary size (incl. <unk>/<pad>): {len(vocab)}")
+print(f"\nvocabulary size (incl. <unk>): {len(vocab)}")
 
 indexed = index_document(doc, vocab)
 print(f"indexed first sentence: {indexed[0]}")

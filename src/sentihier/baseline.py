@@ -1,14 +1,14 @@
 """Multinomial Naive Bayes over bag-of-words counts with Laplace smoothing.
 
 All scores are accumulated in log space. Tokens outside the training
-vocabulary (UNK/PAD indices included) are skipped at prediction time, since
+vocabulary (the UNK index included) are skipped at prediction time, since
 no likelihood mass exists for them.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .textprep import PAD_INDEX, UNK_INDEX
+from .textprep import UNK_INDEX
 
 
 class NbModel:
@@ -42,7 +42,7 @@ def nb_predict(model: NbModel, doc) -> int:
     V = model.token_log_likelihood.shape[1]
     for sent in doc.sentences:
         for tok in sent:
-            if tok in (UNK_INDEX, PAD_INDEX) or tok >= V:
+            if tok == UNK_INDEX or tok >= V:
                 continue
             scores += model.token_log_likelihood[:, tok]
     return int(np.argmax(scores))

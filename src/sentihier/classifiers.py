@@ -22,18 +22,18 @@ CLASSIFIER_NAMES = ("hicnnlstm", "nb")
 
 def embedding_matrix_for(vocab, table: EmbeddingTable | None, dim: int,
                          embedding_seed: int) -> np.ndarray:
-    """One row per vocabulary index; UNK and PAD stay zero.
+    """One row per vocabulary index; the UNK row stays zero.
 
     With no table (random mode), each token gets a seeded uniform vector that
     depends only on (embedding_seed, token), so it is identical across folds.
     """
     if table is None:
-        table = random_table(vocab.index_to_token[2:], dim, embedding_seed)
+        table = random_table(vocab.index_to_token[1:], dim, embedding_seed)
     elif table.dim != dim:
         raise ConfigurationError(
             f"embedding table dim {table.dim} != configured dim {dim}")
     matrix = np.zeros((len(vocab), dim), dtype=np.float64)
-    for idx, token in enumerate(vocab.index_to_token[2:], start=2):
+    for idx, token in enumerate(vocab.index_to_token[1:], start=1):
         matrix[idx] = table.lookup(token)
     return matrix
 

@@ -18,6 +18,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .classifiers import CLASSIFIER_NAMES, make_classifier, prepare
 from .datasets import load_dataset_config, load_from_config
@@ -89,7 +91,7 @@ def _dataset_and_classifiers(args, classifier_specs):
     ds, warnings = load_from_config(config)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    table = _load_embeddings(args.embeddings)
+    table = _load_embeddings(args.embeddings) if "hicnnlstm" in classifier_specs else None
     model_over, train_over = _parse_overrides(getattr(args, "override", None))
     try:
         mcfg = ModelConfig(**{"num_classes": len(ds.label_set), **model_over})
@@ -204,13 +206,16 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.model)  # a missing file is an OSError naming it
     from_stdin = args.input == "-"
+    source = "standard input" if from_stdin else args.input
     try:
         text = sys.stdin.read() if from_stdin else Path(args.input).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        source = "standard input" if from_stdin else args.input
         raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
     docs = (encode(tokenize_document(line), model.vocab) for line in text.splitlines())
-    for probs in model.probabilities(docs):
+    for lineno, probs in enumerate(model.probabilities(docs), 1):
+        if not np.isfinite(probs).all():  # lines already printed stay printed
+            raise SentihierError(f"{source}: line {lineno}: the model gives non-finite "
+                                 f"probabilities {probs.tolist()}")
         label = model.labels[int(probs.argmax())]
         print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
     return 0

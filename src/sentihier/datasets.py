@@ -152,7 +152,8 @@ class DatasetConfig:
 
 
 def load_dataset_config(path) -> DatasetConfig:
-    """Parse a key=value config file; relative data paths resolve against it."""
+    """Parse a key=value config file of DatasetConfig fields, each given at most
+    once; relative data paths resolve against the file."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"{path}: no such config file")
@@ -164,7 +165,12 @@ def load_dataset_config(path) -> DatasetConfig:
         if "=" not in line:
             raise ConfigurationError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in DatasetConfig.__dataclass_fields__:
+            raise ConfigurationError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigurationError(f"{path}: line {lineno}: key {key!r} given twice")
+        values[key] = value.strip()
     for required in ("name", "path", "text_column", "label_column"):
         if required not in values:
             raise ConfigurationError(f"{path}: missing required key {required!r}")

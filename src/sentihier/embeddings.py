@@ -31,8 +31,8 @@ class EmbeddingTable:
         return token in self._vectors
 
     def lookup(self, token: str) -> np.ndarray:
-        """Exact match, then lowercase, then capitalized; zeros on miss."""
-        for candidate in (token, token.lower(), token.capitalize()):
+        """Exact match (textprep tokens are lowercase), then capitalized; zeros on miss."""
+        for candidate in (token, token.capitalize()):
             vec = self._vectors.get(candidate)
             if vec is not None:
                 return vec

@@ -31,6 +31,14 @@ class FoldPlan:
         return sorted(train), sorted(test)
 
 
+def _shuffled_by_class(labels, rng: np.random.Generator) -> dict:
+    """Label -> its indices, in label order, each class permuted by `rng` in turn."""
+    by_class = {}
+    for idx, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(idx)
+    return {lab: rng.permutation(by_class[lab]).tolist() for lab in sorted(by_class)}
+
+
 def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     """Per class: seeded shuffle, then deal round-robin across folds.
 
@@ -44,13 +52,8 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
         raise ConfigurationError(f"k={k} exceeds dataset size {len(labels)}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF07D]))
     folds = [[] for _ in range(k)]
-    by_class = {}
-    for idx, lab in enumerate(labels):
-        by_class.setdefault(lab, []).append(idx)
-    for lab in sorted(by_class):
-        ix = np.array(by_class[lab])
-        rng.shuffle(ix)
-        for pos, idx in enumerate(ix.tolist()):
+    for ix in _shuffled_by_class(labels, rng).values():
+        for pos, idx in enumerate(ix):
             folds[pos % k].append(idx)
     return FoldPlan(k=k, folds=tuple(tuple(sorted(f)) for f in folds))
 
@@ -151,9 +154,7 @@ def stratified_pick(labels, fraction: float, total: int, rng: np.random.Generato
     one item per class to the largest remainders, ties to the lower label.
     Classes are then shuffled by `rng` in label order and their first items kept.
     """
-    by_class = {}
-    for idx, lab in enumerate(labels):
-        by_class.setdefault(lab, []).append(idx)
+    by_class = _shuffled_by_class(labels, rng)
     shares = {c: fraction * len(ix) for c, ix in by_class.items()}
     take = {c: int(math.floor(s)) for c, s in shares.items()}
     leftover = total - sum(take.values())
@@ -161,11 +162,9 @@ def stratified_pick(labels, fraction: float, total: int, rng: np.random.Generato
     for c in order[:max(leftover, 0)]:
         take[c] += 1
     picked, rest = [], []
-    for c in sorted(by_class):
-        ix = np.array(by_class[c])
-        rng.shuffle(ix)
-        picked.extend(ix[: take[c]].tolist())
-        rest.extend(ix[take[c] :].tolist())
+    for c, ix in by_class.items():
+        picked.extend(ix[: take[c]])
+        rest.extend(ix[take[c] :])
     return sorted(picked), sorted(rest)
 
 

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, ContractViolation
 
 UNK_TOKEN = "<unk>"
-PAD_TOKEN = "<pad>"
 UNK_INDEX = 0
-PAD_INDEX = 1
 URL_TOKEN = "<url>"
 
 # Abbreviations that end with '.' but do not terminate a sentence.
@@ -22,7 +20,7 @@ _ABBREVIATIONS = frozenset(
     ["e.g.", "i.e.", "etc.", "vs.", "cf.", "dr.", "mr.", "mrs.", "ms.", "approx."]
 )
 
-_TERMINATORS = ".!?"
+_SENTENCE_END = re.compile(r"[.!?](?=\s|\Z)")
 _URL_RE = re.compile(r"^(https?://|www\.)\S+", re.IGNORECASE)
 _PUNCT = "\"'`()[]{}<>,.;:!?*~^#@&/\\|="
 
@@ -56,30 +54,20 @@ def split_sentences(text: str) -> list:
     A terminator inside a guarded abbreviation does not split. Whitespace-only
     input yields a single UNK sentence.
     """
-    if not text or not text.strip():
-        return [UNK_TOKEN]
     text = text.strip()
+    if not text:
+        return [UNK_TOKEN]
     sentences = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
-            candidate = text[start : i + 1]
-            last_word = candidate.rsplit(None, 1)[-1].lower() if candidate.split() else ""
-            if ch == "." and last_word in _ABBREVIATIONS:
-                i += 1
-                continue
-            if candidate.strip():
-                sentences.append(candidate.strip())
-            start = i + 1
-        i += 1
+    for match in _SENTENCE_END.finditer(text):
+        candidate = text[start : match.end()]
+        if match[0] == "." and candidate.rsplit(None, 1)[-1].lower() in _ABBREVIATIONS:
+            continue
+        sentences.append(candidate.strip())
+        start = match.end()
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)
-    if not sentences:
-        sentences = [text]
     return sentences
 
 
@@ -111,9 +99,9 @@ def tokenize_document(text: str) -> TokenizedDocument:
 def build_vocab(corpus) -> Vocabulary:
     """Vocabulary over all tokens of the corpus.
 
-    Indices 0 and 1 are reserved for UNK and PAD. Remaining tokens are ordered
-    by descending frequency, ties broken lexicographically, so the result is
-    independent of document order.
+    Index 0 is reserved for UNK. Remaining tokens are ordered by descending
+    frequency, ties broken lexicographically, so the result is independent of
+    document order.
     """
     corpus = list(corpus)
     if not corpus:
@@ -123,9 +111,8 @@ def build_vocab(corpus) -> Vocabulary:
         for sent in doc.sentences:
             counts.update(sent)
     counts.pop(UNK_TOKEN, None)
-    counts.pop(PAD_TOKEN, None)
     kept = sorted(counts, key=lambda t: (-counts[t], t))
-    return Vocabulary.of((UNK_TOKEN, PAD_TOKEN, *kept))
+    return Vocabulary.of((UNK_TOKEN, *kept))
 
 
 def index_document(doc: TokenizedDocument, vocab: Vocabulary) -> list:

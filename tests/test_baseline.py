@@ -7,7 +7,7 @@ import pytest
 from sentihier.baseline import nb_fit, nb_predict
 from sentihier.errors import ConfigurationError
 from sentihier.model import Document
-from sentihier.textprep import PAD_INDEX, UNK_INDEX
+from sentihier.textprep import UNK_INDEX
 
 
 def doc(tokens, label=None):
@@ -29,7 +29,7 @@ def brute_force_posterior(train_docs, vocab_size, num_classes, alpha, test_doc):
         total = sum(counts)
         for sent in test_doc.sentences:
             for t in sent:
-                if t in (UNK_INDEX, PAD_INDEX):
+                if t == UNK_INDEX:
                     continue
                 score += math.log((counts[t] + alpha) / (total + alpha * vocab_size))
         if score > best_score:
@@ -39,7 +39,7 @@ def brute_force_posterior(train_docs, vocab_size, num_classes, alpha, test_doc):
 
 class TestNbFit:
     def test_closed_form_likelihood(self):
-        # Docs: "good" -> pos(1), "bad" -> neg(0); V = {unk, pad, good, bad}.
+        # Docs: "good" -> pos(1), "bad" -> neg(0); V = {unk, w1, good, bad}.
         train = [doc([2], 1), doc([3], 0)]
         model = nb_fit(train, vocab_size=4, num_classes=2)
         # P(good|pos) = (1+1)/(1+4) with the reserved indices in V; check the

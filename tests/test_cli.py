@@ -7,7 +7,7 @@ from conftest import replace_record, write_dataset_csv
 from sentihier import baseline, cli
 from sentihier.cli import main
 from sentihier.errors import ParseError
-from sentihier.model import HiCnnLstmModel
+from sentihier.model import HiCnnLstmModel, load_checkpoint, save_checkpoint
 from sentihier.synthetic import make_marker_dataset
 
 FAST_OVERRIDES = [
@@ -118,6 +118,17 @@ class TestCrossval:
                      "--folds", "2", "--out", str(tmp_path / "x")]) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: fold 0: {exc}") and "Traceback" not in err
+
+    def test_nb_reads_no_word_vectors(self, dataset_config, tmp_path, capsys):
+        vectors = tmp_path / "vectors.bin"
+        vectors.write_bytes(b"not a header")
+        argv = ["crossval", "--dataset", str(dataset_config), "--folds", "2",
+                "--embeddings", str(vectors), *FAST_OVERRIDES]
+        assert main([*argv, "--classifier", "nb", "--out", str(tmp_path / "nb")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert main([*argv, "--classifier", "hicnnlstm", "--out", str(tmp_path / "cnn")]) == 3
+        assert str(vectors) in capsys.readouterr().err
+        assert not (tmp_path / "cnn").exists()
 
     def test_byte_identical_reruns_nb(self, dataset_config, tmp_path):
         outs = []
@@ -283,6 +294,22 @@ class TestTrainPredict:
         assert code == 3
         err = capsys.readouterr().err
         assert str(inputs) in err and "UTF-8" in err and "Traceback" not in err
+
+    def test_non_finite_probabilities_are_runtime_error(self, dataset_config, tmp_path,
+                                                         capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     *FAST_OVERRIDES]) == 0
+        model = load_checkpoint(ckpt)
+        model.conv.filters[0, 0] = float("inf")
+        save_checkpoint(model, ckpt)
+        capsys.readouterr()
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("this build is wonderful\nbroken again\n", encoding="utf-8")
+        assert main(["predict", "--model", str(ckpt), "--input", str(inputs)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{inputs}: line 1:" in err and "non-finite" in err and "Traceback" not in err
 
     def test_missing_input_is_data_error(self, dataset_config, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"

@@ -131,6 +131,28 @@ class TestDatasetConfig:
         with pytest.raises(ConfigurationError, match="text_column"):
             load_dataset_config(cfg_path)
 
+    def test_unknown_key_names_file_line_and_key(self, tmp_path):
+        # A typo must not switch the sample-count check off unannounced.
+        cfg_path = write(tmp_path, "d.conf", "\n".join([
+            "name = demo", "path = d.csv", "text_column = text",
+            "label_column = label", "expected_sample = 926",
+        ]))
+        with pytest.raises(ConfigurationError) as info:
+            load_dataset_config(cfg_path)
+        message = str(info.value)
+        assert str(cfg_path) in message and "line 5" in message
+        assert "'expected_sample'" in message
+
+    def test_repeated_key_names_file_line_and_key(self, tmp_path):
+        cfg_path = write(tmp_path, "d.conf", "\n".join([
+            "name = demo", "path = d.csv", "text_column = text",
+            "# a comment", "label_column = label", "path = other.csv",
+        ]))
+        with pytest.raises(ConfigurationError) as info:
+            load_dataset_config(cfg_path)
+        message = str(info.value)
+        assert str(cfg_path) in message and "line 6" in message and "'path'" in message
+
     def test_expected_samples_that_is_not_an_integer_names_file_and_key(self, tmp_path):
         cfg_path = write(tmp_path, "d.conf", "\n".join([
             "name = demo", "path = d.csv", "text_column = text",

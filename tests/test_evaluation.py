@@ -69,6 +69,13 @@ class TestStratifiedKfold:
         with pytest.raises(ConfigurationError):
             stratified_kfold([0, 1], k=3, seed=1)
 
+    def test_known_plan(self):
+        # Pinned: the seed's per-class shuffles, dealt round-robin, decide
+        # every fold, so a change in the draws shows here.
+        labels = [2, 0, 1, 0, 0, 1, 2, 0, 1, 0, 0, 1, 0, 2]
+        plan = stratified_kfold(labels, 3, seed=5)
+        assert plan.folds == ((0, 1, 2, 5, 7, 9), (3, 11, 12, 13), (4, 6, 8, 10))
+
     @given(st.lists(st.integers(0, 4), min_size=4, max_size=60),
            st.integers(2, 6), st.integers(0, 1000))
     @settings(max_examples=300, deadline=None)

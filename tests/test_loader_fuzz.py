@@ -184,7 +184,7 @@ def test_cli_malformed_checkpoint_exits_3(tmp_path, capsys):
 def test_cli_malformed_word_vectors_exit_3(dataset_config, tmp_path, capsys, name, data):
     path = tmp_path / name
     path.write_bytes(data)
-    assert main(["crossval", "--dataset", str(dataset_config), "--classifier", "nb",
+    assert main(["crossval", "--dataset", str(dataset_config), "--classifier", "hicnnlstm",
                  "--folds", "2", "--embeddings", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from sentihier.errors import ConfigurationError
 from sentihier.textprep import (
-    PAD_INDEX,
+    _ABBREVIATIONS,
     UNK_INDEX,
     UNK_TOKEN,
     build_vocab,
@@ -13,6 +13,44 @@ from sentihier.textprep import (
     tokenize,
     tokenize_document,
 )
+
+
+def reference_split_sentences(text: str) -> list:
+    """The splitter as a scan, one character at a time: the reference that
+    split_sentences must match."""
+    if not text or not text.strip():
+        return [UNK_TOKEN]
+    text = text.strip()
+    sentences = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
+            candidate = text[start : i + 1]
+            last_word = candidate.rsplit(None, 1)[-1].lower() if candidate.split() else ""
+            if ch == "." and last_word in _ABBREVIATIONS:
+                i += 1
+                continue
+            if candidate.strip():
+                sentences.append(candidate.strip())
+            start = i + 1
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    if not sentences:
+        sentences = [text]
+    return sentences
+
+
+# Guarded abbreviations in mixed case, and whitespace beyond ASCII that
+# str.isspace accepts (file separator, next line, line separator, ideographic
+# and no-break space).
+_SPLIT_PIECES = st.sampled_from(
+    list("abzAZ.!?") + ["e.g.", "E.g.", "I.E.", "etc.", "Vs.", "mrs.", "APPROX.", "Dr."]
+    + [" ", "\t", "\n", "\x1c", "\x85", "\u2028", "\u3000", "\xa0"])
 
 
 class TestSplitSentences:
@@ -32,6 +70,11 @@ class TestSplitSentences:
 
     def test_question_and_exclamation(self):
         assert split_sentences("Why? Because! Ok") == ["Why?", "Because!", "Ok"]
+
+    @given(st.one_of(st.lists(_SPLIT_PIECES, max_size=40).map("".join), st.text(max_size=80)))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_reference_scan(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
 
     @given(st.text(min_size=1, max_size=200))
     @settings(max_examples=300, deadline=None)
@@ -57,7 +100,7 @@ class TestBuildVocab:
     def test_frequency_order(self):
         corpus = [tokenize_document("a b"), tokenize_document("a")]
         vocab = build_vocab(corpus)
-        assert vocab.token_to_index == {UNK_TOKEN: 0, "<pad>": 1, "a": 2, "b": 3}
+        assert vocab.token_to_index == {UNK_TOKEN: 0, "a": 1, "b": 2}
 
     def test_frequency_ties_break_lexicographically(self):
         corpus = [tokenize_document("zz aa zz aa zz aa")]
@@ -78,7 +121,7 @@ class TestBuildVocab:
 class TestIndexDocument:
     def test_known_tokens(self):
         vocab = build_vocab([tokenize_document("a b"), tokenize_document("a")])
-        assert index_document(tokenize_document("a b"), vocab) == [[2, 3]]
+        assert index_document(tokenize_document("a b"), vocab) == [[1, 2]]
 
     def test_oov_maps_to_unk(self):
         vocab = build_vocab([tokenize_document("a b")])
@@ -98,8 +141,4 @@ class TestIndexDocument:
         indexed = index_document(tokenize_document(text), vocab)
         assert indexed and all(sent for sent in indexed)
         assert all(0 <= i < len(vocab) for sent in indexed for i in sent)
-
-    def test_pad_index_reserved(self):
-        vocab = build_vocab([tokenize_document("a")])
-        assert vocab.index_to_token[PAD_INDEX] == "<pad>"
 
