@@ -212,12 +212,15 @@ def cmd_predict(args) -> int:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
     docs = (encode(tokenize_document(line), model.vocab) for line in text.splitlines())
-    for lineno, probs in enumerate(model.probabilities(docs), 1):
-        if not np.isfinite(probs).all():  # lines already printed stay printed
-            raise SentihierError(f"{source}: line {lineno}: the model gives non-finite "
-                                 f"probabilities {probs.tolist()}")
-        label = model.labels[int(probs.argmax())]
-        print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
+    # A non-finite weight makes numpy warn inside the forward pass; the
+    # isfinite check below is what reports it, so the warning stays silent.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lineno, probs in enumerate(model.probabilities(docs), 1):
+            if not np.isfinite(probs).all():  # lines already printed stay printed
+                raise SentihierError(f"{source}: line {lineno}: the model gives non-finite "
+                                     f"probabilities {probs.tolist()}")
+            label = model.labels[int(probs.argmax())]
+            print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
     return 0
 
 

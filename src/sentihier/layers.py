@@ -41,14 +41,6 @@ def softmax(v) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def sigmoid(v) -> np.ndarray:
-    # e = exp(-|v|) <= 1 never overflows: 1/(1+e) for v >= 0, e/(1+e) below.
-    # minimum(v, -v) is -|v| but leaves a NaN's sign bit as it is.
-    v = np.asarray(v, dtype=np.float64)
-    e = np.exp(np.minimum(v, -v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def relu_grad(v) -> np.ndarray:
     """Subgradient of relu; defined as 0 at exactly 0."""
     return (np.asarray(v, dtype=np.float64) > 0.0).astype(np.float64)
@@ -215,18 +207,18 @@ class ConvLayer:
 class DenseLayer:
     """Fully connected ReLU layer with inverted dropout on its input, applied
     to one vector (in,) or to the rows of a matrix (S, in), under one mask
-    (in,) or a mask per row (S, in)."""
+    (in,), a mask per row (S, in), or no mask (None: no dropout)."""
 
     def __init__(self, out_dim: int, in_dim: int, rng: np.random.Generator | None):
         self.weights = _weights(rng, out_dim, in_dim)
         self.bias = np.zeros(out_dim, dtype=np.float64)
 
-    def forward(self, x: np.ndarray, mask: np.ndarray):
+    def forward(self, x: np.ndarray, mask: np.ndarray | None):
         if x.shape[-1] != self.weights.shape[1]:
             raise ShapeError(
                 f"dense input has length {x.shape[-1]}, layer expects {self.weights.shape[1]}"
             )
-        x_masked = x * mask
+        x_masked = x if mask is None else x * mask
         pre = x_masked @ self.weights.T + self.bias
         cache = {"x_masked": x_masked, "pre": pre, "mask": mask}
         return np.maximum(pre, 0.0), cache
@@ -235,7 +227,9 @@ class DenseLayer:
         """Returns (grad_x, grad_pre); the parameter gradients are
         linear_param_grads of grad_pre paired with cache["x_masked"]."""
         grad_pre = grad_out * relu_grad(cache["pre"])
-        grad_x = (grad_pre @ self.weights) * cache["mask"]
+        grad_x = grad_pre @ self.weights
+        if cache["mask"] is not None:
+            grad_x *= cache["mask"]
         return grad_x, grad_pre
 
 
@@ -244,7 +238,12 @@ class LstmCell:
 
     The forget-gate bias segment starts at 1.0. Dropout masks for the input
     and the recurrent state are fixed per sequence (variational style): the
-    caller samples them once and reuses them at every step.
+    caller samples them once and reuses them at every step, or passes None
+    for no dropout. The state starts at zero, so the first step has no
+    recurrent term. Each step applies all four gate nonlinearities in one
+    pass over its (4H,) row, as tanh under the per-block scale and shift
+    that make sigmoid(z) = 1/2 + tanh(z/2)/2 on i, f and o and leave tanh
+    on g.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None):
@@ -254,6 +253,10 @@ class LstmCell:
         self.recurrent_weights = _weights(rng, 4 * hidden_dim, hidden_dim)
         self.bias = np.zeros(4 * hidden_dim, dtype=np.float64)
         self.bias[hidden_dim : 2 * hidden_dim] = 1.0
+        self._scale = np.full(4 * hidden_dim, 0.5)
+        self._scale[2 * hidden_dim : 3 * hidden_dim] = 1.0
+        self._shift = np.full(4 * hidden_dim, 0.5)
+        self._shift[2 * hidden_dim : 3 * hidden_dim] = 0.0
 
     def project(self, x_m: np.ndarray) -> np.ndarray:
         """Input projections x_m @ W.T + b of N stacked steps (N, m), as (N, 4H):
@@ -263,31 +266,39 @@ class LstmCell:
             raise ShapeError(f"lstm input shape {x_m.shape} vs (N, m={self.input_dim})")
         return x_m @ self.input_weights.T + self.bias
 
-    def run(self, z_in: np.ndarray, recurrent_mask: np.ndarray):
+    def run(self, z_in: np.ndarray, recurrent_mask: np.ndarray | None):
         """Runs the recurrence over one sequence; returns (final h, cache for
         backward). z_in (T, 4H) holds the sequence's input projections
-        (project), so each step only adds the recurrent term."""
+        (project), so each step only adds the recurrent term, and the first
+        step not even that: its previous h is zero. recurrent_mask (H,)
+        multiplies each previous h; None means no dropout."""
         H = self.hidden_dim
         if z_in.ndim != 2 or z_in.shape[1] != 4 * H:
             raise ShapeError(f"lstm projected input shape {z_in.shape} vs (T, 4H={4 * H})")
         T = len(z_in)
-        h_m = np.empty((T, H))
-        gates = np.empty((T, 4 * H))  # i, f, g, o after their nonlinearities
-        c_prev = np.empty((T, H))
+        h_m = np.zeros((T, H))  # each step's masked previous h; row 0 stays zero
+        gates = z_in.copy()  # each row's pre-activations, then i, f, g, o in place
+        c = np.zeros((T + 1, H))  # c[t] is the cell state that step t reads
         tanh_c = np.empty((T, H))
-        h = np.zeros(H, dtype=np.float64)
-        c = np.zeros(H, dtype=np.float64)
         for t in range(T):
-            np.multiply(h, recurrent_mask, out=h_m[t])
-            z = z_in[t] + self.recurrent_weights @ h_m[t]
             gt = gates[t]
-            gt[:] = sigmoid(z)
-            np.tanh(z[2 * H : 3 * H], out=gt[2 * H : 3 * H])
-            c_prev[t] = c
-            c = gt[H : 2 * H] * c + gt[:H] * gt[2 * H : 3 * H]
-            np.tanh(c, out=tanh_c[t])
+            if t:
+                gt += self.recurrent_weights @ h_m[t]
+            gt *= self._scale
+            np.tanh(gt, out=gt)
+            gt *= self._scale
+            gt += self._shift
+            np.multiply(gt[:H], gt[2 * H : 3 * H], out=c[t + 1])
+            if t:
+                c[t + 1] += gt[H : 2 * H] * c[t]
+            np.tanh(c[t + 1], out=tanh_c[t])
             h = gt[3 * H :] * tanh_c[t]
-        cache = {"h_m": h_m, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c,
+            if t + 1 < T:
+                if recurrent_mask is None:
+                    h_m[t + 1] = h
+                else:
+                    np.multiply(h, recurrent_mask, out=h_m[t + 1])
+        cache = {"h_m": h_m, "gates": gates, "c_prev": c[:T], "tanh_c": tanh_c,
                  "recurrent_mask": recurrent_mask}
         return h, cache
 
@@ -296,9 +307,11 @@ class LstmCell:
 
         Returns the (T, 4H) gradients dz at the gate pre-activations, so at
         z_in. The loop carries dh and dc back through the recurrence and
-        stacks each step's dz. The caller forms the input gradients (dz @ W
-        under the input mask) and the parameter gradients (param_grads of dz,
-        the masked inputs and cache["h_m"]) once for a batch of sequences.
+        stacks each step's dz; it stops at the first step, whose previous
+        state is the zero initial state, so nothing reads its dh or dc. The
+        caller forms the input gradients (dz @ W under the input mask) and
+        the parameter gradients (param_grads of dz, the masked inputs and
+        cache["h_m"]) once for a batch of sequences.
         """
         H = self.hidden_dim
         gates, tanh_c = cache["gates"], cache["tanh_c"]
@@ -312,12 +325,16 @@ class LstmCell:
         dz = np.empty((T, 4, H))
         dh = grad_h_final
         dc = np.zeros(H, dtype=np.float64)
+        mask = cache["recurrent_mask"]
         for t in range(T - 1, -1, -1):
             dc = dc + dh * dc_dh[t]
             np.multiply(dz_dc[t], dc, out=dz[t, :3])
             np.multiply(dh, dz_dh[t], out=dz[t, 3])
-            dh = (self.recurrent_weights.T @ dz[t].reshape(-1)) * cache["recurrent_mask"]
-            dc = dc * f[t]
+            if t:
+                dh = self.recurrent_weights.T @ dz[t].reshape(-1)
+                if mask is not None:
+                    dh *= mask
+                dc = dc * f[t]
         return dz.reshape(T, 4 * H)
 
     @staticmethod

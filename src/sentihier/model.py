@@ -8,17 +8,20 @@ row, the dense layer runs once on all the rows, and the backward pass gates
 them as one block. Each LSTM direction projects all the rows with one input
 GEMM per forward call and takes their input gradients with one GEMM per
 batch; only its recurrence runs one document at a time, forward and
-backward. The head takes one row per document, in one matrix product and a
-softmax per row. Batch gradients are the mean of per-document gradients,
-formed once per batch from the factors of all rows.
+backward, from a zero state, so its first step has no recurrent product.
+The head takes one row per document, in one matrix product and a softmax
+per row. Batch gradients are the mean of per-document gradients, formed
+once per batch from the factors of all rows.
 
 Each forward call projects the distinct word vectors of its own documents
 through the conv filters once (layers.ConvLayer.project), into a table
 that the convolution reads and that is freed before the call returns (a
 training batch's filter gradient gathers its word vectors again, from the
 ids in the cache). Inference runs through probabilities, one forward call
-per chunk of documents; a loss_and_grads batch is one forward call, and
-its gradient block is allocated only after the table is gone.
+per chunk of up to INFERENCE_CHUNK documents, with no dropout masks; a
+document's probabilities do not depend on its chunk beyond the rounding of
+the BLAS products. A loss_and_grads batch is one forward call, and its
+gradient block is allocated only after the table is gone.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs. The file
@@ -48,7 +51,7 @@ from .textprep import Document, Vocabulary
 
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 3
-INFERENCE_CHUNK = 32  # documents per forward call of probabilities, after the first
+INFERENCE_CHUNK = 64  # documents per forward call of probabilities, after the first
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,9 @@ class HiCnnLstmModel:
         """Returns ((B, C) class probabilities of the B documents `docs`,
         cache). Dropout is active only when train=True and a dropout_rng is
         supplied; masks are fixed per document and drawn in document order.
+        With train=False no mask is built at all: the layers take None, and
+        the result equals that of train=True without a dropout_rng, whose
+        masks are all ones.
 
         The sentences of all documents run through the convolution and the
         dense layer as one stack of rows, each under its document's dense
@@ -172,24 +178,27 @@ class HiCnnLstmModel:
         seqs = list(itertools.chain.from_iterable(sentences))
         ids, distinct = np.unique(
             np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp), return_inverse=True)
-        masks = [self._masks(dropout_rng if train else None) for _ in sentences]
         counts = [len(s) for s in sentences]
+        dense_mask = None  # inference: no dropout, so no masks at all
+        if train:
+            masks = [self._masks(dropout_rng) for _ in sentences]
+            dense_mask = np.repeat([dense for dense, _ in masks], counts, axis=0)
         rows, starts = layers.sentence_matrix(seqs, distinct, cfg.filter_width)
         features, windows = self.conv.forward(
             rows, starts, self.conv.project(self.embedding_matrix[ids]), first_max=train)
-        sent_vecs, dense_cache = self.dense.forward(
-            features, np.repeat([dense for dense, _ in masks], counts, axis=0))
+        sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
         H, ends = cfg.lstm_hidden, np.cumsum(counts)
         encoded = np.empty((len(sentences), 2 * H))
         lstm = []
         for d, (_, cell, order) in enumerate(self._lstm_directions()):
-            x_m, in_mask = sent_vecs, None
-            if train:  # at inference every mask is all ones
+            x_m, in_mask, run_masks = sent_vecs, None, itertools.repeat(None)
+            if train:
                 in_mask = np.repeat([m[2 * d] for _, m in masks], counts, axis=0)
                 x_m = sent_vecs * in_mask
+                run_masks = [m[2 * d + 1] for _, m in masks]
             z = cell.project(x_m)
-            runs = [cell.run(z[end - count : end][order], m[2 * d + 1])
-                    for end, count, (_, m) in zip(ends, counts, masks)]
+            runs = [cell.run(z[end - count : end][order], mask)
+                    for end, count, mask in zip(ends, counts, run_masks)]
             encoded[:, d * H : (d + 1) * H] = [h for h, _ in runs]
             lstm.append({"x_m": x_m, "in_mask": in_mask, "runs": [run for _, run in runs]})
         probs = self.head.probs(encoded)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -306,7 +307,10 @@ class TestTrainPredict:
         capsys.readouterr()
         inputs = tmp_path / "inputs.txt"
         inputs.write_text("this build is wonderful\nbroken again\n", encoding="utf-8")
-        assert main(["predict", "--model", str(ckpt), "--input", str(inputs)]) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["predict", "--model", str(ckpt), "--input", str(inputs)]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{inputs}: line 1:" in err and "non-finite" in err and "Traceback" not in err

@@ -15,7 +15,6 @@ from sentihier.layers import (
     linear_param_grads,
     relu_grad,
     sentence_matrix,
-    sigmoid,
     softmax,
 )
 
@@ -147,26 +146,6 @@ class TestSoftmax:
         out = softmax([700.0, -700.0, 0.0])
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) <= 1e-12
-
-
-class TestSigmoid:
-    def test_bit_identical_to_the_two_branch_formula(self, rng):
-        tiny = np.finfo(np.float64).smallest_subnormal
-        v = np.concatenate([
-            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0, 709.8,
-             -709.8, tiny, -tiny, 1e-310, -1e-310],
-            rng.normal(scale=10.0, size=500),
-            rng.uniform(-800.0, 800.0, size=500),
-        ])
-        expected = np.empty_like(v)
-        pos = v >= 0
-        with np.errstate(over="ignore"):
-            expected[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-            ev = np.exp(v[~pos])
-            expected[~pos] = ev / (1.0 + ev)
-        with np.errstate(over="raise"):
-            out = sigmoid(v)
-        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 class TestRelu:
@@ -468,6 +447,24 @@ class TestDenseRelu:
         x = np.array([1.0, -2.0, 0.0, 3.5, 9.0])
         np.testing.assert_array_equal(x * mask, x)
 
+    def test_no_mask_equals_an_all_ones_mask(self, rng):
+        layer = DenseLayer(3, 5, rng)
+        xs = rng.normal(size=(4, 5))
+        out, cache = layer.forward(xs, None)
+        out_ones, cache_ones = layer.forward(xs, np.ones(5))
+        np.testing.assert_array_equal(out, out_ones)
+        grad = rng.normal(size=(4, 3))
+        for a, b in zip(layer.backward(grad, cache), layer.backward(grad, cache_ones)):
+            np.testing.assert_array_equal(a, b)
+
+
+def sigmoid(v) -> np.ndarray:
+    """The two-branch logistic function: 1/(1+e) for v >= 0 and e/(1+e) below,
+    with e = exp(-|v|) <= 1, which never overflows."""
+    v = np.asarray(v, dtype=np.float64)
+    e = np.exp(np.minimum(v, -v))  # -|v|, keeping a NaN's sign bit
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
 
 def lstm_step(cell, x, h_prev, c_prev):
     """Closed-form LSTM step without dropout; returns (h, c)."""
@@ -552,6 +549,51 @@ class TestLstm:
         cell = LstmCell(3, 4, rng)
         np.testing.assert_array_equal(cell.bias[4:8], np.ones(4))
         assert not cell.bias[:4].any() and not cell.bias[8:].any()
+
+    def test_gate_nonlinearities_match_the_two_branch_formulas(self, rng):
+        # Every value goes into each of the i, f, g and o blocks of one step;
+        # the step's recurrent term is absent, so the gates see z_in itself.
+        tiny = np.finfo(np.float64).smallest_subnormal
+        v = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0, 709.8,
+             -709.8, tiny, -tiny, 1e-310, -1e-310],
+            rng.normal(scale=10.0, size=500),
+            rng.uniform(-800.0, 800.0, size=500),
+        ])
+        H = len(v)
+        cell = LstmCell(1, H, None)  # run reads neither weight matrix at one step
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, cache = cell.run(np.tile(v, 4)[None, :], None)
+        i, f, g, o = cache["gates"][0].reshape(4, H)
+        with np.errstate(over="ignore"):
+            expected = sigmoid(v)
+        for gate in (i, f, o):
+            np.testing.assert_allclose(gate, expected, rtol=0, atol=2.3e-16)
+            np.testing.assert_array_equal(gate[2:4], [1.0, 0.0])
+            assert np.isnan(gate[4:6]).all()
+        np.testing.assert_allclose(g, np.tanh(v), rtol=0, atol=2.3e-16)
+        assert np.isnan(g[4:6]).all()
+
+    def test_first_step_reads_no_recurrent_weights(self, rng):
+        cell = LstmCell(3, 2, rng)
+        cell.recurrent_weights[:] = np.nan
+        z = cell.project(rng.normal(size=(1, 3)))
+        h, cache = cell.run(z, dropout_mask(rng, 2, 0.5))
+        assert np.isfinite(h).all()
+        assert np.isfinite(cell.backward(rng.normal(size=2), cache)).all()
+
+    def test_no_recurrent_mask_equals_an_all_ones_mask(self, rng):
+        cell = LstmCell(3, 2, rng)
+        z = cell.project(rng.normal(size=(3, 3)))
+        h, cache = cell.run(z, None)
+        h_ones, cache_ones = cell.run(z, np.ones(2))
+        np.testing.assert_array_equal(h.view(np.uint64), h_ones.view(np.uint64))
+        for key in ("h_m", "gates", "c_prev", "tanh_c"):
+            np.testing.assert_array_equal(cache[key].view(np.uint64),
+                                          cache_ones[key].view(np.uint64), err_msg=key)
+        grad = rng.normal(size=2)
+        np.testing.assert_array_equal(cell.backward(grad, cache).view(np.uint64),
+                                      cell.backward(grad, cache_ones).view(np.uint64))
 
     def test_input_widths_are_checked(self, rng):
         cell = LstmCell(3, 2, rng)

@@ -13,6 +13,7 @@ from conftest import (
     replace_record,
 )
 from sentihier import layers
+from sentihier import model as model_module
 from sentihier.errors import (
     CheckpointError,
     CheckpointTruncatedError,
@@ -122,6 +123,31 @@ class TestProbabilities:
         assert chunks == [1, INFERENCE_CHUNK, 7]
         for p, q in zip(got, singles, strict=True):
             np.testing.assert_allclose(p, q, rtol=0, atol=1e-15)
+
+    def test_results_do_not_depend_on_the_chunk_size(self, rng, monkeypatch):
+        # Up to rounding only: BLAS may round a product of one row, or of a
+        # different number of rows, differently in the last bit.
+        model = desk_model()
+        long_doc = random_doc(rng, num_sents=23)
+        docs = [random_doc(rng) for _ in range(70)] + [long_doc, Document(((0,),))]
+        by_size = []
+        for size in (1, 64, len(docs)):
+            monkeypatch.setattr(model_module, "INFERENCE_CHUNK", size)
+            by_size.append(np.array(list(model.probabilities(docs))))
+        for probs in by_size[1:]:
+            np.testing.assert_allclose(probs, by_size[0], rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(probs.argmax(axis=1), by_size[0].argmax(axis=1))
+
+    def test_inference_builds_no_masks_and_equals_training_without_dropout(self, rng,
+                                                                           monkeypatch):
+        model = desk_model()
+        docs = [random_doc(rng) for _ in range(5)] + [random_doc(rng, num_sents=21)]
+        # With no dropout_rng, every training mask is all ones.
+        trained, _ = model.forward(docs, train=True)
+        monkeypatch.setattr(layers, "dropout_mask", lambda *a: pytest.fail("mask built"))
+        inferred, cache = model.forward(docs)
+        assert cache is None
+        np.testing.assert_array_equal(inferred.view(np.uint64), trained.view(np.uint64))
 
 
 class TestPredict:
