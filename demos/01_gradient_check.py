@@ -7,8 +7,8 @@ probe on a small randomly initialized model.
 
 import numpy as np
 
-from sentihier.model import Document, HiCnnLstmModel, ModelConfig
-from sentihier.textprep import Vocabulary
+from sentihier.model import HiCnnLstmModel, ModelConfig
+from sentihier.textprep import Document, Vocabulary
 
 config = ModelConfig(embedding_dim=4, filter_width=2, num_filters=3,
                      sentence_dim=3, lstm_hidden=2, num_classes=3, seed=7)

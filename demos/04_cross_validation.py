@@ -1,8 +1,9 @@
 """Stratified 10-fold cross-validation of the Naive Bayes baseline on a
 synthetic dataset, with per-class precision/recall/F1.
 
-Swap in `make_classifier("hicnnlstm", ...)` for the neural model — same
-protocol, same fold plan, so the comparison is apples-to-apples.
+Swap in `HiCnnLstmClassifier(model_config, train_config, ds.label_set)` for
+the neural model — same protocol, same fold plan, so the comparison is
+apples-to-apples.
 """
 
 from sentihier.classifiers import NaiveBayesClassifier, prepare

@@ -22,16 +22,14 @@ CLASSIFIER_NAMES = ("hicnnlstm", "nb")
 
 def embedding_matrix_for(vocab, table: EmbeddingTable | None, dim: int,
                          embedding_seed: int) -> np.ndarray:
-    """One row per vocabulary index; the UNK row stays zero.
+    """One row per vocabulary index; the UNK row stays zero. A table's vectors
+    have dimension `dim`: HiCnnLstmClassifier checks that once, not per fold.
 
     With no table (random mode), each token gets a seeded uniform vector that
     depends only on (embedding_seed, token), so it is identical across folds.
     """
     if table is None:
         table = random_table(vocab.index_to_token[1:], dim, embedding_seed)
-    elif table.dim != dim:
-        raise ConfigurationError(
-            f"embedding table dim {table.dim} != configured dim {dim}")
     matrix = np.zeros((len(vocab), dim), dtype=np.float64)
     for idx, token in enumerate(vocab.index_to_token[1:], start=1):
         matrix[idx] = table.lookup(token)
@@ -47,10 +45,11 @@ def prepare(dataset):
 class HiCnnLstmClassifier:
     """Hierarchical CNN-BiLSTM pipeline."""
 
-    name = "hicnnlstm"
-
     def __init__(self, model_config: ModelConfig, train_config: TrainConfig, label_names,
                  table: EmbeddingTable | None = None, embedding_seed: int = 42):
+        if table is not None and table.dim != model_config.embedding_dim:
+            raise ConfigurationError(f"the word vectors have dimension {table.dim}, but "
+                                     f"embedding_dim is {model_config.embedding_dim}")
         self.model_config = model_config
         self.train_config = train_config
         self.label_names = label_names
@@ -86,8 +85,6 @@ class HiCnnLstmClassifier:
 class NaiveBayesClassifier:
     """Multinomial NB bag-of-words pipeline with add-one smoothing."""
 
-    name = "nb"
-
     def fit_predict_factory(self, tokenized, labels):
         num_classes = max(labels) + 1
         def fit_predict(train_ix, test_ix, seed):
@@ -101,13 +98,3 @@ class NaiveBayesClassifier:
             return {"predictions": preds, "history": None,
                     "train_seconds": t1 - t0, "test_seconds": t2 - t1}
         return fit_predict
-
-
-def make_classifier(spec: str, model_config: ModelConfig, train_config: TrainConfig,
-                    label_names, table: EmbeddingTable | None, embedding_seed: int = 42):
-    if spec == "hicnnlstm":
-        return HiCnnLstmClassifier(model_config, train_config, label_names, table,
-                                   embedding_seed)
-    if spec == "nb":
-        return NaiveBayesClassifier()
-    raise ConfigurationError(f"unknown classifier {spec!r}; choose from {CLASSIFIER_NAMES}")

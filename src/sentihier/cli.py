@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifiers import CLASSIFIER_NAMES, make_classifier, prepare
+from .classifiers import (CLASSIFIER_NAMES, HiCnnLstmClassifier, NaiveBayesClassifier,
+                          prepare)
 from .datasets import load_dataset_config, load_from_config
 from .embeddings import load_word2vec_binary, load_word2vec_text
 from .errors import ConfigurationError, ContractViolation, ParseError, SentihierError
@@ -50,6 +51,8 @@ def _parse_overrides(pairs):
         if key in _FIXED_FIELDS:
             raise ConfigurationError(
                 f"override key {key!r} is not allowed; {_FIXED_FIELDS[key]}")
+        if key in model_over or key in train_over:
+            raise ConfigurationError(f"--override: key {key!r} is given twice")
         if key in _MODEL_FIELDS:
             target, anno = model_over, ModelConfig.__dataclass_fields__[key].type
         elif key in _TRAIN_FIELDS:
@@ -65,18 +68,16 @@ def _parse_overrides(pairs):
     return model_over, train_over
 
 
-def _load_embeddings(spec: str):
-    if spec == "random":
-        return None
-    path = Path(spec)  # a missing file is an OSError naming it
-    if path.suffix == ".bin":
-        return load_word2vec_binary(path)
-    return load_word2vec_text(path)
-
-
 def _write_report(path: Path, manifest: dict, body_lines):
     header = [f"# {key}: {manifest[key]}" for key in sorted(manifest)]
     path.write_text("".join(line + "\n" for line in [*header, *body_lines]), encoding="utf-8")
+
+
+def _write_manifest_json(out: Path, manifest: dict, **run_fields):
+    """manifest.json: a report manifest plus what no report holds (start time,
+    wall-clock timings, warnings)."""
+    text = json.dumps({**manifest, **run_fields}, indent=2) + "\n"
+    (out / "manifest.json").write_text(text, encoding="utf-8")
 
 
 def _manifest(command: str, args, ds, **fields) -> dict:
@@ -86,23 +87,31 @@ def _manifest(command: str, args, ds, **fields) -> dict:
             "overrides": ",".join(args.override or []), "version": __version__}
 
 
-def _dataset_and_classifiers(args, classifier_specs):
-    config = load_dataset_config(args.dataset)
-    ds, warnings = load_from_config(config)
+def _setup(args, specs):
+    """Read and check every input of a command, cheapest first, before it
+    makes any output: the dataset, the overrides and the configs they give,
+    then the word vectors, which only hicnnlstm reads (the classifier checks
+    their dimension). Returns (ds, tokenized docs, class indices, classifiers).
+    """
+    ds, warnings = load_from_config(load_dataset_config(args.dataset))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    table = _load_embeddings(args.embeddings) if "hicnnlstm" in classifier_specs else None
-    model_over, train_over = _parse_overrides(getattr(args, "override", None))
+    model_over, train_over = _parse_overrides(args.override)
     try:
         mcfg = ModelConfig(**{"num_classes": len(ds.label_set), **model_over})
     except ContractViolation as exc:
         # num_classes comes from a loaded dataset, so the bad field is an override
         raise ConfigurationError(f"model override out of range: {exc}") from None
     tcfg = TrainConfig(**{"seed": args.seed, **train_over})
-    classifiers = [make_classifier(spec, mcfg, tcfg, ds.label_set, table,
-                                   embedding_seed=args.seed)
-                   for spec in classifier_specs]
-    return ds, classifiers
+    table = None
+    if "hicnnlstm" in specs and args.embeddings != "random":
+        path = Path(args.embeddings)  # a missing file is an OSError naming it
+        table = (load_word2vec_binary if path.suffix == ".bin" else load_word2vec_text)(path)
+    classifiers = [HiCnnLstmClassifier(mcfg, tcfg, ds.label_set, table,
+                                       embedding_seed=args.seed)
+                   if spec == "hicnnlstm" else NaiveBayesClassifier() for spec in specs]
+    tokenized, labels = prepare(ds)
+    return ds, tokenized, labels, classifiers
 
 
 def cmd_crossval(args) -> int:
@@ -110,8 +119,7 @@ def cmd_crossval(args) -> int:
         raise ConfigurationError("folds must be >= 2")
     out = Path(args.out)  # created once every input is checked
     started = datetime.now(timezone.utc).isoformat()
-    ds, (classifier,) = _dataset_and_classifiers(args, [args.classifier])
-    tokenized, labels = prepare(ds)
+    ds, tokenized, labels, (classifier,) = _setup(args, [args.classifier])
     if args.folds > len(labels):
         raise ConfigurationError(f"--folds {args.folds} exceeds the dataset's "
                                  f"{len(labels)} documents")
@@ -134,11 +142,9 @@ def cmd_crossval(args) -> int:
                           res.history.to_csv_rows())
     _write_report(out / "pooled_report.csv", manifest, report_to_csv_rows(pooled, names))
     _write_report(out / "pooled_report.md", manifest, [report_to_markdown(pooled, names)])
-    (out / "manifest.json").write_text(json.dumps({
-        **manifest, "started": started, "total_seconds": total,
-        "fold_train_seconds": [r.train_seconds for r in fold_results],
-        "fold_test_seconds": [r.test_seconds for r in fold_results],
-    }, indent=2) + "\n", encoding="utf-8")
+    _write_manifest_json(out, manifest, started=started, total_seconds=total,
+                         fold_train_seconds=[r.train_seconds for r in fold_results],
+                         fold_test_seconds=[r.test_seconds for r in fold_results])
     print(f"pooled accuracy: {pooled.accuracy:.4f} ({out})")
     return 0
 
@@ -150,48 +156,46 @@ def cmd_learning_curve(args) -> int:
             fractions.append(float(part))
         except ValueError:
             raise ConfigurationError(f"--fractions: {part!r} is not a number") from None
-    if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
-        raise ConfigurationError(f"--fractions must be ascending and in (0, 1]: {fractions}")
+    if not (all(a < b for a, b in zip([0.0, *fractions], fractions)) and fractions[-1] <= 1):
+        raise ConfigurationError(
+            f"--fractions must be strictly ascending and in (0, 1]: {fractions}")
+    specs = args.classifier or ["hicnnlstm"]
+    for spec in specs:
+        if specs.count(spec) > 1:
+            raise ConfigurationError(f"--classifier {spec} is given twice")
     out = Path(args.out)  # created once every input is checked
     started = datetime.now(timezone.utc).isoformat()
-    specs = args.classifier or ["hicnnlstm"]
-    ds, classifiers = _dataset_and_classifiers(args, specs)
+    ds, tokenized, labels, classifiers = _setup(args, specs)
     out.mkdir(parents=True, exist_ok=True)
-    tokenized, labels = prepare(ds)
     manifest = _manifest("learning-curve", args, ds, classifiers=",".join(specs),
                          fractions=args.fractions)
     t0 = time.perf_counter()
     combined = ["classifier,fraction,size,accuracy"]
-    all_warnings = []
     for spec, classifier in zip(specs, classifiers):
         fit_predict = classifier.fit_predict_factory(tokenized, labels)
+        # the skipped points, and so the warnings, depend only on labels and seed
         points, warnings = learning_curve(fit_predict, labels, fractions,
                                           seed=args.seed, num_classes=len(ds.label_set))
-        all_warnings.extend(warnings)
         rows = ["fraction,size,accuracy"]
         for p in points:
             rows.append(f"{p.fraction},{p.resample_size},{p.test_accuracy!r}")
             combined.append(f"{spec},{p.fraction},{p.resample_size},{p.test_accuracy!r}")
         _write_report(out / f"curve_{spec}.csv", {**manifest, "classifier": spec}, rows)
     _write_report(out / "curve_combined.csv", manifest, combined)
-    for w in all_warnings:
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    (out / "manifest.json").write_text(json.dumps({
-        **manifest, "started": started,
-        "total_seconds": time.perf_counter() - t0,
-        "warnings": all_warnings,
-    }, indent=2) + "\n", encoding="utf-8")
+    _write_manifest_json(out, manifest, started=started,
+                         total_seconds=time.perf_counter() - t0, warnings=warnings)
     print(f"wrote learning curves for {','.join(specs)} ({out})")
     return 0
 
 
 def cmd_train(args) -> int:
-    ds, (classifier,) = _dataset_and_classifiers(args, ["hicnnlstm"])
     out = Path(args.out)
-    if out.is_dir():  # checked before the fit, which may take hours
+    if out.is_dir():  # checked before anything is read
         raise IsADirectoryError(f"--out {out} is a directory, not a checkpoint path")
+    ds, tokenized, labels, (classifier,) = _setup(args, ["hicnnlstm"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    tokenized, labels = prepare(ds)
     docs, model = classifier.build(tokenized, labels, args.seed)
     model, history = fit(model, docs, classifier.train_config)
     save_checkpoint(model, out)

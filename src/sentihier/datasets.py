@@ -7,7 +7,6 @@ across runs and checkpoints.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 

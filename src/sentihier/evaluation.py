@@ -8,7 +8,7 @@ data partitions for a given seed.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,12 +202,12 @@ def resample_plan(labels, fractions, seed: int):
 def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
                    seed: int = 42, *, num_classes: int):
     """Bootstrap learning curve on a fixed stratified 70/30 split, at
-    fractions ascending in (0, 1] (cli.cmd_learning_curve checks them).
+    fractions strictly ascending in (0, 1] (cli.cmd_learning_curve checks them).
 
     Returns (list of CurvePoint, list of skipped-point warnings). A point
     whose resample has no document of some class is skipped; the draws
     depend only on the labels and the seed, so every classifier skips the
-    same points. An exception raised at a point propagates unchanged, with
+    same points with the same warnings. An exception raised at a point propagates unchanged, with
     the point's fraction in its `fraction` attribute.
     """
     labels = list(labels)

@@ -47,7 +47,7 @@ from .errors import (
     ContractViolation,
     ShapeError,
 )
-from .textprep import Document, Vocabulary
+from .textprep import Vocabulary
 
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 3

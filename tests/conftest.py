@@ -5,8 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
-from sentihier.model import Document, HiCnnLstmModel, ModelConfig
-from sentihier.textprep import Vocabulary
+from sentihier.model import HiCnnLstmModel, ModelConfig
+from sentihier.textprep import Document, Vocabulary
 
 
 def desk_config(num_classes=2, seed=7):

@@ -31,7 +31,8 @@ from sentihier.evaluation import (
     stratified_kfold,
     stratified_split_70_30,
 )
-from sentihier.model import Document, ModelConfig, load_checkpoint, save_checkpoint
+from sentihier.model import ModelConfig, load_checkpoint, save_checkpoint
+from sentihier.textprep import Document
 from sentihier.train import TrainConfig
 from test_baseline import brute_force_posterior, doc as nb_doc
 from test_evaluation import brute_force_metrics

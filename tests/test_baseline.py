@@ -6,8 +6,7 @@ import pytest
 
 from sentihier.baseline import nb_fit, nb_predict
 from sentihier.errors import ConfigurationError
-from sentihier.model import Document
-from sentihier.textprep import UNK_INDEX
+from sentihier.textprep import UNK_INDEX, Document
 
 
 def doc(tokens, label=None):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import replace_record, write_dataset_csv
+from conftest import replace_record, save_word2vec_text, write_dataset_csv
 from sentihier import baseline, cli
 from sentihier.cli import main
 from sentihier.errors import ParseError
@@ -31,6 +31,18 @@ def dataset_config(tmp_path_factory):
         "text_column = text",
         "label_column = label",
     ]), encoding="utf-8")
+    return cfg
+
+
+def skewed_config(tmp_path) -> Path:
+    """3 positive documents of 40: some bootstrap resamples draw none of
+    them, and naive Bayes cannot fit a class with no documents."""
+    ds = make_marker_dataset(40, seed=3,
+                             class_fractions={"negative": 37 / 40, "positive": 3 / 40})
+    write_dataset_csv(ds, tmp_path / "skewed.csv")
+    cfg = tmp_path / "skewed.conf"
+    cfg.write_text("name = skewed\npath = skewed.csv\ntext_column = text\n"
+                   "label_column = label\n", encoding="utf-8")
     return cfg
 
 
@@ -187,20 +199,24 @@ class TestLearningCurve:
         (4, ["0.2"]), (5, []), (6, []), (7, ["1.0"]), (8, ["1.0"])],
         ids=[f"seed-{seed}" for seed in range(4, 9)])
     def test_resample_without_a_class_is_skipped(self, tmp_path, capsys, seed, skipped):
-        # 3 positive documents of 40: some bootstrap resamples draw none of
-        # them, and naive Bayes cannot fit a class with no documents.
-        ds = make_marker_dataset(40, seed=3,
-                                 class_fractions={"negative": 37 / 40, "positive": 3 / 40})
-        write_dataset_csv(ds, tmp_path / "skewed.csv")
-        cfg = tmp_path / "skewed.conf"
-        cfg.write_text("name = skewed\npath = skewed.csv\ntext_column = text\n"
-                       "label_column = label\n", encoding="utf-8")
-        code = main(["learning-curve", "--dataset", str(cfg), "--classifier", "nb",
+        code = main(["learning-curve", "--dataset", str(skewed_config(tmp_path)),
+                     "--classifier", "nb",
                      "--fractions", "0.2,1.0", "--seed", str(seed), "--out", str(tmp_path / "x")])
         assert code == 0
         warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
         assert [w.split()[2].rstrip(":") for w in warnings] == skipped
         assert all("no document of classes [1], skipped" in w for w in warnings)
+
+    def test_skip_warning_is_reported_once_for_all_classifiers(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["learning-curve", "--dataset", str(skewed_config(tmp_path)),
+                     "--classifier", "nb", "--classifier", "hicnnlstm", "--fractions", "0.2,1.0",
+                     "--seed", "4", "--out", str(out), *FAST_OVERRIDES])
+        assert code == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+        assert len(warnings) == 1 and warnings[0].startswith("warning: fraction 0.2:")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == [warnings[0].removeprefix("warning: ")]
 
     def test_error_at_a_point_names_the_fraction(self, dataset_config, tmp_path, capsys,
                                                  monkeypatch):
@@ -361,14 +377,15 @@ class TestTrainPredict:
         "embedding_dim=abc",
     ])
     def test_unusable_override_is_config_error_naming_the_key(self, dataset_config, tmp_path,
-                                                              capsys, override):
+                                                              capsys, monkeypatch, override):
+        monkeypatch.setattr(cli, "load_word2vec_text", pytest.fail)  # overrides come first
         ckpt = tmp_path / "model.ckpt"
         code = main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
-                     *FAST_OVERRIDES, "--override", override])
+                     "--embeddings", "vectors.txt", "--override", override])
         assert code == 2
         err = capsys.readouterr().err
         assert override.split("=")[0] in err and "Traceback" not in err
-        assert not ckpt.exists()
+        assert "twice" not in err and not ckpt.exists()
 
     @pytest.mark.parametrize("override, allowed", [
         ("max_sentences_per_doc=0", ">= 1"),
@@ -417,6 +434,7 @@ class TestTrainPredict:
 
     def test_out_that_is_a_directory_fails_before_training(self, dataset_config, tmp_path,
                                                            capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset_config", pytest.fail)
         monkeypatch.setattr(cli, "fit", pytest.fail)
         code = main(["train", "--dataset", str(dataset_config), "--out", str(tmp_path),
                      *FAST_OVERRIDES])
@@ -429,15 +447,22 @@ class TestTrainPredict:
         assert code == 3
 
 
-@pytest.mark.parametrize("command", [
-    ["crossval", "--classifier", "nb", "--override", "num_classes=3"],
-    ["crossval", "--classifier", "nb", "--seed", "-1"],
-    ["crossval", "--classifier", "nb", "--folds", "100000"],
-    ["learning-curve", "--classifier", "nb", "--override", "max_epochs=0"],
-    ["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.2"],
+@pytest.mark.parametrize("command, named", [
+    (["crossval", "--classifier", "nb", "--override", "num_classes=3"], "num_classes"),
+    (["crossval", "--classifier", "nb", "--seed", "-1"], "--seed"),
+    (["crossval", "--classifier", "nb", "--folds", "100000"], "--folds"),
+    (["crossval", "--classifier", "nb", "--override", "max_epochs=1",
+      "--override", "max_epochs=2"], "--override"),
+    (["learning-curve", "--classifier", "nb", "--override", "max_epochs=0"], "max_epochs"),
+    (["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.2"], "--fractions"),
+    (["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.5"], "--fractions"),
+    (["learning-curve", "--classifier", "nb", "--classifier", "nb"], "--classifier"),
 ], ids=["crossval-num-classes", "crossval-negative-seed", "crossval-folds-above-size",
-        "learning-curve-max-epochs", "learning-curve-descending-fractions"])
-def test_rejected_flag_leaves_no_output_directory(dataset_config, tmp_path, command):
+        "crossval-repeated-override", "learning-curve-max-epochs",
+        "learning-curve-descending-fractions", "learning-curve-repeated-fraction",
+        "learning-curve-repeated-classifier"])
+def test_rejected_flag_leaves_no_output_directory(dataset_config, tmp_path, capsys, command,
+                                                  named):
     out = tmp_path / "out"
     try:
         code = main([command[0], "--dataset", str(dataset_config), *command[1:],
@@ -445,7 +470,27 @@ def test_rejected_flag_leaves_no_output_directory(dataset_config, tmp_path, comm
     except SystemExit as exc:  # argparse rejects a flag's value itself
         code = exc.code
     assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["crossval", "--folds", "2", "--out", "out"],
+    ["learning-curve", "--classifier", "nb", "--classifier", "hicnnlstm", "--out", "out"],
+    ["train", "--out", "out/model.ckpt"],
+], ids=["crossval", "learning-curve", "train"])
+def test_word_vectors_of_another_dimension_fail_before_any_output(
+        dataset_config, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    save_word2vec_text({"build": [0.1] * 5, "broken": [0.2] * 5}, tmp_path / "v.txt")
+    code = main([command[0], "--dataset", str(dataset_config), "--embeddings", "v.txt",
+                 *command[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dimension 5" in err and "embedding_dim is 300" in err
+    assert "fold" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_error_names_the_flag(dataset_config, tmp_path, capsys, monkeypatch):

@@ -23,12 +23,12 @@ from sentihier.errors import (
 )
 from sentihier.model import (
     INFERENCE_CHUNK,
-    Document,
     HiCnnLstmModel,
     ModelConfig,
     load_checkpoint,
     save_checkpoint,
 )
+from sentihier.textprep import Document
 
 
 def random_doc(rng, vocab_size=9, num_sents=None, label=None):

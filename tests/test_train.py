@@ -5,7 +5,7 @@ import pytest
 
 from conftest import desk_model
 from sentihier.errors import ConfigurationError, TrainingDivergedError
-from sentihier.model import Document
+from sentihier.textprep import Document
 from sentihier.train import AdamState, TrainConfig, fit
 
 
