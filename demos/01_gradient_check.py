@@ -11,11 +11,11 @@ from sentihier.model import HiCnnLstmModel, ModelConfig
 from sentihier.textprep import Document, Vocabulary
 
 config = ModelConfig(embedding_dim=4, filter_width=2, num_filters=3,
-                     sentence_dim=3, lstm_hidden=2, num_classes=3, seed=7)
+                     sentence_dim=3, lstm_hidden=2)
 matrix = np.random.default_rng(0).normal(scale=0.3, size=(9, 4))
 matrix[0] = 0.0  # the UNK row stays zero
 vocab = Vocabulary.of(["<unk>"] + [f"w{i}" for i in range(1, 9)])
-model = HiCnnLstmModel(config, matrix, vocab, ("negative", "neutral", "positive"))
+model = HiCnnLstmModel(config, matrix, vocab, ("negative", "neutral", "positive"), seed=7)
 
 doc = Document(((2, 3, 4), (5, 6, 7, 8)), label=1)
 loss, grads = model.loss_and_grads([doc])

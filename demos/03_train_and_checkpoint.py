@@ -27,11 +27,10 @@ def to_doc(i, with_label=True):
 
 
 config = ModelConfig(embedding_dim=32, filter_width=3, num_filters=32,
-                     sentence_dim=32, lstm_hidden=16, num_classes=2, seed=99)
-model = HiCnnLstmModel(config, matrix, vocab, ds.label_set)
+                     sentence_dim=32, lstm_hidden=16)
+model = HiCnnLstmModel(config, matrix, vocab, ds.label_set, seed=99)
 model, history = fit(model, [to_doc(i) for i in train_ix],
-                     TrainConfig(max_epochs=50, patience=8,
-                                 learning_rate=0.005, seed=99))
+                     TrainConfig(max_epochs=50, patience=8, learning_rate=0.005), seed=99)
 
 for rec in history.epochs[-3:]:
     print(f"epoch {rec.epoch:2d}  train_loss {rec.train_loss:.4f}  "

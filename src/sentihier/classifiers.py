@@ -6,7 +6,6 @@ closure compatible with evaluation.cross_validate / learning_curve.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -14,7 +13,7 @@ from . import baseline
 from .embeddings import EmbeddingTable, random_table
 from .errors import ConfigurationError
 from .model import HiCnnLstmModel, ModelConfig
-from .textprep import build_vocab, encode, tokenize_document
+from .textprep import Vocabulary, build_vocab, encode, tokenize_document
 from .train import TrainConfig, fit
 
 CLASSIFIER_NAMES = ("hicnnlstm", "nb")
@@ -47,9 +46,17 @@ class HiCnnLstmClassifier:
 
     def __init__(self, model_config: ModelConfig, train_config: TrainConfig, label_names,
                  table: EmbeddingTable | None = None, embedding_seed: int = 42):
+        """Checks that the word vectors have the configured dimension, and
+        that a model of this config can be allocated: its buffers are made
+        once with seed=None, which draws nothing and touches no page."""
         if table is not None and table.dim != model_config.embedding_dim:
             raise ConfigurationError(f"the word vectors have dimension {table.dim}, but "
                                      f"embedding_dim is {model_config.embedding_dim}")
+        try:
+            HiCnnLstmModel(model_config, np.empty((0, model_config.embedding_dim)),
+                           Vocabulary.of(()), label_names, seed=None)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigurationError(f"{model_config} is too large to build: {exc}") from None
         self.model_config = model_config
         self.train_config = train_config
         self.label_names = label_names
@@ -63,8 +70,7 @@ class HiCnnLstmClassifier:
         matrix = embedding_matrix_for(vocab, self.table, self.model_config.embedding_dim,
                                       self.embedding_seed)
         docs = [encode(t, vocab, label) for t, label in zip(tokenized, labels)]
-        model = HiCnnLstmModel(replace(self.model_config, seed=seed), matrix, vocab,
-                               self.label_names)
+        model = HiCnnLstmModel(self.model_config, matrix, vocab, self.label_names, seed=seed)
         return docs, model
 
     def fit_predict_factory(self, tokenized, labels):
@@ -72,7 +78,7 @@ class HiCnnLstmClassifier:
             train_docs, model = self.build(
                 [tokenized[i] for i in train_ix], [labels[i] for i in train_ix], seed)
             t0 = time.perf_counter()
-            model, history = fit(model, train_docs, replace(self.train_config, seed=seed))
+            model, history = fit(model, train_docs, self.train_config, seed)
             t1 = time.perf_counter()
             test_docs = (encode(tokenized[i], model.vocab) for i in test_ix)
             preds = [int(np.argmax(p)) for p in model.probabilities(test_docs)]

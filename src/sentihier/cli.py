@@ -25,7 +25,7 @@ from .classifiers import (CLASSIFIER_NAMES, HiCnnLstmClassifier, NaiveBayesClass
                           prepare)
 from .datasets import load_dataset_config, load_from_config
 from .embeddings import load_word2vec_binary, load_word2vec_text
-from .errors import ConfigurationError, ContractViolation, ParseError, SentihierError
+from .errors import ConfigurationError, ParseError, SentihierError
 from .evaluation import cross_validate, learning_curve, report_to_csv_rows, report_to_markdown
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .textprep import encode, tokenize_document
@@ -37,9 +37,6 @@ EXIT_RUNTIME = 4
 
 _MODEL_FIELDS = set(ModelConfig.__dataclass_fields__)
 _TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
-# Config fields that every command sets itself: key -> why no override.
-_FIXED_FIELDS = {"seed": "pass --seed instead",
-                 "num_classes": "it is the number of labels in the dataset"}
 
 
 def _parse_overrides(pairs):
@@ -48,9 +45,6 @@ def _parse_overrides(pairs):
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigurationError(f"override {pair!r} is not key=value")
-        if key in _FIXED_FIELDS:
-            raise ConfigurationError(
-                f"override key {key!r} is not allowed; {_FIXED_FIELDS[key]}")
         if key in model_over or key in train_over:
             raise ConfigurationError(f"--override: key {key!r} is given twice")
         if key in _MODEL_FIELDS:
@@ -87,22 +81,22 @@ def _manifest(command: str, args, ds, **fields) -> dict:
             "overrides": ",".join(args.override or []), "version": __version__}
 
 
-def _setup(args, specs):
+def _setup(args, specs, folds=None):
     """Read and check every input of a command, cheapest first, before it
-    makes any output: the dataset, the overrides and the configs they give,
-    then the word vectors, which only hicnnlstm reads (the classifier checks
-    their dimension). Returns (ds, tokenized docs, class indices, classifiers).
+    makes any output: the dataset (and crossval's `folds` against its size),
+    the overrides and the configs they give, then the word vectors, which
+    only hicnnlstm reads (the classifier checks their dimension, and that its
+    model can be allocated). Returns (ds, tokenized docs, class indices,
+    classifiers).
     """
     ds, warnings = load_from_config(load_dataset_config(args.dataset))
+    if folds is not None and folds > len(ds.samples):
+        raise ConfigurationError(f"--folds {folds} exceeds the dataset's "
+                                 f"{len(ds.samples)} documents")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     model_over, train_over = _parse_overrides(args.override)
-    try:
-        mcfg = ModelConfig(**{"num_classes": len(ds.label_set), **model_over})
-    except ContractViolation as exc:
-        # num_classes comes from a loaded dataset, so the bad field is an override
-        raise ConfigurationError(f"model override out of range: {exc}") from None
-    tcfg = TrainConfig(**{"seed": args.seed, **train_over})
+    mcfg, tcfg = ModelConfig(**model_over), TrainConfig(**train_over)
     table = None
     if "hicnnlstm" in specs and args.embeddings != "random":
         path = Path(args.embeddings)  # a missing file is an OSError naming it
@@ -119,10 +113,7 @@ def cmd_crossval(args) -> int:
         raise ConfigurationError("folds must be >= 2")
     out = Path(args.out)  # created once every input is checked
     started = datetime.now(timezone.utc).isoformat()
-    ds, tokenized, labels, (classifier,) = _setup(args, [args.classifier])
-    if args.folds > len(labels):
-        raise ConfigurationError(f"--folds {args.folds} exceeds the dataset's "
-                                 f"{len(labels)} documents")
+    ds, tokenized, labels, (classifier,) = _setup(args, [args.classifier], args.folds)
     out.mkdir(parents=True, exist_ok=True)
     fit_predict = classifier.fit_predict_factory(tokenized, labels)
     t0 = time.perf_counter()
@@ -197,7 +188,7 @@ def cmd_train(args) -> int:
     ds, tokenized, labels, (classifier,) = _setup(args, ["hicnnlstm"])
     out.parent.mkdir(parents=True, exist_ok=True)
     docs, model = classifier.build(tokenized, labels, args.seed)
-    model, history = fit(model, docs, classifier.train_config)
+    model, history = fit(model, docs, classifier.train_config, args.seed)
     save_checkpoint(model, out)
     _write_report(Path(str(out) + ".history.csv"),
                   _manifest("train", args, ds, classifier="hicnnlstm"), history.to_csv_rows())
@@ -235,9 +226,30 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+class _StoreOnce(argparse.Action):
+    """The default action of every flag: store the value, but reject a flag
+    given twice (as typed or abbreviated) instead of keeping the last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Its flags, and those of its subcommands, may be given once, unless
+    they are declared repeatable (action="append")."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", None, _StoreOnce)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sentihier",
-                                     description="Hierarchical CNN-BiLSTM sentiment experiments")
+    parser = _Parser(prog="sentihier",
+                     description="Hierarchical CNN-BiLSTM sentiment experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -284,7 +296,7 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_CONFIG)
     except (ParseError, OSError) as exc:  # an OSError names its path
         return _fail(exc, EXIT_DATA)
-    except SentihierError as exc:
+    except (SentihierError, MemoryError) as exc:
         return _fail(exc, EXIT_RUNTIME)
     except ValueError as exc:
         return _fail(exc, EXIT_CONFIG)

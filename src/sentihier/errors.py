@@ -1,37 +1,15 @@
-"""Exception hierarchy shared by all sentihier modules."""
+"""Exception hierarchy shared by all sentihier modules: one class per exit
+code of the command-line driver."""
 
 
 class SentihierError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ShapeError(SentihierError):
-    """Operands have incompatible dimensions."""
-
-
-class ParseError(SentihierError):
-    """A file (embeddings, CSV, checkpoint) could not be parsed."""
+    """Base class for all errors raised by this package; a runtime failure
+    (exit code 4) unless it is one of the subclasses below."""
 
 
 class ConfigurationError(SentihierError):
-    """Invalid configuration or unusable input data."""
+    """Invalid configuration or unusable input data (exit code 2)."""
 
 
-class ContractViolation(SentihierError):
-    """A caller broke a documented precondition."""
-
-
-class TrainingDivergedError(SentihierError):
-    """Training produced a NaN or infinite loss."""
-
-
-class CheckpointError(ParseError):
-    """Base class for checkpoint load failures."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint was written by an incompatible format version."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """Checkpoint file ended early, or stores arrays its config does not ask for."""
+class ParseError(SentihierError):
+    """A file (embeddings, CSV, checkpoint) could not be parsed (exit code 3)."""

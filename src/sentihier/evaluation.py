@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, SentihierError
 
 
 def round_half_away(x: float) -> int:
@@ -82,10 +82,10 @@ def compute_metrics(gold, predicted, num_classes: int) -> MetricsReport:
     gold = list(gold)
     predicted = list(predicted)
     if len(gold) != len(predicted):
-        raise ContractViolation(
+        raise SentihierError(
             f"gold has {len(gold)} entries, predicted has {len(predicted)}")
     if not gold:
-        raise ContractViolation("compute_metrics on empty sequences")
+        raise SentihierError("compute_metrics on empty sequences")
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     for g, p in zip(gold, predicted):
         confusion[g, p] += 1

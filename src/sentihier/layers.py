@@ -28,7 +28,7 @@ authority.
 
 import numpy as np
 
-from .errors import ContractViolation, ShapeError
+from .errors import SentihierError
 
 
 def softmax(v) -> np.ndarray:
@@ -36,7 +36,7 @@ def softmax(v) -> np.ndarray:
     each row of a matrix."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.size == 0:
-        raise ShapeError(f"softmax needs a non-empty vector or matrix, got shape {v.shape}")
+        raise SentihierError(f"softmax needs a non-empty vector or matrix, got shape {v.shape}")
     e = np.exp(v - np.max(v, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
 
@@ -88,7 +88,7 @@ def sentence_matrix(seqs, distinct: np.ndarray, min_rows: int):
     Returns (rows, starts): sentence s begins at rows[starts[s]]."""
     lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
     if len(lengths) == 0 or lengths.min() == 0:
-        raise ContractViolation("sentence_matrix of no sentence or of an empty one")
+        raise SentihierError("sentence_matrix of no sentence or of an empty one")
     padded = np.maximum(lengths, min_rows)
     starts = np.cumsum(padded) - padded
     rows = np.zeros(padded.sum(), dtype=np.intp)
@@ -124,7 +124,7 @@ class ConvLayer:
         they are."""
         k = self.embedding_dim
         if vectors.ndim != 2 or vectors.shape[1] != k:
-            raise ShapeError(f"vectors have shape {vectors.shape}, layer expects (U, {k})")
+            raise SentihierError(f"vectors have shape {vectors.shape}, layer expects (U, {k})")
         table = np.empty((self.filter_width, 1 + len(vectors), self.num_filters))
         table[:, 0] = 0.0
         for o in range(self.filter_width):
@@ -147,7 +147,7 @@ class ConvLayer:
         f = self.filter_width
         lengths = np.diff(starts, append=len(rows))
         if lengths.min() < f:
-            raise ShapeError(f"a sentence has {lengths.min()} rows, below filter width {f}")
+            raise SentihierError(f"a sentence has {lengths.min()} rows, below filter width {f}")
         counts = lengths - (f - 1)          # windows per sentence
         first = np.cumsum(counts) - counts  # each sentence's first window
         at = np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
@@ -215,7 +215,7 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None):
         if x.shape[-1] != self.weights.shape[1]:
-            raise ShapeError(
+            raise SentihierError(
                 f"dense input has length {x.shape[-1]}, layer expects {self.weights.shape[1]}"
             )
         x_masked = x if mask is None else x * mask
@@ -263,7 +263,7 @@ class LstmCell:
         one GEMM for every step of every sequence, ahead of the recurrence
         (Appleyard et al. 2016)."""
         if x_m.ndim != 2 or x_m.shape[1] != self.input_dim:
-            raise ShapeError(f"lstm input shape {x_m.shape} vs (N, m={self.input_dim})")
+            raise SentihierError(f"lstm input shape {x_m.shape} vs (N, m={self.input_dim})")
         return x_m @ self.input_weights.T + self.bias
 
     def run(self, z_in: np.ndarray, recurrent_mask: np.ndarray | None):
@@ -274,7 +274,7 @@ class LstmCell:
         multiplies each previous h; None means no dropout."""
         H = self.hidden_dim
         if z_in.ndim != 2 or z_in.shape[1] != 4 * H:
-            raise ShapeError(f"lstm projected input shape {z_in.shape} vs (T, 4H={4 * H})")
+            raise SentihierError(f"lstm projected input shape {z_in.shape} vs (T, 4H={4 * H})")
         T = len(z_in)
         h_m = np.zeros((T, H))  # each step's masked previous h; row 0 stays zero
         gates = z_in.copy()  # each row's pre-activations, then i, f, g, o in place
@@ -374,7 +374,7 @@ class SoftmaxHead:
         C = self.num_classes
         gold = np.asarray(gold, dtype=np.intp)[..., None]
         if np.any((gold < 0) | (gold >= C)):
-            raise ContractViolation(f"gold class outside [0, {C}): {gold.ravel()}")
+            raise SentihierError(f"gold class outside [0, {C}): {gold.ravel()}")
         picked = np.take_along_axis(probs, gold, axis=-1)
         loss = float(np.sum(-np.log(np.maximum(picked, 1e-300))))
         grad_logits = probs.copy()

@@ -25,7 +25,7 @@ gradient block is allocated only after the table is gone.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs. The file
-(format version 3) guards its config, token and label records with a CRC-32
+(format version 4) guards its config, token and label records with a CRC-32
 each, and is read in one pass, front to back.
 """
 
@@ -40,17 +40,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import layers
-from .errors import (
-    CheckpointError,
-    CheckpointTruncatedError,
-    CheckpointVersionError,
-    ContractViolation,
-    ShapeError,
-)
+from .errors import ConfigurationError, ParseError, SentihierError
 from .textprep import Vocabulary
 
 CHECKPOINT_MAGIC = b"SHCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 INFERENCE_CHUNK = 64  # documents per forward call of probabilities, after the first
 
 
@@ -61,55 +55,48 @@ class ModelConfig:
     num_filters: int = 150
     sentence_dim: int = 150
     lstm_hidden: int = 128
-    num_classes: int = 2
     dense_dropout: float = 0.4
     lstm_dropout: float = 0.2
     max_sentences_per_doc: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if any(type(getattr(self, f.name)) is not type(f.default) for f in fields(self)):
-            raise ContractViolation(f"every field must have the type of its default: {self}")
+            raise ConfigurationError(f"every field must have the type of its default: {self}")
         for name in ("embedding_dim", "filter_width", "num_filters", "sentence_dim",
                      "lstm_hidden", "max_sentences_per_doc"):
             if getattr(self, name) < 1:
-                raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.num_classes < 2:
-            raise ContractViolation(f"num_classes must be >= 2, got {self.num_classes}")
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("dense_dropout", "lstm_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ContractViolation(f"{name} must be in [0, 1), got {getattr(self, name)}")
+                raise ConfigurationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 class HiCnnLstmModel:
     """All trainable parameters plus the static embedding matrix, whose row i
-    is the vector of vocab token i; labels[c] names class c."""
+    is the vector of vocab token i; labels[c] names class c, one per class."""
 
     def __init__(self, config: ModelConfig, embedding_matrix: np.ndarray,
-                 vocab: Vocabulary, labels, *, _draw_weights: bool = True):
-        """Weights are drawn from config.seed. load_checkpoint passes
-        _draw_weights=False: it reads every parameter from the file, so the
-        weight buffers are left uninitialised instead."""
+                 vocab: Vocabulary, labels, *, seed: int | None):
+        """Weights are drawn from `seed`. With seed=None the weight buffers
+        are left uninitialised, for a caller that fills every parameter
+        itself (load_checkpoint reads them from the file)."""
         if embedding_matrix.shape != (len(vocab), config.embedding_dim):
-            raise ShapeError(
+            raise SentihierError(
                 f"embedding matrix shape {embedding_matrix.shape} does not match "
                 f"{len(vocab)} tokens x embedding_dim {config.embedding_dim}"
             )
-        if len(labels) != config.num_classes:
-            raise ContractViolation(
-                f"{len(labels)} label names for {config.num_classes} classes")
         self.config = config
         self.embedding_matrix = np.ascontiguousarray(embedding_matrix, dtype=np.float64)
         self.vocab = vocab
         self.labels = tuple(labels)
-        rng = (np.random.default_rng(np.random.SeedSequence([config.seed, 0xA11]))
-               if _draw_weights else None)
+        rng = (None if seed is None
+               else np.random.default_rng(np.random.SeedSequence([seed, 0xA11])))
         self.conv = layers.ConvLayer(config.filter_width, config.num_filters,
                                      config.embedding_dim, rng)
         self.dense = layers.DenseLayer(config.sentence_dim, config.num_filters, rng)
         self.lstm_fwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng)
         self.lstm_bwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng)
-        self.head = layers.SoftmaxHead(config.num_classes, 2 * config.lstm_hidden, rng)
+        self.head = layers.SoftmaxHead(len(self.labels), 2 * config.lstm_hidden, rng)
 
     def params(self) -> dict:
         """Name -> array views of every trainable parameter."""
@@ -218,9 +205,9 @@ class HiCnnLstmModel:
         input gradient and every weight gradient is one product over all rows.
         """
         if len(batch) == 0:
-            raise ContractViolation("loss_and_grads on an empty batch")
+            raise SentihierError("loss_and_grads on an empty batch")
         if any(doc.label is None for doc in batch):
-            raise ContractViolation("loss_and_grads requires labeled documents")
+            raise SentihierError("loss_and_grads requires labeled documents")
         # The gradient block is made after the forward pass, whose projection
         # table is freed by then: the two are never alive at once.
         probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng)
@@ -292,45 +279,44 @@ def load_checkpoint(path) -> HiCnnLstmModel:
     then have the name and shape `_arrays` expects next, and is read straight
     into the model's own buffer: no copy of the file is held, which keeps
     start-up cost low for a large model. Every way the file can be malformed
-    raises a CheckpointError naming it."""
+    raises a ParseError naming it."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
         if reader.take(4) != CHECKPOINT_MAGIC:
-            raise CheckpointVersionError(f"{path}: not a sentihier checkpoint")
+            raise ParseError(f"{path}: not a sentihier checkpoint")
         version = reader.unpack("<I")
         if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
+            raise ParseError(
                 f"{path}: checkpoint format version {version}, but this sentihier reads "
                 f"only version {CHECKPOINT_VERSION}; retrain the model with `sentihier train`")
         try:
             cfg = ModelConfig(**reader.record("config"))
-        except (TypeError, ContractViolation) as exc:
-            raise CheckpointError(f"{path}: malformed config record: {exc}") from None
-        vocab = Vocabulary.of(_names(reader.record("token"), path, "token"))
-        labels = _names(reader.record("label"), path, "label")
+        except (TypeError, ConfigurationError) as exc:
+            raise ParseError(f"{path}: malformed config record: {exc}") from None
+        vocab = Vocabulary.of(_names(reader.record("token"), path, "token", 1))
+        labels = _names(reader.record("label"), path, "label", 2)  # one per class of the head
         try:
             model = HiCnnLstmModel(cfg, np.empty((len(vocab), cfg.embedding_dim)), vocab,
-                                   labels, _draw_weights=False)
-        except (ContractViolation, MemoryError, ValueError) as exc:
-            # a label count that is off, or a config too large to build
-            raise CheckpointError(f"{path}: cannot build the model: {exc}") from None
+                                   labels, seed=None)
+        except (MemoryError, ValueError) as exc:  # a config too large to build
+            raise ParseError(f"{path}: cannot build the model: {exc}") from None
         for name, arr in _arrays(model):
             stored = reader.take(reader.unpack("<I")).decode("utf-8", "backslashreplace")
             shape = tuple(reader.unpack("<I") for _ in range(reader.unpack("<I")))
             if (stored, shape) != (name, arr.shape):
-                raise CheckpointTruncatedError(
+                raise ParseError(
                     f"{path}: stored array {stored!r} of shape {shape} where {name!r} of "
                     f"shape {arr.shape} was expected")
             reader.read_into(arr)
     return model
 
 
-def _names(names, path, kind: str) -> tuple:
-    """The tokens or the label names: a non-empty list of distinct strings."""
-    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)
-            and len(set(names)) == len(names)):
-        raise CheckpointError(f"{path}: malformed {kind} record: "
-                              f"not a non-empty list of distinct {kind} names")
+def _names(names, path, kind: str, least: int) -> tuple:
+    """The tokens or the label names: a list of `least` or more distinct strings."""
+    if not (isinstance(names, list) and len(names) >= least
+            and all(isinstance(n, str) for n in names) and len(set(names)) == len(names)):
+        raise ParseError(f"{path}: malformed {kind} record: "
+                         f"not a list of {least} or more distinct {kind} names")
     return tuple(names)
 
 
@@ -346,7 +332,7 @@ class _Reader:
     def _claim(self, n: int):
         """Checks that the next n bytes exist, before they are read or allocated."""
         if self.at + n > self.size:
-            raise CheckpointTruncatedError(
+            raise ParseError(
                 f"{self.path}: truncated at byte {self.at} (needed {n} more bytes)")
         self.at += n
 
@@ -359,11 +345,11 @@ class _Reader:
         framed = self.take(4)
         framed += self.take(struct.unpack("<I", framed)[0])
         if self.unpack("<I") != zlib.crc32(framed):
-            raise CheckpointError(f"{self.path}: {kind} record fails its CRC-32 check")
+            raise ParseError(f"{self.path}: {kind} record fails its CRC-32 check")
         try:
             return json.loads(framed[4:].decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or JSON
-            raise CheckpointError(f"{self.path}: malformed {kind} record: {exc}") from None
+            raise ParseError(f"{self.path}: malformed {kind} record: {exc}") from None
 
     def unpack(self, fmt: str) -> int:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
@@ -372,6 +358,6 @@ class _Reader:
         """Fills arr with the next arr.size little-endian float64 values."""
         self._claim(arr.nbytes)
         if self.fh.readinto(arr) != arr.nbytes:
-            raise CheckpointTruncatedError(f"{self.path}: file shrank while being read")
+            raise ParseError(f"{self.path}: file shrank while being read")
         if sys.byteorder != "little":
             arr.byteswap(inplace=True)

@@ -9,7 +9,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, SentihierError
 
 UNK_TOKEN = "<unk>"
 UNK_INDEX = 0
@@ -128,7 +128,7 @@ class Document:
 
     def __post_init__(self):
         if len(self.sentences) == 0 or any(len(s) == 0 for s in self.sentences):
-            raise ContractViolation("a document needs at least one non-empty sentence")
+            raise SentihierError("a document needs at least one non-empty sentence")
 
 
 def encode(doc: TokenizedDocument, vocab: Vocabulary, label: int | None = None) -> Document:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation, TrainingDivergedError
+from .errors import ConfigurationError, SentihierError
 from .evaluation import stratified_pick
 
 
@@ -37,7 +37,7 @@ class AdamState:
         for name, p in params.items():
             g = grads[name]
             if g.shape != p.shape:
-                raise ContractViolation(
+                raise SentihierError(
                     f"gradient shape {g.shape} does not match parameter "
                     f"{name} shape {p.shape}")
             m = self.m[name]
@@ -66,7 +66,6 @@ class TrainConfig:
     patience: int = 5
     val_fraction: float = 0.1
     learning_rate: float = 1e-3
-    seed: int = 42
 
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience"):
@@ -119,14 +118,15 @@ def _evaluate(model, docs):
     return float(total / len(docs)), correct / len(docs)
 
 
-def fit(model, train_set, config: TrainConfig = TrainConfig()):
+def fit(model, train_set, config: TrainConfig = TrainConfig(), seed: int = 42):
     """Train until validation loss stops improving for `patience` epochs.
 
     A stratified val_fraction slice is carved off first and never trained on.
     Shuffling, the validation split and dropout each draw from their own
-    seeded stream, so the run is fully reproducible. The model is restored to
-    the best epoch's weights before returning. A NaN or infinite batch loss
-    raises TrainingDivergedError before its update is applied.
+    stream, spawned from `seed`, so the run is fully reproducible. The model
+    is restored to the best epoch's weights before returning. A NaN or
+    infinite batch loss raises a SentihierError before its update is applied,
+    and so does such a validation loss, before its epoch is recorded.
     """
     train_set = list(train_set)
     if len(train_set) < 10:
@@ -134,7 +134,7 @@ def fit(model, train_set, config: TrainConfig = TrainConfig()):
             f"training set has {len(train_set)} documents, need at least 10")
     split_rng, shuffle_rng, dropout_rng = (
         np.random.default_rng(s)
-        for s in np.random.SeedSequence(config.seed).spawn(3)
+        for s in np.random.SeedSequence(seed).spawn(3)
     )
     labels = [doc.label for doc in train_set]
     train_ix, val_ix = _stratified_val_split(labels, config.val_fraction, split_rng)
@@ -143,8 +143,7 @@ def fit(model, train_set, config: TrainConfig = TrainConfig()):
 
     opt = AdamState(model.params(), learning_rate=config.learning_rate)
     history = TrainHistory()
-    best_loss = np.inf
-    best_weights = model.snapshot()
+    best_loss = np.inf  # epoch 1 always improves on it, so best_weights is set there
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_docs))
@@ -153,11 +152,13 @@ def fit(model, train_set, config: TrainConfig = TrainConfig()):
             batch = [train_docs[i] for i in order[start : start + config.batch_size]]
             loss, grads = model.loss_and_grads(batch, dropout_rng=dropout_rng)
             if not math.isfinite(loss):
-                raise TrainingDivergedError(f"epoch {epoch}, batch {batch_no}: loss is {loss}")
+                raise SentihierError(f"epoch {epoch}, batch {batch_no}: loss is {loss}")
             opt.step(model.params(), grads)
             del grads  # consumed by Adam; free them before the next batch allocates its own
             epoch_loss += loss * len(batch)
         val_loss, val_acc = _evaluate(model, val_docs)
+        if not math.isfinite(val_loss):
+            raise SentihierError(f"epoch {epoch}: validation loss is {val_loss}")
         history.epochs.append(EpochRecord(epoch, float(epoch_loss / len(train_docs)),
                                           val_loss, val_acc))
         if val_loss < best_loss:

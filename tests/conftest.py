@@ -9,11 +9,10 @@ from sentihier.model import HiCnnLstmModel, ModelConfig
 from sentihier.textprep import Document, Vocabulary
 
 
-def desk_config(num_classes=2, seed=7):
+def desk_config():
     """Tiny dimensions so finite-difference checks stay fast."""
     return ModelConfig(embedding_dim=4, filter_width=2, num_filters=3,
-                       sentence_dim=3, lstm_hidden=2, num_classes=num_classes,
-                       seed=seed)
+                       sentence_dim=3, lstm_hidden=2)
 
 
 def desk_names(vocab_size, num_classes):
@@ -27,8 +26,7 @@ def desk_model(num_classes=2, seed=7, vocab_size=9, emb_seed=0):
     emb = rng.normal(size=(vocab_size, 4))
     emb[0] = 0.0
     emb[1] = 0.0
-    return HiCnnLstmModel(desk_config(num_classes, seed), emb,
-                          *desk_names(vocab_size, num_classes))
+    return HiCnnLstmModel(desk_config(), emb, *desk_names(vocab_size, num_classes), seed=seed)
 
 
 def finite_difference_check(loss_fn, params, grads, rng, eps=1e-5,

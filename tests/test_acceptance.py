@@ -149,10 +149,10 @@ def test_criterion_4_synthetic_convergence():
     def to_doc(i, with_label=True):
         return encode(tokenized[i], vocab, labels[i] if with_label else None)
 
-    cfg = ModelConfig(**SMALL_MODEL, num_classes=2, seed=99)
-    model = HiCnnLstmModel(cfg, matrix, vocab, ds.label_set)
-    tcfg = TrainConfig(max_epochs=50, patience=8, learning_rate=0.005, seed=99)
-    model, history = fit(model, [to_doc(i) for i in train_ix], tcfg)
+    cfg = ModelConfig(**SMALL_MODEL)
+    model = HiCnnLstmModel(cfg, matrix, vocab, ds.label_set, seed=99)
+    tcfg = TrainConfig(max_epochs=50, patience=8, learning_rate=0.005)
+    model, history = fit(model, [to_doc(i) for i in train_ix], tcfg, seed=99)
     assert len(history.epochs) <= 50
 
     def accuracy(ix):
@@ -193,8 +193,8 @@ def test_criterion_5_jira_reproduction():
     ds, table = _jira_setup()
     tokenized, labels = prepare(ds)
     dim = table.dim if table else 300
-    mcfg = ModelConfig(embedding_dim=dim, num_classes=2)
-    clf = HiCnnLstmClassifier(mcfg, TrainConfig(seed=42), ds.label_set, table,
+    mcfg = ModelConfig(embedding_dim=dim)
+    clf = HiCnnLstmClassifier(mcfg, TrainConfig(), ds.label_set, table,
                               embedding_seed=42)
     _, pooled = cross_validate(clf.fit_predict_factory(tokenized, labels),
                                labels, k=10, seed=42, num_classes=2)
@@ -255,8 +255,8 @@ def test_criterion_7_jira_curve_monotone_ends():
     ds, table = _jira_setup()
     tokenized, labels = prepare(ds)
     dim = table.dim if table else 300
-    mcfg = ModelConfig(embedding_dim=dim, num_classes=2)
-    clf = HiCnnLstmClassifier(mcfg, TrainConfig(seed=42), ds.label_set, table,
+    mcfg = ModelConfig(embedding_dim=dim)
+    clf = HiCnnLstmClassifier(mcfg, TrainConfig(), ds.label_set, table,
                               embedding_seed=42)
     points, _ = learning_curve(clf.fit_predict_factory(tokenized, labels),
                                labels, [0.2, 1.0], seed=42, num_classes=2)

@@ -2,6 +2,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import replace_record, save_word2vec_text, write_dataset_csv
@@ -107,7 +108,7 @@ class TestCrossval:
         code = main(["crossval", "--dataset", str(dataset_config), "--classifier", "nb",
                      "--folds", "2", "--override", "seed=1", "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert "unknown override key 'seed'" in capsys.readouterr().err
 
     def test_out_below_a_file_is_data_error(self, dataset_config, tmp_path, capsys):
         blocker = tmp_path / "report.txt"
@@ -121,6 +122,7 @@ class TestCrossval:
     @pytest.mark.parametrize("exc, code", [
         (ParseError("row 3: bad label"), 3),
         (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2),
+        (MemoryError("Unable to allocate 8.00 TiB for an array"), 4),
     ])
     def test_error_inside_a_fold_keeps_exit_code_and_names_fold(
             self, dataset_config, tmp_path, capsys, monkeypatch, exc, code):
@@ -300,6 +302,18 @@ class TestTrainPredict:
         assert "epoch 1, batch 1: loss is inf" in err and "Traceback" not in err
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_non_finite_validation_loss_is_runtime_error(self, dataset_config, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(HiCnnLstmModel, "probabilities", lambda model, docs: (
+            np.full(len(model.labels), np.nan) for _ in docs))
+        ckpt = tmp_path / "model.ckpt"
+        code = main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     *FAST_OVERRIDES])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "epoch 1: validation loss is nan" in err and "Traceback" not in err
+        assert not ckpt.exists()
+
     def test_non_utf8_input_is_data_error(self, dataset_config, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         assert main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
@@ -357,10 +371,11 @@ class TestTrainPredict:
     @pytest.mark.parametrize("corrupt, message", [
         (lambda data: data[:4] + (1).to_bytes(4, "little") + data[8:], "retrain"),
         (lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:], "retrain"),
+        (lambda data: data[:4] + (3).to_bytes(4, "little") + data[8:], "retrain"),
         (lambda data: replace_record(data, 2, b'["negative", "negative"]'),
          "malformed label record"),
         (lambda data: with_config(data, lstm_hidden=10**30), "cannot build the model"),
-    ], ids=["version-1", "version-2", "duplicate-label", "too-large-to-build"])
+    ], ids=["version-1", "version-2", "version-3", "duplicate-label", "too-large-to-build"])
     def test_unreadable_checkpoint_is_data_error(self, dataset_config, tmp_path, capsys,
                                                  corrupt, message):
         ckpt = tmp_path / "model.ckpt"
@@ -413,7 +428,7 @@ class TestTrainPredict:
         code = main([command[0], "--dataset", str(dataset_config), *command[1:],
                      "--override", "num_classes=3"])
         assert code == 2
-        assert "num_classes" in capsys.readouterr().err
+        assert "unknown override key 'num_classes'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["train", "--out", "model.ckpt"],
@@ -451,6 +466,10 @@ class TestTrainPredict:
     (["crossval", "--classifier", "nb", "--override", "num_classes=3"], "num_classes"),
     (["crossval", "--classifier", "nb", "--seed", "-1"], "--seed"),
     (["crossval", "--classifier", "nb", "--folds", "100000"], "--folds"),
+    (["crossval", "--embeddings", "missing.txt", "--folds", "100000"], "--folds"),
+    (["crossval", "--folds", "2", "--override", "lstm_hidden=100000000000"],
+     "lstm_hidden=100000000000"),  # beyond a 48-bit address space: nothing is allocated
+    (["train", "--override", "num_filters=1000000000000"], "num_filters=1000000000000"),
     (["crossval", "--classifier", "nb", "--override", "max_epochs=1",
       "--override", "max_epochs=2"], "--override"),
     (["learning-curve", "--classifier", "nb", "--override", "max_epochs=0"], "max_epochs"),
@@ -458,6 +477,8 @@ class TestTrainPredict:
     (["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.5"], "--fractions"),
     (["learning-curve", "--classifier", "nb", "--classifier", "nb"], "--classifier"),
 ], ids=["crossval-num-classes", "crossval-negative-seed", "crossval-folds-above-size",
+        "crossval-folds-above-size-before-word-vectors", "crossval-model-too-large",
+        "train-model-too-large",
         "crossval-repeated-override", "learning-curve-max-epochs",
         "learning-curve-descending-fractions", "learning-curve-repeated-fraction",
         "learning-curve-repeated-classifier"])
@@ -501,3 +522,27 @@ def test_negative_seed_error_names_the_flag(dataset_config, tmp_path, capsys, mo
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "--seed" in err and "'-1'" in err and ">= 0" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["crossval", "--classifier", "hicnnlstm", "--classifier", "nb"], "--classifier"),
+    (["crossval", "--folds", "3", "--folds", "2"], "--folds"),
+    (["crossval", "--folds", "3", "--fold", "2"], "--folds"),
+    (["crossval", "--seed", "1", "--seed", "5"], "--seed"),
+    (["learning-curve", "--fractions", "0.5,1", "--fractions", "1"], "--fractions"),
+    (["train", "--embeddings", "random", "--embeddings", "v.txt"], "--embeddings"),
+    (["train", "--out", "a"], "--out"),
+    (["predict", "--model", "a.ckpt", "--model", "b.ckpt", "--input", "-"], "--model"),
+], ids=["classifier", "folds", "folds-abbreviated", "seed", "fractions", "embeddings", "out",
+        "model"])
+def test_single_valued_flag_given_twice_is_rejected(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_dataset_config", pytest.fail)
+    monkeypatch.setattr(cli, "load_checkpoint", pytest.fail)
+    if argv[0] != "predict":
+        argv = [*argv, "--dataset", "d.conf", "--out", "out"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {flag}: given twice" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentihier.errors import ConfigurationError, ContractViolation, ParseError
+from sentihier.errors import ConfigurationError, ParseError, SentihierError
 from sentihier.evaluation import (
     compute_metrics,
     cross_validate,
@@ -114,7 +114,7 @@ class TestComputeMetrics:
         assert (m.precision, m.recall, m.f1, m.support) == (0.0, 0.0, 0.0, 0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(SentihierError, match="gold has 2 entries, predicted has 1"):
             compute_metrics([0, 1], [0], 2)
 
     def test_matches_brute_force_on_random_cases(self):

@@ -2,10 +2,10 @@
 
 Each case starts from a valid fixture and truncates it, flips one bit or
 inflates one length field. The loader must then either load the file or
-raise a ParseError subclass whose message names the file; and `main()`
-must turn such a file into exit code 3 with the path in the message. A
-checkpoint must always raise a CheckpointError naming the file, unless the
-flipped bit lies in an array's float data.
+raise a ParseError whose message names the file; and `main()` must turn
+such a file into exit code 3 with the path in the message. A checkpoint
+must always raise a ParseError naming the file, unless the flipped bit lies
+in an array's float data.
 """
 
 import math
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import desk_model, save_word2vec_text, write_dataset_csv
 from sentihier.cli import main
 from sentihier.embeddings import load_word2vec_binary, load_word2vec_text
-from sentihier.errors import CheckpointError, ParseError
+from sentihier.errors import ParseError
 from sentihier.model import load_checkpoint, save_checkpoint
 from sentihier.synthetic import make_marker_dataset
 
@@ -130,7 +130,7 @@ def test_checkpoint(fuzz_dir):
         if kind == "flip" and in_float_data(at):
             loads_or_names_the_file(load_checkpoint, path)  # array data carries no checksum
         else:
-            with pytest.raises(CheckpointError) as info:
+            with pytest.raises(ParseError) as info:
                 load_checkpoint(path)
             assert str(path) in str(info.value)
     case()
