@@ -83,16 +83,19 @@ def _manifest(command: str, args, ds, **fields) -> dict:
 
 def _setup(args, specs, folds=None):
     """Read and check every input of a command, cheapest first, before it
-    makes any output: the dataset (and crossval's `folds` against its size),
+    makes any output: the dataset (and crossval's `folds` against its largest
+    class, since a fold past that size would hold no document),
     the overrides and the configs they give, then the word vectors, which
     only hicnnlstm reads (the classifier checks their dimension, and that its
     model can be allocated). Returns (ds, tokenized docs, class indices,
     classifiers).
     """
     ds, warnings = load_from_config(load_dataset_config(args.dataset))
-    if folds is not None and folds > len(ds.samples):
-        raise ConfigurationError(f"--folds {folds} exceeds the dataset's "
-                                 f"{len(ds.samples)} documents")
+    if folds is not None:
+        size, label = max((n, lab) for lab, n in ds.class_counts.items())
+        if folds > size:
+            raise ConfigurationError(f"--folds {folds} exceeds the {size} documents of the "
+                                     f"largest class, {label!r}")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     model_over, train_over = _parse_overrides(args.override)

@@ -88,26 +88,31 @@ def load_csv(path, text_column: str, label_column: str, name: str = "",
     if not path.exists():
         raise ParseError(f"{path}: no such file")
     samples = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file, no header")
-        for col in (text_column, label_column):
-            if col not in reader.fieldnames:
-                raise ParseError(
-                    f"{path}: missing column {col!r}; header has {reader.fieldnames}")
-        for row in reader:
-            rownum = reader.line_num
-            text = (row[text_column] or "").strip()
-            label = (row[label_column] or "").strip().lower()
-            if not text:
-                raise ParseError(f"{path}: empty text at row {rownum}")
-            if not label:
-                raise ParseError(f"{path}: empty label at row {rownum}")
-            try:
-                samples.append((text, mapping(label)))
-            except ParseError as exc:
-                raise ParseError(f"{path}: row {rownum}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ParseError(f"{path}: empty file, no header")
+            for col in (text_column, label_column):
+                if col not in reader.fieldnames:
+                    raise ParseError(
+                        f"{path}: missing column {col!r}; header has {reader.fieldnames}")
+            for row in reader:
+                rownum = reader.line_num
+                text = (row[text_column] or "").strip()
+                label = (row[label_column] or "").strip().lower()
+                if not text:
+                    raise ParseError(f"{path}: empty text at row {rownum}")
+                if not label:
+                    raise ParseError(f"{path}: empty label at row {rownum}")
+                try:
+                    samples.append((text, mapping(label)))
+                except ParseError as exc:
+                    raise ParseError(f"{path}: row {rownum}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # such as a field over csv's size limit, in the row after line_num
+        raise ParseError(f"{path}: row {reader.line_num + 1}: {exc}") from None
     if not samples:
         raise ParseError(f"{path}: no data rows")
     label_set = _canonical_label_set(lab for _, lab in samples)
@@ -156,8 +161,12 @@ def load_dataset_config(path) -> DatasetConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"{path}: no such config file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

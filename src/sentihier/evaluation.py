@@ -8,6 +8,7 @@ data partitions for a given seed.
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,16 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     """Per class: seeded shuffle, then deal round-robin across folds.
 
     Per-class fold counts therefore differ by at most one; classes smaller
-    than k simply land in the first folds of their deal.
+    than k simply land in the first folds of their deal. So fold i holds a
+    document only if some class has more than i, and k may not exceed the
+    largest class.
     """
     labels = list(labels)
     if k < 2:
         raise ConfigurationError(f"k must be >= 2, got {k}")
-    if k > len(labels):
-        raise ConfigurationError(f"k={k} exceeds dataset size {len(labels)}")
+    largest = max(Counter(labels).values(), default=0)
+    if k > largest:
+        raise ConfigurationError(f"k={k} exceeds the {largest} documents of the largest class")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF07D]))
     folds = [[] for _ in range(k)]
     for ix in _shuffled_by_class(labels, rng).values():

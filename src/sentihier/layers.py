@@ -71,10 +71,10 @@ def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
     np.sum(grad_pre, axis=0, out=grad_bias)
 
 
-def dropout_mask(rng: np.random.Generator | None, size: int, rate: float) -> np.ndarray:
-    """Inverted-dropout mask: entries are 0 or 1/(1 - rate). With no rng or
-    a zero rate (inference) it is all ones, so applying it is the identity."""
-    if rng is None or rate <= 0.0:
+def dropout_mask(rng: np.random.Generator | None, size, rate) -> np.ndarray:
+    """Inverted-dropout mask of shape `size`: 0 or 1/(1 - rate), for one rate
+    or one per column. With no rng it is all ones: applying it is the identity."""
+    if rng is None:
         return np.ones(size)
     keep = 1.0 - rate
     return (rng.random(size) < keep).astype(np.float64) / keep

@@ -11,7 +11,10 @@ batch; only its recurrence runs one document at a time, forward and
 backward, from a zero state, so its first step has no recurrent product.
 The head takes one row per document, in one matrix product and a softmax
 per row. Batch gradients are the mean of per-document gradients, formed
-once per batch from the factors of all rows.
+once per batch from the factors of all rows. A training forward call draws
+all of its dropout masks in one call (_masks), at the paper's fixed rates:
+0.4 on the dense layer's inputs, 0.2 on each LSTM direction's inputs and
+recurrent state. Only a document's first 50 sentences are read.
 
 Each forward call projects the distinct word vectors of its own documents
 through the conv filters once (layers.ConvLayer.project), into a table
@@ -25,7 +28,7 @@ gradient block is allocated only after the table is gone.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file is all `predict` needs. The file
-(format version 4) guards its config, token and label records with a CRC-32
+(format version 5) guards its config, token and label records with a CRC-32
 each, and is read in one pass, front to back.
 """
 
@@ -44,8 +47,11 @@ from .errors import ConfigurationError, ParseError, SentihierError
 from .textprep import Vocabulary
 
 CHECKPOINT_MAGIC = b"SHCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 INFERENCE_CHUNK = 64  # documents per forward call of probabilities, after the first
+DENSE_DROPOUT = 0.4
+LSTM_DROPOUT = 0.2
+MAX_SENTENCES = 50  # sentences read per document; the rest are dropped
 
 
 @dataclass(frozen=True)
@@ -55,20 +61,12 @@ class ModelConfig:
     num_filters: int = 150
     sentence_dim: int = 150
     lstm_hidden: int = 128
-    dense_dropout: float = 0.4
-    lstm_dropout: float = 0.2
-    max_sentences_per_doc: int = 50
 
     def __post_init__(self):
-        if any(type(getattr(self, f.name)) is not type(f.default) for f in fields(self)):
-            raise ConfigurationError(f"every field must have the type of its default: {self}")
-        for name in ("embedding_dim", "filter_width", "num_filters", "sentence_dim",
-                     "lstm_hidden", "max_sentences_per_doc"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("dense_dropout", "lstm_dropout"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:
+                raise ConfigurationError(f"{f.name} must be an int >= 1, got {value!r}")
 
 
 class HiCnnLstmModel:
@@ -122,12 +120,14 @@ class HiCnnLstmModel:
         for name, p in self.params().items():
             p[...] = snapshot[name]
 
-    def _masks(self, dropout_rng):
+    def _masks(self, dropout_rng, batch: int) -> list:
+        """The [dense, fwd input, fwd recurrent, bwd input, bwd recurrent] masks of
+        `batch` documents, a row per document: one call draws them document by document."""
         cfg = self.config
-        dense = layers.dropout_mask(dropout_rng, cfg.num_filters, cfg.dense_dropout)
-        lstm = tuple(layers.dropout_mask(dropout_rng, d, cfg.lstm_dropout) for d in
-                     (cfg.sentence_dim, cfg.lstm_hidden, cfg.sentence_dim, cfg.lstm_hidden))
-        return dense, lstm
+        widths = (cfg.num_filters, *[cfg.sentence_dim, cfg.lstm_hidden] * 2)
+        rates = np.repeat([DENSE_DROPOUT] + [LSTM_DROPOUT] * 4, widths)
+        masks = layers.dropout_mask(dropout_rng, (batch, len(rates)), rates)
+        return np.split(masks, np.cumsum(widths)[:-1], axis=1)
 
     def _lstm_directions(self):
         """(name, cell, row order) of each direction; bwd reads sentences last to first."""
@@ -161,15 +161,15 @@ class HiCnnLstmModel:
         table that is freed as soon as the convolution has read it.
         """
         cfg = self.config
-        sentences = [doc.sentences[: cfg.max_sentences_per_doc] for doc in docs]
+        sentences = [doc.sentences[:MAX_SENTENCES] for doc in docs]
         seqs = list(itertools.chain.from_iterable(sentences))
         ids, distinct = np.unique(
             np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp), return_inverse=True)
         counts = [len(s) for s in sentences]
         dense_mask = None  # inference: no dropout, so no masks at all
         if train:
-            masks = [self._masks(dropout_rng) for _ in sentences]
-            dense_mask = np.repeat([dense for dense, _ in masks], counts, axis=0)
+            dense, *lstm_masks = self._masks(dropout_rng, len(sentences))
+            dense_mask = np.repeat(dense, counts, axis=0)
         rows, starts = layers.sentence_matrix(seqs, distinct, cfg.filter_width)
         features, windows = self.conv.forward(
             rows, starts, self.conv.project(self.embedding_matrix[ids]), first_max=train)
@@ -180,9 +180,9 @@ class HiCnnLstmModel:
         for d, (_, cell, order) in enumerate(self._lstm_directions()):
             x_m, in_mask, run_masks = sent_vecs, None, itertools.repeat(None)
             if train:
-                in_mask = np.repeat([m[2 * d] for _, m in masks], counts, axis=0)
+                in_mask = np.repeat(lstm_masks[2 * d], counts, axis=0)
                 x_m = sent_vecs * in_mask
-                run_masks = [m[2 * d + 1] for _, m in masks]
+                run_masks = lstm_masks[2 * d + 1]
             z = cell.project(x_m)
             runs = [cell.run(z[end - count : end][order], mask)
                     for end, count, mask in zip(ends, counts, run_masks)]

@@ -1,5 +1,5 @@
-"""Mini-batch training: Adam with bias correction and validation-based early
-stopping with best-weight restore."""
+"""Mini-batch training: Adam with bias correction, and early stopping on a
+stratified 10% validation split with best-weight restore."""
 
 import math
 from dataclasses import dataclass, field
@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import ConfigurationError, SentihierError
 from .evaluation import stratified_pick
+
+VAL_FRACTION = 0.1  # the share of a training set held out for early stopping
 
 
 class AdamState:
@@ -64,7 +66,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 50
     patience: int = 5
-    val_fraction: float = 0.1
     learning_rate: float = 1e-3
 
     def __post_init__(self):
@@ -74,9 +75,6 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigurationError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 < self.val_fraction < 0.5:
-            raise ConfigurationError(
-                f"val_fraction must be in (0, 0.5), got {self.val_fraction}")
 
 
 @dataclass
@@ -121,7 +119,7 @@ def _evaluate(model, docs):
 def fit(model, train_set, config: TrainConfig = TrainConfig(), seed: int = 42):
     """Train until validation loss stops improving for `patience` epochs.
 
-    A stratified val_fraction slice is carved off first and never trained on.
+    A stratified VAL_FRACTION slice is carved off first and never trained on.
     Shuffling, the validation split and dropout each draw from their own
     stream, spawned from `seed`, so the run is fully reproducible. The model
     is restored to the best epoch's weights before returning. A NaN or
@@ -137,7 +135,7 @@ def fit(model, train_set, config: TrainConfig = TrainConfig(), seed: int = 42):
         for s in np.random.SeedSequence(seed).spawn(3)
     )
     labels = [doc.label for doc in train_set]
-    train_ix, val_ix = _stratified_val_split(labels, config.val_fraction, split_rng)
+    train_ix, val_ix = _stratified_val_split(labels, VAL_FRACTION, split_rng)
     train_docs = [train_set[i] for i in train_ix]
     val_docs = [train_set[i] for i in val_ix]
 

@@ -14,6 +14,7 @@ import json
 import os
 import struct
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from conftest import desk_model, finite_difference_check, save_word2vec_text, write_dataset_csv
 from sentihier.classifiers import HiCnnLstmClassifier, NaiveBayesClassifier, prepare
 from sentihier.cli import main
+from sentihier.errors import ConfigurationError
 from sentihier.evaluation import (
     compute_metrics,
     cross_validate,
@@ -124,7 +126,12 @@ def test_criterion_3_metric_and_fold_oracles():
         C = int(rng.integers(2, 6))
         labels = rng.integers(0, C, size=n).tolist()
         k = int(rng.integers(2, min(8, n) + 1))
-        plan = stratified_kfold(labels, k, int(rng.integers(0, 10_000)))
+        seed = int(rng.integers(0, 10_000))
+        if k > max(Counter(labels).values()):  # some fold would hold no document
+            with pytest.raises(ConfigurationError, match="largest class"):
+                stratified_kfold(labels, k, seed)
+            continue
+        plan = stratified_kfold(labels, k, seed)
         assert sorted(i for f in plan.folds for i in f) == list(range(n))
         for cls in set(labels):
             counts = [sum(1 for i in f if labels[i] == cls) for f in plan.folds]

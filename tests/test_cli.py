@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -9,8 +10,9 @@ from conftest import replace_record, save_word2vec_text, write_dataset_csv
 from sentihier import baseline, cli
 from sentihier.cli import main
 from sentihier.errors import ParseError
-from sentihier.model import HiCnnLstmModel, load_checkpoint, save_checkpoint
+from sentihier.model import HiCnnLstmModel, ModelConfig, load_checkpoint, save_checkpoint
 from sentihier.synthetic import make_marker_dataset
+from sentihier.train import TrainConfig
 
 FAST_OVERRIDES = [
     "--override", "embedding_dim=12", "--override", "filter_width=2",
@@ -372,10 +374,12 @@ class TestTrainPredict:
         (lambda data: data[:4] + (1).to_bytes(4, "little") + data[8:], "retrain"),
         (lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:], "retrain"),
         (lambda data: data[:4] + (3).to_bytes(4, "little") + data[8:], "retrain"),
+        (lambda data: data[:4] + (4).to_bytes(4, "little") + data[8:], "retrain"),
         (lambda data: replace_record(data, 2, b'["negative", "negative"]'),
          "malformed label record"),
         (lambda data: with_config(data, lstm_hidden=10**30), "cannot build the model"),
-    ], ids=["version-1", "version-2", "version-3", "duplicate-label", "too-large-to-build"])
+    ], ids=["version-1", "version-2", "version-3", "version-4", "duplicate-label",
+            "too-large-to-build"])
     def test_unreadable_checkpoint_is_data_error(self, dataset_config, tmp_path, capsys,
                                                  corrupt, message):
         ckpt = tmp_path / "model.ckpt"
@@ -403,20 +407,35 @@ class TestTrainPredict:
         assert "twice" not in err and not ckpt.exists()
 
     @pytest.mark.parametrize("override, allowed", [
-        ("max_sentences_per_doc=0", ">= 1"),
-        ("lstm_dropout=1.0", "[0, 1)"),
+        ("num_filters=0", ">= 1"),
+        ("lstm_hidden=-2", ">= 1"),
     ])
     def test_out_of_range_model_override_names_the_key_and_its_range(
             self, dataset_config, tmp_path, capsys, override, allowed):
         ckpt = tmp_path / "model.ckpt"
         code = main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
-                     *FAST_OVERRIDES, "--override", override])
+                     "--override", override])
         assert code == 2
         err = capsys.readouterr().err
         key, value = override.split("=")
         assert key in err and allowed in err and value in err
         assert "ModelConfig(" not in err and "Traceback" not in err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("override", [
+        "dense_dropout=0.4", "lstm_dropout=0.2", "max_sentences_per_doc=50", "val_fraction=0.1",
+    ], ids=lambda override: override.split("=")[0])
+    def test_fixed_setting_is_unknown_override_key(self, dataset_config, tmp_path, capsys,
+                                                   override):
+        # The dropout rates, the sentence cap and the validation share are
+        # constants of the model and of training, not config fields.
+        ckpt = tmp_path / "model.ckpt"
+        code = main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     "--override", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown override key {override.split('=')[0]!r}" in err
+        assert "Traceback" not in err and not ckpt.exists()
 
     @pytest.mark.parametrize("command", [
         ["train", "--out", "model.ckpt"],
@@ -467,6 +486,9 @@ class TestTrainPredict:
     (["crossval", "--classifier", "nb", "--seed", "-1"], "--seed"),
     (["crossval", "--classifier", "nb", "--folds", "100000"], "--folds"),
     (["crossval", "--embeddings", "missing.txt", "--folds", "100000"], "--folds"),
+    # 40 documents per class: folds are dealt class by class, so a 41st holds none
+    (["crossval", "--embeddings", "missing.txt", "--folds", "41"],
+     "--folds 41 exceeds the 40 documents of the largest class"),
     (["crossval", "--folds", "2", "--override", "lstm_hidden=100000000000"],
      "lstm_hidden=100000000000"),  # beyond a 48-bit address space: nothing is allocated
     (["train", "--override", "num_filters=1000000000000"], "num_filters=1000000000000"),
@@ -477,7 +499,8 @@ class TestTrainPredict:
     (["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.5"], "--fractions"),
     (["learning-curve", "--classifier", "nb", "--classifier", "nb"], "--classifier"),
 ], ids=["crossval-num-classes", "crossval-negative-seed", "crossval-folds-above-size",
-        "crossval-folds-above-size-before-word-vectors", "crossval-model-too-large",
+        "crossval-folds-above-size-before-word-vectors", "crossval-folds-above-largest-class",
+        "crossval-model-too-large",
         "train-model-too-large",
         "crossval-repeated-override", "learning-curve-max-epochs",
         "learning-curve-descending-fractions", "learning-curve-repeated-fraction",
@@ -546,3 +569,31 @@ def test_single_valued_flag_given_twice_is_rejected(tmp_path, capsys, monkeypatc
     assert info.value.code == 2
     assert f"argument {flag}: given twice" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, content, code, message", [
+    ("big.csv", b"text,label\nfine,positive\n" + b"x" * 131073 + b",negative\n",
+     3, "big.csv: row 3: field larger than field limit"),
+    ("latin.csv", b"text,label\nfine,positive\ncaf\xe9,negative\n", 3, "latin.csv: not UTF-8"),
+    ("latin.conf", b"# caf\xe9\nname = x\n", 2, "latin.conf: not UTF-8"),
+], ids=["csv-field-too-large", "csv-not-utf8", "conf-not-utf8"])
+def test_unreadable_dataset_file_is_named(tmp_path, capsys, monkeypatch, name, content, code,
+                                          message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(content)
+    (tmp_path / "d.conf").write_text(f"name = d\npath = {name}\ntext_column = text\n"
+                                     "label_column = label\n", encoding="utf-8")
+    conf = name if name.endswith(".conf") else "d.conf"
+    assert main(["crossval", "--dataset", conf, "--classifier", "nb", "--folds", "2",
+                 "--out", "out"]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_lists_every_override_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The `--override` keys are (.*?)\.\s", readme, re.DOTALL)
+    assert sentence, "README has no sentence listing the --override keys"
+    keys = re.findall(r"`(\w+)`", sentence.group(1))
+    assert keys == [*ModelConfig.__dataclass_fields__, *TrainConfig.__dataclass_fields__]

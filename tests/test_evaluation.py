@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,7 +82,9 @@ class TestStratifiedKfold:
            st.integers(2, 6), st.integers(0, 1000))
     @settings(max_examples=300, deadline=None)
     def test_partition_and_stratification_properties(self, labels, k, seed):
-        if k > len(labels):
+        if k > max(Counter(labels).values()):  # some fold would hold no document
+            with pytest.raises(ConfigurationError, match="largest class"):
+                stratified_kfold(labels, k, seed)
             return
         plan = stratified_kfold(labels, k, seed)
         all_ix = sorted(i for f in plan.folds for i in f)

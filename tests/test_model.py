@@ -16,7 +16,10 @@ from sentihier import layers
 from sentihier import model as model_module
 from sentihier.errors import ParseError, SentihierError
 from sentihier.model import (
+    DENSE_DROPOUT,
     INFERENCE_CHUNK,
+    LSTM_DROPOUT,
+    MAX_SENTENCES,
     HiCnnLstmModel,
     ModelConfig,
     load_checkpoint,
@@ -81,11 +84,28 @@ class TestForward:
 
     def test_truncation_not_rejection(self, rng):
         model = desk_model()
-        many = tuple((2, 3) for _ in range(model.config.max_sentences_per_doc + 20))
+        many = tuple((2, 3) for _ in range(MAX_SENTENCES + 20))
         probs = probabilities(model, Document(many))
-        truncated = Document(many[: model.config.max_sentences_per_doc])
+        truncated = Document(many[:MAX_SENTENCES])
         probs_t = probabilities(model, truncated)
         np.testing.assert_array_equal(probs, probs_t)
+
+    def test_masks_of_a_batch_equal_the_per_document_draws(self):
+        # One draw for the batch takes the stream's values in the order of a
+        # dense, fwd input, fwd recurrent, bwd input and bwd recurrent mask
+        # per document, document by document.
+        cfg = ModelConfig(embedding_dim=2, filter_width=2, num_filters=5, sentence_dim=4,
+                          lstm_hidden=3)
+        model = HiCnnLstmModel(cfg, np.zeros((9, 2)), *desk_names(9, 2), seed=None)
+        batch_rng, doc_rng = np.random.default_rng(3), np.random.default_rng(3)
+        masks = model._masks(batch_rng, 7)
+        rates = (DENSE_DROPOUT, *[LSTM_DROPOUT] * 4)
+        per_doc = [[layers.dropout_mask(doc_rng, width, rate)
+                    for width, rate in zip((5, 4, 3, 4, 3), rates)] for _ in range(7)]
+        assert len(masks) == 5
+        for block, rows in zip(masks, zip(*per_doc)):
+            np.testing.assert_array_equal(block.view(np.uint64), np.stack(rows).view(np.uint64))
+        assert batch_rng.random() == doc_rng.random()
 
 
 class TestProbabilities:
@@ -241,7 +261,7 @@ class TestLossAndGrads:
         and two more, under dropout."""
         cfg = ModelConfig(embedding_dim=6, filter_width=3, num_filters=5, sentence_dim=4,
                           lstm_hidden=3)
-        assert cfg.dense_dropout > 0 and cfg.lstm_dropout > 0
+        assert DENSE_DROPOUT > 0 and LSTM_DROPOUT > 0
         emb = rng.normal(size=(40, 6))
         emb[:2] = 0.0
         model = HiCnnLstmModel(cfg, emb, *desk_names(40, 3), seed=7)
@@ -473,7 +493,7 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_says_retrain(self, tmp_path, version):
         path = tmp_path / "old.ckpt"
         save_checkpoint(desk_model(), path)

@@ -22,7 +22,7 @@ from sentihier import cli
 from sentihier.model import INFERENCE_CHUNK
 from sentihier.synthetic import make_marker_dataset
 from sentihier.textprep import tokenize_document
-from sentihier.train import TrainConfig
+from sentihier.train import VAL_FRACTION, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -84,7 +84,7 @@ def test_train_and_predict_keep_every_traced_name_and_count(tracing, tmp_path):
     # batch, and one per inference chunk of the validation split.
     epochs = m["train.epochs"]
     assert epochs == 2
-    val = math.floor(TrainConfig().val_fraction * len(ds.texts()) + 0.5)
+    val = math.floor(VAL_FRACTION * len(ds.texts()) + 0.5)
     per_epoch = (math.ceil((len(ds.texts()) - val) / TrainConfig().batch_size)
                  + inference_chunks(val))
     calls = epochs * per_epoch + inference_chunks(len(PREDICT_LINES))

@@ -6,7 +6,7 @@ import pytest
 from conftest import desk_model
 from sentihier.errors import ConfigurationError, SentihierError
 from sentihier.textprep import Document
-from sentihier.train import AdamState, TrainConfig, fit
+from sentihier.train import VAL_FRACTION, AdamState, TrainConfig, fit
 
 
 def labeled_docs(rng, n, vocab_size=9):
@@ -160,7 +160,7 @@ class TestFit:
         model, history = fit(model, docs, cfg, seed=5)
         split_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[0])
         _, val_ix = _stratified_val_split([d.label for d in docs],
-                                          cfg.val_fraction, split_rng)
+                                          VAL_FRACTION, split_rng)
         val_loss, _ = _evaluate(model, [docs[i] for i in val_ix])
         best = min(e.val_loss for e in history.epochs)
         assert abs(val_loss - best) <= 1e-12
