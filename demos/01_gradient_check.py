@@ -24,8 +24,8 @@ print(f"loss at init: {loss:.6f}")
 eps = 1e-5
 rng = np.random.default_rng(42)
 worst = 0.0
-params = model.params()
-for name, tensor in params.items():
+grads = model.views(grads)  # the gradient block, by parameter name
+for name, tensor in model.params().items():
     flat = tensor.reshape(-1)
     for idx in rng.choice(flat.size, size=min(20, flat.size), replace=False):
         keep = flat[idx]

@@ -34,6 +34,7 @@ from .train import TrainConfig, fit
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _MODEL_FIELDS = set(ModelConfig.__dataclass_fields__)
 _TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
@@ -303,6 +304,9 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_RUNTIME)
     except ValueError as exc:
         return _fail(exc, EXIT_CONFIG)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _fail(exc, code: int) -> int:

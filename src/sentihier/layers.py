@@ -3,27 +3,17 @@ a dense ReLU projection, LSTM cells and the softmax classification head.
 The convolution and the dense layer take a batch's sentences as one stack
 of rows and the head its documents as rows; an LSTM cell projects a batch's
 sequences as one stack of rows, then runs the recurrence of one sequence.
+The convolution runs in embedding-row space (ConvLayer), and only this
+module knows how a sentence maps to rows of its table and to padding.
 
-The convolution runs in embedding-row space. Its input is static word
-vectors, so each forward call projects the call's distinct vectors through
-the filters once (ConvLayer.project), one (F,) product per filter offset,
-into a table whose row 0 is the zero vector's and whose row 1 + u is
-distinct vector u's. Sentences enter the layer as the table rows of their
-tokens (sentence_matrix): each window sums f of them instead of multiplying
-its own copy of the vectors. The filter gradient reads the same rows
-(param_grads), so only this module knows how a sentence maps to rows and
-padding.
-
-Every layer's forward pass returns what its backward pass needs (a cache, or
-for the convolution its pooled features and argmax windows), and the backward
-pass hand-computes the gradient with respect to its input plus small per-row
-factors (the gradient at its pre-activation, paired with the input it
-multiplied); the convolution skips the input gradient, because the word
-vectors under it are static. Parameter gradients are formed later, once per
-batch, from the factors of every row: one matrix product per weight matrix
-and one row sum per bias, written into the caller's buffers. No autodiff
-anywhere; the finite-difference tests in the suite are the correctness
-authority.
+Every layer's forward pass returns what its backward pass needs, and the
+backward pass hand-computes the gradient with respect to its input plus
+small per-row factors (the gradient at its pre-activation, paired with the
+input it multiplied); the convolution skips the input gradient, because the
+word vectors under it are static. Parameter gradients are formed once per
+batch from the factors of every row, one matrix product per weight matrix
+and one row sum per bias, into the caller's buffers. No autodiff anywhere;
+the finite-difference tests in the suite are the correctness authority.
 """
 
 import numpy as np
@@ -54,9 +44,14 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 def _weights(rng: np.random.Generator | None, fan_out: int, fan_in: int) -> np.ndarray:
     """Glorot-uniform weights; with no rng, an uninitialised buffer that the
     caller fills (a checkpoint load reads the stored weights into it)."""
-    if rng is None:
-        return np.empty((fan_out, fan_in))
-    return glorot_uniform(rng, fan_out, fan_in)
+    return np.empty((fan_out, fan_in)) if rng is None else glorot_uniform(rng, fan_out, fan_in)
+
+
+def aligned_empty(size: int) -> np.ndarray:
+    """`size` uninitialised float64 values, the first on a 64-byte boundary."""
+    raw = np.empty(size + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + size]
 
 
 def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
@@ -216,8 +211,7 @@ class DenseLayer:
     def forward(self, x: np.ndarray, mask: np.ndarray | None):
         if x.shape[-1] != self.weights.shape[1]:
             raise SentihierError(
-                f"dense input has length {x.shape[-1]}, layer expects {self.weights.shape[1]}"
-            )
+                f"dense input has length {x.shape[-1]}, layer expects {self.weights.shape[1]}")
         x_masked = x if mask is None else x * mask
         pre = x_masked @ self.weights.T + self.bias
         cache = {"x_masked": x_masked, "pre": pre, "mask": mask}
@@ -251,12 +245,9 @@ class LstmCell:
         self.hidden_dim = hidden_dim
         self.input_weights = _weights(rng, 4 * hidden_dim, input_dim)
         self.recurrent_weights = _weights(rng, 4 * hidden_dim, hidden_dim)
-        self.bias = np.zeros(4 * hidden_dim, dtype=np.float64)
-        self.bias[hidden_dim : 2 * hidden_dim] = 1.0
-        self._scale = np.full(4 * hidden_dim, 0.5)
-        self._scale[2 * hidden_dim : 3 * hidden_dim] = 1.0
-        self._shift = np.full(4 * hidden_dim, 0.5)
-        self._shift[2 * hidden_dim : 3 * hidden_dim] = 0.0
+        self.bias = np.repeat([0.0, 1.0, 0.0, 0.0], hidden_dim)  # blocks i, f, g, o
+        self._scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden_dim)
+        self._shift = np.repeat([0.5, 0.5, 0.0, 0.5], hidden_dim)
 
     def project(self, x_m: np.ndarray) -> np.ndarray:
         """Input projections x_m @ W.T + b of N stacked steps (N, m), as (N, 4H):

@@ -1,35 +1,19 @@
 """End-to-end hierarchical model: per-sentence CNN encoder, BiLSTM over the
 sentence vectors, softmax head; plus checkpoint persistence.
 
-One forward pass runs a list of documents (variable length, no
-cross-document padding). The sentences of every document stay stacked as
-rows from forward to gradient: the convolution pools each sentence into one
-row, the dense layer runs once on all the rows, and the backward pass gates
-them as one block. Each LSTM direction projects all the rows with one input
-GEMM per forward call and takes their input gradients with one GEMM per
-batch; only its recurrence runs one document at a time, forward and
-backward, from a zero state, so its first step has no recurrent product.
-The head takes one row per document, in one matrix product and a softmax
-per row. Batch gradients are the mean of per-document gradients, formed
-once per batch from the factors of all rows. A training forward call draws
-all of its dropout masks in one call (_masks), at the paper's fixed rates:
-0.4 on the dense layer's inputs, 0.2 on each LSTM direction's inputs and
-recurrent state. Only a document's first 50 sentences are read.
-
-Each forward call projects the distinct word vectors of its own documents
-through the conv filters once (layers.ConvLayer.project), into a table
-that the convolution reads and that is freed before the call returns (a
-training batch's filter gradient gathers its word vectors again, from the
-ids in the cache). Inference runs through probabilities, one forward call
-per chunk of up to INFERENCE_CHUNK documents, with no dropout masks; a
-document's probabilities do not depend on its chunk beyond the rounding of
-the BLAS products. A loss_and_grads batch is one forward call, and its
-gradient block is allocated only after the table is gone.
+A forward call runs a list of documents with no cross-document padding:
+their sentences stay one stack of rows through the convolution and the
+dense layer, each LSTM direction projects all the rows in one GEMM and runs
+its recurrence one document at a time from a zero state, and the head takes
+one row per document. A batch's gradients are the mean of per-document
+gradients, formed once per batch from the factors of all rows. Training
+draws its dropout masks at the paper's fixed rates: 0.4 on the dense
+layer's inputs, 0.2 on each LSTM direction's inputs and recurrent state.
+Only a document's first 50 sentences are read.
 
 A model carries the vocabulary that indexes its embedding rows and the names
-of its classes, so one checkpoint file is all `predict` needs. The file
-(format version 5) guards its config, token and label records with a CRC-32
-each, and is read in one pass, front to back.
+of its classes, so one checkpoint file (format version 5, see
+save_checkpoint) is all `predict` needs.
 """
 
 import itertools
@@ -39,6 +23,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +37,11 @@ INFERENCE_CHUNK = 64  # documents per forward call of probabilities, after the f
 DENSE_DROPOUT = 0.4
 LSTM_DROPOUT = 0.2
 MAX_SENTENCES = 50  # sentences read per document; the rest are dropped
+# Every trainable parameter as (layer, array), in the order of the parameter block.
+PARAMETERS = (("conv", "filters"), ("conv", "bias"), ("dense", "weights"), ("dense", "bias"),
+              *((cell, attr) for cell in ("lstm_fwd", "lstm_bwd")
+                for attr in ("input_weights", "recurrent_weights", "bias")),
+              ("head", "weights"), ("head", "bias"))
 
 
 @dataclass(frozen=True)
@@ -71,18 +61,24 @@ class ModelConfig:
 
 class HiCnnLstmModel:
     """All trainable parameters plus the static embedding matrix, whose row i
-    is the vector of vocab token i; labels[c] names class c, one per class."""
+    is the vector of vocab token i; labels[c] names class c, one per class.
+
+    The parameters live in one flat float64 block, in PARAMETERS order, each
+    starting on a 64-byte boundary with zeros in the gaps; every layer's
+    weight and bias arrays are views into it. A gradient block and Adam's
+    moments share the layout, so an Adam step, a snapshot and a restore
+    each run over one array; views(block) names the parts of any of them."""
 
     def __init__(self, config: ModelConfig, embedding_matrix: np.ndarray,
                  vocab: Vocabulary, labels, *, seed: int | None):
-        """Weights are drawn from `seed`. With seed=None the weight buffers
-        are left uninitialised, for a caller that fills every parameter
-        itself (load_checkpoint reads them from the file)."""
+        """Weights are drawn from `seed`, by the layers in their usual order,
+        and copied into the block. With seed=None the parameters are left
+        uninitialised, for a caller that fills every one itself
+        (load_checkpoint reads them from the file into the views)."""
         if embedding_matrix.shape != (len(vocab), config.embedding_dim):
             raise SentihierError(
                 f"embedding matrix shape {embedding_matrix.shape} does not match "
-                f"{len(vocab)} tokens x embedding_dim {config.embedding_dim}"
-            )
+                f"{len(vocab)} tokens x embedding_dim {config.embedding_dim}")
         self.config = config
         self.embedding_matrix = np.ascontiguousarray(embedding_matrix, dtype=np.float64)
         self.vocab = vocab
@@ -95,30 +91,42 @@ class HiCnnLstmModel:
         self.lstm_fwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng)
         self.lstm_bwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng)
         self.head = layers.SoftmaxHead(len(self.labels), 2 * config.lstm_hidden, rng)
+        self._layout, self._size, drawn = {}, 0, []  # name -> (slice of the block, shape)
+        for layer, attr in PARAMETERS:
+            arr = getattr(getattr(self, layer), attr)
+            self._layout[f"{layer}.{attr}"] = (slice(self._size, self._size + arr.size), arr.shape)
+            self._size += -(-arr.size // 8) * 8  # each parameter starts on a 64-byte boundary
+            if seed is not None:
+                drawn.append(arr)
+            # Unseeded buffers are freed before the block is made: a second
+            # copy on the heap made each later load fault the block in again.
+            setattr(getattr(self, layer), attr, None)
+        self.block = self._new_block()
+        for (layer, attr), view in zip(PARAMETERS, self.params().values()):
+            setattr(getattr(self, layer), attr, view)
+        for view, arr in zip(self.params().values(), drawn):
+            view[...] = arr
+
+    def _new_block(self) -> np.ndarray:
+        """An uninitialised block of this model's layout whose padding is zero."""
+        block = layers.aligned_empty(self._size)
+        for part, _ in self._layout.values():
+            block[part.stop : -(-part.stop // 8) * 8] = 0.0
+        return block
+
+    def views(self, block: np.ndarray) -> dict:
+        """Name -> view of each parameter's part of `block`, any block of this layout."""
+        return {name: block[part].reshape(shape) for name, (part, shape) in self._layout.items()}
 
     def params(self) -> dict:
-        """Name -> array views of every trainable parameter."""
-        return {
-            "conv.filters": self.conv.filters,
-            "conv.bias": self.conv.bias,
-            "dense.weights": self.dense.weights,
-            "dense.bias": self.dense.bias,
-            "lstm_fwd.input_weights": self.lstm_fwd.input_weights,
-            "lstm_fwd.recurrent_weights": self.lstm_fwd.recurrent_weights,
-            "lstm_fwd.bias": self.lstm_fwd.bias,
-            "lstm_bwd.input_weights": self.lstm_bwd.input_weights,
-            "lstm_bwd.recurrent_weights": self.lstm_bwd.recurrent_weights,
-            "lstm_bwd.bias": self.lstm_bwd.bias,
-            "head.weights": self.head.weights,
-            "head.bias": self.head.bias,
-        }
+        """Name -> view of every trainable parameter."""
+        return self.views(self.block)
 
-    def snapshot(self) -> dict:
-        return {name: p.copy() for name, p in self.params().items()}
+    def snapshot(self) -> np.ndarray:
+        return self.block.copy()
 
-    def restore(self, snapshot: dict):
-        for name, p in self.params().items():
-            p[...] = snapshot[name]
+    def restore(self, snapshot: np.ndarray):
+        self.block[...] = snapshot
 
     def _masks(self, dropout_rng, batch: int) -> list:
         """The [dense, fwd input, fwd recurrent, bwd input, bwd recurrent] masks of
@@ -138,7 +146,9 @@ class HiCnnLstmModel:
         """Yields the class probabilities of each document of `docs` in
         inference mode. forward runs a first chunk of one document, so the
         first result comes after one document's work, then chunks of
-        INFERENCE_CHUNK; each chunk is projected by its own call."""
+        INFERENCE_CHUNK; each chunk is projected by its own call. A
+        document's probabilities depend on its chunk only through the
+        rounding of the BLAS products."""
         docs, size = iter(docs), 1
         while chunk := list(itertools.islice(docs, size)):
             yield from self.forward(chunk)[0]
@@ -154,9 +164,7 @@ class HiCnnLstmModel:
 
         The sentences of all documents run through the convolution and the
         dense layer as one stack of rows, each under its document's dense
-        mask. Each LSTM direction projects all the rows at once and runs its
-        recurrence one document at a time; the head takes the B encodings as
-        one matrix. The convolution reads the filter products of the
+        mask. The convolution reads the filter products of the
         documents' distinct word vectors, projected once by this call into a
         table that is freed as soon as the convolution has read it.
         """
@@ -188,15 +196,13 @@ class HiCnnLstmModel:
                     for end, count, mask in zip(ends, counts, run_masks)]
             encoded[:, d * H : (d + 1) * H] = [h for h, _ in runs]
             lstm.append({"x_m": x_m, "in_mask": in_mask, "runs": [run for _, run in runs]})
-        probs = self.head.probs(encoded)
-        cache = None
-        if train:
-            cache = {"ids": ids, "rows": rows, "windows": windows, "features": features,
-                     "dense": dense_cache, "lstm": lstm, "encoded": encoded}
-        return probs, cache
+        cache = {"ids": ids, "rows": rows, "windows": windows, "features": features,
+                 "dense": dense_cache, "lstm": lstm, "encoded": encoded} if train else None
+        return self.head.probs(encoded), cache
 
     def loss_and_grads(self, batch, dropout_rng=None):
-        """Mean cross-entropy loss and mean gradients over a batch of documents.
+        """Mean cross-entropy loss over a batch of documents, and the block of
+        its mean gradients, laid out as the parameter block (views names its parts).
 
         One forward pass runs the batch. The backward pass runs the head, the
         dense layer and the convolution once each over all their rows (one
@@ -211,10 +217,8 @@ class HiCnnLstmModel:
         # The gradient block is made after the forward pass, whose projection
         # table is freed by then: the two are never alive at once.
         probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng)
-        sizes = [p.size for p in self.params().values()]
-        block = np.empty(sum(sizes))
-        grads = {name: part.reshape(p.shape) for (name, p), part in
-                 zip(self.params().items(), np.split(block, np.cumsum(sizes)[:-1]))}
+        grad_block = self._new_block()
+        grads = self.views(grad_block)
         loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, [d.label for d in batch])
         H = self.config.lstm_hidden
         grad_seq = 0.0
@@ -235,8 +239,8 @@ class HiCnnLstmModel:
                                   grads["dense.weights"], grads["dense.bias"])
         self.conv.param_grads(self.embedding_matrix, cache["ids"], cache["rows"], cache["windows"],
                               gated, grads["conv.filters"], grads["conv.bias"])
-        block /= len(batch)
-        return loss / len(batch), grads
+        grad_block /= len(batch)
+        return loss / len(batch), grad_block
 
 
 def _arrays(model: HiCnnLstmModel) -> list:
@@ -259,18 +263,25 @@ def save_checkpoint(model: HiCnnLstmModel, path):
     `_arrays`, each as its name, its shape and its float64 values. The arrays
     are written in place, never gathered into a buffer of the whole file,
     and carry no checksum: a CRC-32 over every array made a load about 50%
-    slower."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for record in (model.config.__dict__, model.vocab.index_to_token, model.labels):
-            fh.write(_record(record))
-        for name, arr in _arrays(model):
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack(f"<I{len(name_b)}sI{arr.ndim}I", len(name_b), name_b, arr.ndim,
-                                 *arr.shape))
-            fh.write(arr.reshape(-1).view(np.uint8))
+    slower. The file is written as `<path>.partial` and then renamed over
+    `path`, so a failed or interrupted save leaves any previous file whole."""
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            for record in (model.config.__dict__, model.vocab.index_to_token, model.labels):
+                fh.write(_record(record))
+            for name, arr in _arrays(model):
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack(f"<I{len(name_b)}sI{arr.ndim}I", len(name_b), name_b,
+                                     arr.ndim, *arr.shape))
+                fh.write(arr.reshape(-1).view(np.uint8))
+        os.replace(partial, path)
+    except BaseException:
+        Path(partial).unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> HiCnnLstmModel:

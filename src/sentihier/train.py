@@ -1,11 +1,13 @@
-"""Mini-batch training: Adam with bias correction, and early stopping on a
-stratified 10% validation split with best-weight restore."""
+"""Mini-batch training: Adam with bias correction over the model's flat
+parameter block (its moments are blocks of the same layout), and early
+stopping on a stratified 10% validation split with best-weight restore."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import layers
 from .errors import ConfigurationError, SentihierError
 from .evaluation import stratified_pick
 
@@ -13,38 +15,37 @@ VAL_FRACTION = 0.1  # the share of a training set held out for early stopping
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators and the step counter."""
+    """First and second moment blocks of a flat parameter block, and the step counter."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba 2015
+    CHUNK = 32768  # values per pass: the five arrays' chunks (1.3 MB) stay in cache
 
-    def __init__(self, params: dict, learning_rate: float = 1e-3):
+    def __init__(self, size: int, learning_rate: float = 1e-3):
         self.t = 0
         self.learning_rate = learning_rate
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
-        self._scratch = np.empty(max((p.size for p in params.values()), default=0))
+        self.m, self.v = layers.aligned_empty(size), layers.aligned_empty(size)
+        self.m[...] = self.v[...] = 0.0
 
-    def step(self, params: dict, grads: dict):
-        """Update params in place with one bias-corrected Adam step.
+    def step(self, params: np.ndarray, grads: np.ndarray):
+        """Update the params block in place with one bias-corrected Adam step.
 
-        Consumes grads: each gradient array is overwritten as a temporary.
+        Consumes grads: the gradient block is overwritten as a temporary.
         The operations are those of
             m += (1 - BETA1) * (g - m);  v += (1 - BETA2) * (g * g - v)
             p -= lr * (m / corr1) / (sqrt(v / corr2) + EPS)
-        in the same order, so the result is bit-identical to that formula.
+        in the same order, one CHUNK of the blocks at a time, so the result
+        is bit-identical to that formula.
         """
+        if not params.shape == grads.shape == self.m.shape:
+            raise SentihierError(f"gradient block shape {grads.shape} and parameter block "
+                                 f"shape {params.shape} do not match {self.m.shape}")
         self.t += 1
         corr1 = 1.0 - self.BETA1 ** self.t
         corr2 = 1.0 - self.BETA2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise SentihierError(
-                    f"gradient shape {g.shape} does not match parameter "
-                    f"{name} shape {p.shape}")
-            m = self.m[name]
-            v = self.v[name]
-            tmp = self._scratch[: g.size].reshape(g.shape)
+        scratch = np.empty(min(self.CHUNK, params.size))
+        for at in range(0, params.size, self.CHUNK):
+            p, g, m, v = (a[at : at + self.CHUNK] for a in (params, grads, self.m, self.v))
+            tmp = scratch[: len(p)]
             np.subtract(g, m, out=tmp)
             tmp *= 1.0 - self.BETA1
             m += tmp
@@ -93,26 +94,22 @@ class TrainHistory:
     def to_csv_rows(self):
         yield "epoch,train_loss,val_loss,val_acc"
         for rec in self.epochs:
-            yield (f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},"
-                   f"{rec.val_accuracy!r}")
+            yield f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},{rec.val_accuracy!r}"
 
 
 def _stratified_val_split(labels, val_fraction: float, rng: np.random.Generator):
     """Indices (train, val); the validation slice preserves class proportions."""
-    n = len(labels)
-    n_val = max(1, int(math.floor(val_fraction * n + 0.5)))
+    n_val = max(1, int(math.floor(val_fraction * len(labels) + 0.5)))
     val, train = stratified_pick(labels, val_fraction, n_val, rng)
     return train, val
 
 
 def _evaluate(model, docs):
     """Mean cross-entropy and accuracy in inference mode."""
-    total = 0.0
-    correct = 0
+    total, correct = 0.0, 0
     for doc, probs in zip(docs, model.probabilities(docs)):
         total += -np.log(max(probs[doc.label], 1e-300))
-        if int(np.argmax(probs)) == doc.label:
-            correct += 1
+        correct += int(np.argmax(probs)) == doc.label
     return float(total / len(docs)), correct / len(docs)
 
 
@@ -139,7 +136,7 @@ def fit(model, train_set, config: TrainConfig = TrainConfig(), seed: int = 42):
     train_docs = [train_set[i] for i in train_ix]
     val_docs = [train_set[i] for i in val_ix]
 
-    opt = AdamState(model.params(), learning_rate=config.learning_rate)
+    opt = AdamState(model.block.size, learning_rate=config.learning_rate)
     history = TrainHistory()
     best_loss = np.inf  # epoch 1 always improves on it, so best_weights is set there
     stale = 0
@@ -151,7 +148,7 @@ def fit(model, train_set, config: TrainConfig = TrainConfig(), seed: int = 42):
             loss, grads = model.loss_and_grads(batch, dropout_rng=dropout_rng)
             if not math.isfinite(loss):
                 raise SentihierError(f"epoch {epoch}, batch {batch_no}: loss is {loss}")
-            opt.step(model.params(), grads)
+            opt.step(model.block, grads)
             del grads  # consumed by Adam; free them before the next batch allocates its own
             epoch_loss += loss * len(batch)
         val_loss, val_acc = _evaluate(model, val_docs)

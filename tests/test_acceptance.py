@@ -74,7 +74,7 @@ def test_criterion_1_gradient_correctness():
             return loss
 
         _, grads = model.loss_and_grads([doc])
-        finite_difference_check(loss_fn, model.params(), grads, rng,
+        finite_difference_check(loss_fn, model.params(), model.views(grads), rng,
                                 eps=1e-5, coords_per_tensor=100, rtol=1e-4)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"

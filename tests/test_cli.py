@@ -304,6 +304,17 @@ class TestTrainPredict:
         assert "epoch 1, batch 1: loss is inf" in err and "Traceback" not in err
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_interrupt_is_one_line_and_exit_130(self, dataset_config, tmp_path, capsys,
+                                                monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "fit", interrupted)
+        code = main(["train", "--dataset", str(dataset_config),
+                     "--out", str(tmp_path / "model.ckpt"), *FAST_OVERRIDES])
+        assert code == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_non_finite_validation_loss_is_runtime_error(self, dataset_config, tmp_path, capsys,
                                                          monkeypatch):
         monkeypatch.setattr(HiCnnLstmModel, "probabilities", lambda model, docs: (

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import weakref
@@ -26,6 +27,7 @@ from sentihier.model import (
     save_checkpoint,
 )
 from sentihier.textprep import Document
+from sentihier.train import AdamState
 
 
 def random_doc(rng, vocab_size=9, num_sents=None, label=None):
@@ -214,7 +216,7 @@ class TestLossAndGrads:
         model.head.bias[:] = [900.0, -900.0]
         loss, grads = model.loss_and_grads([Document(((2, 3),), label=0)])
         assert loss < 1e-12
-        assert np.abs(grads["head.bias"]).max() < 1e-12
+        assert np.abs(model.views(grads)["head.bias"]).max() < 1e-12
 
     def test_unlabeled_document_rejected(self, rng):
         model = desk_model()
@@ -227,8 +229,8 @@ class TestLossAndGrads:
         loss1, grads1 = model.loss_and_grads(batch)
         loss2, grads2 = model.loss_and_grads(batch + batch)
         assert abs(loss1 - loss2) <= 1e-12
-        for name in grads1:
-            np.testing.assert_allclose(grads1[name], grads2[name], atol=1e-12)
+        for name, g in model.views(grads1).items():
+            np.testing.assert_allclose(g, model.views(grads2)[name], atol=1e-12, err_msg=name)
 
     def test_mean_loss_equals_mean_of_single_losses(self, rng):
         model = desk_model()
@@ -247,7 +249,7 @@ class TestLossAndGrads:
             return loss
 
         loss, grads = model.loss_and_grads([doc])
-        finite_difference_check(loss_fn, model.params(), grads, rng,
+        finite_difference_check(loss_fn, model.params(), model.views(grads), rng,
                                 coords_per_tensor=30)
 
     def test_gradient_check_with_dropout_at_larger_shapes(self, rng):
@@ -284,7 +286,7 @@ class TestLossAndGrads:
         dropped, _ = model.forward(batch, train=True, dropout_rng=np.random.default_rng(9))
         assert not np.allclose(dropped, [probabilities(model, doc) for doc in batch])
         loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(9))
-        worst = finite_difference_check(loss_fn, model.params(), grads, rng,
+        worst = finite_difference_check(loss_fn, model.params(), model.views(grads), rng,
                                         coords_per_tensor=40, rtol=1e-4)
         assert worst <= 1e-4
 
@@ -318,7 +320,7 @@ class TestLossAndGrads:
             return loss
 
         loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
-        finite_difference_check(loss_fn, model.params(), grads, rng,
+        finite_difference_check(loss_fn, model.params(), model.views(grads), rng,
                                 coords_per_tensor=40, rtol=1e-4)
 
     def test_three_document_batch_gradient_check(self, rng):
@@ -348,15 +350,15 @@ class TestLossAndGrads:
 
     def test_projection_table_and_gradient_block_are_never_alive_together(self, rng,
                                                                          monkeypatch):
-        # loss_and_grads sizes its gradient block from params(), so each
-        # params() call must come after the projection and find it freed.
+        # The gradient block must be allocated after the projection, and
+        # find it freed.
         model, batch = self.three_doc_batch(rng)
         tables, freed = weakly_recorded_tables(monkeypatch), []
-        params = model.params
-        monkeypatch.setattr(model, "params", lambda: (
-            freed.append(len(tables) == 1 and tables[0]() is None) or params()))
+        empty = layers.aligned_empty
+        monkeypatch.setattr(layers, "aligned_empty", lambda size: (
+            freed.append(len(tables) == 1 and tables[0]() is None) or empty(size)))
         model.loss_and_grads(batch)
-        assert freed and all(freed)
+        assert freed == [True]
 
     @pytest.mark.parametrize("train", [False, True])
     def test_one_input_projection_per_direction(self, rng, monkeypatch, train):
@@ -397,10 +399,79 @@ class TestLossAndGrads:
     def test_batch_gradients_equal_mean_of_single_document_gradients(self, rng):
         model, batch = self.three_doc_batch(rng)
         _, batch_grads = model.loss_and_grads(batch)
-        singles = [model.loss_and_grads([doc])[1] for doc in batch]
-        for name, g in batch_grads.items():
-            mean = sum(single[name] for single in singles) / len(batch)
-            np.testing.assert_allclose(g, mean, rtol=0, atol=1e-12, err_msg=name)
+        mean = sum(model.loss_and_grads([doc])[1] for doc in batch) / len(batch)
+        for name, g in model.views(batch_grads).items():
+            np.testing.assert_allclose(g, model.views(mean)[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
+def padding(model, block) -> np.ndarray:
+    """The values of `block` that no parameter view covers."""
+    covered = np.zeros(block.size, dtype=bool)
+    for view in model.views(block).values():
+        at = (view.ctypes.data - block.ctypes.data) // block.itemsize
+        covered[at : at + view.size] = True
+    return block[~covered]
+
+
+class TestParameterBlock:
+    @pytest.mark.parametrize("config", [
+        ModelConfig(),  # the paper's dimensions
+        ModelConfig(embedding_dim=7, filter_width=3, num_filters=151, sentence_dim=5,
+                    lstm_hidden=3),
+    ], ids=["paper", "odd"])
+    def test_views_are_aligned_and_the_padding_stays_zero(self, rng, config):
+        V = 12
+        emb = rng.normal(size=(V, config.embedding_dim))
+        model = HiCnnLstmModel(config, emb, *desk_names(V, 3), seed=4)
+        batch = [Document(((2, 3, 4, 5), (6, 7)), label=0),
+                 Document(((8, 9, 10, 11, 2),), label=2)]
+        _, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(1))
+        state = AdamState(model.block.size)
+        state.step(model.block, grads.copy())
+        for block in (model.block, grads, state.m, state.v):
+            assert block.ctypes.data % 64 == 0
+            for name, view in model.views(block).items():
+                assert view.ctypes.data % 64 == 0, name
+            pad = padding(model, block)
+            assert pad.size < 8 * len(model.params())
+            np.testing.assert_array_equal(pad, 0.0)
+        assert model.block.size - padding(model, model.block).size == sum(
+            p.size for p in model.params().values())
+
+    def test_every_parameter_is_a_view_of_the_block(self):
+        model = desk_model()
+        for name, p in model.params().items():
+            layer, attr = name.split(".")
+            held = getattr(getattr(model, layer), attr)
+            assert np.shares_memory(p, model.block), name
+            assert held.ctypes.data == p.ctypes.data and held.shape == p.shape, name
+        model.head.bias[:] = 5.0  # a layer's write lands in the block
+        np.testing.assert_array_equal(model.params()["head.bias"], 5.0)
+
+    def test_seeded_initial_weights_are_pinned(self):
+        # sha256 of the parameters in params() order at the paper's
+        # dimensions and seed 7, pinned before the parameters shared a block.
+        pinned = {2: "846bfb1578ee5a10270612b59a5db7cd85da5d06dc1e4221cdbc0b7bfecdac75",
+                  3: "f731b0de1ec282e01d9d440c156dfb1b269854f4302b12046fcc4800250cd1d1"}
+        for classes, digest in pinned.items():
+            model = HiCnnLstmModel(ModelConfig(), np.zeros((2, 300)),
+                                   *desk_names(2, classes), seed=7)
+            sha = hashlib.sha256()
+            for p in model.params().values():
+                sha.update(p.tobytes())
+            assert sha.hexdigest() == digest
+
+    def test_snapshot_restore_round_trip(self, rng):
+        model = desk_model()
+        before = model.block.copy()
+        snap = model.snapshot()
+        assert not np.shares_memory(snap, model.block)
+        model.head.weights[:] = 3.0
+        model.lstm_bwd.bias[:] = -1.0
+        model.restore(snap)
+        assert model.block.tobytes() == before.tobytes()
+        np.testing.assert_array_equal(model.head.weights, model.views(before)["head.weights"])
 
 
 class TestCheckpoint:
@@ -431,6 +502,32 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("failure", [OSError("No space left on device"),
+                                         KeyboardInterrupt()], ids=["oserror", "interrupt"])
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(desk_model(seed=1), path)
+        old = path.read_bytes()
+        arrays = model_module._arrays
+
+        def fail_after_two(model):
+            yield from arrays(model)[:2]
+            raise failure
+        monkeypatch.setattr(model_module, "_arrays", fail_after_two)
+        with pytest.raises(type(failure)):
+            save_checkpoint(desk_model(seed=2), path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_save_leaves_no_partial_file_and_an_ordinary_mode(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(desk_model(), path)
+        save_checkpoint(desk_model(seed=2), path)  # over an existing file
+        (tmp_path / "plain").write_bytes(b"")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "plain"]
+        assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        np.testing.assert_array_equal(load_checkpoint(path).block, desk_model(seed=2).block)
+
     def test_truncated_file(self, rng, tmp_path):
         model = desk_model()
         path = tmp_path / "model.ckpt"
@@ -454,8 +551,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         monkeypatch.setattr(layers, "glorot_uniform", pytest.fail)
         loaded = load_checkpoint(path)
-        for name, p in model.params().items():
-            np.testing.assert_array_equal(loaded.params()[name], p)
+        # the whole block, so the padding between the parameters too
+        assert loaded.block.tobytes() == model.block.tobytes()
 
     @pytest.mark.parametrize("record", [
         b'{"unknown_key": 1}',                            # unexpected keyword

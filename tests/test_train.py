@@ -22,66 +22,61 @@ def labeled_docs(rng, n, vocab_size=9):
 
 class TestAdam:
     def test_zero_gradient_is_fixpoint(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        state = AdamState(params)
-        before = params["w"].copy()
-        state.step(params, {"w": np.zeros(3)})
-        np.testing.assert_array_equal(params["w"], before)
+        params = np.array([1.0, -2.0, 3.0])
+        state = AdamState(params.size)
+        before = params.copy()
+        state.step(params, np.zeros(3))
+        np.testing.assert_array_equal(params, before)
         assert state.t == 1
 
     def test_first_step_magnitude(self):
         # Direct evaluation of the recurrences at t=1 for g=0.5, lr=1e-3:
         # m_hat = g, v_hat = g^2, update = lr*g/(|g| + eps) ~= lr.
-        params = {"w": np.array([0.0])}
-        state = AdamState(params, learning_rate=1e-3)
-        state.step(params, {"w": np.array([0.5])})
+        params = np.array([0.0])
+        state = AdamState(params.size, learning_rate=1e-3)
+        state.step(params, np.array([0.5]))
         expected = -1e-3 * 0.5 / (0.5 + 1e-8)
-        np.testing.assert_allclose(params["w"], [expected], rtol=1e-12)
-        assert abs(params["w"][0] + 1e-3) < 1e-6
+        np.testing.assert_allclose(params, [expected], rtol=1e-12)
+        assert abs(params[0] + 1e-3) < 1e-6
 
     def test_determinism(self):
         def run():
-            params = {"w": np.linspace(-1, 1, 5)}
-            state = AdamState(params)
+            params = np.linspace(-1, 1, 5)
+            state = AdamState(params.size)
             for step in range(10):
-                state.step(params, {"w": np.sin(params["w"] + step)})
-            return params["w"]
+                state.step(params, np.sin(params + step))
+            return params
 
         np.testing.assert_array_equal(run(), run())
 
     def test_in_place_step_is_bit_identical_to_the_formula(self):
-        def reference_step(params, m, v, grads, t, lr=1e-3, beta1=0.9, beta2=0.999,
-                           eps=1e-8):
+        def reference_step(p, m, v, g, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
             corr1 = 1.0 - beta1 ** t
             corr2 = 1.0 - beta2 ** t
-            for name, p in params.items():
-                g = grads[name]
-                m[name] += (1.0 - beta1) * (g - m[name])
-                v[name] += (1.0 - beta2) * (g * g - v[name])
-                m_hat = m[name] / corr1
-                v_hat = v[name] / corr2
-                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m += (1.0 - beta1) * (g - m)
+            v += (1.0 - beta2) * (g * g - v)
+            m_hat = m / corr1
+            v_hat = v / corr2
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         rng = np.random.default_rng(3)
-        params = {"w": rng.normal(size=(4, 6)), "b": rng.normal(size=5)}
-        expected = {name: p.copy() for name, p in params.items()}
-        m = {name: np.zeros_like(p) for name, p in params.items()}
-        v = {name: np.zeros_like(p) for name, p in params.items()}
-        state = AdamState(params)
+        size = 3 * AdamState.CHUNK + 5  # whole chunks, then a ragged last one
+        params = rng.normal(size=size)
+        expected, m, v = params.copy(), np.zeros(size), np.zeros(size)
+        state = AdamState(size)
         for t in range(1, 4):
-            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
-            reference_step(expected, m, v, {n: g.copy() for n, g in grads.items()}, t)
+            grads = rng.normal(size=size)
+            reference_step(expected, m, v, grads.copy(), t)
             state.step(params, grads)
-            for name, p in params.items():
-                assert p.tobytes() == expected[name].tobytes()
-                assert state.m[name].tobytes() == m[name].tobytes()
-                assert state.v[name].tobytes() == v[name].tobytes()
+            assert params.tobytes() == expected.tobytes()
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros(3)}
-        state = AdamState(params)
+        params = np.zeros(3)
+        state = AdamState(params.size)
         with pytest.raises(Exception, match="shape"):
-            state.step(params, {"w": np.zeros(4)})
+            state.step(params, np.zeros(4))
 
 
 class TestFit:
@@ -105,21 +100,16 @@ class TestFit:
             fit(model, labeled_docs(rng, 40), TrainConfig(batch_size=8), seed=1)
         assert len(weights_seen) == 2
         # The diverged batch's update was not applied.
-        for name, p in model.params().items():
-            np.testing.assert_array_equal(p, weights_seen[1][name])
+        np.testing.assert_array_equal(model.block, weights_seen[1])
 
     def test_batch_gradients_are_released_before_the_next_batch(self, rng):
         model = desk_model()
         real = model.loss_and_grads
         previous = []
 
-        class Grads(dict):  # a dict subclass can be weakly referenced
-            pass
-
         def tracked(batch, dropout_rng=None):
             assert all(ref() is None for ref in previous), "last batch's gradients alive"
             loss, grads = real(batch, dropout_rng)
-            grads = Grads(grads)
             previous[:] = [weakref.ref(grads)]
             return loss, grads
 
