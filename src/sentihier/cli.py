@@ -24,7 +24,7 @@ from . import __version__
 from .classifiers import (CLASSIFIER_NAMES, HiCnnLstmClassifier, NaiveBayesClassifier,
                           prepare)
 from .datasets import load_dataset_config, load_from_config
-from .embeddings import load_word2vec_binary, load_word2vec_text
+from .embeddings import load_vectors
 from .errors import ConfigurationError, ParseError, SentihierError
 from .evaluation import cross_validate, learning_curve, report_to_csv_rows, report_to_markdown
 from .model import ModelConfig, load_checkpoint, save_checkpoint
@@ -87,9 +87,10 @@ def _setup(args, specs, folds=None):
     makes any output: the dataset (and crossval's `folds` against its largest
     class, since a fold past that size would hold no document),
     the overrides and the configs they give, then the word vectors, which
-    only hicnnlstm reads (the classifier checks their dimension, and that its
-    model can be allocated). Returns (ds, tokenized docs, class indices,
-    classifiers).
+    only hicnnlstm reads, and only the rows of the dataset's tokens (the
+    classifier checks their dimension, and that its model can be allocated).
+    The dataset is tokenized before the vectors, which need its tokens.
+    Returns (ds, tokenized docs, class indices, classifiers).
     """
     ds, warnings = load_from_config(load_dataset_config(args.dataset))
     if folds is not None:
@@ -101,14 +102,13 @@ def _setup(args, specs, folds=None):
         print(f"warning: {w}", file=sys.stderr)
     model_over, train_over = _parse_overrides(args.override)
     mcfg, tcfg = ModelConfig(**model_over), TrainConfig(**train_over)
+    tokenized, labels = prepare(ds)
     table = None
     if "hicnnlstm" in specs and args.embeddings != "random":
-        path = Path(args.embeddings)  # a missing file is an OSError naming it
-        table = (load_word2vec_binary if path.suffix == ".bin" else load_word2vec_text)(path)
+        table = load_vectors(args.embeddings, tokenized)  # a missing file: OSError naming it
     classifiers = [HiCnnLstmClassifier(mcfg, tcfg, ds.label_set, table,
                                        embedding_seed=args.seed)
                    if spec == "hicnnlstm" else NaiveBayesClassifier() for spec in specs]
-    tokenized, labels = prepare(ds)
     return ds, tokenized, labels, classifiers
 
 

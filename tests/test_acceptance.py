@@ -177,28 +177,26 @@ def test_criterion_4_synthetic_convergence():
 
 
 def _jira_setup():
+    """(dataset, tokenized docs, class indices, word vectors or None), the
+    vectors holding only the rows of the dataset's tokens, as the CLI loads them."""
     from sentihier.datasets import load_dataset_config, load_from_config
-    from sentihier.embeddings import load_word2vec_binary, load_word2vec_text
+    from sentihier.embeddings import load_vectors
     cfg = load_dataset_config(JIRA_CONFIG)
     ds, warnings = load_from_config(cfg)
     assert len(ds.samples) == 926, f"expected 926 Jira samples, got {len(ds.samples)}"
     counts = ds.class_counts
     neg_pct = 100.0 * counts["negative"] / 926
     assert abs(neg_pct - 68.7) <= 0.5, f"negative share {neg_pct:.1f}%"
-    table = None
-    if W2V_PATH:
-        path = Path(W2V_PATH)
-        table = (load_word2vec_binary(path) if path.suffix == ".bin"
-                 else load_word2vec_text(path))
-    return ds, table
+    tokenized, labels = prepare(ds)
+    table = load_vectors(W2V_PATH, tokenized) if W2V_PATH else None
+    return ds, tokenized, labels, table
 
 
 @pytest.mark.skipif(not JIRA_CONFIG, reason="SENTIHIER_JIRA_CONFIG not set; "
                     "the real Jira dataset is required for this criterion")
 def test_criterion_5_jira_reproduction():
     start = time.monotonic()
-    ds, table = _jira_setup()
-    tokenized, labels = prepare(ds)
+    ds, tokenized, labels, table = _jira_setup()
     dim = table.dim if table else 300
     mcfg = ModelConfig(embedding_dim=dim)
     clf = HiCnnLstmClassifier(mcfg, TrainConfig(), ds.label_set, table,
@@ -231,8 +229,7 @@ def test_criterion_6_naive_bayes_oracle():
 @pytest.mark.skipif(not JIRA_CONFIG, reason="SENTIHIER_JIRA_CONFIG not set; "
                     "the real Jira dataset is required for this criterion")
 def test_criterion_6_naive_bayes_jira_accuracy():
-    ds, _ = _jira_setup()
-    tokenized, labels = prepare(ds)
+    _, tokenized, labels, _ = _jira_setup()
     clf = NaiveBayesClassifier()
     _, pooled = cross_validate(clf.fit_predict_factory(tokenized, labels),
                                labels, k=10, seed=42, num_classes=2)
@@ -259,8 +256,7 @@ def test_criterion_7_resample_sizes():
 @pytest.mark.skipif(not JIRA_CONFIG, reason="SENTIHIER_JIRA_CONFIG not set; "
                     "the real Jira dataset is required for this criterion")
 def test_criterion_7_jira_curve_monotone_ends():
-    ds, table = _jira_setup()
-    tokenized, labels = prepare(ds)
+    ds, tokenized, labels, table = _jira_setup()
     dim = table.dim if table else 300
     mcfg = ModelConfig(embedding_dim=dim)
     clf = HiCnnLstmClassifier(mcfg, TrainConfig(), ds.label_set, table,

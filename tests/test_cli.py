@@ -408,7 +408,7 @@ class TestTrainPredict:
     ])
     def test_unusable_override_is_config_error_naming_the_key(self, dataset_config, tmp_path,
                                                               capsys, monkeypatch, override):
-        monkeypatch.setattr(cli, "load_word2vec_text", pytest.fail)  # overrides come first
+        monkeypatch.setattr(cli, "load_vectors", pytest.fail)  # overrides come first
         ckpt = tmp_path / "model.ckpt"
         code = main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
                      "--embeddings", "vectors.txt", "--override", override])

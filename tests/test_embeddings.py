@@ -1,18 +1,26 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import save_word2vec_text
+import sentihier
+from sentihier.classifiers import embedding_matrix_for
 from sentihier.embeddings import (
     EmbeddingTable,
     fnv1a_64,
+    load_vectors,
     load_word2vec_binary,
     load_word2vec_text,
     random_table,
 )
 from sentihier.errors import ParseError
+from sentihier.textprep import TokenizedDocument, Vocabulary
 
 
 def write_binary(path, entries, header=None):
@@ -93,7 +101,7 @@ class TestBinaryLoader:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One file-sized buffer plus tokens and views, not the bytes and a copy.
+        # One file-sized matrix plus tokens, views and a block, not the bytes and a copy.
         assert peak < 1.5 * size
         assert table.lookup("w1999").tobytes() == values[1999].tobytes()
 
@@ -104,6 +112,134 @@ class TestBinaryLoader:
         t2 = load_word2vec_binary(path)
         for tok in ("a", "b"):
             np.testing.assert_array_equal(t1.lookup(tok), t2.lookup(tok))
+
+
+def write_text(path, entries):
+    path.write_text("".join(f"{token} {' '.join(repr(float(v)) for v in vec)}\n"
+                            for token, vec in entries), encoding="utf-8")
+
+
+LOADERS = {"bin": (load_word2vec_binary, write_binary), "txt": (load_word2vec_text, write_text)}
+
+
+def doc(*tokens):
+    return TokenizedDocument(sentences=(tokens,))
+
+
+class TestWantedRows:
+    """A loader given a wanted set keeps only those rows, but parses every record."""
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_filtered_table_gives_the_full_tables_matrix(self, tmp_path, kind):
+        load, write = LOADERS[kind]
+        # "great" is present only capitalised, "bug" in both forms, "fix" twice.
+        names = ["noise", "Great", "bug", "Bug", "fix", "other", "fix", "tail"]
+        entries = list(zip(names, np.random.default_rng(4).normal(size=(8, 3)).astype(np.float32)))
+        path = tmp_path / f"vec.{kind}"
+        write(path, entries)
+        tokens = ("great", "bug", "fix", "missing")
+        full = load(path)
+        kept = load_vectors(path, [doc(*tokens)])
+        assert len(full) == 7 and len(kept) == 4  # Great, bug, Bug, fix
+        assert "noise" not in kept and "tail" not in kept
+        vocab = Vocabulary.of(("<unk>", *tokens))
+        want = embedding_matrix_for(vocab, full, 3, embedding_seed=0)
+        got = embedding_matrix_for(vocab, kept, 3, embedding_seed=0)
+        assert got.tobytes() == want.tobytes()
+        assert np.float64(entries[6][1][0]) == got[3, 0]  # the last "fix" wins
+        for token in tokens:
+            assert kept.lookup(token) is kept.lookup(token)  # the tracer counts rows by id
+
+    @pytest.mark.parametrize("name, dtype", [("vec.bin", np.float32), ("vec.bin.txt", np.float64)])
+    def test_the_suffix_picks_the_loader(self, tmp_path, name, dtype):
+        (write_binary if name.endswith(".bin") else write_text)(tmp_path / name, [("bug", [1, 2])])
+        assert load_vectors(tmp_path / name, [doc("bug")]).lookup("bug").dtype == dtype
+
+    def test_binary_records_after_the_last_wanted_one_are_parsed(self, tmp_path):
+        path = tmp_path / "vec.bin"
+        write_binary(path, [("hi", [1, 2, 3]), ("yo", [4, 5, 6])], header=(3, 3))
+        data = path.read_bytes()
+        with pytest.raises(ParseError) as info:
+            load_word2vec_binary(path, {"hi"})
+        assert str(info.value) == f"{path}: truncated token at byte offset {len(data)}"
+        path.write_bytes(data[:-2])
+        with pytest.raises(ParseError) as info:
+            load_word2vec_binary(path, {"hi"})
+        start = len(b"3 3\n") + len(b"hi ") + 12 + len(b"\nyo ")
+        assert str(info.value) == f"{path}: truncated record for 'yo' at byte offset {start}"
+
+    def test_text_lines_after_the_last_wanted_one_are_parsed(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("hi 1 0\nyo 0 x\n")
+        with pytest.raises(ParseError, match="non-numeric value at line 2"):
+            load_word2vec_text(path, {"hi"})
+        path.write_text("hi 1 0\nyo 0\n")
+        with pytest.raises(ParseError, match="inconsistent dimension at line 2"):
+            load_word2vec_text(path, {"hi"})
+
+    @pytest.mark.parametrize("header", [(10**9, 3), (2, 2**31 + 3)], ids=["count", "dimension"])
+    @pytest.mark.parametrize("wanted", [None, {"hi"}], ids=["all", "wanted"])
+    def test_inflated_header_allocates_by_the_file_size(self, tmp_path, header, wanted):
+        path = tmp_path / "vec.bin"
+        write_binary(path, [("hi", [1, 2, 3]), ("yo", [4, 5, 6])], header=header)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="truncated"):
+                load_word2vec_binary(path, wanted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_kept_vector_that_is_not_finite_is_a_parse_error(self, tmp_path, kind, bad):
+        load, write = LOADERS[kind]
+        path = tmp_path / f"vec.{kind}"
+        write(path, [("ok", [1.0, 2.0]), ("bad", [0.5, bad])])
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(path) in str(info.value) and "'bad'" in str(info.value)
+        assert "not finite" in str(info.value)
+        assert len(load(path, {"ok"})) == 1  # only the kept rows are checked
+
+    def test_a_replaced_non_finite_record_is_not_kept(self, tmp_path):
+        path = tmp_path / "vec.bin"
+        write_binary(path, [("w", [np.nan, 1.0]), ("w", [2.0, 1.0])])
+        assert load_word2vec_binary(path, {"w"}).lookup("w").tolist() == [2.0, 1.0]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_loading_a_few_rows_of_a_large_file_stays_small(self, tmp_path):
+        rows, dim = 100_000, 50
+        record = np.dtype([("token", "S7"), ("values", "<f4", dim), ("newline", "S1")])
+        records = np.zeros(rows, dtype=record)
+        records["token"] = [b"w%05d " % i for i in range(rows)]
+        records["values"] = 0.5
+        records["newline"] = b"\n"
+        path = tmp_path / "large.bin"
+        with open(path, "wb") as fh:
+            fh.write(b"%d %d\n" % (rows, dim))
+            records.tofile(fh)
+        del records
+        # The child's peak RSS, from VmHWM: its ru_maxrss would start at the
+        # peak of this process, which a spawned child inherits on Linux.
+        script = (
+            "import sys\n"
+            "from sentihier.embeddings import load_word2vec_binary\n"
+            "def peak_kb():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))\n"
+            "before = peak_kb()\n"
+            "table = load_word2vec_binary(sys.argv[1], {'w00007', 'w99999', 'x'})\n"
+            "assert len(table) == 2\n"
+            "print(peak_kb() - before)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(sentihier.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        grown_kb = int(proc.stdout)
+        # The file is 20.8 MB: holding it, or a dict entry per row, exceeds this.
+        assert grown_kb < 8 * 1024, f"peak RSS grew {grown_kb} kB"
 
 
 class TestTextLoader:

@@ -25,6 +25,7 @@ from sentihier.synthetic import make_marker_dataset
 
 FUZZ = settings(max_examples=150, deadline=None)
 WORDS = [("great", [0.5, -1.25, 2.0]), ("bug", [1e-3, 0.0, -7.5]), ("Fix", [3.0, 2.0, 1.0])]
+WANTED = {"great", "Great"}  # the first record only: every later one is parsed all the same
 
 
 def checkpoint_bytes(tmp) -> bytes:
@@ -100,9 +101,23 @@ def inflate_header(data: bytes, which: int, amount: int) -> bytes:
 
 def loads_or_names_the_file(load, path):
     try:
-        load(path)
+        return load(path)
     except ParseError as exc:
         assert str(path) in str(exc), exc
+        return str(exc)
+
+
+def same_outcome_with_a_wanted_set(load, path):
+    """`load` with a wanted set fails with the same format error as without
+    one, since it parses every record, or loads the same vectors. Only a
+    non-finite row that it does not keep may set the two apart."""
+    full = loads_or_names_the_file(load, path)
+    kept = loads_or_names_the_file(lambda p: load(p, WANTED), path)
+    if isinstance(full, str) or isinstance(kept, str):
+        assert full == kept or isinstance(full, str) and "not finite" in full, (full, kept)
+    else:
+        for token in WANTED:
+            assert kept.lookup(token).tobytes() == full.lookup(token).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +159,7 @@ def test_word2vec_binary(fuzz_dir):
     def case(mutation):
         path = fuzz_dir / "case.bin"
         path.write_bytes(mutate(valid, mutation, inflate_header))
-        loads_or_names_the_file(load_word2vec_binary, path)
+        same_outcome_with_a_wanted_set(load_word2vec_binary, path)
     case()
 
 
@@ -156,7 +171,7 @@ def test_word2vec_text(fuzz_dir):
     def case(mutation):
         path = fuzz_dir / "case.txt"
         path.write_bytes(mutate(valid, mutation, inflate_header))
-        loads_or_names_the_file(load_word2vec_text, path)
+        same_outcome_with_a_wanted_set(load_word2vec_text, path)
     case()
 
 
@@ -188,3 +203,19 @@ def test_cli_malformed_word_vectors_exit_3(dataset_config, tmp_path, capsys, nam
                  "--folds", "2", "--embeddings", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["vectors.bin", "vectors.txt"])
+def test_cli_non_finite_word_vector_exits_3_naming_the_token(dataset_config, tmp_path, capsys,
+                                                            name):
+    path = tmp_path / name
+    if name.endswith(".bin"):
+        path.write_bytes(b"2 2\nbroken " + struct.pack("<2f", 1.0, math.nan)
+                         + b"\nunused " + struct.pack("<2f", 1.0, 2.0))
+    else:
+        path.write_text("broken inf 1.0\nunused 1.0 2.0\n", encoding="utf-8")
+    assert main(["crossval", "--dataset", str(dataset_config), "--classifier", "hicnnlstm",
+                 "--folds", "2", "--embeddings", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "'broken'" in err and "not finite" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
