@@ -27,7 +27,7 @@ from .datasets import load_dataset_config, load_from_config
 from .embeddings import load_vectors
 from .errors import ConfigurationError, ParseError, SentihierError
 from .evaluation import cross_validate, learning_curve, report_to_csv_rows, report_to_markdown
-from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .model import ModelConfig, load_checkpoint, replace_file, save_checkpoint
 from .textprep import encode, tokenize_document
 from .train import TrainConfig, fit
 
@@ -65,14 +65,14 @@ def _parse_overrides(pairs):
 
 def _write_report(path: Path, manifest: dict, body_lines):
     header = [f"# {key}: {manifest[key]}" for key in sorted(manifest)]
-    path.write_text("".join(line + "\n" for line in [*header, *body_lines]), encoding="utf-8")
+    replace_file(path, ["".join(line + "\n" for line in [*header, *body_lines]).encode("utf-8")])
 
 
 def _write_manifest_json(out: Path, manifest: dict, **run_fields):
     """manifest.json: a report manifest plus what no report holds (start time,
     wall-clock timings, warnings)."""
     text = json.dumps({**manifest, **run_fields}, indent=2) + "\n"
-    (out / "manifest.json").write_text(text, encoding="utf-8")
+    replace_file(out / "manifest.json", [text.encode("utf-8")])
 
 
 def _manifest(command: str, args, ds, **fields) -> dict:

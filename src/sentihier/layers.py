@@ -47,13 +47,6 @@ def _weights(rng: np.random.Generator | None, fan_out: int, fan_in: int) -> np.n
     return np.empty((fan_out, fan_in)) if rng is None else glorot_uniform(rng, fan_out, fan_in)
 
 
-def aligned_empty(size: int) -> np.ndarray:
-    """`size` uninitialised float64 values, the first on a 64-byte boundary."""
-    raw = np.empty(size + 7)
-    skip = -raw.ctypes.data % 64 // 8
-    return raw[skip : skip + size]
-
-
 def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
                        grad_weights: np.ndarray, grad_bias: np.ndarray):
     """Gradients of `weights @ x + bias`, summed over a batch of rows.

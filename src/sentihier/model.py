@@ -12,7 +12,7 @@ layer's inputs, 0.2 on each LSTM direction's inputs and recurrent state.
 Only a document's first 50 sentences are read.
 
 A model carries the vocabulary that indexes its embedding rows and the names
-of its classes, so one checkpoint file (format version 5, see
+of its classes, so one checkpoint file (format version 6, see
 save_checkpoint) is all `predict` needs.
 """
 
@@ -32,7 +32,7 @@ from .errors import ConfigurationError, ParseError, SentihierError
 from .textprep import Vocabulary
 
 CHECKPOINT_MAGIC = b"SHCK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 INFERENCE_CHUNK = 64  # documents per forward call of probabilities, after the first
 DENSE_DROPOUT = 0.4
 LSTM_DROPOUT = 0.2
@@ -63,11 +63,11 @@ class HiCnnLstmModel:
     """All trainable parameters plus the static embedding matrix, whose row i
     is the vector of vocab token i; labels[c] names class c, one per class.
 
-    The parameters live in one flat float64 block, in PARAMETERS order, each
-    starting on a 64-byte boundary with zeros in the gaps; every layer's
-    weight and bias arrays are views into it. A gradient block and Adam's
-    moments share the layout, so an Adam step, a snapshot and a restore
-    each run over one array; views(block) names the parts of any of them."""
+    The parameters live in one flat float64 block, back to back in
+    PARAMETERS order; every layer's weight and bias arrays are views into
+    it. A gradient block and Adam's moments share the layout, so an Adam
+    step, a snapshot and a restore each run over one array; views(block)
+    names the parts of any of them."""
 
     def __init__(self, config: ModelConfig, embedding_matrix: np.ndarray,
                  vocab: Vocabulary, labels, *, seed: int | None):
@@ -95,7 +95,7 @@ class HiCnnLstmModel:
         for layer, attr in PARAMETERS:
             arr = getattr(getattr(self, layer), attr)
             self._layout[f"{layer}.{attr}"] = (slice(self._size, self._size + arr.size), arr.shape)
-            self._size += -(-arr.size // 8) * 8  # each parameter starts on a 64-byte boundary
+            self._size += arr.size
             if seed is not None:
                 drawn.append(arr)
             # Unseeded buffers are freed before the block is made: a second
@@ -108,11 +108,8 @@ class HiCnnLstmModel:
             view[...] = arr
 
     def _new_block(self) -> np.ndarray:
-        """An uninitialised block of this model's layout whose padding is zero."""
-        block = layers.aligned_empty(self._size)
-        for part, _ in self._layout.values():
-            block[part.stop : -(-part.stop // 8) * 8] = 0.0
-        return block
+        """An uninitialised block of this model's layout."""
+        return np.empty(self._size)
 
     def views(self, block: np.ndarray) -> dict:
         """Name -> view of each parameter's part of `block`, any block of this layout."""
@@ -243,12 +240,6 @@ class HiCnnLstmModel:
         return loss / len(batch), grad_block
 
 
-def _arrays(model: HiCnnLstmModel) -> list:
-    """(name, array) of every array a checkpoint stores, in file order: the
-    trainable parameters and the embedding matrix, sorted by name."""
-    return sorted({**model.params(), "embedding_matrix": model.embedding_matrix}.items())
-
-
 def _record(value) -> bytes:
     """A JSON record: its length, its UTF-8 bytes, then the CRC-32 of both."""
     raw = json.dumps(value, sort_keys=True).encode("utf-8")
@@ -256,41 +247,44 @@ def _record(value) -> bytes:
     return framed + struct.pack("<I", zlib.crc32(framed))
 
 
-def save_checkpoint(model: HiCnnLstmModel, path):
-    """Versioned little-endian binary container: the magic and version; the
-    config, the token list (in index order) and the label names (in class
-    order) as JSON records, each followed by a CRC-32; then every array of
-    `_arrays`, each as its name, its shape and its float64 values. The arrays
-    are written in place, never gathered into a buffer of the whole file,
-    and carry no checksum: a CRC-32 over every array made a load about 50%
-    slower. The file is written as `<path>.partial` and then renamed over
-    `path`, so a failed or interrupted save leaves any previous file whole."""
+def replace_file(path, chunks):
+    """Writes the bytes-like `chunks` to `<path>.partial`, then renames it
+    over `path`; on any exception the partial file is removed, so a failed
+    or interrupted write leaves a previous `path` whole."""
     partial = f"{os.fspath(path)}.partial"
     try:
         with open(partial, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            for record in (model.config.__dict__, model.vocab.index_to_token, model.labels):
-                fh.write(_record(record))
-            for name, arr in _arrays(model):
-                arr = np.ascontiguousarray(arr, dtype="<f8")
-                name_b = name.encode("utf-8")
-                fh.write(struct.pack(f"<I{len(name_b)}sI{arr.ndim}I", len(name_b), name_b,
-                                     arr.ndim, *arr.shape))
-                fh.write(arr.reshape(-1).view(np.uint8))
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(partial, path)
     except BaseException:
         Path(partial).unlink(missing_ok=True)
         raise
 
 
+def save_checkpoint(model: HiCnnLstmModel, path):
+    """Versioned little-endian binary container: the magic and version; the
+    config, the token list (in index order) and the label names (in class
+    order) as JSON records, each followed by a CRC-32; then the float64
+    values of the parameter block, then those of the embedding matrix. The
+    records fix the size and layout of both, so the values need no framing.
+    They are written in place, never gathered into a buffer of the whole
+    file, and carry no checksum: a CRC-32 over them made a load about 50%
+    slower. The file is written by replace_file."""
+    records = (model.config.__dict__, model.vocab.index_to_token, model.labels)
+    header = b"".join([CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+                       *map(_record, records)])
+    replace_file(path, [header, *(np.ascontiguousarray(arr, dtype="<f8")
+                                  for arr in (model.block, model.embedding_matrix))])
+
+
 def load_checkpoint(path) -> HiCnnLstmModel:
     """Reads the file once, front to back. The records are checked against
-    their CRC-32 before the model is built from them; each stored array must
-    then have the name and shape `_arrays` expects next, and is read straight
-    into the model's own buffer: no copy of the file is held, which keeps
-    start-up cost low for a large model. Every way the file can be malformed
-    raises a ParseError naming it."""
+    their CRC-32 before the model is built from them; the parameter block
+    and the embedding matrix are then read straight into the model's own
+    buffers, and the file must end there. No copy of the file is held,
+    which keeps start-up cost low for a large model. Every way the file can
+    be malformed raises a ParseError naming it."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
         if reader.take(4) != CHECKPOINT_MAGIC:
@@ -311,14 +305,11 @@ def load_checkpoint(path) -> HiCnnLstmModel:
                                    labels, seed=None)
         except (MemoryError, ValueError) as exc:  # a config too large to build
             raise ParseError(f"{path}: cannot build the model: {exc}") from None
-        for name, arr in _arrays(model):
-            stored = reader.take(reader.unpack("<I")).decode("utf-8", "backslashreplace")
-            shape = tuple(reader.unpack("<I") for _ in range(reader.unpack("<I")))
-            if (stored, shape) != (name, arr.shape):
-                raise ParseError(
-                    f"{path}: stored array {stored!r} of shape {shape} where {name!r} of "
-                    f"shape {arr.shape} was expected")
-            reader.read_into(arr)
+        reader.read_into(model.block)
+        reader.read_into(model.embedding_matrix)
+        if reader.at != reader.size:
+            raise ParseError(f"{path}: the embedding matrix ends at byte {reader.at}, "
+                             f"but the file has {reader.size} bytes")
     return model
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers
 from .errors import ConfigurationError, SentihierError
 from .evaluation import stratified_pick
 
@@ -23,8 +22,7 @@ class AdamState:
     def __init__(self, size: int, learning_rate: float = 1e-3):
         self.t = 0
         self.learning_rate = learning_rate
-        self.m, self.v = layers.aligned_empty(size), layers.aligned_empty(size)
-        self.m[...] = self.v[...] = 0.0
+        self.m, self.v = np.zeros(size), np.zeros(size)
 
     def step(self, params: np.ndarray, grads: np.ndarray):
         """Update the params block in place with one bias-corrected Adam step.

@@ -1,5 +1,9 @@
+import errno
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,10 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import replace_record, save_word2vec_text, write_dataset_csv
+import sentihier
 from sentihier import baseline, cli
 from sentihier.cli import main
 from sentihier.errors import ParseError
-from sentihier.model import HiCnnLstmModel, ModelConfig, load_checkpoint, save_checkpoint
+from sentihier.model import (CHECKPOINT_VERSION, HiCnnLstmModel, ModelConfig, load_checkpoint,
+                             save_checkpoint)
 from sentihier.synthetic import make_marker_dataset
 from sentihier.train import TrainConfig
 
@@ -602,9 +608,43 @@ def test_unreadable_dataset_file_is_named(tmp_path, capsys, monkeypatch, name, c
     assert not (tmp_path / "out").exists()
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def test_readme_lists_every_override_key():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     sentence = re.search(r"The `--override` keys are (.*?)\.\s", readme, re.DOTALL)
     assert sentence, "README has no sentence listing the --override keys"
     keys = re.findall(r"`(\w+)`", sentence.group(1))
     assert keys == [*ModelConfig.__dataclass_fields__, *TrainConfig.__dataclass_fields__]
+
+
+def test_readme_states_the_checkpoint_format_version():
+    versions = re.findall(r"format version (\d+)", README.read_text(encoding="utf-8"))
+    assert versions, "README states no checkpoint format version"
+    assert set(versions) == {str(CHECKPOINT_VERSION)}
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+@pytest.mark.parametrize("name, write", [
+    ("pooled_report.csv", "cli._write_report(out / 'pooled_report.csv', {}, ['x' * 99] * 99)"),
+    ("manifest.json", "cli._write_manifest_json(out, {}, warnings=['x' * 99] * 99)"),
+], ids=["report", "manifest"])
+def test_failed_report_write_keeps_the_previous_report(tmp_path, name, write):
+    # A file size limit below the new report's size makes its write fail
+    # with EFBIG part way through, as a full disk would.
+    (tmp_path / name).write_bytes(b"# the previous report\n")
+    script = ("import resource, signal, sys\n"
+              "from pathlib import Path\n"
+              "from sentihier import cli\n"
+              "out = Path(sys.argv[1])\n"
+              "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+              "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+              "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))\n"
+              f"{write}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sentihier.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and f"[Errno {errno.EFBIG}]" in proc.stderr, proc.stderr
+    assert (tmp_path / name).read_bytes() == b"# the previous report\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]

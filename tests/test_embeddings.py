@@ -89,7 +89,7 @@ class TestBinaryLoader:
         start = len(b"3 3\n") + len(b"hi ") + 12 + len(b"\nyo ")
         assert str(info.value) == f"{path}: truncated record for 'yo' at byte offset {start}"
 
-    def test_file_bytes_and_matrix_share_one_buffer(self, tmp_path):
+    def test_full_load_peaks_below_one_and_a_half_file_sizes(self, tmp_path):
         rng = np.random.default_rng(8)
         values = rng.normal(size=(2000, 300)).astype(np.float32)
         path = tmp_path / "vec.bin"

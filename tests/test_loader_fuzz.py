@@ -1,11 +1,11 @@
 """Fuzzing of the three file loaders.
 
 Each case starts from a valid fixture and truncates it, flips one bit or
-inflates one length field. The loader must then either load the file or
-raise a ParseError whose message names the file; and `main()` must turn
-such a file into exit code 3 with the path in the message. A checkpoint
-must always raise a ParseError naming the file, unless the flipped bit lies
-in an array's float data.
+inflates one length field; a checkpoint may also have bytes appended. The
+loader must then either load the file or raise a ParseError whose message
+names the file; and `main()` must turn such a file into exit code 3 with
+the path in the message. A checkpoint must always raise a ParseError naming
+the file, unless the flipped bit lies in its float data.
 """
 
 import math
@@ -48,23 +48,14 @@ def text_bytes(tmp) -> bytes:
 
 
 def checkpoint_layout(data: bytes):
-    """(offsets of every u32 length or dimension field, (start, end) byte
-    range of every array's float data) of a checkpoint."""
-    fields, floats, at = [], [], 8
-    for _ in range(3):  # the config, token and label records, each with a CRC-32
+    """(offsets of the u32 length fields of the config, token and label
+    records, each followed by a CRC-32; offset of the float data, which
+    runs from there to the end) of a checkpoint."""
+    fields, at = [], 8
+    for _ in range(3):
         fields.append(at)
         at += 8 + struct.unpack_from("<I", data, at)[0]
-    while at < len(data):  # the arrays: name, shape, float data
-        fields.append(at)
-        at += 4 + struct.unpack_from("<I", data, at)[0]
-        (ndim,) = struct.unpack_from("<I", data, at)
-        dims = struct.unpack_from(f"<{ndim}I", data, at + 4)
-        fields.extend(at + 4 * i for i in range(ndim + 1))
-        at += 4 + 4 * ndim
-        floats.append((at, at + 8 * math.prod(dims)))
-        at = floats[-1][1]
-    assert at == len(data)
-    return fields, floats
+    return fields, at
 
 
 def mutations(size: int, inflatable: list):
@@ -76,6 +67,8 @@ def mutations(size: int, inflatable: list):
 
 
 def mutate(data: bytes, mutation, inflate) -> bytes:
+    if mutation[0] == "append":
+        return data + mutation[1]
     kind, at, *amount = mutation
     if kind == "truncate":
         return data[:at]
@@ -127,23 +120,26 @@ def fuzz_dir(tmp_path_factory):
 
 def test_checkpoint(fuzz_dir):
     valid = checkpoint_bytes(fuzz_dir)
-    fields, floats = checkpoint_layout(valid)
+    fields, floats_at = checkpoint_layout(valid)
+    model = desk_model()
+    assert len(valid) - floats_at == 8 * (model.block.size + model.embedding_matrix.size)
 
     def in_float_data(bit):
-        return any(start <= bit // 8 < end for start, end in floats)
+        return bit // 8 >= floats_at
     # Most of the file is float data, where a flip may load: also draw flips
     # of the other bits, so that most examples assert an error.
     checked_bits = [bit for bit in range(8 * len(valid)) if not in_float_data(bit)]
 
     @FUZZ
     @given(st.one_of(mutations(len(valid), fields),
-                     st.tuples(st.just("flip"), st.sampled_from(checked_bits))))
+                     st.tuples(st.just("flip"), st.sampled_from(checked_bits)),
+                     st.tuples(st.just("append"), st.binary(min_size=1, max_size=64))))
     def case(mutation):
         path = fuzz_dir / "case.ckpt"
         path.write_bytes(mutate(valid, mutation, inflate_u32))
         kind, at, *_ = mutation
         if kind == "flip" and in_float_data(at):
-            loads_or_names_the_file(load_checkpoint, path)  # array data carries no checksum
+            loads_or_names_the_file(load_checkpoint, path)  # the float data carries no checksum
         else:
             with pytest.raises(ParseError) as info:
                 load_checkpoint(path)
