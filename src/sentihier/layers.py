@@ -3,8 +3,10 @@ a dense ReLU projection, LSTM cells and the softmax classification head.
 The convolution and the dense layer take a batch's sentences as one stack
 of rows and the head its documents as rows; an LSTM cell projects a batch's
 sequences as one stack of rows, then runs the recurrence of one sequence.
-The convolution runs in embedding-row space (ConvLayer), and only this
-module knows how a sentence maps to rows of its table and to padding.
+The convolution runs in embedding-row space (ConvLayer): its table holds
+the filters' products with the distinct word vectors that the caller
+projected, for one batch or for a larger group of documents, and only this
+module knows how a sentence maps to rows of that table and to padding.
 
 Every layer's forward pass returns what its backward pass needs, and the
 backward pass hand-computes the gradient with respect to its input plus
@@ -19,6 +21,8 @@ the finite-difference tests in the suite are the correctness authority.
 import numpy as np
 
 from .errors import SentihierError
+
+GATHER_WINDOWS = 256  # windows per block of ConvLayer.forward's gather buffer
 
 
 def softmax(v) -> np.ndarray:
@@ -72,7 +76,7 @@ def sentence_matrix(seqs, distinct: np.ndarray, min_rows: int):
     """Sentences (sequences of token indices) as one stack of rows of a
     ConvLayer.project table: each sentence's token rows, then the zero row
     (row 0) up to min_rows. distinct gives each token of the sentences,
-    chained, as its index among the vectors projected (np.unique's inverse).
+    chained, as its position among the sorted distinct tokens projected.
     Returns (rows, starts): sentence s begins at rows[starts[s]]."""
     lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
     if len(lengths) == 0 or lengths.min() == 0:
@@ -89,9 +93,9 @@ class ConvLayer:
     """Temporal convolution over word-vector windows, ReLU, max-over-time pool.
 
     The word vectors are static, so the filters' products with each
-    distinct vector of a forward call are computed once (project) and every
-    window sums f of them (forward), instead of multiplying every window
-    again.
+    distinct vector of a batch or of an inference group are computed once
+    (project) and every window sums f of them (forward), instead of
+    multiplying every window again.
     """
 
     def __init__(self, filter_width: int, num_filters: int, embedding_dim: int,
@@ -140,8 +144,18 @@ class ConvLayer:
         first = np.cumsum(counts) - counts  # each sentence's first window
         at = np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
         pre = table[0].take(rows[at], axis=0)  # (windows, F)
-        for o in range(1, f):
-            pre += table[o].take(rows[at + o], axis=0)
+        # The other offsets are added a block of windows at a time, through
+        # one reused buffer: each sum keeps its order, and no second
+        # (windows, F) array is made. Every row is in the table, so "clip"
+        # never acts; it spares the copy of `out` that "raise" makes.
+        gathered = np.empty((min(GATHER_WINDOWS, len(at)), pre.shape[1]))
+        for lo in range(0, len(at), GATHER_WINDOWS):
+            block = pre[lo : lo + GATHER_WINDOWS]
+            part = gathered[: len(block)]
+            for o in range(1, f):
+                np.take(table[o], rows[at[lo : lo + GATHER_WINDOWS] + o], axis=0, out=part,
+                        mode="clip")
+                block += part
         pre += self.bias
         act = np.maximum(pre, 0.0, out=pre)
         pooled = np.maximum.reduceat(act, first, axis=0)

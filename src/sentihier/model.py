@@ -9,7 +9,10 @@ one row per document. A batch's gradients are the mean of per-document
 gradients, formed once per batch from the factors of all rows. Training
 draws its dropout masks at the paper's fixed rates: 0.4 on the dense
 layer's inputs, 0.2 on each LSTM direction's inputs and recurrent state.
-Only a document's first 50 sentences are read.
+Only a document's first 50 sentences are read. A training forward call
+projects its own documents' word vectors for the convolution; inference
+(probabilities) projects those of a group of up to 1,024 documents once,
+and runs the group in forward calls of 64 documents that share the table.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file (format version 6, see
@@ -34,6 +37,7 @@ from .textprep import Vocabulary
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 6
 INFERENCE_CHUNK = 64  # documents per forward call of probabilities, after the first
+PROJECTION_GROUP = 16 * INFERENCE_CHUNK  # documents whose words probabilities projects at once
 DENSE_DROPOUT = 0.4
 LSTM_DROPOUT = 0.2
 MAX_SENTENCES = 50  # sentences read per document; the rest are dropped
@@ -142,16 +146,31 @@ class HiCnnLstmModel:
     def probabilities(self, docs):
         """Yields the class probabilities of each document of `docs` in
         inference mode. forward runs a first chunk of one document, so the
-        first result comes after one document's work, then chunks of
-        INFERENCE_CHUNK; each chunk is projected by its own call. A
-        document's probabilities depend on its chunk only through the
-        rounding of the BLAS products."""
-        docs, size = iter(docs), 1
-        while chunk := list(itertools.islice(docs, size)):
-            yield from self.forward(chunk)[0]
-            size = INFERENCE_CHUNK
+        first result comes after one document's work. The rest is read in
+        groups of PROJECTION_GROUP documents: the group's distinct word
+        vectors are projected once (ConvLayer.project), and forward runs the
+        group in chunks of INFERENCE_CHUNK that all read that table. The
+        table is freed before the next group's is made, so it holds at most
+        1 + min(len(vocab), distinct tokens of one group) rows of f x F
+        floats. A document's probabilities depend on its chunk and group
+        only through the rounding of the BLAS products."""
+        docs = iter(docs)
+        first = list(itertools.islice(docs, 1))
+        if first:
+            yield from self.forward(first)[0]
+        while group := list(itertools.islice(docs, PROJECTION_GROUP)):
+            projected = self._projection(_tokens(group))
+            for at in range(0, len(group), INFERENCE_CHUNK):
+                yield from self.forward(group[at : at + INFERENCE_CHUNK], projected=projected)[0]
+            del projected
 
-    def forward(self, docs, train: bool = False, dropout_rng=None):
+    def _projection(self, tokens: np.ndarray):
+        """(ids, table): the sorted distinct `tokens` and the ConvLayer.project
+        table of their word vectors, whose row 1 + i is that of ids[i]."""
+        ids = np.unique(tokens)
+        return ids, self.conv.project(self.embedding_matrix[ids])
+
+    def forward(self, docs, train: bool = False, dropout_rng=None, *, projected=None):
         """Returns ((B, C) class probabilities of the B documents `docs`,
         cache). Dropout is active only when train=True and a dropout_rng is
         supplied; masks are fixed per document and drawn in document order.
@@ -161,23 +180,25 @@ class HiCnnLstmModel:
 
         The sentences of all documents run through the convolution and the
         dense layer as one stack of rows, each under its document's dense
-        mask. The convolution reads the filter products of the
-        documents' distinct word vectors, projected once by this call into a
-        table that is freed as soon as the convolution has read it.
+        mask. The convolution reads the filter products of the documents'
+        word vectors from projected, an (ids, table) pair of _projection
+        whose ids hold every token the documents read; with none given, this
+        call projects the documents' own distinct tokens into a table that
+        is freed as soon as the convolution has read it.
         """
         cfg = self.config
         sentences = [doc.sentences[:MAX_SENTENCES] for doc in docs]
         seqs = list(itertools.chain.from_iterable(sentences))
-        ids, distinct = np.unique(
-            np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp), return_inverse=True)
+        tokens = _tokens(docs)
+        ids, table = projected or self._projection(tokens)
         counts = [len(s) for s in sentences]
         dense_mask = None  # inference: no dropout, so no masks at all
         if train:
             dense, *lstm_masks = self._masks(dropout_rng, len(sentences))
             dense_mask = np.repeat(dense, counts, axis=0)
-        rows, starts = layers.sentence_matrix(seqs, distinct, cfg.filter_width)
-        features, windows = self.conv.forward(
-            rows, starts, self.conv.project(self.embedding_matrix[ids]), first_max=train)
+        rows, starts = layers.sentence_matrix(seqs, np.searchsorted(ids, tokens), cfg.filter_width)
+        features, windows = self.conv.forward(rows, starts, table, first_max=train)
+        del table, projected  # a table of this call's own is freed here
         sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
         H, ends = cfg.lstm_hidden, np.cumsum(counts)
         encoded = np.empty((len(sentences), 2 * H))
@@ -189,10 +210,12 @@ class HiCnnLstmModel:
                 x_m = sent_vecs * in_mask
                 run_masks = lstm_masks[2 * d + 1]
             z = cell.project(x_m)
-            runs = [cell.run(z[end - count : end][order], mask)
-                    for end, count, mask in zip(ends, counts, run_masks)]
-            encoded[:, d * H : (d + 1) * H] = [h for h, _ in runs]
-            lstm.append({"x_m": x_m, "in_mask": in_mask, "runs": [run for _, run in runs]})
+            runs = []  # kept for backward only: inference frees each run's cache at once
+            for i, (end, count, mask) in enumerate(zip(ends, counts, run_masks)):
+                encoded[i, d * H : (d + 1) * H], run = cell.run(z[end - count : end][order], mask)
+                if train:
+                    runs.append(run)
+            lstm.append({"x_m": x_m, "in_mask": in_mask, "runs": runs})
         cache = {"ids": ids, "rows": rows, "windows": windows, "features": features,
                  "dense": dense_cache, "lstm": lstm, "encoded": encoded} if train else None
         return self.head.probs(encoded), cache
@@ -238,6 +261,13 @@ class HiCnnLstmModel:
                               gated, grads["conv.filters"], grads["conv.bias"])
         grad_block /= len(batch)
         return loss / len(batch), grad_block
+
+
+def _tokens(docs) -> np.ndarray:
+    """Every token that the model reads of `docs`, chained: those of each
+    document's first MAX_SENTENCES sentences."""
+    return np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        doc.sentences[:MAX_SENTENCES] for doc in docs)), dtype=np.intp)
 
 
 def _record(value) -> bytes:

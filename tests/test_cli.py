@@ -272,6 +272,16 @@ class TestTrainPredict:
             values = [float(p) for p in probs.split()]
             assert len(values) == 2 and abs(sum(values) - 1.0) < 1e-5
 
+    def test_empty_input_prints_nothing(self, dataset_config, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--dataset", str(dataset_config), "--out", str(ckpt),
+                     *FAST_OVERRIDES]) == 0
+        capsys.readouterr()
+        inputs = tmp_path / "empty.txt"
+        inputs.write_bytes(b"")
+        assert main(["predict", "--model", str(ckpt), "--input", str(inputs)]) == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_train_writes_history(self, dataset_config, tmp_path):
         ckpt = tmp_path / "model.ckpt"
         argv = ["train", "--dataset", str(dataset_config), "--out", str(ckpt), *FAST_OVERRIDES]

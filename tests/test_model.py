@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import struct
 import weakref
@@ -22,6 +23,7 @@ from sentihier.model import (
     LSTM_DROPOUT,
     MAX_SENTENCES,
     PARAMETERS,
+    PROJECTION_GROUP,
     HiCnnLstmModel,
     ModelConfig,
     load_checkpoint,
@@ -112,22 +114,45 @@ class TestForward:
 
 
 class TestProbabilities:
-    def test_one_projection_per_forward_call(self, rng, monkeypatch):
+    def test_one_projection_per_group(self, rng, monkeypatch):
+        # The first document alone, then groups of PROJECTION_GROUP and of 7
+        # documents, each projected once and run in chunks of INFERENCE_CHUNK.
         model = desk_model()
-        docs = [random_doc(rng) for _ in range(INFERENCE_CHUNK + 8)]
+        docs = [random_doc(rng) for _ in range(1 + PROJECTION_GROUP + 7)]
+        groups = [docs[:1], docs[1 : 1 + PROJECTION_GROUP], docs[1 + PROJECTION_GROUP :]]
         forward, chunks = model.forward, []
         monkeypatch.setattr(model, "forward", lambda chunk, *a, **k: (
-            chunks.append(chunk) or forward(chunk, *a, **k)))
+            chunks.append(len(chunk)) or forward(chunk, *a, **k)))
         project, projected = layers.ConvLayer.project, []
-        monkeypatch.setattr(layers.ConvLayer, "project", lambda conv, vectors: (
-            projected.append((vectors.copy(), project(conv, vectors))) or projected[-1][1]))
-        assert len(list(model.probabilities(iter(docs)))) == len(docs)
-        assert [len(chunk) for chunk in chunks] == [1, INFERENCE_CHUNK, 7]
-        assert len(projected) == len(chunks)
-        for chunk, (vectors, table) in zip(chunks, projected):
-            distinct = sorted({t for doc in chunk for sent in doc.sentences for t in sent})
+
+        def recorded_project(conv, vectors):
+            # No two tables are ever alive together.
+            assert all(table() is None for *_, table in projected)
+            table = project(conv, vectors)
+            projected.append((vectors.copy(), len(table[0]), weakref.ref(table)))
+            return table
+        monkeypatch.setattr(layers.ConvLayer, "project", recorded_project)
+        results = model.probabilities(iter(docs))
+        for g, group in enumerate(groups):
+            next(results)  # the group's first document
+            assert len(projected) == g + 1
+            # Every earlier table is freed; a group's own lives until its last
+            # chunk, while the first document's is freed by its forward call.
+            assert all(table() is None for *_, table in projected[:g])
+            assert (projected[g][2]() is not None) == (g > 0)
+            assert len(list(itertools.islice(results, len(group) - 1))) == len(group) - 1
+        assert next(results, None) is None
+        assert all(table() is None for *_, table in projected)
+        assert chunks == [1, *[INFERENCE_CHUNK] * (PROJECTION_GROUP // INFERENCE_CHUNK), 7]
+        for group, (vectors, rows, _) in zip(groups, projected, strict=True):
+            distinct = sorted({t for doc in group for sent in doc.sentences for t in sent})
             np.testing.assert_array_equal(vectors, model.embedding_matrix[distinct])
-            assert table.shape[1] == 1 + len(distinct)
+            assert rows == 1 + len(distinct) <= 1 + len(model.vocab)
+
+    def test_no_documents_no_results(self, monkeypatch):
+        model = desk_model()
+        monkeypatch.setattr(model, "forward", lambda *a, **k: pytest.fail("forward called"))
+        assert list(model.probabilities(iter([]))) == []
 
     def test_chunks_of_one_then_inference_chunk_documents(self, rng, monkeypatch):
         model = desk_model()
@@ -149,8 +174,10 @@ class TestProbabilities:
         docs = [random_doc(rng) for _ in range(70)] + [long_doc, Document(((0,),))]
         by_size = []
         for size in (1, 64, len(docs)):
-            monkeypatch.setattr(model_module, "INFERENCE_CHUNK", size)
-            by_size.append(np.array(list(model.probabilities(docs))))
+            for group in (size, PROJECTION_GROUP):  # a table per chunk, or one for all
+                monkeypatch.setattr(model_module, "INFERENCE_CHUNK", size)
+                monkeypatch.setattr(model_module, "PROJECTION_GROUP", group)
+                by_size.append(np.array(list(model.probabilities(docs))))
         for probs in by_size[1:]:
             np.testing.assert_allclose(probs, by_size[0], rtol=0, atol=1e-15)
             np.testing.assert_array_equal(probs.argmax(axis=1), by_size[0].argmax(axis=1))
