@@ -146,7 +146,8 @@ class ConvLayer:
         pre = table[0].take(rows[at], axis=0)  # (windows, F)
         # The other offsets are added a block of windows at a time, through
         # one reused buffer: each sum keeps its order, and no second
-        # (windows, F) array is made. Every row is in the table, so "clip"
+        # (windows, F) array is made. The caller's rows index this table
+        # (HiCnnLstmModel.forward checks a table it is given), so "clip"
         # never acts; it spares the copy of `out` that "raise" makes.
         gathered = np.empty((min(GATHER_WINDOWS, len(at)), pre.shape[1]))
         for lo in range(0, len(at), GATHER_WINDOWS):

@@ -11,8 +11,10 @@ draws its dropout masks at the paper's fixed rates: 0.4 on the dense
 layer's inputs, 0.2 on each LSTM direction's inputs and recurrent state.
 Only a document's first 50 sentences are read. A training forward call
 projects its own documents' word vectors for the convolution; inference
-(probabilities) projects those of a group of up to 1,024 documents once,
-and runs the group in forward calls of 64 documents that share the table.
+(probabilities) projects those of a group of 64-document chunks once, and
+runs the group's chunks in forward calls that share the table. A group's
+table is bounded in bytes (PROJECTION_BYTES), not by a count of documents
+alone, since its size grows with the distinct words read.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file (format version 6, see
@@ -37,7 +39,8 @@ from .textprep import Vocabulary
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 6
 INFERENCE_CHUNK = 64  # documents per forward call of probabilities, after the first
-PROJECTION_GROUP = 16 * INFERENCE_CHUNK  # documents whose words probabilities projects at once
+PROJECTION_GROUP = 16 * INFERENCE_CHUNK  # most documents whose words probabilities projects at once
+PROJECTION_BYTES = 8 << 20  # most bytes of such a table, unless one chunk alone needs more
 DENSE_DROPOUT = 0.4
 LSTM_DROPOUT = 0.2
 MAX_SENTENCES = 50  # sentences read per document; the rest are dropped
@@ -147,27 +150,50 @@ class HiCnnLstmModel:
         """Yields the class probabilities of each document of `docs` in
         inference mode. forward runs a first chunk of one document, so the
         first result comes after one document's work. The rest is read in
-        groups of PROJECTION_GROUP documents: the group's distinct word
-        vectors are projected once (ConvLayer.project), and forward runs the
-        group in chunks of INFERENCE_CHUNK that all read that table. The
-        table is freed before the next group's is made, so it holds at most
-        1 + min(len(vocab), distinct tokens of one group) rows of f x F
-        floats. A document's probabilities depend on its chunk and group
-        only through the rounding of the BLAS products."""
+        chunks of INFERENCE_CHUNK, and consecutive chunks form a group
+        (_groups) whose distinct word vectors are projected once
+        (ConvLayer.project) into a table that all its forward calls read.
+        A group ends before the chunk that would take its table past
+        PROJECTION_BYTES, or its documents past PROJECTION_GROUP, so a
+        table holds at most PROJECTION_BYTES, or one chunk's own distinct
+        words where those alone take more (f x F floats a word). It is
+        freed before the next group's is made. A document's probabilities
+        depend on its chunk and group only through the rounding of the
+        BLAS products."""
         docs = iter(docs)
         first = list(itertools.islice(docs, 1))
         if first:
             yield from self.forward(first)[0]
-        while group := list(itertools.islice(docs, PROJECTION_GROUP)):
-            projected = self._projection(_tokens(group))
+        for group, ids in self._groups(docs):
+            projected = self._projection(ids)
             for at in range(0, len(group), INFERENCE_CHUNK):
                 yield from self.forward(group[at : at + INFERENCE_CHUNK], projected=projected)[0]
             del projected
 
-    def _projection(self, tokens: np.ndarray):
-        """(ids, table): the sorted distinct `tokens` and the ConvLayer.project
+    def _groups(self, docs):
+        """Yields (group, ids): consecutive whole chunks of INFERENCE_CHUNK
+        documents of `docs`, and the sorted distinct tokens they read. A
+        chunk starts a new group when the group's table would otherwise
+        pass PROJECTION_BYTES or the group PROJECTION_GROUP documents."""
+        cfg = self.config
+        max_rows = PROJECTION_BYTES // (8 * cfg.filter_width * cfg.num_filters)
+        group, ids = [], None
+        while chunk := list(itertools.islice(docs, INFERENCE_CHUNK)):
+            own = np.unique(_tokens(chunk))
+            if group:
+                merged = np.union1d(ids, own)
+                if len(merged) < max_rows and len(group) + len(chunk) <= PROJECTION_GROUP:
+                    group += chunk
+                    ids = merged
+                    continue
+                yield group, ids
+            group, ids = chunk, own
+        if group:
+            yield group, ids
+
+    def _projection(self, ids: np.ndarray):
+        """(ids, table): sorted distinct tokens and the ConvLayer.project
         table of their word vectors, whose row 1 + i is that of ids[i]."""
-        ids = np.unique(tokens)
         return ids, self.conv.project(self.embedding_matrix[ids])
 
     def forward(self, docs, train: bool = False, dropout_rng=None, *, projected=None):
@@ -182,21 +208,25 @@ class HiCnnLstmModel:
         dense layer as one stack of rows, each under its document's dense
         mask. The convolution reads the filter products of the documents'
         word vectors from projected, an (ids, table) pair of _projection
-        whose ids hold every token the documents read; with none given, this
-        call projects the documents' own distinct tokens into a table that
-        is freed as soon as the convolution has read it.
+        whose ids must hold every token the documents read (a
+        SentihierError otherwise); with none given, this call projects the
+        documents' own distinct tokens into a table that is freed as soon
+        as the convolution has read it.
         """
         cfg = self.config
         sentences = [doc.sentences[:MAX_SENTENCES] for doc in docs]
         seqs = list(itertools.chain.from_iterable(sentences))
         tokens = _tokens(docs)
-        ids, table = projected or self._projection(tokens)
+        ids, table = projected or self._projection(np.unique(tokens))
+        distinct = np.searchsorted(ids, tokens)
+        if projected is not None and not np.array_equal(ids.take(distinct, mode="clip"), tokens):
+            raise SentihierError("the projected table lacks a token of the documents")
         counts = [len(s) for s in sentences]
         dense_mask = None  # inference: no dropout, so no masks at all
         if train:
             dense, *lstm_masks = self._masks(dropout_rng, len(sentences))
             dense_mask = np.repeat(dense, counts, axis=0)
-        rows, starts = layers.sentence_matrix(seqs, np.searchsorted(ids, tokens), cfg.filter_width)
+        rows, starts = layers.sentence_matrix(seqs, distinct, cfg.filter_width)
         features, windows = self.conv.forward(rows, starts, table, first_max=train)
         del table, projected  # a table of this call's own is freed here
         sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
@@ -210,12 +240,10 @@ class HiCnnLstmModel:
                 x_m = sent_vecs * in_mask
                 run_masks = lstm_masks[2 * d + 1]
             z = cell.project(x_m)
-            runs = []  # kept for backward only: inference frees each run's cache at once
-            for i, (end, count, mask) in enumerate(zip(ends, counts, run_masks)):
-                encoded[i, d * H : (d + 1) * H], run = cell.run(z[end - count : end][order], mask)
-                if train:
-                    runs.append(run)
-            lstm.append({"x_m": x_m, "in_mask": in_mask, "runs": runs})
+            runs = [cell.run(z[end - count : end][order], mask)
+                    for end, count, mask in zip(ends, counts, run_masks)]
+            encoded[:, d * H : (d + 1) * H] = [h for h, _ in runs]
+            lstm.append({"x_m": x_m, "in_mask": in_mask, "runs": [run for _, run in runs]})
         cache = {"ids": ids, "rows": rows, "windows": windows, "features": features,
                  "dense": dense_cache, "lstm": lstm, "encoded": encoded} if train else None
         return self.head.probs(encoded), cache

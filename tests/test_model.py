@@ -23,6 +23,7 @@ from sentihier.model import (
     LSTM_DROPOUT,
     MAX_SENTENCES,
     PARAMETERS,
+    PROJECTION_BYTES,
     PROJECTION_GROUP,
     HiCnnLstmModel,
     ModelConfig,
@@ -148,6 +149,52 @@ class TestProbabilities:
             distinct = sorted({t for doc in group for sent in doc.sentences for t in sent})
             np.testing.assert_array_equal(vectors, model.embedding_matrix[distinct])
             assert rows == 1 + len(distinct) <= 1 + len(model.vocab)
+
+    def test_groups_end_at_the_table_budget(self, rng, monkeypatch):
+        # Chunks of 4 documents, and tables of at most 1 + 39 rows: a group
+        # takes whole chunks while its distinct tokens stay below 40, and a
+        # chunk that alone reads more makes a group of its own.
+        model = desk_model(vocab_size=120)
+        docs = [random_doc(rng, vocab_size=120) for _ in range(1 + 4 * 30 + 3)]
+        docs[42] = random_doc(rng, vocab_size=120, num_sents=30)
+        unbounded = list(model.probabilities(docs))
+        cfg = model.config
+        monkeypatch.setattr(model_module, "INFERENCE_CHUNK", 4)
+        monkeypatch.setattr(model_module, "PROJECTION_BYTES",
+                            40 * 8 * cfg.filter_width * cfg.num_filters)
+        forward, calls = model.forward, []
+        monkeypatch.setattr(model, "forward", lambda chunk, *a, **k: (
+            calls.append((chunk, k.get("projected"))) or forward(chunk, *a, **k)))
+        got = list(model.probabilities(docs))
+        assert [len(chunk) for chunk, _ in calls] == [1, *[4] * 30, 3]
+        assert calls[0][1] is None
+        groups = []  # (chunks, projected); calls keeps every table alive, so ids stay unique
+        for _, run in itertools.groupby(calls[1:], key=lambda call: id(call[1])):
+            run = list(run)
+            groups.append(([chunk for chunk, _ in run], run[0][1]))
+
+        def distinct(chunks):
+            return sorted({t for chunk in chunks for doc in chunk
+                           for sent in doc.sentences for t in sent})
+        for g, (chunks, (ids, table)) in enumerate(groups):
+            np.testing.assert_array_equal(ids, distinct(chunks))
+            assert len(table[0]) == 1 + len(ids)
+            assert len(ids) < 40 or len(chunks) == 1
+            if g + 1 < len(groups):  # the next chunk would have taken it to 40
+                assert len(distinct(chunks + groups[g + 1][0][:1])) >= 40
+        assert max(len(chunks) for chunks, _ in groups) > 1
+        assert any(len(distinct(chunks)) >= 40 for chunks, _ in groups)
+        np.testing.assert_allclose(got, unbounded, rtol=0, atol=1e-15)
+
+    def test_a_table_that_lacks_a_token_is_refused(self):
+        model = desk_model()
+        docs = [Document(((2, 3, 5),)), Document(((8,),))]
+        for ids in ([2, 3, 8], [2, 3, 5]):  # 5 would take 8's row; 8 is past the end
+            with pytest.raises(SentihierError, match="lacks a token"):
+                model.forward(docs, projected=model._projection(np.array(ids)))
+        ids = np.array([2, 3, 5, 7, 8])  # more tokens than the documents read is fine
+        np.testing.assert_allclose(model.forward(docs, projected=model._projection(ids))[0],
+                                   model.forward(docs)[0], rtol=0, atol=1e-15)
 
     def test_no_documents_no_results(self, monkeypatch):
         model = desk_model()
