@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 import time
@@ -26,7 +28,8 @@ from .classifiers import (CLASSIFIER_NAMES, HiCnnLstmClassifier, NaiveBayesClass
 from .datasets import load_dataset_config, load_from_config
 from .embeddings import load_vectors
 from .errors import ConfigurationError, ParseError, SentihierError
-from .evaluation import cross_validate, learning_curve, report_to_csv_rows, report_to_markdown
+from .evaluation import (check_folds, cross_validate, learning_curve, report_to_csv_rows,
+                         report_to_markdown)
 from .model import ModelConfig, load_checkpoint, replace_file, save_checkpoint
 from .textprep import encode, tokenize_document
 from .train import TrainConfig, fit
@@ -84,20 +87,16 @@ def _manifest(command: str, args, ds, **fields) -> dict:
 
 def _setup(args, specs, folds=None):
     """Read and check every input of a command, cheapest first, before it
-    makes any output: the dataset (and crossval's `folds` against its largest
-    class, since a fold past that size would hold no document),
-    the overrides and the configs they give, then the word vectors, which
-    only hicnnlstm reads, and only the rows of the dataset's tokens (the
-    classifier checks their dimension, and that its model can be allocated).
-    The dataset is tokenized before the vectors, which need its tokens.
-    Returns (ds, tokenized docs, class indices, classifiers).
+    makes any output: the dataset (then crossval's `folds`, through
+    `check_folds`), the overrides and the configs they give, then the word
+    vectors, which only hicnnlstm reads, and only the rows of the dataset's
+    tokens (the classifier checks their dimension, and that its model can be
+    allocated). The dataset is tokenized before the vectors, which need its
+    tokens. Returns (ds, tokenized docs, class indices, classifiers).
     """
     ds, warnings = load_from_config(load_dataset_config(args.dataset))
     if folds is not None:
-        size, label = max((n, lab) for lab, n in ds.class_counts.items())
-        if folds > size:
-            raise ConfigurationError(f"--folds {folds} exceeds the {size} documents of the "
-                                     f"largest class, {label!r}")
+        check_folds(folds, ds.class_counts)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     model_over, train_over = _parse_overrides(args.override)
@@ -113,8 +112,6 @@ def _setup(args, specs, folds=None):
 
 
 def cmd_crossval(args) -> int:
-    if args.folds < 2:
-        raise ConfigurationError("folds must be >= 2")
     out = Path(args.out)  # created once every input is checked
     started = datetime.now(timezone.utc).isoformat()
     ds, tokenized, labels, (classifier,) = _setup(args, [args.classifier], args.folds)
@@ -291,10 +288,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _one_blas_thread():
+    """Set numpy's bundled OpenBLAS, if any, to one thread, once per process:
+    how a product is split across threads changes its rounding, and so outputs."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter(1)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _one_blas_thread()
         return args.func(args)
     except ConfigurationError as exc:
         return _fail(exc, EXIT_CONFIG)

@@ -1,5 +1,6 @@
-"""Gold-standard dataset ingestion: RFC-4180 CSV loading, the Jira
-emotion-to-polarity mapping, and class-distribution verification.
+"""Gold-standard dataset ingestion: RFC-4180 CSV loading, the label mappings
+(Jira emotions to polarity, Gerrit's three classes to two), and
+class-distribution verification.
 
 Class index order is fixed as [negative, positive] for two-class datasets and
 [negative, neutral, positive] for three-class ones, so indices are stable
@@ -17,11 +18,16 @@ CLASS_ORDER_3 = ("negative", "neutral", "positive")
 GERRIT_ORDER = ("negative", "non-negative")
 DISTRIBUTION_TOLERANCE = 0.5  # percentage points, in verify_distribution
 
-JIRA_EMOTION_MAP = {
-    "love": "positive",
-    "joy": "positive",
-    "anger": "negative",
-    "sadness": "negative",
+# Mapping name -> its table of lowercased CSV labels and the canonical label
+# each becomes; a label not in the table is a parse error. "none" keeps
+# every label as it is.
+LABEL_MAPPINGS = {
+    "none": None,
+    "jira_emotions": {"love": "positive", "joy": "positive",
+                      "anger": "negative", "sadness": "negative"},
+    # Positive and neutral collapse into one non-negative class.
+    "gerrit_merge": {"negative": "negative", "positive": "non-negative",
+                     "neutral": "non-negative", "non-negative": "non-negative"},
 }
 
 
@@ -45,31 +51,6 @@ class LabeledDataset:
         return [text for text, _ in self.samples]
 
 
-def map_jira_emotions(label: str) -> str:
-    try:
-        return JIRA_EMOTION_MAP[label]
-    except KeyError:
-        raise ParseError(
-            f"unmapped Jira emotion label {label!r}: only "
-            f"{sorted(JIRA_EMOTION_MAP)} are part of the protocol") from None
-
-
-def map_gerrit_merge(label: str) -> str:
-    """Positive and neutral collapse into one non-negative class."""
-    if label == "negative":
-        return "negative"
-    if label in ("positive", "neutral", "non-negative"):
-        return "non-negative"
-    raise ParseError(f"unknown Gerrit label {label!r}")
-
-
-LABEL_MAPPINGS = {
-    "none": lambda lab: lab,
-    "jira_emotions": map_jira_emotions,
-    "gerrit_merge": map_gerrit_merge,
-}
-
-
 def _canonical_label_set(labels) -> tuple:
     present = set(labels)
     for order in (CLASS_ORDER_2, CLASS_ORDER_3, GERRIT_ORDER):
@@ -81,9 +62,9 @@ def _canonical_label_set(labels) -> tuple:
 def load_csv(path, text_column: str, label_column: str, name: str = "",
              label_mapping: str = "none") -> LabeledDataset:
     """Load a (text, label) CSV. Labels are lowercased, then mapped."""
-    mapping = LABEL_MAPPINGS.get(label_mapping)
-    if mapping is None:
+    if label_mapping not in LABEL_MAPPINGS:
         raise ConfigurationError(f"unknown label mapping {label_mapping!r}")
+    mapping = LABEL_MAPPINGS[label_mapping]
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
@@ -105,10 +86,13 @@ def load_csv(path, text_column: str, label_column: str, name: str = "",
                     raise ParseError(f"{path}: empty text at row {rownum}")
                 if not label:
                     raise ParseError(f"{path}: empty label at row {rownum}")
-                try:
-                    samples.append((text, mapping(label)))
-                except ParseError as exc:
-                    raise ParseError(f"{path}: row {rownum}: {exc}") from None
+                if mapping is not None:
+                    if label not in mapping:
+                        raise ParseError(f"{path}: row {rownum}: label {label!r} is not one of "
+                                         f"{sorted(mapping)}, the labels that the "
+                                         f"{label_mapping} mapping accepts")
+                    label = mapping[label]
+                samples.append((text, label))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # such as a field over csv's size limit, in the row after line_num

@@ -1,13 +1,12 @@
 """Experimental protocols: stratified k-fold cross-validation, learning curves
 over bootstrap resamples of a fixed 70/30 split, and metric computation.
 
-The fold plan, the 70/30 split and the resample draws depend only on
-(labels, seed), never on the classifier, so every classifier sees identical
-data partitions for a given seed.
+The k folds (a fold count is checked by `check_folds` alone), the 70/30 split
+and the resample draws depend only on (labels, seed), never on the classifier,
+so every classifier sees identical data partitions for a given seed.
 """
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,15 +20,15 @@ def round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    folds: tuple  # k tuples of indices; disjoint, covering the dataset
-
-    def train_test(self, fold: int):
-        test = list(self.folds[fold])
-        train = [i for f in range(self.k) if f != fold for i in self.folds[f]]
-        return sorted(train), sorted(test)
+def check_folds(k: int, class_counts: dict):
+    """Reject a k below 2 or above the largest class of `class_counts` (label ->
+    documents), naming it: folds are dealt class by class, so a later one is empty."""
+    if k < 2:
+        raise ConfigurationError(f"--folds must be >= 2, got {k}")
+    size, label = max(((n, lab) for lab, n in class_counts.items()), default=(0, None))
+    if k > size:
+        raise ConfigurationError(f"--folds {k} exceeds the {size} documents of the "
+                                 f"largest class, {label!r}")
 
 
 def _shuffled_by_class(labels, rng: np.random.Generator) -> dict:
@@ -40,26 +39,23 @@ def _shuffled_by_class(labels, rng: np.random.Generator) -> dict:
     return {lab: rng.permutation(by_class[lab]).tolist() for lab in sorted(by_class)}
 
 
-def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
-    """Per class: seeded shuffle, then deal round-robin across folds.
+def stratified_kfold(labels, k: int, seed: int) -> tuple:
+    """The k folds, a tuple of k sorted tuples of indices that partition the
+    dataset: per class, a seeded shuffle dealt round-robin across the folds.
 
     Per-class fold counts therefore differ by at most one; classes smaller
     than k simply land in the first folds of their deal. So fold i holds a
-    document only if some class has more than i, and k may not exceed the
-    largest class.
+    document only if some class has more than i, and `check_folds` rejects a
+    k above the largest class.
     """
     labels = list(labels)
-    if k < 2:
-        raise ConfigurationError(f"k must be >= 2, got {k}")
-    largest = max(Counter(labels).values(), default=0)
-    if k > largest:
-        raise ConfigurationError(f"k={k} exceeds the {largest} documents of the largest class")
+    check_folds(k, Counter(labels))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF07D]))
     folds = [[] for _ in range(k)]
     for ix in _shuffled_by_class(labels, rng).values():
         for pos, idx in enumerate(ix):
             folds[pos % k].append(idx)
-    return FoldPlan(k=k, folds=tuple(tuple(sorted(f)) for f in folds))
+    return tuple(tuple(sorted(f)) for f in folds)
 
 
 @dataclass(frozen=True)
@@ -112,39 +108,36 @@ class FoldResult:
     report: MetricsReport
     train_seconds: float
     test_seconds: float
-    history: object = None
+    history: object
 
 
 def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42, *, num_classes: int):
-    """Run the k-fold protocol for one classifier.
+    """Run the k-fold protocol for one classifier: fold f tests, the others train.
 
     fit_predict(train_indices, test_indices, fold_seed) must train on the
-    train indices and return a dict with at least "predictions" (one class
-    index per test index, in order); it may also report "history",
-    "train_seconds" and "test_seconds". Returns (list of FoldResult, pooled
-    MetricsReport). Fold seeds are drawn up front, so a fold's result does
-    not depend on the folds run before it. An exception raised in a fold
-    propagates unchanged, with the fold number in its `fold` attribute.
+    train indices and return a dict with the keys "predictions" (one class
+    index per test index, in order), "history" (or None), "train_seconds" and
+    "test_seconds". Returns (list of FoldResult, pooled MetricsReport). Fold
+    seeds are drawn up front, so a fold's result does not depend on the folds
+    run before it. An exception raised in a fold propagates unchanged, with
+    the fold number in its `fold` attribute.
     """
     labels = list(labels)
-    plan = stratified_kfold(labels, k, seed)
+    folds = stratified_kfold(labels, k, seed)
     fold_seeds = [int(s.generate_state(1)[0])
                   for s in np.random.SeedSequence([seed, 0xCF0]).spawn(k)]
 
     results, pooled_gold, pooled_pred = [], [], []
-    for fold in range(k):
-        train_ix, test_ix = plan.train_test(fold)
-        t0 = time.perf_counter()
+    for fold, test_ix in enumerate(folds):
+        train_ix = sorted(i for f, ix in enumerate(folds) if f != fold for i in ix)
         try:
             out = fit_predict(train_ix, test_ix, fold_seeds[fold])
         except Exception as exc:
             exc.fold = fold
             raise
-        elapsed = time.perf_counter() - t0
         gold, preds = [labels[i] for i in test_ix], list(out["predictions"])
         results.append(FoldResult(fold, compute_metrics(gold, preds, num_classes),
-                                  out.get("train_seconds", elapsed),
-                                  out.get("test_seconds", 0.0), out.get("history")))
+                                  out["train_seconds"], out["test_seconds"], out["history"]))
         pooled_gold.extend(gold)
         pooled_pred.extend(preds)
     return results, compute_metrics(pooled_gold, pooled_pred, num_classes)

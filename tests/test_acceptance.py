@@ -131,10 +131,10 @@ def test_criterion_3_metric_and_fold_oracles():
             with pytest.raises(ConfigurationError, match="largest class"):
                 stratified_kfold(labels, k, seed)
             continue
-        plan = stratified_kfold(labels, k, seed)
-        assert sorted(i for f in plan.folds for i in f) == list(range(n))
+        folds = stratified_kfold(labels, k, seed)
+        assert sorted(i for f in folds for i in f) == list(range(n))
         for cls in set(labels):
-            counts = [sum(1 for i in f if labels[i] == cls) for f in plan.folds]
+            counts = [sum(1 for i in f if labels[i] == cls) for f in folds]
             assert max(counts) - min(counts) <= 1
     announce(3, "metric/fold oracles")
 

@@ -509,6 +509,7 @@ class TestTrainPredict:
 
 
 @pytest.mark.parametrize("command, named", [
+    (["crossval", "--folds", "1"], "folds must be >= 2"),
     (["crossval", "--classifier", "nb", "--override", "num_classes=3"], "num_classes"),
     (["crossval", "--classifier", "nb", "--seed", "-1"], "--seed"),
     (["crossval", "--classifier", "nb", "--folds", "100000"], "--folds"),
@@ -525,8 +526,9 @@ class TestTrainPredict:
     (["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.2"], "--fractions"),
     (["learning-curve", "--classifier", "nb", "--fractions", "0.5,0.5"], "--fractions"),
     (["learning-curve", "--classifier", "nb", "--classifier", "nb"], "--classifier"),
-], ids=["crossval-num-classes", "crossval-negative-seed", "crossval-folds-above-size",
-        "crossval-folds-above-size-before-word-vectors", "crossval-folds-above-largest-class",
+], ids=["crossval-folds-below-two", "crossval-num-classes", "crossval-negative-seed",
+        "crossval-folds-above-size", "crossval-folds-above-size-before-word-vectors",
+        "crossval-folds-above-largest-class",
         "crossval-model-too-large",
         "train-model-too-large",
         "crossval-repeated-override", "learning-curve-max-epochs",
@@ -658,3 +660,36 @@ def test_failed_report_write_keeps_the_previous_report(tmp_path, name, write):
     assert proc.returncode == 1 and f"[Errno {errno.EFBIG}]" in proc.stderr, proc.stderr
     assert (tmp_path / name).read_bytes() == b"# the previous report\n"
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_blas_runs_on_one_thread_whatever_the_environment(dataset_config, tmp_path):
+    # How OpenBLAS splits a product across threads changes its rounding, so
+    # a run on two threads would write another checkpoint than a run on one.
+    script = ("import ctypes, sys\n"
+              "from pathlib import Path\n"
+              "import numpy as np\n"
+              "from sentihier.cli import main\n"
+              "def threads():\n"
+              "    libs = Path(np.__file__).parent.parent / 'numpy.libs'\n"
+              "    for lib in sorted(libs.glob('*openblas*')) if libs.is_dir() else []:\n"
+              "        for symbol in ('scipy_openblas_get_num_threads64_',\n"
+              "                       'openblas_get_num_threads64_',\n"
+              "                       'openblas_get_num_threads'):\n"
+              "            getter = getattr(ctypes.CDLL(str(lib)), symbol, None)\n"
+              "            if getter is not None:\n"
+              "                getter.restype = ctypes.c_int\n"
+              "                return getter()\n"
+              "before = threads()\n"
+              "code = main(sys.argv[1:])\n"
+              "print('threads', before, code, threads())\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": str(Path(sentihier.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, "crossval", "--dataset",
+                           str(dataset_config), "--classifier", "nb", "--folds", "2",
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    _, before, code, after = proc.stdout.splitlines()[-1].split()
+    if before in ("None", "1"):
+        pytest.skip(f"numpy's OpenBLAS runs {before} threads when asked for 2")
+    assert (before, code, after) == ("2", "0", "1"), proc.stderr

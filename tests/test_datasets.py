@@ -5,8 +5,6 @@ from sentihier.datasets import (
     load_csv,
     load_dataset_config,
     load_from_config,
-    map_gerrit_merge,
-    map_jira_emotions,
     verify_distribution,
 )
 from sentihier.errors import ConfigurationError, ParseError
@@ -60,16 +58,21 @@ class TestLoadCsv:
         assert ds.label_set == ("negative", "neutral", "positive")
 
 
-class TestJiraMapping:
-    def test_emotion_to_polarity_mapping(self):
-        assert map_jira_emotions("joy") == "positive"
-        assert map_jira_emotions("love") == "positive"
-        assert map_jira_emotions("sadness") == "negative"
-        assert map_jira_emotions("anger") == "negative"
+def mapped_labels(tmp_path, mapping, labels):
+    path = write(tmp_path, "d.csv", "text,label\n" + "".join(f"doc,{lab}\n" for lab in labels))
+    return [lab for _, lab in load_csv(path, "text", "label", label_mapping=mapping).samples]
 
-    def test_excluded_emotion_rejected(self):
-        with pytest.raises(ParseError, match="surprise"):
-            map_jira_emotions("surprise")
+
+class TestJiraMapping:
+    def test_emotion_to_polarity_mapping(self, tmp_path):
+        assert mapped_labels(tmp_path, "jira_emotions",
+                             ["joy", "Love", "sadness", "ANGER", "JOY", "Sadness"]) == [
+            "positive", "positive", "negative", "negative", "positive", "negative"]
+
+    def test_excluded_emotion_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r"d\.csv: row 3: label 'surprise' is not one of "
+                                             r"\['anger', 'joy', 'love', 'sadness'\]"):
+            mapped_labels(tmp_path, "jira_emotions", ["joy", "Surprise", "anger"])
 
     def test_applied_through_load(self, tmp_path):
         path = write(tmp_path, "jira.csv",
@@ -80,10 +83,12 @@ class TestJiraMapping:
 
 
 class TestGerritMapping:
-    def test_merge_rule(self):
-        assert map_gerrit_merge("positive") == "non-negative"
-        assert map_gerrit_merge("neutral") == "non-negative"
-        assert map_gerrit_merge("negative") == "negative"
+    def test_merge_rule(self, tmp_path):
+        assert mapped_labels(tmp_path, "gerrit_merge",
+                             ["positive", "neutral", "negative", "Non-Negative"]) == [
+            "non-negative", "non-negative", "negative", "non-negative"]
+        with pytest.raises(ParseError, match="row 2: label 'joy' is not one of"):
+            mapped_labels(tmp_path, "gerrit_merge", ["joy", "negative"])
 
     def test_two_class_result(self, tmp_path):
         path = write(tmp_path, "g.csv",

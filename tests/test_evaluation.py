@@ -40,18 +40,17 @@ def brute_force_metrics(gold, pred, C):
 class TestStratifiedKfold:
     def test_exact_divisibility(self):
         labels = [0] * 5 + [1] * 5
-        plan = stratified_kfold(labels, k=5, seed=1)
-        for fold in plan.folds:
+        for fold in stratified_kfold(labels, k=5, seed=1):
             assert len(fold) == 2
             assert sorted(labels[i] for i in fold) == [0, 1]
 
     def test_jira_scale_fold_sizes(self):
         # 926 samples at the Table-I split: 636 negative, 290 positive.
         labels = [0] * 636 + [1] * 290
-        plan = stratified_kfold(labels, k=10, seed=42)
-        sizes = sorted(len(f) for f in plan.folds)
+        folds = stratified_kfold(labels, k=10, seed=42)
+        sizes = sorted(len(f) for f in folds)
         assert set(sizes) <= {92, 93}
-        for fold in plan.folds:
+        for fold in folds:
             negs = sum(1 for i in fold if labels[i] == 0)
             assert negs in (63, 64)
 
@@ -60,23 +59,28 @@ class TestStratifiedKfold:
         labels = rng.integers(0, 3, size=40).tolist()
         p1 = stratified_kfold(labels, k=4, seed=7)
         p2 = stratified_kfold(labels, k=4, seed=7)
-        assert p1.folds == p2.folds
+        assert p1 == p2
         p3 = stratified_kfold(labels, k=4, seed=8)
-        assert p3.folds != p1.folds
+        assert p3 != p1
         # Different seeds still give identical per-fold class counts.
-        for f3, f1 in zip(p3.folds, p1.folds):
+        for f3, f1 in zip(p3, p1):
             assert sorted(labels[i] for i in f3) == sorted(labels[i] for i in f1)
 
     def test_k_too_large(self):
-        with pytest.raises(ConfigurationError):
-            stratified_kfold([0, 1], k=3, seed=1)
+        with pytest.raises(ConfigurationError,
+                           match="--folds 3 exceeds the 2 documents of the largest class, 1"):
+            stratified_kfold([0, 1, 1], k=3, seed=1)
+        with pytest.raises(ConfigurationError, match="folds must be >= 2"):
+            stratified_kfold([0, 1] * 5, k=1, seed=1)
+        with pytest.raises(ConfigurationError, match="largest class"):
+            stratified_kfold([], k=2, seed=1)
 
     def test_known_plan(self):
         # Pinned: the seed's per-class shuffles, dealt round-robin, decide
         # every fold, so a change in the draws shows here.
         labels = [2, 0, 1, 0, 0, 1, 2, 0, 1, 0, 0, 1, 0, 2]
-        plan = stratified_kfold(labels, 3, seed=5)
-        assert plan.folds == ((0, 1, 2, 5, 7, 9), (3, 11, 12, 13), (4, 6, 8, 10))
+        assert stratified_kfold(labels, 3, seed=5) == (
+            (0, 1, 2, 5, 7, 9), (3, 11, 12, 13), (4, 6, 8, 10))
 
     @given(st.lists(st.integers(0, 4), min_size=4, max_size=60),
            st.integers(2, 6), st.integers(0, 1000))
@@ -86,11 +90,11 @@ class TestStratifiedKfold:
             with pytest.raises(ConfigurationError, match="largest class"):
                 stratified_kfold(labels, k, seed)
             return
-        plan = stratified_kfold(labels, k, seed)
-        all_ix = sorted(i for f in plan.folds for i in f)
+        folds = stratified_kfold(labels, k, seed)
+        all_ix = sorted(i for f in folds for i in f)
         assert all_ix == list(range(len(labels)))
         for cls in set(labels):
-            counts = [sum(1 for i in f if labels[i] == cls) for f in plan.folds]
+            counts = [sum(1 for i in f if labels[i] == cls) for f in folds]
             assert max(counts) - min(counts) <= 1
 
 
@@ -145,22 +149,35 @@ class TestComputeMetrics:
             assert abs(rep.accuracy - weighted) <= 1e-12
 
 
+def stub_result(predictions, **fields):
+    """What a classifier's fit_predict returns: every key cross_validate reads."""
+    return {"predictions": predictions, "history": None, "train_seconds": 0.0,
+            "test_seconds": 0.0, **fields}
+
+
 class TestCrossValidate:
     def test_perfect_stub(self):
         labels = [0, 1] * 20
+        kfold = stratified_kfold(labels, 4, seed=1)
 
         def perfect(train_ix, test_ix, seed):
-            return {"predictions": [labels[i] for i in test_ix]}
+            # the test fold, and the sorted union of the others to train on
+            fold = kfold.index(test_ix)
+            assert train_ix == sorted(i for f in kfold if f != test_ix for i in f)
+            return stub_result([labels[i] for i in test_ix], history=f"h{fold}",
+                               train_seconds=fold + 0.5, test_seconds=fold + 0.25)
 
         folds, pooled = cross_validate(perfect, labels, k=4, seed=1, num_classes=2)
         assert pooled.accuracy == 1.0
         assert all(f.report.accuracy == 1.0 for f in folds)
+        assert [(f.history, f.train_seconds, f.test_seconds) for f in folds] == [
+            (f"h{fold}", fold + 0.5, fold + 0.25) for fold in range(4)]
 
     def test_majority_stub_accuracy_equals_majority_share(self):
         labels = [0] * 636 + [1] * 290  # Jira-scale distribution
 
         def majority(train_ix, test_ix, seed):
-            return {"predictions": [0] * len(test_ix)}
+            return stub_result([0] * len(test_ix))
 
         _, pooled = cross_validate(majority, labels, k=10, seed=42, num_classes=2)
         assert pooled.accuracy == pytest.approx(636 / 926)
@@ -171,7 +188,7 @@ class TestCrossValidate:
 
         def noisy_but_seeded(train_ix, test_ix, seed):
             r = np.random.default_rng(seed)
-            return {"predictions": r.integers(0, 2, size=len(test_ix)).tolist()}
+            return stub_result(r.integers(0, 2, size=len(test_ix)).tolist())
 
         r1 = cross_validate(noisy_but_seeded, labels, k=5, seed=9, num_classes=2)
         r2 = cross_validate(noisy_but_seeded, labels, k=5, seed=9, num_classes=2)
@@ -190,7 +207,7 @@ class TestCrossValidate:
             calls.append(seed)  # serial folds run in order
             if len(calls) == 3:
                 raise exc
-            return {"predictions": [0] * len(test_ix)}
+            return stub_result([0] * len(test_ix))
 
         with pytest.raises(type(exc)) as info:
             cross_validate(fails_in_fold_2, labels, k=4, seed=5, num_classes=2)
@@ -270,7 +287,7 @@ class TestLearningCurve:
         def fails_at_the_second_point(train_ix, test_ix, seed):
             if len(train_ix) > 20:
                 raise exc
-            return {"predictions": [0] * len(test_ix)}
+            return stub_result([0] * len(test_ix))
 
         with pytest.raises(ValueError) as info:
             learning_curve(fails_at_the_second_point, [0, 1] * 20, [0.5, 1.0], seed=3,
