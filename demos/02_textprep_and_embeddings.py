@@ -19,9 +19,10 @@ print(f"\nvocabulary size (incl. <unk>): {len(vocab)}")
 indexed = index_document(doc, vocab)
 print(f"indexed first sentence: {indexed[0]}")
 
-# With no pretrained file at hand, each token gets a seeded vector that
-# depends only on (seed, token) — identical no matter what else is in the
-# vocabulary, which is what makes per-fold vocabularies reproducible.
+# With no pretrained file at hand, the vocabulary's vectors are hashed as one
+# matrix, but each row depends only on (seed, token): the same no matter
+# what else is in the vocabulary, which makes per-fold vocabularies
+# reproducible.
 table = random_table(["broken", "build"], dim=8, seed=3)
 print(f"\nrandom vector for 'broken': {table.lookup('broken')[:4]} ...")
 

@@ -1,6 +1,7 @@
-"""Static pretrained word vectors: word2vec binary/text loaders and lookup.
+"""Static word vectors: word2vec binary/text loaders, seeded random vectors
+and lookup.
 
-Vectors are loaded once and never change afterwards. A loader given a wanted
+Vectors are made once and never change afterwards. A loader given a wanted
 set still parses every record of the file, so each format error names its
 byte offset or line, but keeps only the rows whose token is in the set:
 `load_vectors` asks for the keys that `EmbeddingTable.lookup` may probe for
@@ -15,25 +16,21 @@ import numpy as np
 
 from .errors import ParseError
 
-BLOCK_BYTES = 1 << 16  # the .bin loader reads its file in pieces of this size
+BLOCK_BYTES = 1 << 16  # the .bin loader's reads, and the pieces a matrix is checked or drawn in
 
 
 class EmbeddingTable:
     """Read-only token -> vector map of a fixed dimension.
 
-    A word2vec loader keeps its vectors as the rows of one matrix (float32
-    for a .bin, float64 for text); random_table makes one float64 array per
-    token. lookup returns the same array object for a token on every call.
-    Every vector has shape (dim,): each constructor checks or builds that
-    itself.
+    Every source gives its vectors as one matrix, token i in row i (float32
+    for a .bin, float64 for text and random vectors). lookup returns the
+    same view of a token's row on every call.
     """
 
-    def __init__(self, dim: int, vectors: dict):
-        if dim <= 0:
-            raise ParseError(f"embedding dimension must be positive, got {dim}")
-        self.dim = dim
-        self._vectors = vectors
-        self.oov_vector = np.zeros(dim, dtype=np.float64)
+    def __init__(self, tokens, matrix: np.ndarray):
+        self.dim = matrix.shape[1]
+        self._vectors = dict(zip(tokens, matrix))
+        self.oov_vector = np.zeros(self.dim, dtype=np.float64)
 
     def __len__(self):
         return len(self._vectors)
@@ -145,7 +142,7 @@ def load_word2vec_text(path, wanted=None) -> EmbeddingTable:
                 fields = line.rstrip("\n").split()
                 if not fields:
                     continue
-                if lineno == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
+                if lineno == 1 and len(fields) == 2 and all(map(str.isdecimal, fields)):
                     continue  # header line
                 token, values = fields[0], fields[1:]
                 if not values:
@@ -167,35 +164,44 @@ def load_word2vec_text(path, wanted=None) -> EmbeddingTable:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if dim is None:
         raise ParseError(f"{path}: no vectors found")
-    matrix = np.stack(list(vectors.values())) if vectors else np.empty((0, dim))
-    return _table(path, vectors, matrix)
+    return _table(path, vectors, np.array(list(vectors.values())).reshape(-1, dim))
 
 
 def _table(path, tokens, matrix) -> EmbeddingTable:
-    """The table mapping the i-th of `tokens` to row i of `matrix`, once every
-    row is finite. The check runs in blocks of rows, so that its temporary
-    stays small next to the matrix."""
+    """The table of `tokens` and `matrix`, once every row is finite. The check
+    runs in blocks of rows, so that its temporary stays small next to the
+    matrix."""
     step = max(1, BLOCK_BYTES // matrix.shape[1])
     for start in range(0, len(matrix), step):
         finite = np.isfinite(matrix[start : start + step]).all(axis=1)
         if not finite.all():
             token = list(tokens)[start + int(finite.argmin())]
             raise ParseError(f"{path}: the vector for {token!r} is not finite")
-    return EmbeddingTable(matrix.shape[1], dict(zip(tokens, matrix)))
+    return EmbeddingTable(tokens, matrix)
 
 
 def random_table(tokens, dim: int, seed: int) -> EmbeddingTable:
-    """Seeded uniform [-0.25, 0.25] vectors, one per token.
-
-    Each vector is derived from (seed, hash(token)), so the same token always
-    gets the same vector regardless of iteration order or vocabulary makeup.
-    """
-    vectors = {}
-    for token in tokens:
-        ss = np.random.SeedSequence([seed, fnv1a_64(token.encode("utf-8"))])
-        rng = np.random.default_rng(ss)
-        vectors[token] = rng.uniform(-0.25, 0.25, size=dim)
-    return EmbeddingTable(dim, vectors)
+    """Seeded uniform [-0.25, 0.25) vectors, one row per token: the first
+    `dim` outputs of splitmix64 seeded with s ^ FNV-1a(token), each scaled
+    from its top 53 bits, where SeedSequence reduces `seed` to the 64 bits s.
+    So a vector depends only on the seed and the token. The matrix is hashed
+    in place, BLOCK_BYTES of rows at a time, as uint64 arrays (which wrap
+    silently, where numpy's scalars warn)."""
+    keys = np.random.SeedSequence(seed).generate_state(1, np.uint64) ^ np.fromiter(
+        (fnv1a_64(t.encode("utf-8")) for t in tokens), np.uint64, len(tokens))
+    offsets = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    matrix = np.empty((len(keys), dim))
+    step = max(1, BLOCK_BYTES // (8 * dim))
+    for start in range(0, len(matrix), step):
+        block = matrix[start : start + step]
+        z = np.add(keys[start : start + step, None], offsets, out=block.view(np.uint64))
+        z ^= z >> 30  # splitmix64's finaliser
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> 27
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> 31
+        np.subtract((z >> 11) * 2.0**-54, 0.25, out=block)
+    return EmbeddingTable(tokens, matrix)
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -206,10 +212,3 @@ def fnv1a_64(data: bytes) -> int:
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
-
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-        return True
-    except ValueError:
-        return False

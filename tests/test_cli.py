@@ -296,6 +296,13 @@ class TestTrainPredict:
         assert main(argv) == 0
         assert (tmp_path / "model.ckpt.history.csv").read_bytes() == first
 
+    def test_train_takes_a_seed_beyond_64_bits_with_random_vectors(self, dataset_config,
+                                                                   tmp_path, capsys):
+        argv = ["train", "--dataset", str(dataset_config), "--seed", str(2**70),
+                "--out", str(tmp_path / "model.ckpt"), *FAST_OVERRIDES]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_train_requires_out_before_loading_data(self, dataset_config, monkeypatch):
         monkeypatch.setattr(cli, "load_dataset_config", pytest.fail)
         with pytest.raises(SystemExit) as info:

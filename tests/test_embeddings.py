@@ -3,10 +3,13 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import save_word2vec_text
 import sentihier
@@ -72,7 +75,6 @@ class TestBinaryLoader:
         table = load_word2vec_binary(path)
         for i, row in enumerate(values):
             vec = table.lookup(f"w{i}")
-            assert vec is table.lookup(f"w{i}")  # one view per row, made once
             old = np.frombuffer(row.astype("<f4").tobytes(), dtype="<f4").astype(np.float64)
             assert vec.astype(np.float64).tobytes() == old.tobytes()
 
@@ -147,8 +149,6 @@ class TestWantedRows:
         got = embedding_matrix_for(vocab, kept, 3, embedding_seed=0)
         assert got.tobytes() == want.tobytes()
         assert np.float64(entries[6][1][0]) == got[3, 0]  # the last "fix" wins
-        for token in tokens:
-            assert kept.lookup(token) is kept.lookup(token)  # the tracer counts rows by id
 
     @pytest.mark.parametrize("name, dtype", [("vec.bin", np.float32), ("vec.bin.txt", np.float64)])
     def test_the_suffix_picks_the_loader(self, tmp_path, name, dtype):
@@ -257,6 +257,8 @@ class TestTextLoader:
         t1, t2 = load_word2vec_text(p1), load_word2vec_text(p2)
         assert len(t1) == len(t2) == 2
         np.testing.assert_array_equal(t1.lookup("a"), t2.lookup("a"))
+        p1.write_text("-2 1\nb 0\n")  # header counts carry no sign
+        assert "-2" in load_word2vec_text(p1)
 
     def test_inconsistent_dim_reports_line(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -279,16 +281,16 @@ class TestTextLoader:
 
 class TestLookup:
     def test_fallback_chain(self):
-        table = EmbeddingTable(2, {"Good": np.array([1.0, 2.0])})
+        table = EmbeddingTable(["Good"], np.array([[1.0, 2.0]]))
         np.testing.assert_array_equal(table.lookup("good"), [1.0, 2.0])
         np.testing.assert_array_equal(table.lookup("GOOD".lower()), [1.0, 2.0])
 
     def test_oov_is_zero(self):
-        table = EmbeddingTable(3, {"x": np.zeros(3)})
+        table = EmbeddingTable(["x"], np.zeros((1, 3)))
         np.testing.assert_array_equal(table.lookup("missing"), np.zeros(3))
 
     def test_always_returns_dim_length(self):
-        table = EmbeddingTable(4, {"x": np.ones(4)})
+        table = EmbeddingTable(["x"], np.ones((1, 4)))
         for tok in ("x", "y", "", "<url>"):
             assert table.lookup(tok).shape == (4,)
 
@@ -304,16 +306,71 @@ class TestRandomTable:
         t1 = random_table(["a"], 100, seed=5)
         t2 = random_table(["a"], 100, seed=6)
         v = t1.lookup("a")
-        assert np.all((v >= -0.25) & (v <= 0.25))
+        assert np.all((v >= -0.25) & (v < 0.25))
         assert not np.array_equal(v, t2.lookup("a"))
+
+    def test_seeds_that_agree_in_their_low_64_bits_differ(self):
+        s = 2**70 + 5
+        assert not np.array_equal(random_table(["a"], 8, s).lookup("a"),
+                                  random_table(["a"], 8, s + 2**64).lookup("a"))
+
+    @given(tokens=st.lists(st.text(max_size=6), min_size=1, max_size=6, unique=True),
+           dim=st.integers(1, 9), seed=st.integers(0, 2**70), data=st.data())
+    def test_a_vector_depends_only_on_the_seed_and_the_token(self, tokens, dim, seed, data):
+        order = data.draw(st.permutations(tokens))
+        together, shuffled = random_table(tokens, dim, seed), random_table(order, dim, seed)
+        other_seed = random_table(tokens[:1], dim, seed + 1).lookup(tokens[0])
+        for token in tokens:
+            vec = random_table([token], dim, seed).lookup(token)
+            assert vec.tobytes() == together.lookup(token).tobytes()
+            assert vec.tobytes() == shuffled.lookup(token).tobytes()
+            assert np.all((vec >= -0.25) & (vec < 0.25))
+        assert not np.array_equal(together.lookup(tokens[0]), other_seed)
+
+
+def reference_vector(token: str, dim: int, seed: int) -> list:
+    """random_table's row for `token`, in Python integers: the first `dim`
+    outputs of splitmix64 seeded with s ^ FNV-1a(token), scaled."""
+    mask = 2**64 - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    s = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    start = s ^ fnv1a_64(token.encode("utf-8"))
+    return [(mix((start + j * 0x9E3779B97F4A7C15) & mask) >> 11) * 2.0**-54 - 0.25
+            for j in range(1, dim + 1)]
 
 
 class TestRandomTablePinned:
-    def test_known_vector(self):
-        # Pinned: the vector depends only on (seed, FNV-1a of the token).
-        vec = random_table(["crash"], 4, seed=42).lookup("crash")
-        assert vec.tolist() == [-0.09578634364372035, -0.04358977347325799,
-                                0.0181766285438712, -0.18597202221142733]
+    def test_equals_a_reference_in_python_integers(self):
+        tokens = ["crash", "", "build", "naïve", "<url>"] + [f"w{i}" for i in range(200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on uint64 scalar overflow
+            for seed in (0, 42, 2**64 - 1, 2**70 + 3):
+                table = random_table(tokens, 70, seed)  # more rows than one block
+                for token in tokens:
+                    assert table.lookup(token).tolist() == reference_vector(token, 70, seed)
+
+
+def table_from(source, tmp_path):
+    """A table of the tokens "a", "b" and "c" from `source`: bin, txt or random."""
+    if source == "random":
+        return random_table(list("abc"), 3, seed=1)
+    load, write = LOADERS[source]
+    write(tmp_path / "vec", [(t, [float(i), -1.5, 0.25]) for i, t in enumerate("abc")])
+    return load(tmp_path / "vec")
+
+
+@pytest.mark.parametrize("source", ["bin", "txt", "random"])
+def test_every_source_gives_one_view_of_one_matrix_per_token(tmp_path, source):
+    table = table_from(source, tmp_path)
+    a, b = table.lookup("a"), table.lookup("b")
+    assert a is table.lookup("a")  # the tracer counts rows by id
+    assert a.base is b.base and np.shares_memory(a.base, b)
+    assert a.shape == (3,) and len(table) == 3 and "c" in table
 
 
 class TestFnv1a64:
