@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 import argparse
 import ctypes
 import functools
+import io
 import json
 import sys
 import time
@@ -204,10 +205,13 @@ def cmd_predict(args) -> int:
     from_stdin = args.input == "-"
     source = "standard input" if from_stdin else args.input
     try:
-        text = sys.stdin.read() if from_stdin else Path(args.input).read_text(encoding="utf-8")
+        text = sys.stdin.read() if from_stdin else Path(args.input).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
-    docs = (encode(tokenize_document(line), model.vocab) for line in text.splitlines())
+    # A line ends only at a newline: \r\n and \r read as one, as in a text
+    # file, but no other line boundary of str.splitlines ends it.
+    docs = (encode(tokenize_document(line), model.vocab)
+            for line in io.StringIO(text, newline=None))
     # A non-finite weight makes numpy warn inside the forward pass; the
     # isfinite check below is what reports it, so the warning stays silent.
     with np.errstate(invalid="ignore", over="ignore"):

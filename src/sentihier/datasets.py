@@ -70,7 +70,7 @@ def load_csv(path, text_column: str, label_column: str, name: str = "",
         raise ParseError(f"{path}: no such file")
     samples = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise ParseError(f"{path}: empty file, no header")
@@ -146,7 +146,7 @@ def load_dataset_config(path) -> DatasetConfig:
     if not path.exists():
         raise ConfigurationError(f"{path}: no such config file")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values = {}

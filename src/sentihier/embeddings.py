@@ -137,7 +137,7 @@ def load_word2vec_text(path, wanted=None) -> EmbeddingTable:
     vectors = {}
     dim = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 fields = line.rstrip("\n").split()
                 if not fields:

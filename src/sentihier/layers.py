@@ -1,8 +1,9 @@
 """Neural building blocks: temporal convolution with max-over-time pooling,
 a dense ReLU projection, LSTM cells and the softmax classification head.
-The convolution and the dense layer take a batch's sentences as one stack
-of rows and the head its documents as rows; an LSTM cell projects a batch's
-sequences as one stack of rows, then runs the recurrence of one sequence.
+Every layer takes stacked rows only, as the model calls it: the convolution
+and the dense layer a batch's sentences as one stack of rows, and the head
+its documents as rows; an LSTM cell projects a batch's sequences as one
+stack of rows, then runs the recurrence of one sequence.
 The convolution runs in embedding-row space (ConvLayer): its table holds
 the filters' products with the distinct word vectors that the caller
 projected, for one batch or for a larger group of documents, and only this
@@ -25,30 +26,19 @@ from .errors import SentihierError
 GATHER_WINDOWS = 256  # windows per block of ConvLayer.forward's gather buffer
 
 
-def softmax(v) -> np.ndarray:
-    """Numerically stable softmax via max-subtraction, of a vector or of
-    each row of a matrix."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.size == 0:
-        raise SentihierError(f"softmax needs a non-empty vector or matrix, got shape {v.shape}")
-    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def relu_grad(v) -> np.ndarray:
-    """Subgradient of relu; defined as 0 at exactly 0."""
-    return (np.asarray(v, dtype=np.float64) > 0.0).astype(np.float64)
-
-
-def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax, via max-subtraction, of each row of (B, C) logits."""
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
 
 
 def _weights(rng: np.random.Generator | None, fan_out: int, fan_in: int) -> np.ndarray:
     """Glorot-uniform weights; with no rng, an uninitialised buffer that the
     caller fills (a checkpoint load reads the stored weights into it)."""
-    return np.empty((fan_out, fan_in)) if rng is None else glorot_uniform(rng, fan_out, fan_in)
+    if rng is None:
+        return np.empty((fan_out, fan_in))
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
 def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
@@ -63,11 +53,9 @@ def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
     np.sum(grad_pre, axis=0, out=grad_bias)
 
 
-def dropout_mask(rng: np.random.Generator | None, size, rate) -> np.ndarray:
+def dropout_mask(rng: np.random.Generator, size, rate) -> np.ndarray:
     """Inverted-dropout mask of shape `size`: 0 or 1/(1 - rate), for one rate
-    or one per column. With no rng it is all ones: applying it is the identity."""
-    if rng is None:
-        return np.ones(size)
+    or one per column."""
     keep = 1.0 - rate
     return (rng.random(size) < keep).astype(np.float64) / keep
 
@@ -169,12 +157,13 @@ class ConvLayer:
     def backward(self, grad_features: np.ndarray, features: np.ndarray):
         """Routes gradient through each filter's ReLU gate at its argmax window.
 
-        features are the pooled forward outputs, for one sentence (F,) or a
-        stack of them (S, F); a feature is max(pre[argmax], 0), so it is
-        positive exactly where the gate is open. Returns the gated gradient g:
-        filter j's gradient is g[j] times the window starting at argmax[j],
-        and its bias gradient is g[j] (see param_grads). There is no input
-        gradient: the word vectors are static, so nothing upstream would use it.
+        features (S, F) are the pooled forward outputs of S sentences, and
+        grad_features their gradients; a feature is max(pre[argmax], 0), so
+        it is positive exactly where the gate is open. Returns the gated
+        gradient g (S, F): filter j's gradient sums g[s, j] times sentence
+        s's window at its argmax, and its bias gradient sums g[:, j] (see
+        param_grads). There is no input gradient: the word vectors are
+        static, so nothing upstream would use it.
         """
         return grad_features * (features > 0.0)
 
@@ -209,17 +198,17 @@ class ConvLayer:
 
 class DenseLayer:
     """Fully connected ReLU layer with inverted dropout on its input, applied
-    to one vector (in,) or to the rows of a matrix (S, in), under one mask
-    (in,), a mask per row (S, in), or no mask (None: no dropout)."""
+    to the rows of a matrix (S, in) under a mask per row (S, in), or under
+    no mask (None: no dropout)."""
 
     def __init__(self, out_dim: int, in_dim: int, rng: np.random.Generator | None):
         self.weights = _weights(rng, out_dim, in_dim)
         self.bias = np.zeros(out_dim, dtype=np.float64)
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None):
-        if x.shape[-1] != self.weights.shape[1]:
+        if x.shape[1] != self.weights.shape[1]:
             raise SentihierError(
-                f"dense input has length {x.shape[-1]}, layer expects {self.weights.shape[1]}")
+                f"dense input has width {x.shape[1]}, layer expects {self.weights.shape[1]}")
         x_masked = x if mask is None else x * mask
         pre = x_masked @ self.weights.T + self.bias
         cache = {"x_masked": x_masked, "pre": pre, "mask": mask}
@@ -228,7 +217,7 @@ class DenseLayer:
     def backward(self, grad_out: np.ndarray, cache):
         """Returns (grad_x, grad_pre); the parameter gradients are
         linear_param_grads of grad_pre paired with cache["x_masked"]."""
-        grad_pre = grad_out * relu_grad(cache["pre"])
+        grad_pre = grad_out * (cache["pre"] > 0.0)  # relu's subgradient, 0 at exactly 0
         grad_x = grad_pre @ self.weights
         if cache["mask"] is not None:
             grad_x *= cache["mask"]
@@ -358,24 +347,24 @@ class SoftmaxHead:
         return self.weights.shape[0]
 
     def probs(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities of one input (in,), or of each row of (B, in):
-        one matrix product and a softmax per row."""
+        """Class probabilities (B, C) of each row of x (B, in): one matrix
+        product and a softmax per row."""
         return softmax(x @ self.weights.T + self.bias)
 
     def loss_and_grads(self, probs: np.ndarray, gold):
         """Cross-entropy loss and gradients, given probs = self.probs(x), for
-        rows x (B, in) with gold classes gold (B,), or one x (in,) and an int.
+        rows x (B, in) with the sequence gold (B,) of their classes.
 
         Returns (loss summed over the rows, grad_x, grad_logits), where
         grad_logits is probs - onehot(gold); the parameter gradients are
         linear_param_grads of grad_logits paired with x.
         """
         C = self.num_classes
-        gold = np.asarray(gold, dtype=np.intp)[..., None]
+        gold = np.asarray(gold, dtype=np.intp)[:, None]
         if np.any((gold < 0) | (gold >= C)):
             raise SentihierError(f"gold class outside [0, {C}): {gold.ravel()}")
-        picked = np.take_along_axis(probs, gold, axis=-1)
+        picked = np.take_along_axis(probs, gold, axis=1)
         loss = float(np.sum(-np.log(np.maximum(picked, 1e-300))))
         grad_logits = probs.copy()
-        np.put_along_axis(grad_logits, gold, picked - 1.0, axis=-1)
+        np.put_along_axis(grad_logits, gold, picked - 1.0, axis=1)
         return loss, grad_logits @ self.weights, grad_logits

@@ -198,11 +198,10 @@ class HiCnnLstmModel:
 
     def forward(self, docs, train: bool = False, dropout_rng=None, *, projected=None):
         """Returns ((B, C) class probabilities of the B documents `docs`,
-        cache). Dropout is active only when train=True and a dropout_rng is
-        supplied; masks are fixed per document and drawn in document order.
-        With train=False no mask is built at all: the layers take None, and
-        the result equals that of train=True without a dropout_rng, whose
-        masks are all ones.
+        cache). Masks are drawn only when train=True and a dropout_rng is
+        supplied, fixed per document and in document order; otherwise no
+        mask is built at all and the layers take None (no dropout). With
+        train=True the cache for loss_and_grads is kept, masks or not.
 
         The sentences of all documents run through the convolution and the
         dense layer as one stack of rows, each under its document's dense
@@ -222,8 +221,9 @@ class HiCnnLstmModel:
         if projected is not None and not np.array_equal(ids.take(distinct, mode="clip"), tokens):
             raise SentihierError("the projected table lacks a token of the documents")
         counts = [len(s) for s in sentences]
-        dense_mask = None  # inference: no dropout, so no masks at all
-        if train:
+        dropout = train and dropout_rng is not None
+        dense_mask = None  # no dropout, so no masks at all
+        if dropout:
             dense, *lstm_masks = self._masks(dropout_rng, len(sentences))
             dense_mask = np.repeat(dense, counts, axis=0)
         rows, starts = layers.sentence_matrix(seqs, distinct, cfg.filter_width)
@@ -235,7 +235,7 @@ class HiCnnLstmModel:
         lstm = []
         for d, (_, cell, order) in enumerate(self._lstm_directions()):
             x_m, in_mask, run_masks = sent_vecs, None, itertools.repeat(None)
-            if train:
+            if dropout:
                 in_mask = np.repeat(lstm_masks[2 * d], counts, axis=0)
                 x_m = sent_vecs * in_mask
                 run_masks = lstm_masks[2 * d + 1]
@@ -276,7 +276,8 @@ class HiCnnLstmModel:
             dz = np.concatenate([cell.backward(g, run)[order] for g, run in
                                  zip(grad_enc[:, d * H : (d + 1) * H], lstm["runs"])])
             h_m = np.concatenate([run["h_m"][order] for run in lstm["runs"]])
-            grad_seq = grad_seq + (dz @ cell.input_weights) * lstm["in_mask"]
+            grad_x, in_mask = dz @ cell.input_weights, lstm["in_mask"]
+            grad_seq = grad_seq + (grad_x if in_mask is None else grad_x * in_mask)
             layers.LstmCell.param_grads(dz, lstm["x_m"], h_m, grads[f"{name}.input_weights"],
                                         grads[f"{name}.recurrent_weights"], grads[f"{name}.bias"])
         grad_feats, grad_pre = self.dense.backward(grad_seq, cache["dense"])

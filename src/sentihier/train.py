@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SentihierError
-from .evaluation import stratified_pick
+from .evaluation import round_half_away, stratified_pick
 
 VAL_FRACTION = 0.1  # the share of a training set held out for early stopping
 
@@ -95,13 +95,6 @@ class TrainHistory:
             yield f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},{rec.val_accuracy!r}"
 
 
-def _stratified_val_split(labels, val_fraction: float, rng: np.random.Generator):
-    """Indices (train, val); the validation slice preserves class proportions."""
-    n_val = max(1, int(math.floor(val_fraction * len(labels) + 0.5)))
-    val, train = stratified_pick(labels, val_fraction, n_val, rng)
-    return train, val
-
-
 def _evaluate(model, docs):
     """Mean cross-entropy and accuracy in inference mode."""
     total, correct = 0.0, 0
@@ -129,8 +122,10 @@ def fit(model, train_set, config: TrainConfig = TrainConfig(), seed: int = 42):
         np.random.default_rng(s)
         for s in np.random.SeedSequence(seed).spawn(3)
     )
-    labels = [doc.label for doc in train_set]
-    train_ix, val_ix = _stratified_val_split(labels, VAL_FRACTION, split_rng)
+    # The validation slice keeps the class proportions.
+    n_val = max(1, round_half_away(VAL_FRACTION * len(train_set)))
+    val_ix, train_ix = stratified_pick([doc.label for doc in train_set], VAL_FRACTION, n_val,
+                                       split_rng)
     train_docs = [train_set[i] for i in train_ix]
     val_docs = [train_set[i] for i in val_ix]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import replace_record, save_word2vec_text, write_dataset_csv
+from conftest import desk_model, replace_record, save_word2vec_text, write_dataset_csv
 import sentihier
 from sentihier import baseline, cli
 from sentihier.cli import main
@@ -281,6 +281,33 @@ class TestTrainPredict:
         inputs.write_bytes(b"")
         assert main(["predict", "--model", str(ckpt), "--input", str(inputs)]) == 0
         assert capsys.readouterr() == ("", "")
+
+    def predicted(self, ckpt, inputs, data: bytes, capsys) -> list:
+        """The lines predict prints for an --input file holding `data`."""
+        inputs.write_bytes(data)
+        assert main(["predict", "--model", str(ckpt), "--input", str(inputs)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out.splitlines()
+
+    def test_predict_ends_a_line_only_at_a_newline(self, tmp_path, capsys):
+        # \f, U+2028, \x1c and \x85 are line boundaries to str.splitlines,
+        # but inside a line they are whitespace between two words: one output
+        # line per newline-ended input line (\n, \r\n or \r), each the same
+        # as with a space in their place.
+        ckpt, inputs = tmp_path / "model.ckpt", tmp_path / "inputs.txt"
+        save_checkpoint(desk_model(), ckpt)
+        text = "w2 w3\fw4 w5\nw6\u2028w7 w8\r\nw3\x1cw2\x85w4\rw5\n"
+        lines = self.predicted(ckpt, inputs, text.encode("utf-8"), capsys)
+        assert len(lines) == 4
+        spaced = text.translate({ord(c): " " for c in "\f\u2028\x1c\x85"})
+        assert lines == self.predicted(ckpt, inputs, spaced.encode("utf-8"), capsys)
+
+    def test_predict_reads_past_a_utf8_byte_order_mark(self, tmp_path, capsys):
+        ckpt, inputs = tmp_path / "model.ckpt", tmp_path / "inputs.txt"
+        save_checkpoint(desk_model(), ckpt)
+        plain = self.predicted(ckpt, inputs, b"w2 w3\nw4\n", capsys)
+        assert self.predicted(ckpt, inputs, b"\xef\xbb\xbfw2 w3\nw4\n", capsys) == plain
 
     def test_train_writes_history(self, dataset_config, tmp_path):
         ckpt = tmp_path / "model.ckpt"

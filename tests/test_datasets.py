@@ -51,6 +51,14 @@ class TestLoadCsv:
         assert [lab for _, lab in ds.samples] == ["positive", "negative"]
         assert ds.label_set == ("negative", "positive")
 
+    def test_utf8_byte_order_mark_is_read_past(self, tmp_path):
+        # As Excel saves a UTF-8 CSV: the mark would otherwise begin the
+        # first column's name.
+        path = tmp_path / "d.csv"
+        path.write_bytes("\ufefftext,label\na,positive\nb,negative\n".encode("utf-8"))
+        ds = load_csv(path, "text", "label")
+        assert ds.samples == (("a", "positive"), ("b", "negative"))
+
     def test_three_class_order(self, tmp_path):
         path = write(tmp_path, "d.csv",
                      "text,label\na,neutral\nb,positive\nc,negative\n")
@@ -130,6 +138,14 @@ class TestDatasetConfig:
         ds, warnings = load_from_config(cfg)
         assert ds.name == "demo" and len(ds.samples) == 2
         assert warnings == []
+
+    def test_utf8_byte_order_mark_is_read_past(self, tmp_path):
+        write(tmp_path, "d.csv", "text,label\na,positive\n")
+        cfg_path = tmp_path / "d.conf"
+        cfg_path.write_bytes("\ufeffname = demo\npath = d.csv\ntext_column = text\n"
+                             "label_column = label\n".encode("utf-8"))
+        cfg = load_dataset_config(cfg_path)
+        assert cfg.name == "demo" and cfg.text_column == "text"
 
     def test_missing_key(self, tmp_path):
         cfg_path = write(tmp_path, "d.conf", "name = demo\npath = d.csv\n")

@@ -260,6 +260,16 @@ class TestTextLoader:
         p1.write_text("-2 1\nb 0\n")  # header counts carry no sign
         assert "-2" in load_word2vec_text(p1)
 
+    def test_utf8_byte_order_mark_is_read_past(self, tmp_path):
+        # The mark would otherwise hide the header, which then reads as a
+        # one-value vector.
+        path = tmp_path / "vec.txt"
+        path.write_bytes("\ufeff2 3\na 1 0 0\nb 0 1 0\n".encode("utf-8"))
+        table = load_word2vec_text(path)
+        assert table.dim == 3 and len(table) == 2
+        path.write_bytes("\ufeffa 1 0\n".encode("utf-8"))  # no header: the first token
+        np.testing.assert_array_equal(load_word2vec_text(path).lookup("a"), [1.0, 0.0])
+
     def test_inconsistent_dim_reports_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\nb 0\n")

@@ -13,7 +13,6 @@ from sentihier.layers import (
     SoftmaxHead,
     dropout_mask,
     linear_param_grads,
-    relu_grad,
     sentence_matrix,
     softmax,
 )
@@ -103,54 +102,58 @@ def window_pre(layer, s):
 
 def conv_param_grads(layer, s, argmax, gated):
     """(grad_filters, grad_bias) of one sentence matrix with no padding rows:
-    row i of s is token i, table row 1 + i."""
+    row i of s is token i, table row 1 + i; gated is its one-row stack (1, F)."""
     grad_f, grad_b = np.empty_like(layer.filters), np.empty_like(layer.bias)
     layer.param_grads(s, np.arange(len(s)), np.arange(1, 1 + len(s)), argmax[None],
-                      gated[None], grad_f, grad_b)
+                      gated, grad_f, grad_b)
     return grad_f, grad_b
 
 
 class TestSoftmax:
     def test_uniform(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]), np.ones(3) / 3, atol=1e-15)
+        np.testing.assert_allclose(softmax(np.zeros((1, 3))), np.ones((1, 3)) / 3, atol=1e-15)
 
     def test_direct_evaluation(self):
-        e = np.exp([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(softmax([1.0, 2.0, 3.0]), e / e.sum(), rtol=1e-14)
-
-    def test_empty_rejected(self):
-        with pytest.raises(SentihierError, match="non-empty vector or matrix"):
-            softmax([])
+        e = np.exp([[1.0, 2.0, 3.0]])
+        np.testing.assert_allclose(softmax(np.array([[1.0, 2.0, 3.0]])), e / e.sum(),
+                                   rtol=1e-14)
 
     def test_one_softmax_per_row(self):
         rows = np.array([[1.0, 2.0, 3.0], [700.0, -700.0, 0.0]])
         out = softmax(rows)
         for row, got in zip(rows, out):
-            np.testing.assert_array_equal(got, softmax(row))
+            np.testing.assert_array_equal(got, softmax(row[None])[0])
 
     @given(st.lists(st.floats(-700, 700), min_size=1, max_size=20),
            st.floats(-1e8, 1e8))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one_and_shift_invariant(self, values, shift):
-        out = softmax(values)
+        logits = np.array([values])
+        out = softmax(logits)
         assert np.all(np.isfinite(out))
         assert np.all((out >= 0) & (out <= 1 + 1e-12))
         assert abs(out.sum() - 1.0) <= 1e-12
-        shifted = softmax(np.array(values) + shift)
+        shifted = softmax(logits + shift)
         # exact in real arithmetic; in float64 the rounding error of the
         # shifted logits grows with the shift's magnitude
         tol = 1e-12 + abs(shift) * 1e-14
         assert np.max(np.abs(shifted - out)) <= tol
 
     def test_extreme_inputs_stay_finite(self):
-        out = softmax([700.0, -700.0, 0.0])
+        out = softmax(np.array([[700.0, -700.0, 0.0]]))
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) <= 1e-12
 
 
 class TestRelu:
     def test_subgradient_zero_at_zero(self):
-        np.testing.assert_array_equal(relu_grad([-1.0, 0.0, 2.0]), [0.0, 0.0, 1.0])
+        # DenseLayer.backward gates by relu's subgradient, 0 at exactly 0.
+        layer = DenseLayer(3, 1, None)
+        layer.weights[:] = 0.0
+        layer.bias[:] = [-1.0, 0.0, 2.0]
+        _, cache = layer.forward(np.ones((1, 1)), None)
+        np.testing.assert_array_equal(layer.backward(np.ones((1, 3)), cache)[1],
+                                      [[0.0, 0.0, 1.0]])
 
 
 class TestSentenceMatrix:
@@ -228,7 +231,7 @@ class TestConvMaxpool:
         layer = self.make(rng)
         s = rng.normal(size=(6, 4))
         feats, argmax = pooled_matrix(layer, s)
-        gated = layer.backward(np.zeros(3), feats)
+        gated = layer.backward(np.zeros((1, 3)), feats[None])
         grad_f, grad_b = conv_param_grads(layer, s, argmax, gated)
         assert not gated.any() and not grad_f.any() and not grad_b.any()
 
@@ -249,28 +252,28 @@ class TestConvMaxpool:
         feats, argmax = pooled_matrix(layer, s)
         gate = window_pre(layer, s)[argmax, np.arange(3)] > 0
         np.testing.assert_array_equal(feats > 0, gate)
-        np.testing.assert_array_equal(layer.backward(np.ones(3), feats), gate)
+        np.testing.assert_array_equal(layer.backward(np.ones((1, 3)), feats[None]), gate[None])
 
     def test_grad_bias_equals_gated_upstream(self, rng):
         layer = self.make(rng)
         s = rng.normal(size=(6, 4))
         feats, argmax = pooled_matrix(layer, s)
-        g = rng.normal(size=3)
-        grad_b = layer.backward(g, feats)
+        g = rng.normal(size=(1, 3))
+        grad_b = layer.backward(g, feats[None])
         gate = window_pre(layer, s)[argmax, np.arange(3)] > 0
         np.testing.assert_array_equal(grad_b, np.where(gate, g, 0.0))
 
     def test_gradients_match_finite_differences(self, rng):
         layer = ConvLayer(2, 3, 4, rng)
         s = rng.normal(size=(6, 4))
-        weights = rng.normal(size=3)
+        weights = rng.normal(size=(1, 3))
 
         def loss_fn():
             feats, _ = pooled_matrix(layer, s)
-            return float(weights @ feats)
+            return float(weights[0] @ feats)
 
         feats, argmax = pooled_matrix(layer, s)
-        grad_f, grad_b = conv_param_grads(layer, s, argmax, layer.backward(weights, feats))
+        grad_f, grad_b = conv_param_grads(layer, s, argmax, layer.backward(weights, feats[None]))
         assert_matches_fd(grad_f, fd_grad(loss_fn, layer.filters, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
@@ -293,7 +296,7 @@ class TestConvMaxpool:
         gated = np.empty((3, F))
         for s_no, (w, tokens) in enumerate(zip(weights, sentences)):
             feats, argmax = pooled(layer, emb, tokens)
-            gated[s_no] = layer.backward(w, feats)
+            gated[s_no] = layer.backward(w[None], feats[None])[0]
             windows[s_no] = len(stacked) + argmax
             stacked += [1 + used.index(t) for t in tokens] + [0] * (f - len(tokens))
         rows = np.array(stacked)
@@ -360,35 +363,35 @@ class TestDenseRelu:
         layer = DenseLayer(3, 3, rng)
         layer.weights[:] = np.eye(3)
         layer.bias[:] = 0.0
-        x = np.array([-1.0, 0.5, 2.0])
-        out, _ = layer.forward(x, np.ones(3))
-        np.testing.assert_array_equal(out, [0.0, 0.5, 2.0])
+        x = np.array([[-1.0, 0.5, 2.0]])
+        out, _ = layer.forward(x, np.ones((1, 3)))
+        np.testing.assert_array_equal(out, [[0.0, 0.5, 2.0]])
 
     def test_full_dropout_degenerate(self, rng):
         layer = DenseLayer(2, 3, rng)
         layer.bias[:] = [1.0, -1.0]
-        mask = np.zeros(3)
-        out, _ = layer.forward(np.ones(3), mask)
-        np.testing.assert_array_equal(out, [1.0, 0.0])
+        mask = np.zeros((1, 3))
+        out, _ = layer.forward(np.ones((1, 3)), mask)
+        np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
     def test_shape_mismatch(self, rng):
         layer = DenseLayer(2, 3, rng)
-        with pytest.raises(SentihierError, match="dense input has length 4, layer expects 3"):
-            layer.forward(np.ones(4), np.ones(4))
+        with pytest.raises(SentihierError, match="dense input has width 4, layer expects 3"):
+            layer.forward(np.ones((1, 4)), np.ones((1, 4)))
 
     def test_gradients_match_finite_differences(self, rng):
         layer = DenseLayer(3, 4, rng)
-        x = rng.normal(size=4)
-        weights = rng.normal(size=3)
-        mask = np.ones(4)
+        x = rng.normal(size=(1, 4))
+        weights = rng.normal(size=(1, 3))
+        mask = np.ones((1, 4))
 
         def loss_fn():
             out, _ = layer.forward(x, mask)
-            return float(weights @ out)
+            return float(np.sum(weights * out))
 
         out, cache = layer.forward(x, mask)
         grad_x, grad_pre = layer.backward(weights, cache)
-        grad_w, grad_b = linear_grads(layer, grad_pre[None], cache["x_masked"][None])
+        grad_w, grad_b = linear_grads(layer, grad_pre, cache["x_masked"])
         assert_matches_fd(grad_x, fd_grad(loss_fn, x, rng))
         assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
@@ -396,38 +399,40 @@ class TestDenseRelu:
     def test_param_grads_over_a_batch_match_finite_differences(self, rng):
         layer = DenseLayer(3, 4, rng)
         layer.bias[:] = rng.normal(size=3)  # off the ReLU kink if a mask drops every input
-        xs = rng.normal(size=(3, 4))
-        masks = [dropout_mask(rng, 4, 0.5) for _ in range(3)]
-        weights = rng.normal(size=(3, 3))
+        xs = rng.normal(size=(3, 1, 4))  # three one-row stacks
+        masks = [dropout_mask(rng, (1, 4), 0.5) for _ in range(3)]
+        weights = rng.normal(size=(3, 1, 3))
 
         def loss_fn():
-            return sum(float(w @ layer.forward(x, m)[0]) for w, x, m in zip(weights, xs, masks))
+            return sum(float(np.sum(w * layer.forward(x, m)[0]))
+                       for w, x, m in zip(weights, xs, masks))
 
         grad_pre, inputs = [], []
         for w, x, m in zip(weights, xs, masks):
             _, cache = layer.forward(x, m)
             grad_pre.append(layer.backward(w, cache)[1])
             inputs.append(cache["x_masked"])
-        grad_w, grad_b = linear_grads(layer, np.stack(grad_pre), np.stack(inputs))
+        grad_w, grad_b = linear_grads(layer, np.concatenate(grad_pre), np.concatenate(inputs))
         assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
     def test_stacked_rows_under_one_mask_match_finite_differences(self, rng):
         # A document's sentence rows: one forward and one backward call over
-        # (S, in) under the document's one sampled mask.
+        # (S, in), under the document's one sampled mask repeated for each
+        # row, as the model repeats it.
         layer = DenseLayer(3, 5, rng)
         layer.bias[:] = rng.normal(size=3)
         xs = rng.normal(size=(4, 5))
-        mask = dropout_mask(rng, 5, 0.4)
-        assert set(mask) == {0.0, 1.0 / 0.6}
+        mask = np.repeat(dropout_mask(rng, (1, 5), 0.4), 4, axis=0)
+        assert set(mask.ravel()) == {0.0, 1.0 / 0.6}
         weights = rng.normal(size=(4, 3))
 
         def loss_fn():
             return float(np.sum(weights * layer.forward(xs, mask)[0]))
 
         out, cache = layer.forward(xs, mask)
-        for x, row in zip(xs, out):
-            np.testing.assert_allclose(layer.forward(x, mask)[0], row, rtol=1e-12)
+        for x, m, row in zip(xs, mask, out):
+            np.testing.assert_allclose(layer.forward(x[None], m[None])[0][0], row, rtol=1e-12)
         grad_x, grad_pre = layer.backward(weights, cache)
         grad_w, grad_b = linear_grads(layer, grad_pre, cache["x_masked"])
         assert_matches_fd(grad_x, fd_grad(loss_fn, xs, rng))
@@ -442,16 +447,11 @@ class TestDenseRelu:
             total += x * dropout_mask(rng, 6, 0.4)
         np.testing.assert_allclose(total / n, x, atol=0.05)
 
-    def test_inference_mask_is_identity(self):
-        mask = dropout_mask(None, 5, 0.4)
-        x = np.array([1.0, -2.0, 0.0, 3.5, 9.0])
-        np.testing.assert_array_equal(x * mask, x)
-
     def test_no_mask_equals_an_all_ones_mask(self, rng):
         layer = DenseLayer(3, 5, rng)
         xs = rng.normal(size=(4, 5))
         out, cache = layer.forward(xs, None)
-        out_ones, cache_ones = layer.forward(xs, np.ones(5))
+        out_ones, cache_ones = layer.forward(xs, np.ones((4, 5)))
         np.testing.assert_array_equal(out, out_ones)
         grad = rng.normal(size=(4, 3))
         for a, b in zip(layer.backward(grad, cache), layer.backward(grad, cache_ones)):
@@ -727,41 +727,41 @@ class TestSoftmaxHead:
         head = SoftmaxHead(2, 3, rng)
         head.weights[:] = 0.0
         head.bias[:] = [500.0, -500.0]
-        probs = head.probs(np.zeros(3))
-        loss, *_ = head.loss_and_grads(probs, 0)
-        assert loss < 1e-12 and probs[0] > 1 - 1e-12
+        probs = head.probs(np.zeros((1, 3)))
+        loss, *_ = head.loss_and_grads(probs, [0])
+        assert loss < 1e-12 and probs[0, 0] > 1 - 1e-12
 
     def test_uniform_loss_is_log_c(self, rng):
         head = SoftmaxHead(3, 4, rng)
         head.weights[:] = 0.0
         head.bias[:] = 0.0
-        loss, *_ = head.loss_and_grads(head.probs(np.ones(4)), 1)
+        loss, *_ = head.loss_and_grads(head.probs(np.ones((1, 4))), [1])
         assert abs(loss - np.log(3)) < 1e-12
 
     def test_gold_out_of_range(self, rng):
         head = SoftmaxHead(2, 3, rng)
         with pytest.raises(SentihierError, match=r"gold class outside \[0, 2\)"):
-            head.loss_and_grads(head.probs(np.zeros(3)), 2)
+            head.loss_and_grads(head.probs(np.zeros((1, 3))), [2])
 
     def test_logit_gradient_is_probs_minus_onehot(self, rng):
         head = SoftmaxHead(3, 4, rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         probs = head.probs(x)
-        _, _, grad_logits = head.loss_and_grads(probs, 2)
+        _, _, grad_logits = head.loss_and_grads(probs, [2])
         expected = probs.copy()
-        expected[2] -= 1.0
+        expected[0, 2] -= 1.0
         np.testing.assert_allclose(grad_logits, expected)
 
     def test_gradients_match_finite_differences(self, rng):
         head = SoftmaxHead(3, 4, rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
 
         def loss_fn():
-            loss, *_ = head.loss_and_grads(head.probs(x), 1)
+            loss, *_ = head.loss_and_grads(head.probs(x), [1])
             return loss
 
-        _, grad_x, grad_logits = head.loss_and_grads(head.probs(x), 1)
-        grad_w, grad_b = linear_grads(head, grad_logits[None], x[None])
+        _, grad_x, grad_logits = head.loss_and_grads(head.probs(x), [1])
+        grad_w, grad_b = linear_grads(head, grad_logits, x)
         assert_matches_fd(grad_x, fd_grad(loss_fn, x, rng))
         assert_matches_fd(grad_w, fd_grad(loss_fn, head.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, head.bias, rng))
@@ -771,16 +771,18 @@ class TestSoftmaxHead:
         xs = rng.normal(size=(3, 4))
         golds = [0, 2, 2]
 
-        def loss_fn():
-            return sum(head.loss_and_grads(head.probs(x), gold)[0] for x, gold in zip(xs, golds))
+        def one_row(x, gold):  # (loss, grad_x, grad_logits) of x alone, a one-row stack
+            return head.loss_and_grads(head.probs(x[None]), [gold])
 
-        grad_logits = np.stack([head.loss_and_grads(head.probs(x), gold)[2] for x, gold in zip(xs, golds)])
+        def loss_fn():
+            return sum(one_row(x, gold)[0] for x, gold in zip(xs, golds))
+
+        grad_logits = np.concatenate([one_row(x, gold)[2] for x, gold in zip(xs, golds)])
         grad_w, grad_b = linear_grads(head, grad_logits, xs)
         loss, grad_xs, batch_logits = head.loss_and_grads(head.probs(xs), golds)
         assert loss == pytest.approx(loss_fn(), rel=1e-12)
         np.testing.assert_allclose(batch_logits, grad_logits, rtol=1e-12)
         for x, gold, grad_x in zip(xs, golds, grad_xs):
-            np.testing.assert_allclose(grad_x, head.loss_and_grads(head.probs(x), gold)[1],
-                                       rtol=1e-12)
+            np.testing.assert_allclose(grad_x, one_row(x, gold)[1][0], rtol=1e-12)
         assert_matches_fd(grad_w, fd_grad(loss_fn, head.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, head.bias, rng))

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     desk_config,
@@ -233,9 +235,9 @@ class TestProbabilities:
                                                                            monkeypatch):
         model = desk_model()
         docs = [random_doc(rng) for _ in range(5)] + [random_doc(rng, num_sents=21)]
-        # With no dropout_rng, every training mask is all ones.
-        trained, _ = model.forward(docs, train=True)
+        # Training with no dropout_rng builds no mask either.
         monkeypatch.setattr(layers, "dropout_mask", lambda *a: pytest.fail("mask built"))
+        trained, _ = model.forward(docs, train=True)
         inferred, cache = model.forward(docs)
         assert cache is None
         np.testing.assert_array_equal(inferred.view(np.uint64), trained.view(np.uint64))
@@ -275,7 +277,32 @@ class TestConstruction:
         assert model.head.num_classes == 3 and model.labels == labels
 
 
+RAGGED_BATCH = st.lists(
+    st.builds(lambda sents, label: Document(tuple(map(tuple, sents)), label),
+              st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=6),
+                       min_size=1, max_size=4),
+              st.integers(0, 1)),
+    min_size=1, max_size=5)
+
+
 class TestLossAndGrads:
+    @given(RAGGED_BATCH, st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_no_mask_equals_all_ones_masks(self, batch, seed):
+        # Training with no dropout_rng multiplies by no mask; all-ones masks
+        # through every mask site must give the same loss and gradients.
+        model = desk_model()
+        loss, grads = model.loss_and_grads(batch)
+        cfg = model.config
+        widths = (cfg.num_filters, *[cfg.sentence_dim, cfg.lstm_hidden] * 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(HiCnnLstmModel, "_masks",
+                       lambda self, rng, n: [np.ones((n, w)) for w in widths])
+            ones_loss, ones_grads = model.loss_and_grads(
+                batch, dropout_rng=np.random.default_rng(seed))
+        assert np.float64(loss).view(np.uint64) == np.float64(ones_loss).view(np.uint64)
+        np.testing.assert_array_equal(grads.view(np.uint64), ones_grads.view(np.uint64))
+
     def test_one_softmax_per_training_document(self, rng, monkeypatch):
         model = desk_model()
         calls = []
@@ -292,6 +319,11 @@ class TestLossAndGrads:
         loss, grads = model.loss_and_grads([Document(((2, 3),), label=0)])
         assert loss < 1e-12
         assert np.abs(model.views(grads)["head.bias"]).max() < 1e-12
+
+    def test_empty_batch_rejected(self):
+        # So the head's softmax never meets an empty matrix in training.
+        with pytest.raises(SentihierError, match="empty batch"):
+            desk_model().loss_and_grads([])
 
     def test_unlabeled_document_rejected(self, rng):
         model = desk_model()
@@ -636,7 +668,9 @@ class TestCheckpoint:
         model = desk_model()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        monkeypatch.setattr(layers, "glorot_uniform", pytest.fail)
+        weights = layers._weights
+        monkeypatch.setattr(layers, "_weights", lambda rng, *shape: (
+            pytest.fail("weights drawn") if rng is not None else weights(rng, *shape)))
         loaded = load_checkpoint(path)
         assert loaded.block.tobytes() == model.block.tobytes()
 

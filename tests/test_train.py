@@ -4,9 +4,24 @@ import numpy as np
 import pytest
 
 from conftest import desk_model
+from sentihier import train
 from sentihier.errors import ConfigurationError, SentihierError
 from sentihier.textprep import Document
-from sentihier.train import VAL_FRACTION, AdamState, TrainConfig, fit
+from sentihier.train import AdamState, TrainConfig, fit
+
+
+def fit_recording_split(monkeypatch, model, docs, cfg, seed):
+    """Runs fit; returns (history, train indices, validation indices), the
+    indices into docs of the documents that fit trained and evaluated on."""
+    at = {id(doc): i for i, doc in enumerate(docs)}
+    trained, evaluated = set(), []
+    loss_and_grads, evaluate = model.loss_and_grads, train._evaluate
+    monkeypatch.setattr(model, "loss_and_grads", lambda batch, **kw: (
+        trained.update(at[id(d)] for d in batch) or loss_and_grads(batch, **kw)))
+    monkeypatch.setattr(train, "_evaluate", lambda m, val: (
+        evaluated.append([at[id(d)] for d in val]) or evaluate(m, val)))
+    _, history = fit(model, docs, cfg, seed=seed)
+    return history, sorted(trained), evaluated[0]
 
 
 def labeled_docs(rng, n, vocab_size=9):
@@ -142,16 +157,13 @@ class TestFit:
         losses = [e.val_loss for e in history.epochs]
         assert history.best_epoch == int(np.argmin(losses)) + 1
 
-    def test_restored_weights_reproduce_best_val_loss(self, rng):
-        from sentihier.train import _evaluate, _stratified_val_split
+    def test_restored_weights_reproduce_best_val_loss(self, rng, monkeypatch):
         model = desk_model()
         docs = labeled_docs(rng, 30)
         cfg = TrainConfig(batch_size=8, max_epochs=10, patience=10)
-        model, history = fit(model, docs, cfg, seed=5)
-        split_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[0])
-        _, val_ix = _stratified_val_split([d.label for d in docs],
-                                          VAL_FRACTION, split_rng)
-        val_loss, _ = _evaluate(model, [docs[i] for i in val_ix])
+        evaluate = train._evaluate
+        history, _, val_ix = fit_recording_split(monkeypatch, model, docs, cfg, seed=5)
+        val_loss, _ = evaluate(model, [docs[i] for i in val_ix])
         best = min(e.val_loss for e in history.epochs)
         assert abs(val_loss - best) <= 1e-12
 
@@ -175,12 +187,13 @@ class TestFit:
 
 
 class TestValSplitPinned:
-    def test_known_split(self):
-        # The stream fit() draws its split from. 8/15 per class: floors
-        # 1/3 leave one of the 5 slots, which goes to class 1 (remainder 0.6).
-        from sentihier.train import _stratified_val_split
-        labels = [int(i % 3 == 0) for i in range(23)]
-        split_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[0])
-        train, val = _stratified_val_split(labels, 0.2, split_rng)
-        assert val == [6, 10, 12, 19, 22]
-        assert train == [i for i in range(23) if i not in val]
+    def test_known_split(self, monkeypatch):
+        # fit's split at seed 5, with a 20% share: round(0.2 * 23) = 5 slots
+        # for 8/15 per class; floors 1/3 leave one, which goes to class 1
+        # (remainder 0.6).
+        monkeypatch.setattr(train, "VAL_FRACTION", 0.2)
+        docs = [Document(((2, 3),), int(i % 3 == 0)) for i in range(23)]
+        cfg = TrainConfig(batch_size=32, max_epochs=1, patience=1)
+        _, train_ix, val_ix = fit_recording_split(monkeypatch, desk_model(), docs, cfg, seed=5)
+        assert val_ix == [6, 10, 12, 19, 22]
+        assert train_ix == [i for i in range(23) if i not in val_ix]
