@@ -150,7 +150,8 @@ def load_dataset_config(path) -> DatasetConfig:
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # Only "\n" ends a line (read_text folds "\r\n" and "\r" into it), not U+2028 or "\f".
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

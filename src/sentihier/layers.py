@@ -3,7 +3,9 @@ a dense ReLU projection, LSTM cells and the softmax classification head.
 Every layer takes stacked rows only, as the model calls it: the convolution
 and the dense layer a batch's sentences as one stack of rows, and the head
 its documents as rows; an LSTM cell projects a batch's sequences as one
-stack of rows, then runs the recurrence of one sequence.
+stack of rows, then runs the recurrence of one sequence. The layers trust
+the shapes that model.py builds and check none of them: the model is the
+one module that rejects a bad input.
 The convolution runs in embedding-row space (ConvLayer): its table holds
 the filters' products with the distinct word vectors that the caller
 projected, for one batch or for a larger group of documents, and only this
@@ -20,8 +22,6 @@ the finite-difference tests in the suite are the correctness authority.
 """
 
 import numpy as np
-
-from .errors import SentihierError
 
 GATHER_WINDOWS = 256  # windows per block of ConvLayer.forward's gather buffer
 
@@ -67,8 +67,6 @@ def sentence_matrix(seqs, distinct: np.ndarray, min_rows: int):
     chained, as its position among the sorted distinct tokens projected.
     Returns (rows, starts): sentence s begins at rows[starts[s]]."""
     lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-    if len(lengths) == 0 or lengths.min() == 0:
-        raise SentihierError("sentence_matrix of no sentence or of an empty one")
     padded = np.maximum(lengths, min_rows)
     starts = np.cumsum(padded) - padded
     rows = np.zeros(padded.sum(), dtype=np.intp)
@@ -103,8 +101,6 @@ class ConvLayer:
         filters in place. The table is valid only while the filters stay as
         they are."""
         k = self.embedding_dim
-        if vectors.ndim != 2 or vectors.shape[1] != k:
-            raise SentihierError(f"vectors have shape {vectors.shape}, layer expects (U, {k})")
         table = np.empty((self.filter_width, 1 + len(vectors), self.num_filters))
         table[:, 0] = 0.0
         for o in range(self.filter_width):
@@ -125,10 +121,7 @@ class ConvLayer:
         position.
         """
         f = self.filter_width
-        lengths = np.diff(starts, append=len(rows))
-        if lengths.min() < f:
-            raise SentihierError(f"a sentence has {lengths.min()} rows, below filter width {f}")
-        counts = lengths - (f - 1)          # windows per sentence
+        counts = np.diff(starts, append=len(rows)) - (f - 1)  # windows per sentence
         first = np.cumsum(counts) - counts  # each sentence's first window
         at = np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
         pre = table[0].take(rows[at], axis=0)  # (windows, F)
@@ -206,9 +199,6 @@ class DenseLayer:
         self.bias = np.zeros(out_dim, dtype=np.float64)
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None):
-        if x.shape[1] != self.weights.shape[1]:
-            raise SentihierError(
-                f"dense input has width {x.shape[1]}, layer expects {self.weights.shape[1]}")
         x_masked = x if mask is None else x * mask
         pre = x_masked @ self.weights.T + self.bias
         cache = {"x_masked": x_masked, "pre": pre, "mask": mask}
@@ -238,7 +228,6 @@ class LstmCell:
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None):
-        self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.input_weights = _weights(rng, 4 * hidden_dim, input_dim)
         self.recurrent_weights = _weights(rng, 4 * hidden_dim, hidden_dim)
@@ -250,8 +239,6 @@ class LstmCell:
         """Input projections x_m @ W.T + b of N stacked steps (N, m), as (N, 4H):
         one GEMM for every step of every sequence, ahead of the recurrence
         (Appleyard et al. 2016)."""
-        if x_m.ndim != 2 or x_m.shape[1] != self.input_dim:
-            raise SentihierError(f"lstm input shape {x_m.shape} vs (N, m={self.input_dim})")
         return x_m @ self.input_weights.T + self.bias
 
     def run(self, z_in: np.ndarray, recurrent_mask: np.ndarray | None):
@@ -261,8 +248,6 @@ class LstmCell:
         step not even that: its previous h is zero. recurrent_mask (H,)
         multiplies each previous h; None means no dropout."""
         H = self.hidden_dim
-        if z_in.ndim != 2 or z_in.shape[1] != 4 * H:
-            raise SentihierError(f"lstm projected input shape {z_in.shape} vs (T, 4H={4 * H})")
         T = len(z_in)
         h_m = np.zeros((T, H))  # each step's masked previous h; row 0 stays zero
         gates = z_in.copy()  # each row's pre-activations, then i, f, g, o in place
@@ -342,10 +327,6 @@ class SoftmaxHead:
         self.weights = _weights(rng, num_classes, in_dim)
         self.bias = np.zeros(num_classes, dtype=np.float64)
 
-    @property
-    def num_classes(self):
-        return self.weights.shape[0]
-
     def probs(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities (B, C) of each row of x (B, in): one matrix
         product and a softmax per row."""
@@ -353,16 +334,13 @@ class SoftmaxHead:
 
     def loss_and_grads(self, probs: np.ndarray, gold):
         """Cross-entropy loss and gradients, given probs = self.probs(x), for
-        rows x (B, in) with the sequence gold (B,) of their classes.
+        rows x (B, in) with the sequence gold (B,) of their classes, each in [0, C).
 
         Returns (loss summed over the rows, grad_x, grad_logits), where
         grad_logits is probs - onehot(gold); the parameter gradients are
         linear_param_grads of grad_logits paired with x.
         """
-        C = self.num_classes
         gold = np.asarray(gold, dtype=np.intp)[:, None]
-        if np.any((gold < 0) | (gold >= C)):
-            raise SentihierError(f"gold class outside [0, {C}): {gold.ravel()}")
         picked = np.take_along_axis(probs, gold, axis=1)
         loss = float(np.sum(-np.log(np.maximum(picked, 1e-300))))
         grad_logits = probs.copy()

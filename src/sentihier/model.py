@@ -210,8 +210,11 @@ class HiCnnLstmModel:
         whose ids must hold every token the documents read (a
         SentihierError otherwise); with none given, this call projects the
         documents' own distinct tokens into a table that is freed as soon
-        as the convolution has read it.
+        as the convolution has read it. An empty `docs` is a SentihierError
+        too: the layers below check no input of their own.
         """
+        if len(docs) == 0:
+            raise SentihierError("forward needs at least one document")
         cfg = self.config
         sentences = [doc.sentences[:MAX_SENTENCES] for doc in docs]
         seqs = list(itertools.chain.from_iterable(sentences))
@@ -257,17 +260,20 @@ class HiCnnLstmModel:
         row per document for the head, one per sentence elsewhere), and the
         LSTM recurrences one document at a time; then each LSTM direction's
         input gradient and every weight gradient is one product over all rows.
+        A label that is None or outside [0, C) is a SentihierError before any
+        work (a -1 would pick the last class); so is an empty batch, in forward.
         """
-        if len(batch) == 0:
-            raise SentihierError("loss_and_grads on an empty batch")
-        if any(doc.label is None for doc in batch):
-            raise SentihierError("loss_and_grads requires labeled documents")
+        gold, C = [doc.label for doc in batch], len(self.labels)
+        for label in gold:
+            if label is None or not 0 <= label < C:
+                raise SentihierError(
+                    f"loss_and_grads needs every label in [0, {C}), got {label!r}")
         # The gradient block is made after the forward pass, whose projection
         # table is freed by then: the two are never alive at once.
         probs, cache = self.forward(batch, train=True, dropout_rng=dropout_rng)
         grad_block = self._new_block()
         grads = self.views(grad_block)
-        loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, [d.label for d in batch])
+        loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, gold)
         H = self.config.lstm_hidden
         grad_seq = 0.0
         for d, (name, cell, order) in enumerate(self._lstm_directions()):

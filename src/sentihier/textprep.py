@@ -44,9 +44,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.index_to_token)
 
-    def index_of(self, token: str) -> int:
-        return self.token_to_index.get(token, UNK_INDEX)
-
 
 def split_sentences(text: str) -> list:
     """Split on '.', '!' or '?' followed by whitespace or end of text.
@@ -115,9 +112,10 @@ def build_vocab(corpus) -> Vocabulary:
     return Vocabulary.of((UNK_TOKEN, *kept))
 
 
-def index_document(doc: TokenizedDocument, vocab: Vocabulary) -> list:
-    """Map every token to its vocabulary index; unknown tokens map to UNK."""
-    return [[vocab.index_of(tok) for tok in sent] for sent in doc.sentences]
+def index_document(doc: TokenizedDocument, vocab: Vocabulary) -> tuple:
+    """Every token's vocabulary index, UNK's if unknown: the tuple of tuples a Document holds."""
+    get = vocab.token_to_index.get
+    return tuple(tuple([get(tok, UNK_INDEX) for tok in sent]) for sent in doc.sentences)
 
 
 @dataclass(frozen=True)
@@ -133,4 +131,4 @@ class Document:
 
 def encode(doc: TokenizedDocument, vocab: Vocabulary, label: int | None = None) -> Document:
     """The model input for a tokenized document: its indexed sentences and label."""
-    return Document(tuple(tuple(s) for s in index_document(doc, vocab)), label)
+    return Document(index_document(doc, vocab), label)

@@ -34,9 +34,6 @@ class AdamState:
         in the same order, one CHUNK of the blocks at a time, so the result
         is bit-identical to that formula.
         """
-        if not params.shape == grads.shape == self.m.shape:
-            raise SentihierError(f"gradient block shape {grads.shape} and parameter block "
-                                 f"shape {params.shape} do not match {self.m.shape}")
         self.t += 1
         corr1 = 1.0 - self.BETA1 ** self.t
         corr2 = 1.0 - self.BETA2 ** self.t

@@ -147,6 +147,30 @@ class TestDatasetConfig:
         cfg = load_dataset_config(cfg_path)
         assert cfg.name == "demo" and cfg.text_column == "text"
 
+    def test_a_value_may_hold_a_line_separator(self, tmp_path):
+        # str.splitlines would end the line at U+2028 and report "set" as a
+        # malformed line 2.
+        cfg_path = write(tmp_path, "d.conf", "name = demo\u2028set\npath = d.csv\n"
+                         "text_column = text\nlabel_column = label\n")
+        assert load_dataset_config(cfg_path).name == "demo\u2028set"
+
+    def test_a_form_feed_in_a_value_keeps_the_line_numbers(self, tmp_path):
+        cfg_path = write(tmp_path, "d.conf", "name = demo\fset\npath = d.csv\n"
+                         "no equals sign here\ntext_column = text\nlabel_column = label\n")
+        with pytest.raises(ConfigurationError, match=r"d\.conf: line 3: expected key=value$"):
+            load_dataset_config(cfg_path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_end_a_line(self, tmp_path, newline):
+        cfg_path = tmp_path / "d.conf"
+        cfg_path.write_bytes(newline.join(["name = demo", "path = d.csv", "text_column = text",
+                                           "label_column = label", "oops"]).encode("utf-8"))
+        with pytest.raises(ConfigurationError, match=r"line 5: expected key=value$"):
+            load_dataset_config(cfg_path)
+        cfg_path.write_bytes(newline.join(["name = demo", "path = d.csv", "text_column = text",
+                                           "label_column = label"]).encode("utf-8"))
+        assert load_dataset_config(cfg_path).label_column == "label"
+
     def test_missing_key(self, tmp_path):
         cfg_path = write(tmp_path, "d.conf", "name = demo\npath = d.csv\n")
         with pytest.raises(ConfigurationError, match="text_column"):

@@ -189,11 +189,6 @@ class TestSentenceMatrix:
                                       [[0, 0, 0]])
         np.testing.assert_array_equal(table[:, rows], np.zeros((3, 3, 3)))
 
-    @pytest.mark.parametrize("seqs", [[], [[2], []]], ids=["no-sentence", "empty-sentence"])
-    def test_empty_input_is_rejected(self, seqs):
-        with pytest.raises(SentihierError, match="no sentence or of an empty one"):
-            sentence_matrix(seqs, np.zeros(sum(map(len, seqs)), dtype=np.intp), min_rows=2)
-
 
 class TestConvMaxpool:
     def make(self, rng, f=2, F=3, k=4):
@@ -373,11 +368,6 @@ class TestDenseRelu:
         mask = np.zeros((1, 3))
         out, _ = layer.forward(np.ones((1, 3)), mask)
         np.testing.assert_array_equal(out, [[1.0, 0.0]])
-
-    def test_shape_mismatch(self, rng):
-        layer = DenseLayer(2, 3, rng)
-        with pytest.raises(SentihierError, match="dense input has width 4, layer expects 3"):
-            layer.forward(np.ones((1, 4)), np.ones((1, 4)))
 
     def test_gradients_match_finite_differences(self, rng):
         layer = DenseLayer(3, 4, rng)
@@ -595,15 +585,6 @@ class TestLstm:
         np.testing.assert_array_equal(cell.backward(grad, cache).view(np.uint64),
                                       cell.backward(grad, cache_ones).view(np.uint64))
 
-    def test_input_widths_are_checked(self, rng):
-        cell = LstmCell(3, 2, rng)
-        for x_m in (np.zeros((2, 4)), np.zeros((2, 2)), np.zeros(3)):
-            with pytest.raises(SentihierError, match="m=3"):
-                cell.project(x_m)
-        for z_in in (np.zeros((2, 7)), np.zeros((2, 3)), np.zeros(8)):
-            with pytest.raises(SentihierError, match="4H=8"):
-                cell.run(z_in, np.ones(2))
-
     def test_bptt_matches_finite_differences(self, rng):
         cell = LstmCell(3, 2, rng)
         seq = [rng.normal(size=3) for _ in range(3)]
@@ -737,11 +718,6 @@ class TestSoftmaxHead:
         head.bias[:] = 0.0
         loss, *_ = head.loss_and_grads(head.probs(np.ones((1, 4))), [1])
         assert abs(loss - np.log(3)) < 1e-12
-
-    def test_gold_out_of_range(self, rng):
-        head = SoftmaxHead(2, 3, rng)
-        with pytest.raises(SentihierError, match=r"gold class outside \[0, 2\)"):
-            head.loss_and_grads(head.probs(np.zeros((1, 3))), [2])
 
     def test_logit_gradient_is_probs_minus_onehot(self, rng):
         head = SoftmaxHead(3, 4, rng)

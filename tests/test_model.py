@@ -98,6 +98,13 @@ class TestForward:
         probs_t = probabilities(model, truncated)
         np.testing.assert_array_equal(probs, probs_t)
 
+    @pytest.mark.parametrize("train", [False, True], ids=["infer", "train"])
+    def test_no_documents_rejected(self, train):
+        # The model is the layers' one input boundary: sentence_matrix and
+        # ConvLayer.forward would fail on no rows with a bare numpy error.
+        with pytest.raises(SentihierError, match="forward needs at least one document"):
+            desk_model().forward([], train=train)
+
     def test_masks_of_a_batch_equal_the_per_document_draws(self):
         # One draw for the batch takes the stream's values in the order of a
         # dense, fwd input, fwd recurrent, bwd input and bwd recurrent mask
@@ -274,7 +281,7 @@ class TestConstruction:
     def test_one_class_per_label_name(self):
         vocab, labels = desk_names(9, 3)
         model = HiCnnLstmModel(desk_config(), np.zeros((9, 4)), vocab, labels, seed=0)
-        assert model.head.num_classes == 3 and model.labels == labels
+        assert model.head.weights.shape[0] == 3 and model.labels == labels
 
 
 RAGGED_BATCH = st.lists(
@@ -322,13 +329,18 @@ class TestLossAndGrads:
 
     def test_empty_batch_rejected(self):
         # So the head's softmax never meets an empty matrix in training.
-        with pytest.raises(SentihierError, match="empty batch"):
+        with pytest.raises(SentihierError, match="forward needs at least one document"):
             desk_model().loss_and_grads([])
 
-    def test_unlabeled_document_rejected(self, rng):
-        model = desk_model()
-        with pytest.raises(SentihierError, match="requires labeled documents"):
-            model.loss_and_grads([Document(((2, 3),))])
+    @pytest.mark.parametrize("label", [3, -1, None], ids=["C", "minus-one", "none"])
+    def test_label_outside_the_classes_rejected(self, label):
+        # One check, in the model: -1 would otherwise reach take_along_axis
+        # and pick the last class, and None would not be an index at all.
+        model = desk_model(num_classes=3)
+        batch = [Document(((2, 3),), label=0), Document(((4, 5),), label=label)]
+        with pytest.raises(SentihierError,
+                           match=rf"every label in \[0, 3\), got {label!r}$"):
+            model.loss_and_grads(batch)
 
     def test_batch_duplication_preserves_mean(self, rng):
         model = desk_model()

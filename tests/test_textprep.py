@@ -8,6 +8,7 @@ from sentihier.textprep import (
     UNK_INDEX,
     UNK_TOKEN,
     build_vocab,
+    encode,
     index_document,
     split_sentences,
     tokenize,
@@ -105,7 +106,7 @@ class TestBuildVocab:
     def test_frequency_ties_break_lexicographically(self):
         corpus = [tokenize_document("zz aa zz aa zz aa")]
         vocab = build_vocab(corpus)
-        assert vocab.index_of("aa") < vocab.index_of("zz")
+        assert vocab.token_to_index["aa"] < vocab.token_to_index["zz"]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -121,18 +122,18 @@ class TestBuildVocab:
 class TestIndexDocument:
     def test_known_tokens(self):
         vocab = build_vocab([tokenize_document("a b"), tokenize_document("a")])
-        assert index_document(tokenize_document("a b"), vocab) == [[1, 2]]
+        assert index_document(tokenize_document("a b"), vocab) == ((1, 2),)
 
     def test_oov_maps_to_unk(self):
         vocab = build_vocab([tokenize_document("a b")])
-        assert index_document(tokenize_document("z"), vocab) == [[UNK_INDEX]]
+        assert index_document(tokenize_document("z"), vocab) == ((UNK_INDEX,),)
 
     def test_round_trip_in_vocab(self):
         vocab = build_vocab([tokenize_document("alpha beta. gamma")])
         doc = tokenize_document("Alpha beta. Gamma")
         indexed = index_document(doc, vocab)
-        recovered = [[vocab.index_to_token[i] for i in sent] for sent in indexed]
-        assert recovered == [list(s) for s in doc.sentences]
+        recovered = tuple(tuple(vocab.index_to_token[i] for i in sent) for sent in indexed)
+        assert recovered == doc.sentences
 
     @given(st.text(min_size=0, max_size=100))
     @settings(max_examples=100, deadline=None)
@@ -141,4 +142,17 @@ class TestIndexDocument:
         indexed = index_document(tokenize_document(text), vocab)
         assert indexed and all(sent for sent in indexed)
         assert all(0 <= i < len(vocab) for sent in indexed for i in sent)
+
+    @given(st.text(min_size=0, max_size=100), st.text(min_size=0, max_size=100))
+    @settings(max_examples=100, deadline=None)
+    def test_encode_holds_each_tokens_index_as_tuples_of_ints(self, seen, text):
+        # One path from raw text to a Document: its sentences are each
+        # token's vocabulary index, already in the tuple form it holds.
+        vocab = build_vocab([tokenize_document(seen)])
+        doc = tokenize_document(text)
+        sentences = encode(doc, vocab).sentences
+        assert sentences == tuple(tuple(vocab.token_to_index.get(t, UNK_INDEX) for t in s)
+                                  for s in doc.sentences)
+        assert type(sentences) is tuple
+        assert all(type(s) is tuple and all(type(i) is int for i in s) for s in sentences)
 
