@@ -3,7 +3,8 @@ a dense ReLU projection, LSTM cells and the softmax classification head.
 Every layer takes stacked rows only, as the model calls it: the convolution
 and the dense layer a batch's sentences as one stack of rows, and the head
 its documents as rows; an LSTM cell projects a batch's sequences as one
-stack of rows, then runs the recurrence of one sequence. The layers trust
+stack of rows and keeps their state as arrays over those rows, so that only
+the recurrence itself runs one sequence at a time. The layers trust
 the shapes that model.py builds and check none of them: the model is the
 one module that rejects a bad input.
 The convolution runs in embedding-row space (ConvLayer): its table holds
@@ -221,10 +222,16 @@ class LstmCell:
     and the recurrent state are fixed per sequence (variational style): the
     caller samples them once and reuses them at every step, or passes None
     for no dropout. The state starts at zero, so the first step has no
-    recurrent term. Each step applies all four gate nonlinearities in one
-    pass over its (4H,) row, as tanh under the per-block scale and shift
-    that make sigmoid(z) = 1/2 + tanh(z/2)/2 on i, f and o and leave tanh
-    on g.
+    recurrent term. The gate nonlinearities are one pass over a step's
+    (4H,) row, or over a block of such rows: tanh under the per-block scale
+    and shift that make sigmoid(z) = 1/2 + tanh(z/2)/2 on i, f and o and
+    leave tanh on g.
+
+    run_batch and backward_batch hold a batch's state as arrays with one row
+    per step and do all that is elementwise over rows once per batch: every
+    sequence's first step, the factors of backpropagation through time and
+    every last-step gradient. Only the recurrence runs one sequence at a
+    time (run, backward), in place on that sequence's rows.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None):
@@ -241,74 +248,140 @@ class LstmCell:
         (Appleyard et al. 2016)."""
         return x_m @ self.input_weights.T + self.bias
 
-    def run(self, z_in: np.ndarray, recurrent_mask: np.ndarray | None):
-        """Runs the recurrence over one sequence; returns (final h, cache for
-        backward). z_in (T, 4H) holds the sequence's input projections
-        (project), so each step only adds the recurrent term, and the first
-        step not even that: its previous h is zero. recurrent_mask (H,)
-        multiplies each previous h; None means no dropout."""
-        H = self.hidden_dim
-        T = len(z_in)
-        h_m = np.zeros((T, H))  # each step's masked previous h; row 0 stays zero
-        gates = z_in.copy()  # each row's pre-activations, then i, f, g, o in place
-        c = np.zeros((T + 1, H))  # c[t] is the cell state that step t reads
-        tanh_c = np.empty((T, H))
-        for t in range(T):
-            gt = gates[t]
-            if t:
-                gt += self.recurrent_weights @ h_m[t]
-            gt *= self._scale
-            np.tanh(gt, out=gt)
-            gt *= self._scale
-            gt += self._shift
-            np.multiply(gt[:H], gt[2 * H : 3 * H], out=c[t + 1])
-            if t:
-                c[t + 1] += gt[H : 2 * H] * c[t]
-            np.tanh(c[t + 1], out=tanh_c[t])
-            h = gt[3 * H :] * tanh_c[t]
-            if t + 1 < T:
-                if recurrent_mask is None:
-                    h_m[t + 1] = h
-                else:
-                    np.multiply(h, recurrent_mask, out=h_m[t + 1])
-        cache = {"h_m": h_m, "gates": gates, "c_prev": c[:T], "tanh_c": tanh_c,
-                 "recurrent_mask": recurrent_mask}
+    def _activate(self, z: np.ndarray):
+        """Turns pre-activations z (..., 4H) into the gates i, f, g, o, in place."""
+        z *= self._scale
+        np.tanh(z, out=z)
+        z *= self._scale
+        z += self._shift
+
+    def run_batch(self, gates: np.ndarray, counts, recurrent_masks, reverse: bool):
+        """Runs the recurrence of D sequences; returns (each one's final h
+        (D, H), cache for backward_batch).
+
+        gates (N, 4H) holds the input projections (project) of the steps,
+        counts[d] rows for sequence d after those of the sequences before
+        it, and is activated in place; with reverse, each sequence steps
+        through its rows last to first. recurrent_masks (D, H) holds each
+        sequence's mask on its previous h, or is None for no dropout. The
+        cache's (N, .) arrays keep the row order of gates: the gates, the
+        cell state c and its tanh that each row's step writes, and h_m, the
+        masked previous h that it reads (zero at a first step).
+        """
+        H, N = self.hidden_dim, len(gates)
+        counts = np.asarray(counts)
+        ends = np.cumsum(counts)
+        c, tanh_c, h_m = np.empty((N, H)), np.empty((N, H)), np.empty((N, H))
+        # Views in step order: each sequence's rows run from its first step,
+        # at firsts, to its last.
+        order = slice(None, None, -1) if reverse else slice(None)
+        gates_s, c_s, tanh_s, h_m_s = gates[order], c[order], tanh_c[order], h_m[order]
+        firsts = N - ends if reverse else ends - counts
+        # Every sequence's first step at once: its previous state is zero.
+        first = gates_s[firsts]
+        self._activate(first)
+        gates_s[firsts] = first
+        c_first = first[:, :H] * first[:, 2 * H : 3 * H]
+        c_s[firsts] = c_first
+        tanh_first = np.tanh(c_first)
+        tanh_s[firsts] = tanh_first
+        h_first = first[:, 3 * H :] * tanh_first
+        if recurrent_masks is not None:
+            h_first *= recurrent_masks
+        h_m_s[firsts] = 0.0
+        more = counts > 1
+        h_m_s[firsts[more] + 1] = h_first[more]
+        masks = [None] * len(counts) if recurrent_masks is None else recurrent_masks
+        for lo, hi, mask in zip(firsts.tolist(), (firsts + counts).tolist(), masks):
+            self.run(gates_s[lo:hi], c_s[lo:hi], tanh_s[lo:hi], h_m_s[lo:hi], mask)
+        lasts = firsts + counts - 1
+        h = gates_s[lasts, 3 * H :] * tanh_s[lasts]
+        cache = {"gates": gates, "c": c, "tanh_c": tanh_c, "h_m": h_m, "order": order,
+                 "firsts": firsts, "counts": counts, "recurrent_masks": masks}
         return h, cache
 
-    def backward(self, grad_h_final: np.ndarray, cache):
-        """Backpropagation through time from a gradient on the final hidden state.
+    def run(self, gates: np.ndarray, c: np.ndarray, tanh_c: np.ndarray, h_m: np.ndarray,
+            recurrent_mask: np.ndarray | None):
+        """Steps 1..T-1 of one sequence, in place on its T rows of the
+        run_batch arrays, in step order: gates (T, 4H) holds its input
+        projections, row 0 already activated, and c, tanh_c and h_m (T, H)
+        hold step 0's state. Each step adds the recurrent term to its row,
+        activates it and writes its c, tanh(c) and, but for the last step,
+        the next step's h_m. recurrent_mask (H,) multiplies each h; None
+        means no dropout. With T = 1 there is nothing to do."""
+        H = self.hidden_dim
+        T = len(gates)
+        for t in range(1, T):
+            gt = gates[t]
+            gt += self.recurrent_weights @ h_m[t]
+            self._activate(gt)
+            np.multiply(gt[:H], gt[2 * H : 3 * H], out=c[t])
+            c[t] += gt[H : 2 * H] * c[t - 1]
+            np.tanh(c[t], out=tanh_c[t])
+            if t + 1 < T:
+                np.multiply(gt[3 * H :], tanh_c[t], out=h_m[t + 1])
+                if recurrent_mask is not None:
+                    h_m[t + 1] *= recurrent_mask
 
-        Returns the (T, 4H) gradients dz at the gate pre-activations, so at
-        z_in. The loop carries dh and dc back through the recurrence and
-        stacks each step's dz; it stops at the first step, whose previous
-        state is the zero initial state, so nothing reads its dh or dc. The
-        caller forms the input gradients (dz @ W under the input mask) and
-        the parameter gradients (param_grads of dz, the masked inputs and
-        cache["h_m"]) once for a batch of sequences.
+    def backward_batch(self, grad_h: np.ndarray, cache) -> np.ndarray:
+        """Backpropagation through time from gradients grad_h (D, H) on the
+        final h of run_batch's sequences.
+
+        Returns the (N, 4H) gradients dz at the gate pre-activations, in the
+        row order of gates. The factors that do not depend on the incoming
+        gradients, and every sequence's last step, are formed here over all
+        rows; backward then carries dh and dc back through the rest of each
+        sequence. The caller forms the input gradients (dz @ W under the
+        input mask) and the parameter gradients (param_grads of dz, the
+        masked inputs and cache["h_m"]) once for the batch.
         """
         H = self.hidden_dim
-        gates, tanh_c = cache["gates"], cache["tanh_c"]
+        gates, c, tanh_c = cache["gates"], cache["c"], cache["tanh_c"]
+        order, firsts, counts = cache["order"], cache["firsts"], cache["counts"]
+        N = len(gates)
         i, f, g, o = (gates[:, k * H : (k + 1) * H] for k in range(4))
-        # Elementwise factors that do not depend on the incoming gradients.
         dc_dh = o * (1.0 - tanh_c ** 2)
-        dz_dc = np.stack([g * i * (1.0 - i), cache["c_prev"] * f * (1.0 - f),
-                          i * (1.0 - g ** 2)], axis=1)  # (T, 3, H): i, f, g
+        c_prev = np.empty((N, H))  # the cell state each step reads, zero at a first step
+        c_prev[order][1:] = c[order][:-1]
+        c_prev[order][firsts] = 0.0
+        dz_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                          i * (1.0 - g ** 2)], axis=1)  # (N, 3, H): i, f, g
         dz_dh = tanh_c * o * (1.0 - o)
-        T = len(gates)
-        dz = np.empty((T, 4, H))
-        dh = grad_h_final
-        dc = np.zeros(H, dtype=np.float64)
-        mask = cache["recurrent_mask"]
-        for t in range(T - 1, -1, -1):
+        dz = np.empty((N, 4, H))
+        dz_s, f_s, dc_dh_s, dz_dc_s, dz_dh_s = (a[order] for a in (dz, f, dc_dh, dz_dc, dz_dh))
+        # Every sequence's last step at once, where dh is grad_h and dc
+        # starts at zero: 0.0 + turns a -0.0 into 0.0, as adding to a zero
+        # dc would.
+        lasts = firsts + counts - 1
+        dc = 0.0 + grad_h * dc_dh_s[lasts]
+        dz_s[lasts, :3] = dz_dc_s[lasts] * dc[:, None]
+        dz_s[lasts, 3] = grad_h * dz_dh_s[lasts]
+        for lo, hi, dc_last, mask in zip(firsts.tolist(), (lasts + 1).tolist(), dc,
+                                         cache["recurrent_masks"]):
+            self.backward(dz_s[lo:hi], dc_last, f_s[lo:hi], dc_dh_s[lo:hi], dz_dc_s[lo:hi],
+                          dz_dh_s[lo:hi], mask)
+        return dz.reshape(N, 4 * H)
+
+    def backward(self, dz: np.ndarray, dc: np.ndarray, f: np.ndarray, dc_dh: np.ndarray,
+                 dz_dc: np.ndarray, dz_dh: np.ndarray, recurrent_mask: np.ndarray | None):
+        """Steps T-2..0 of one sequence's backpropagation through time, in
+        place on its T rows of the backward_batch arrays, in step order:
+        dz (T, 4, H) holds the last step's gate gradients already, and dc
+        (H,) the gradient at that step's cell state. Each step takes dh
+        from the next step's dz through the recurrent weights (under
+        recurrent_mask, or None for no dropout) and dc through its forget
+        gate f (T, H), then writes its dz from the factors dc_dh (T, H),
+        dz_dc (T, 3, H) and dz_dh (T, H). The first step's previous state
+        is the zero initial state, so nothing reads its dh or dc. With T =
+        1 there is nothing to do."""
+        for t in range(len(dz) - 2, -1, -1):
+            dh = self.recurrent_weights.T @ dz[t + 1].reshape(-1)
+            if recurrent_mask is not None:
+                dh *= recurrent_mask
+            dc = dc * f[t + 1]
             dc = dc + dh * dc_dh[t]
             np.multiply(dz_dc[t], dc, out=dz[t, :3])
             np.multiply(dh, dz_dh[t], out=dz[t, 3])
-            if t:
-                dh = self.recurrent_weights.T @ dz[t].reshape(-1)
-                if mask is not None:
-                    dh *= mask
-                dc = dc * f[t]
-        return dz.reshape(T, 4 * H)
 
     @staticmethod
     def param_grads(dz: np.ndarray, x_m: np.ndarray, h_m: np.ndarray,

@@ -2,19 +2,20 @@
 sentence vectors, softmax head; plus checkpoint persistence.
 
 A forward call runs a list of documents with no cross-document padding:
-their sentences stay one stack of rows through the convolution and the
-dense layer, each LSTM direction projects all the rows in one GEMM and runs
-its recurrence one document at a time from a zero state, and the head takes
-one row per document. A batch's gradients are the mean of per-document
-gradients, formed once per batch from the factors of all rows. Training
-draws its dropout masks at the paper's fixed rates: 0.4 on the dense
-layer's inputs, 0.2 on each LSTM direction's inputs and recurrent state.
-Only a document's first 50 sentences are read. A training forward call
-projects its own documents' word vectors for the convolution; inference
-(probabilities) projects those of a group of 64-document chunks once, and
-runs the group's chunks in forward calls that share the table. A group's
-table is bounded in bytes (PROJECTION_BYTES), not by a count of documents
-alone, since its size grows with the distinct words read.
+their sentences stay one stack of rows through the convolution, the dense
+layer and each LSTM direction, which projects all the rows in one GEMM and
+runs every document's first step at once; only the rest of each recurrence
+runs one document at a time, from a zero state (LstmCell.run_batch). The
+head takes one row per document. A batch's gradients are the mean of
+per-document gradients, formed once per batch from the factors of all rows.
+Training draws its dropout masks at the paper's fixed rates: 0.4 on the
+dense layer's inputs, 0.2 on each LSTM direction's inputs and recurrent
+state. Only a document's first 50 sentences are read. A training forward
+call projects its own documents' word vectors for the convolution;
+inference (probabilities) projects those of a group of 64-document chunks
+once, and runs the group's chunks in forward calls that share the table. A
+group's table is bounded in bytes (PROJECTION_BYTES), not by a count of
+documents alone, since its size grows with the distinct words read.
 
 A model carries the vocabulary that indexes its embedding rows and the names
 of its classes, so one checkpoint file (format version 6, see
@@ -142,9 +143,8 @@ class HiCnnLstmModel:
         return np.split(masks, np.cumsum(widths)[:-1], axis=1)
 
     def _lstm_directions(self):
-        """(name, cell, row order) of each direction; bwd reads sentences last to first."""
-        return (("lstm_fwd", self.lstm_fwd, slice(None)),
-                ("lstm_bwd", self.lstm_bwd, slice(None, None, -1)))
+        """(name, cell, reverse) of each direction; bwd reads sentences last to first."""
+        return ("lstm_fwd", self.lstm_fwd, False), ("lstm_bwd", self.lstm_bwd, True)
 
     def probabilities(self, docs):
         """Yields the class probabilities of each document of `docs` in
@@ -233,20 +233,18 @@ class HiCnnLstmModel:
         features, windows = self.conv.forward(rows, starts, table, first_max=train)
         del table, projected  # a table of this call's own is freed here
         sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
-        H, ends = cfg.lstm_hidden, np.cumsum(counts)
+        H = cfg.lstm_hidden
         encoded = np.empty((len(sentences), 2 * H))
         lstm = []
-        for d, (_, cell, order) in enumerate(self._lstm_directions()):
-            x_m, in_mask, run_masks = sent_vecs, None, itertools.repeat(None)
+        for d, (_, cell, reverse) in enumerate(self._lstm_directions()):
+            x_m, in_mask, recurrent_masks = sent_vecs, None, None
             if dropout:
                 in_mask = np.repeat(lstm_masks[2 * d], counts, axis=0)
                 x_m = sent_vecs * in_mask
-                run_masks = lstm_masks[2 * d + 1]
-            z = cell.project(x_m)
-            runs = [cell.run(z[end - count : end][order], mask)
-                    for end, count, mask in zip(ends, counts, run_masks)]
-            encoded[:, d * H : (d + 1) * H] = [h for h, _ in runs]
-            lstm.append({"x_m": x_m, "in_mask": in_mask, "runs": [run for _, run in runs]})
+                recurrent_masks = lstm_masks[2 * d + 1]
+            encoded[:, d * H : (d + 1) * H], run = cell.run_batch(
+                cell.project(x_m), counts, recurrent_masks, reverse)
+            lstm.append({"x_m": x_m, "in_mask": in_mask, "run": run})
         cache = {"ids": ids, "rows": rows, "windows": windows, "features": features,
                  "dense": dense_cache, "lstm": lstm, "encoded": encoded} if train else None
         return self.head.probs(encoded), cache
@@ -257,15 +255,20 @@ class HiCnnLstmModel:
 
         One forward pass runs the batch. The backward pass runs the head, the
         dense layer and the convolution once each over all their rows (one
-        row per document for the head, one per sentence elsewhere), and the
-        LSTM recurrences one document at a time; then each LSTM direction's
-        input gradient and every weight gradient is one product over all rows.
-        A label that is None or outside [0, C) is a SentihierError before any
-        work (a -1 would pick the last class); so is an empty batch, in forward.
+        row per document for the head, one per sentence elsewhere), and each
+        LSTM direction's backpropagation through time over all its rows, with
+        only the recurrence one document at a time (LstmCell.backward_batch);
+        then each LSTM direction's input gradient and every weight gradient
+        is one product over all rows.
+        A label that is not an int (or a numpy integer) in [0, C) is a
+        SentihierError before any work: a -1 would pick the last class, and
+        the head would cast 0.5 to class 0 and 1.9 to class 1. A bool is not
+        a label either. An empty batch is a SentihierError too, in forward.
         """
         gold, C = [doc.label for doc in batch], len(self.labels)
         for label in gold:
-            if label is None or not 0 <= label < C:
+            if (not isinstance(label, (int, np.integer)) or isinstance(label, bool)
+                    or not 0 <= label < C):
                 raise SentihierError(
                     f"loss_and_grads needs every label in [0, {C}), got {label!r}")
         # The gradient block is made after the forward pass, whose projection
@@ -276,15 +279,13 @@ class HiCnnLstmModel:
         loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, gold)
         H = self.config.lstm_hidden
         grad_seq = 0.0
-        for d, (name, cell, order) in enumerate(self._lstm_directions()):
+        for d, (name, cell, _) in enumerate(self._lstm_directions()):
             lstm = cache["lstm"][d]
-            # dz and h_m back in sentence order, the order of x_m's rows
-            dz = np.concatenate([cell.backward(g, run)[order] for g, run in
-                                 zip(grad_enc[:, d * H : (d + 1) * H], lstm["runs"])])
-            h_m = np.concatenate([run["h_m"][order] for run in lstm["runs"]])
+            dz = cell.backward_batch(grad_enc[:, d * H : (d + 1) * H], lstm["run"])
             grad_x, in_mask = dz @ cell.input_weights, lstm["in_mask"]
             grad_seq = grad_seq + (grad_x if in_mask is None else grad_x * in_mask)
-            layers.LstmCell.param_grads(dz, lstm["x_m"], h_m, grads[f"{name}.input_weights"],
+            layers.LstmCell.param_grads(dz, lstm["x_m"], lstm["run"]["h_m"],
+                                        grads[f"{name}.input_weights"],
                                         grads[f"{name}.recurrent_weights"], grads[f"{name}.bias"])
         grad_feats, grad_pre = self.dense.backward(grad_seq, cache["dense"])
         gated = self.conv.backward(grad_feats, cache["features"])

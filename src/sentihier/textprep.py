@@ -79,7 +79,10 @@ def tokenize(sentence: str) -> list:
         if piece == UNK_TOKEN:
             tokens.append(UNK_TOKEN)
             continue
-        if _URL_RE.match(piece):
+        # "hHwW" holds every first character that _URL_RE accepts, so a
+        # piece that starts otherwise is not tried. Lowercasing would not
+        # do: "httpſ://x" matches, since ſ folds to s.
+        if piece[0] in "hHwW" and _URL_RE.match(piece):
             tokens.append(URL_TOKEN)
             continue
         stripped = piece.strip(_PUNCT).lower()

@@ -467,12 +467,18 @@ def lstm_step(cell, x, h_prev, c_prev):
 
 def lstm_run(cell, seq, input_mask, recurrent_mask, reverse=False):
     """One sequence through a cell as the model runs it: the masked inputs
-    x_m projected in one GEMM, then the recurrence over the projected rows,
-    last to first with reverse. Returns (final h, cache, x_m)."""
+    x_m projected in one GEMM, then a batch of that one sequence, stepping
+    through its rows last to first with reverse. Returns (final h, cache,
+    x_m)."""
     x_m = np.asarray(seq, dtype=np.float64) * input_mask
-    z = cell.project(x_m)
-    h, cache = cell.run(z[::-1] if reverse else z, recurrent_mask)
-    return h, cache, x_m
+    masks = None if recurrent_mask is None else recurrent_mask[None]
+    h, cache = cell.run_batch(cell.project(x_m), [len(x_m)], masks, reverse)
+    return h[0], cache, x_m
+
+
+def lstm_backward(cell, grad_h, cache):
+    """dz of a one-sequence run_batch from the gradient on its final h."""
+    return cell.backward_batch(grad_h[None], cache)
 
 
 def lstm_input_grads(cell, dz, input_mask):
@@ -491,17 +497,17 @@ def bilstm(fwd, bwd, seq, masks):
 
 
 def bilstm_grads(fwd, bwd, grad_encoded, caches, masks):
-    """(gradient at seq, fwd (gW, gU, gb), bwd (gW, gU, gb)) of bilstm: the
-    backward direction's gate gradients and states go back into sequence
-    order, the order of its x_m."""
+    """(gradient at seq, fwd (gW, gU, gb), bwd (gW, gU, gb)) of bilstm: both
+    directions' gate gradients and states are in sequence order, the order
+    of their x_m."""
     H = fwd.hidden_dim
     (cache_fwd, x_fwd), (cache_bwd, x_bwd) = caches
-    dz_fwd = fwd.backward(grad_encoded[:H], cache_fwd)
-    dz_bwd = bwd.backward(grad_encoded[H:], cache_bwd)[::-1]
+    dz_fwd = lstm_backward(fwd, grad_encoded[:H], cache_fwd)
+    dz_bwd = lstm_backward(bwd, grad_encoded[H:], cache_bwd)
     grad_seq = (lstm_input_grads(fwd, dz_fwd, masks[0])
                 + lstm_input_grads(bwd, dz_bwd, masks[2]))
     return (grad_seq, lstm_param_grads(fwd, dz_fwd, x_fwd, cache_fwd["h_m"]),
-            lstm_param_grads(bwd, dz_bwd, x_bwd, cache_bwd["h_m"][::-1]))
+            lstm_param_grads(bwd, dz_bwd, x_bwd, cache_bwd["h_m"]))
 
 
 class TestLstm:
@@ -529,7 +535,7 @@ class TestLstm:
         h, cache, _ = lstm_run(cell, [np.ones(1), np.zeros(1)], *self.ones_masks(1, 1))
         h1, c1 = lstm_step(cell, np.ones(1), np.zeros(1), np.zeros(1))
         h2, c2 = lstm_step(cell, np.zeros(1), h1, c1)
-        assert abs(cache["c_prev"][1, 0] - c1[0]) < 1e-12
+        assert abs(cache["c"][0, 0] - c1[0]) < 1e-12
         assert abs(cache["tanh_c"][1, 0] - np.tanh(c2[0])) < 1e-12
         assert abs(h[0] - h2[0]) < 1e-12
         assert abs(c2[0] - sigmoid(np.array([10.0]))[0] * c1[0]) < 1e-12
@@ -553,7 +559,7 @@ class TestLstm:
         H = len(v)
         cell = LstmCell(1, H, None)  # run reads neither weight matrix at one step
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _, cache = cell.run(np.tile(v, 4)[None, :], None)
+            _, cache = cell.run_batch(np.tile(v, 4)[None, :], [1], None, False)
         i, f, g, o = cache["gates"][0].reshape(4, H)
         with np.errstate(over="ignore"):
             expected = sigmoid(v)
@@ -567,23 +573,23 @@ class TestLstm:
     def test_first_step_reads_no_recurrent_weights(self, rng):
         cell = LstmCell(3, 2, rng)
         cell.recurrent_weights[:] = np.nan
-        z = cell.project(rng.normal(size=(1, 3)))
-        h, cache = cell.run(z, dropout_mask(rng, 2, 0.5))
+        h, cache, _ = lstm_run(cell, rng.normal(size=(1, 3)), np.ones(3),
+                               dropout_mask(rng, 2, 0.5))
         assert np.isfinite(h).all()
-        assert np.isfinite(cell.backward(rng.normal(size=2), cache)).all()
+        assert np.isfinite(lstm_backward(cell, rng.normal(size=2), cache)).all()
 
     def test_no_recurrent_mask_equals_an_all_ones_mask(self, rng):
         cell = LstmCell(3, 2, rng)
-        z = cell.project(rng.normal(size=(3, 3)))
-        h, cache = cell.run(z, None)
-        h_ones, cache_ones = cell.run(z, np.ones(2))
+        seq = rng.normal(size=(3, 3))
+        h, cache, _ = lstm_run(cell, seq, np.ones(3), None)
+        h_ones, cache_ones, _ = lstm_run(cell, seq, np.ones(3), np.ones(2))
         np.testing.assert_array_equal(h.view(np.uint64), h_ones.view(np.uint64))
-        for key in ("h_m", "gates", "c_prev", "tanh_c"):
+        for key in ("h_m", "gates", "c", "tanh_c"):
             np.testing.assert_array_equal(cache[key].view(np.uint64),
                                           cache_ones[key].view(np.uint64), err_msg=key)
         grad = rng.normal(size=2)
-        np.testing.assert_array_equal(cell.backward(grad, cache).view(np.uint64),
-                                      cell.backward(grad, cache_ones).view(np.uint64))
+        np.testing.assert_array_equal(lstm_backward(cell, grad, cache).view(np.uint64),
+                                      lstm_backward(cell, grad, cache_ones).view(np.uint64))
 
     def test_bptt_matches_finite_differences(self, rng):
         cell = LstmCell(3, 2, rng)
@@ -596,7 +602,7 @@ class TestLstm:
             return float(weights @ h)
 
         h, caches, x_m = lstm_run(cell, seq, *masks)
-        dz = cell.backward(weights, caches)
+        dz = lstm_backward(cell, weights, caches)
         grad_xs = lstm_input_grads(cell, dz, masks[0])
         gW, gU, gb = lstm_param_grads(cell, dz, x_m, caches["h_m"])
         assert_matches_fd(gW, fd_grad(loss_fn, cell.input_weights, rng))
@@ -619,7 +625,7 @@ class TestLstm:
             return float(weights @ h)
 
         h, cache, x_m = lstm_run(cell, seq, *masks)
-        dz = cell.backward(weights, cache)
+        dz = lstm_backward(cell, weights, cache)
         grad_xs = lstm_input_grads(cell, dz, masks[0])
         gW, gU, gb = lstm_param_grads(cell, dz, x_m, cache["h_m"])
         assert grad_xs.shape == (5, 6)
@@ -631,28 +637,30 @@ class TestLstm:
 
 
     def test_param_grads_over_a_batch_match_finite_differences(self, rng):
-        # Two sequences of different lengths, each with its own masks: the
-        # gradients are one product over the stacked steps of both.
+        # Three sequences of different lengths, one of a single step, each
+        # with its own masks, run as one batch in either direction: the loss
+        # sums one sequence at a time, and the gradients are one product
+        # over the stacked steps of all three.
         cell = LstmCell(4, 3, rng)
         cell.bias[:] = rng.normal(size=12)
-        seqs = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
-        masks = [(dropout_mask(rng, 4, 0.5), dropout_mask(rng, 3, 0.5))
-                 for _ in seqs]
-        weights = rng.normal(size=(2, 3))
+        seqs = [rng.normal(size=(3, 4)), rng.normal(size=(1, 4)), rng.normal(size=(2, 4))]
+        in_masks = [dropout_mask(rng, 4, 0.5) for _ in seqs]
+        rec_masks = dropout_mask(rng, (3, 3), 0.5)
+        weights = rng.normal(size=(3, 3))
+        x_m = np.concatenate([seq * m for seq, m in zip(seqs, in_masks)])
+        for reverse in (False, True):
+            def loss_fn():
+                return sum(float(w @ lstm_run(cell, seq, m, r, reverse)[0])
+                           for w, seq, m, r in zip(weights, seqs, in_masks, rec_masks))
 
-        def loss_fn():
-            return sum(float(w @ lstm_run(cell, seq, *m)[0])
-                       for w, seq, m in zip(weights, seqs, masks))
-
-        parts = []
-        for w, seq, m in zip(weights, seqs, masks):
-            _, cache, x_m = lstm_run(cell, seq, *m)
-            parts.append((cell.backward(w, cache), x_m, cache["h_m"]))
-        grads = (np.empty_like(cell.input_weights), np.empty_like(cell.recurrent_weights),
-                 np.empty_like(cell.bias))
-        LstmCell.param_grads(*(np.concatenate(p) for p in zip(*parts)), *grads)
-        for grad, param in zip(grads, (cell.input_weights, cell.recurrent_weights, cell.bias)):
-            assert_matches_fd(grad, fd_grad(loss_fn, param, rng))
+            h, cache = cell.run_batch(cell.project(x_m), [3, 1, 2], rec_masks, reverse)
+            for row, args in zip(h, zip(seqs, in_masks, rec_masks)):
+                np.testing.assert_allclose(row, lstm_run(cell, *args, reverse)[0], rtol=1e-12)
+            grads = lstm_param_grads(cell, cell.backward_batch(weights, cache), x_m,
+                                     cache["h_m"])
+            for grad, param in zip(grads, (cell.input_weights, cell.recurrent_weights,
+                                           cell.bias)):
+                assert_matches_fd(grad, fd_grad(loss_fn, param, rng))
 
 
 class TestBilstm:
@@ -663,8 +671,8 @@ class TestBilstm:
         fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
         x = rng.normal(size=3)
         enc, _ = bilstm(fwd, bwd, [x], self.masks(3, 2))
-        hf, _ = fwd.run(fwd.project(x[None]), np.ones(2))
-        hb, _ = bwd.run(bwd.project(x[None]), np.ones(2))
+        hf, *_ = lstm_run(fwd, [x], np.ones(3), np.ones(2))
+        hb, *_ = lstm_run(bwd, [x], np.ones(3), np.ones(2), reverse=True)
         np.testing.assert_array_equal(enc, np.concatenate([hf, hb]))
         zeros = np.zeros(2)
         closed_form = [lstm_step(cell, x, zeros, zeros)[0] for cell in (fwd, bwd)]

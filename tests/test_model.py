@@ -45,6 +45,67 @@ def random_doc(rng, vocab_size=9, num_sents=None, label=None):
     return Document(sents, label)
 
 
+def reference_run(cell, z_in, recurrent_mask):
+    """The LSTM recurrence of one sequence from its own zero state, every
+    step in one loop: (final h, cache for reference_backward). z_in (T, 4H)
+    holds its input projections, in step order."""
+    H = cell.hidden_dim
+    T = len(z_in)
+    h_m = np.zeros((T, H))
+    gates = z_in.copy()
+    c = np.zeros((T + 1, H))
+    tanh_c = np.empty((T, H))
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], H)
+    for t in range(T):
+        gt = gates[t]
+        if t:
+            gt += cell.recurrent_weights @ h_m[t]
+        gt *= scale
+        np.tanh(gt, out=gt)
+        gt *= scale
+        gt += shift
+        np.multiply(gt[:H], gt[2 * H : 3 * H], out=c[t + 1])
+        if t:
+            c[t + 1] += gt[H : 2 * H] * c[t]
+        np.tanh(c[t + 1], out=tanh_c[t])
+        h = gt[3 * H :] * tanh_c[t]
+        if t + 1 < T:
+            if recurrent_mask is None:
+                h_m[t + 1] = h
+            else:
+                np.multiply(h, recurrent_mask, out=h_m[t + 1])
+    return h, {"h_m": h_m, "gates": gates, "c_prev": c[:T], "tanh_c": tanh_c,
+               "recurrent_mask": recurrent_mask}
+
+
+def reference_backward(cell, grad_h_final, cache):
+    """Backpropagation through time of one reference_run, every step in one
+    loop: the (T, 4H) gradients at the gate pre-activations, in step order."""
+    H = cell.hidden_dim
+    gates, tanh_c = cache["gates"], cache["tanh_c"]
+    i, f, g, o = (gates[:, k * H : (k + 1) * H] for k in range(4))
+    dc_dh = o * (1.0 - tanh_c ** 2)
+    dz_dc = np.stack([g * i * (1.0 - i), cache["c_prev"] * f * (1.0 - f),
+                      i * (1.0 - g ** 2)], axis=1)
+    dz_dh = tanh_c * o * (1.0 - o)
+    T = len(gates)
+    dz = np.empty((T, 4, H))
+    dh = grad_h_final
+    dc = np.zeros(H, dtype=np.float64)
+    mask = cache["recurrent_mask"]
+    for t in range(T - 1, -1, -1):
+        dc = dc + dh * dc_dh[t]
+        np.multiply(dz_dc[t], dc, out=dz[t, :3])
+        np.multiply(dh, dz_dh[t], out=dz[t, 3])
+        if t:
+            dh = cell.recurrent_weights.T @ dz[t].reshape(-1)
+            if mask is not None:
+                dh *= mask
+            dc = dc * f[t]
+    return dz.reshape(T, 4 * H)
+
+
 def weakly_recorded_tables(monkeypatch) -> list:
     """Patches ConvLayer.project to record a weak reference to each table it
     returns; returns the list of those references."""
@@ -332,10 +393,14 @@ class TestLossAndGrads:
         with pytest.raises(SentihierError, match="forward needs at least one document"):
             desk_model().loss_and_grads([])
 
-    @pytest.mark.parametrize("label", [3, -1, None], ids=["C", "minus-one", "none"])
+    @pytest.mark.parametrize("label", [3, -1, None, 0.5, 1.9, True, "1"],
+                             ids=["C", "minus-one", "none", "half", "one-point-nine", "bool",
+                                  "str"])
     def test_label_outside_the_classes_rejected(self, label):
         # One check, in the model: -1 would otherwise reach take_along_axis
-        # and pick the last class, and None would not be an index at all.
+        # and pick the last class, None would not be an index at all, and
+        # the head's cast to an index would train 0.5 as class 0 and 1.9 as
+        # class 1. A bool is an int to Python, but not a class.
         model = desk_model(num_classes=3)
         batch = [Document(((2, 3),), label=0), Document(((4, 5),), label=label)]
         with pytest.raises(SentihierError,
@@ -482,7 +547,7 @@ class TestLossAndGrads:
     @pytest.mark.parametrize("train", [False, True])
     def test_one_input_projection_per_direction(self, rng, monkeypatch, train):
         # Each direction projects all the call's sentence vectors at once;
-        # each run reads its document's rows of that array in place,
+        # each run steps through its document's rows of that array in place,
         # reversed for the backward direction.
         model, batch = self.three_doc_batch(rng)
         project, run = layers.LstmCell.project, layers.LstmCell.run
@@ -496,8 +561,8 @@ class TestLossAndGrads:
         monkeypatch.setattr(layers.DenseLayer, "forward", dense_forward)
         monkeypatch.setattr(layers.LstmCell, "project", lambda cell, x_m: (
             projected.append((cell, x_m, project(cell, x_m))) or projected[-1][2]))
-        monkeypatch.setattr(layers.LstmCell, "run", lambda cell, z_in, mask: (
-            ran.append((cell, z_in)) or run(cell, z_in, mask)))
+        monkeypatch.setattr(layers.LstmCell, "run", lambda cell, gates, *state: (
+            ran.append((cell, gates)) or run(cell, gates, *state)))
         model.forward(batch, train=train, dropout_rng=np.random.default_rng(2))
         assert [cell for cell, *_ in projected] == [model.lstm_fwd, model.lstm_bwd]
         ends = np.cumsum([len(doc.sentences) for doc in batch])
@@ -514,6 +579,44 @@ class TestLossAndGrads:
                     rows = rows[::-1]
                 assert z_in.base is z and z_in.strides == rows.strides
                 assert z_in.ctypes.data == rows.ctypes.data
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("config", [
+        ModelConfig(embedding_dim=4, filter_width=2, num_filters=3, sentence_dim=5,
+                    lstm_hidden=7),
+        ModelConfig(embedding_dim=8, filter_width=3, num_filters=16, sentence_dim=150,
+                    lstm_hidden=128),
+    ], ids=["odd", "paper-lstm"])
+    def test_lstm_equals_the_per_document_reference(self, rng, config, dropout):
+        # A ragged batch of 1, 2, 7 and 53 sentences (read as 50): every
+        # direction's encoded rows, h_m and dz are bit for bit those of
+        # the recurrence run one document at a time from its own zero state.
+        emb = rng.normal(size=(30, config.embedding_dim))
+        model = HiCnnLstmModel(config, emb, *desk_names(30, 2), seed=11)
+        batch = [Document(tuple(tuple(int(t) for t in rng.integers(1, 30, size=4))
+                                for _ in range(T)), label=T % 2) for T in (1, 2, 7, 53)]
+        counts = [min(len(doc.sentences), MAX_SENTENCES) for doc in batch]
+        assert counts == [1, 2, 7, 50]
+        _, cache = model.forward(batch, train=True,
+                                 dropout_rng=np.random.default_rng(5) if dropout else None)
+        masks = (model._masks(np.random.default_rng(5), len(batch))[1:] if dropout
+                 else [[None] * len(batch)] * 4)
+        H, ends = config.lstm_hidden, np.cumsum(counts)
+        grad_enc = rng.normal(size=(len(batch), 2 * H))
+        for d, (cell, reverse) in enumerate(((model.lstm_fwd, False), (model.lstm_bwd, True))):
+            lstm = cache["lstm"][d]
+            z = cell.project(lstm["x_m"])
+            order = slice(None, None, -1) if reverse else slice(None)
+            runs = [reference_run(cell, z[end - T : end][order], mask)
+                    for end, T, mask in zip(ends, counts, masks[2 * d + 1])]
+            grad_h = grad_enc[:, d * H : (d + 1) * H]
+            dz = np.concatenate([reference_backward(cell, g, run)[order]
+                                 for g, (_, run) in zip(grad_h, runs)])
+            h_m = np.concatenate([run["h_m"][order] for _, run in runs])
+            for got, want in ((cache["encoded"][:, d * H : (d + 1) * H], [h for h, _ in runs]),
+                              (lstm["run"]["h_m"], h_m),
+                              (cell.backward_batch(grad_h, lstm["run"]), dz)):
+                assert np.array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))
 
     def test_batch_gradients_equal_mean_of_single_document_gradients(self, rng):
         model, batch = self.three_doc_batch(rng)

@@ -1,12 +1,18 @@
+import re
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentihier.errors import ConfigurationError
 from sentihier.textprep import (
     _ABBREVIATIONS,
+    _PUNCT,
+    _URL_RE,
     UNK_INDEX,
     UNK_TOKEN,
+    URL_TOKEN,
     build_vocab,
     encode,
     index_document,
@@ -54,6 +60,29 @@ _SPLIT_PIECES = st.sampled_from(
     + [" ", "\t", "\n", "\x1c", "\x85", "\u2028", "\u3000", "\xa0"])
 
 
+# URL prefixes in mixed case, characters that case-fold to ASCII letters (ſ
+# to s, the Kelvin sign to k, İ to i with a dot), the UNK token and
+# punctuation.
+_TOKEN_PIECES = st.sampled_from(
+    ["http://", "https://", "HTTP://", "hTtPs://", "www.", "WWW.", "wWw.", "httpſ://",
+     "http:/", "htp://", "h", "w", "H", "W", "ſ", "\u212a", "İ", "ı", "x", "é", "<unk>",
+     UNK_TOKEN.upper(), ".", "!", "(", "\"", "/", ":", " ", "  ", "\t"])
+
+
+def reference_tokenize(sentence: str) -> list:
+    """tokenize with the URL pattern tried on every piece: the rule that the
+    first-character guard must keep."""
+    tokens = []
+    for piece in sentence.split():
+        if piece == UNK_TOKEN:
+            tokens.append(UNK_TOKEN)
+        elif _URL_RE.match(piece):
+            tokens.append(URL_TOKEN)
+        elif stripped := piece.strip(_PUNCT).lower():
+            tokens.append(stripped)
+    return tokens or [UNK_TOKEN]
+
+
 class TestSplitSentences:
     def test_two_terminators(self):
         assert split_sentences("Great app. Crashes a lot!") == ["Great app.", "Crashes a lot!"]
@@ -95,6 +124,22 @@ class TestTokenize:
 
     def test_pure_punctuation_falls_back_to_unk(self):
         assert tokenize("... !!") == [UNK_TOKEN]
+
+    def test_every_first_character_of_a_url_is_tried(self):
+        # tokenize tries the URL pattern only on pieces that start with h, H,
+        # w or W. Under IGNORECASE a pattern character also matches the code
+        # points that fold to it (ſ to s, the Kelvin sign to k); none other
+        # folds to h or w.
+        first = re.compile("[hw]", re.IGNORECASE).match
+        accepted = {chr(cp) for cp in range(sys.maxunicode + 1) if first(chr(cp))}
+        assert accepted == set("hHwW")
+
+    @given(st.lists(_TOKEN_PIECES, max_size=30).map("".join))
+    @settings(max_examples=1000, deadline=None)
+    @example("httpſ://x HTTPS://X.io hTtP://a www.b.c WwW.d ſ http:/x <unk> <UNK>")
+    @example("\u212aelvin İstanbul https://İ.tr ḣttp://x ẘww.x")
+    def test_matches_the_rule_that_tries_every_piece(self, sentence):
+        assert tokenize(sentence) == reference_tokenize(sentence)
 
 
 class TestBuildVocab:

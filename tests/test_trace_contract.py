@@ -19,7 +19,7 @@ import pytest
 
 from conftest import write_dataset_csv
 from sentihier import cli
-from sentihier.model import INFERENCE_CHUNK
+from sentihier.model import INFERENCE_CHUNK, MAX_SENTENCES
 from sentihier.synthetic import make_marker_dataset
 from sentihier.textprep import tokenize_document
 from sentihier.train import VAL_FRACTION, TrainConfig
@@ -32,7 +32,9 @@ SMALL_MODEL = [
     "--override", "num_filters=4", "--override", "sentence_dim=4",
     "--override", "lstm_hidden=3", "--override", "max_epochs=2", "--override", "patience=2",
 ]
-PREDICT_LINES = ["the build is broken. again", "Wonderful!", "merge it. review the patch now"]
+# One line of one sentence, and one of more sentences than the model reads.
+PREDICT_LINES = ["the build is broken. again", "Wonderful!", "merge it. review the patch now",
+                 " ".join(f"step {n} done." for n in range(MAX_SENTENCES + 3))]
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +46,9 @@ def tracing():
 
 
 def sentences(texts) -> list:
-    return [sent for text in texts for sent in tokenize_document(text).sentences]
+    """The sentences the model reads of `texts`: each one's first MAX_SENTENCES."""
+    return [sent for text in texts
+            for sent in tokenize_document(text).sentences[:MAX_SENTENCES]]
 
 
 def rows(texts, f: int) -> int:
@@ -96,11 +100,15 @@ def test_train_and_predict_keep_every_traced_name_and_count(tracing, tmp_path):
             - (FILTER_WIDTH - 1) * calls)
     assert m["layers.conv.windows"] == want
     assert m["layers.conv.pad_window_ratio"] > 0
-    # Both LSTM directions step once per sentence, and each runs once per
-    # document and backpropagates once per training document: perfbench/tests
-    # pins these counts, which a BiLSTM batched across documents must redefine.
+    # Both LSTM directions step once per sentence read, and each runs once
+    # per document, a one-sentence document too, and backpropagates once per
+    # training document: perfbench/tests pins these counts, and the tracer
+    # counts a run's steps as the rows of its first argument.
+    assert [len(tokenize_document(line).sentences) for line in PREDICT_LINES[1:]] == [
+        1, 2, MAX_SENTENCES + 3]
     assert m["layers.lstm.steps"] == 2 * (epochs * len(sentences(ds.texts()))
                                           + len(sentences(PREDICT_LINES)))
+    assert len(sentences(PREDICT_LINES)) == 2 + 1 + 2 + MAX_SENTENCES
     docs_run = epochs * len(ds.texts()) + len(PREDICT_LINES)
     assert m["layers.lstm_fwd.run.calls"] == m["layers.lstm_bwd.run.calls"] == docs_run
     for direction in ("fwd", "bwd"):
