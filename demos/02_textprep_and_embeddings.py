@@ -23,8 +23,8 @@ print(f"indexed first sentence: {indexed[0]}")
 # matrix, but each row depends only on (seed, token): the same no matter
 # what else is in the vocabulary, which makes per-fold vocabularies
 # reproducible.
-table = random_table(["broken", "build"], dim=8, seed=3)
-print(f"\nrandom vector for 'broken': {table.lookup('broken')[:4]} ...")
+vectors = random_table(["broken", "build"], dim=8, seed=3)  # row i for token i
+print(f"\nrandom vector for 'broken': {vectors[0][:4]} ...")
 
 matrix = embedding_matrix_for(vocab, None, 8, embedding_seed=3)
 print(f"embedding matrix shape: {matrix.shape}; UNK row is all zero: "

@@ -13,7 +13,7 @@ from . import baseline
 from .embeddings import EmbeddingTable, random_table
 from .errors import ConfigurationError
 from .model import HiCnnLstmModel, ModelConfig
-from .textprep import Vocabulary, build_vocab, encode, tokenize_document
+from .textprep import UNK_INDEX, Vocabulary, build_vocab, encode, tokenize_document
 from .train import TrainConfig, fit
 
 CLASSIFIER_NAMES = ("hicnnlstm", "nb")
@@ -24,11 +24,13 @@ def embedding_matrix_for(vocab, table: EmbeddingTable | None, dim: int,
     """One row per vocabulary index; the UNK row stays zero. A table's vectors
     have dimension `dim`: HiCnnLstmClassifier checks that once, not per fold.
 
-    With no table (random mode), each token gets a seeded uniform vector that
-    depends only on (embedding_seed, token), so it is identical across folds.
+    With no table (random mode), random_table hashes the whole vocabulary: a
+    row depends only on (embedding_seed, token), so it is identical across folds.
     """
     if table is None:
-        table = random_table(vocab.index_to_token[1:], dim, embedding_seed)
+        matrix = random_table(vocab.index_to_token, dim, embedding_seed)
+        matrix[UNK_INDEX] = 0.0
+        return matrix
     matrix = np.zeros((len(vocab), dim), dtype=np.float64)
     for idx, token in enumerate(vocab.index_to_token[1:], start=1):
         matrix[idx] = table.lookup(token)

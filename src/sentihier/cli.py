@@ -8,7 +8,8 @@ the flags and seed that produced it, so any result is reproducible from the
 report alone. Wall-clock timings and timestamps go to a separate
 manifest.json, keeping the report files byte-identical across reruns.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure,
+130 interrupted, 141 output pipe closed.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import ctypes
 import functools
 import io
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -112,8 +114,17 @@ def _setup(args, specs, folds=None):
     return ds, tokenized, labels, classifiers
 
 
+def _out(args, directory: bool) -> Path:
+    """--out, rejected by name before anything is read if it exists and is not
+    a directory where one is made (crossval, learning-curve), or is one (train)."""
+    out = Path(args.out)
+    if out.exists() and out.is_dir() != directory:
+        raise OSError(f"--out {out} exists and is {'not ' if directory else ''}a directory")
+    return out
+
+
 def cmd_crossval(args) -> int:
-    out = Path(args.out)  # created once every input is checked
+    out = _out(args, directory=True)
     started = datetime.now(timezone.utc).isoformat()
     ds, tokenized, labels, (classifier,) = _setup(args, [args.classifier], args.folds)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,7 +167,7 @@ def cmd_learning_curve(args) -> int:
     for spec in specs:
         if specs.count(spec) > 1:
             raise ConfigurationError(f"--classifier {spec} is given twice")
-    out = Path(args.out)  # created once every input is checked
+    out = _out(args, directory=True)
     started = datetime.now(timezone.utc).isoformat()
     ds, tokenized, labels, classifiers = _setup(args, specs)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,9 +195,7 @@ def cmd_learning_curve(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out)
-    if out.is_dir():  # checked before anything is read
-        raise IsADirectoryError(f"--out {out} is a directory, not a checkpoint path")
+    out = _out(args, directory=False)
     ds, tokenized, labels, (classifier,) = _setup(args, ["hicnnlstm"])
     out.parent.mkdir(parents=True, exist_ok=True)
     docs, model = classifier.build(tokenized, labels, args.seed)
@@ -312,9 +321,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _one_blas_thread()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met below, not at exit
+        return code
     except ConfigurationError as exc:
         return _fail(exc, EXIT_CONFIG)
+    except BrokenPipeError:
+        # The output's reader is gone (`predict ... | head -1`): exit quietly
+        # with 128 + SIGPIPE; stdout's unwritten buffer goes to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, OSError) as exc:  # an OSError names its path
         return _fail(exc, EXIT_DATA)
     except (SentihierError, MemoryError) as exc:

@@ -1,5 +1,5 @@
-"""Static word vectors: word2vec binary/text loaders, seeded random vectors
-and lookup.
+"""Static word vectors: word2vec binary/text loaders and the table they
+fill, with its lookup, and seeded random vectors as one matrix.
 
 Vectors are made once and never change afterwards. A loader given a wanted
 set still parses every record of the file, so each format error names its
@@ -22,9 +22,9 @@ BLOCK_BYTES = 1 << 16  # the .bin loader's reads, and the pieces a matrix is che
 class EmbeddingTable:
     """Read-only token -> vector map of a fixed dimension.
 
-    Every source gives its vectors as one matrix, token i in row i (float32
-    for a .bin, float64 for text and random vectors). lookup returns the
-    same view of a token's row on every call.
+    Every file source gives its vectors as one matrix, token i in row i
+    (float32 for a .bin, float64 for text). lookup returns the same view of a
+    token's row on every call.
     """
 
     def __init__(self, tokens, matrix: np.ndarray):
@@ -180,13 +180,13 @@ def _table(path, tokens, matrix) -> EmbeddingTable:
     return EmbeddingTable(tokens, matrix)
 
 
-def random_table(tokens, dim: int, seed: int) -> EmbeddingTable:
-    """Seeded uniform [-0.25, 0.25) vectors, one row per token: the first
-    `dim` outputs of splitmix64 seeded with s ^ FNV-1a(token), each scaled
-    from its top 53 bits, where SeedSequence reduces `seed` to the 64 bits s.
-    So a vector depends only on the seed and the token. The matrix is hashed
-    in place, BLOCK_BYTES of rows at a time, as uint64 arrays (which wrap
-    silently, where numpy's scalars warn)."""
+def random_table(tokens, dim: int, seed: int) -> np.ndarray:
+    """Seeded uniform [-0.25, 0.25) vectors as a float64 matrix, row i for
+    token i: the first `dim` outputs of splitmix64 seeded with s ^
+    FNV-1a(token), each scaled from its top 53 bits, where SeedSequence
+    reduces `seed` to the 64 bits s. So a vector depends only on the seed and
+    the token. The matrix is hashed in place, BLOCK_BYTES of rows at a time,
+    as uint64 arrays (which wrap silently, where numpy's scalars warn)."""
     keys = np.random.SeedSequence(seed).generate_state(1, np.uint64) ^ np.fromiter(
         (fnv1a_64(t.encode("utf-8")) for t in tokens), np.uint64, len(tokens))
     offsets = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -201,7 +201,7 @@ def random_table(tokens, dim: int, seed: int) -> EmbeddingTable:
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> 31
         np.subtract((z >> 11) * 2.0**-54, 0.25, out=block)
-    return EmbeddingTable(tokens, matrix)
+    return matrix
 
 
 def fnv1a_64(data: bytes) -> int:

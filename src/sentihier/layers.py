@@ -4,9 +4,9 @@ Every layer takes stacked rows only, as the model calls it: the convolution
 and the dense layer a batch's sentences as one stack of rows, and the head
 its documents as rows; an LSTM cell projects a batch's sequences as one
 stack of rows and keeps their state as arrays over those rows, so that only
-the recurrence itself runs one sequence at a time. The layers trust
-the shapes that model.py builds and check none of them: the model is the
-one module that rejects a bad input.
+the recurrence itself runs one sequence at a time. model.py allocates and
+starts every layer's parameters, and the layers trust the shapes it builds
+and check none of them: the model is the one module that rejects a bad input.
 The convolution runs in embedding-row space (ConvLayer): its table holds
 the filters' products with the distinct word vectors that the caller
 projected, for one batch or for a larger group of documents, and only this
@@ -31,15 +31,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax, via max-subtraction, of each row of (B, C) logits."""
     e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
     return e / np.sum(e, axis=1, keepdims=True)
-
-
-def _weights(rng: np.random.Generator | None, fan_out: int, fan_in: int) -> np.ndarray:
-    """Glorot-uniform weights; with no rng, an uninitialised buffer that the
-    caller fills (a checkpoint load reads the stored weights into it)."""
-    if rng is None:
-        return np.empty((fan_out, fan_in))
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
 def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
@@ -85,13 +76,8 @@ class ConvLayer:
     multiplying every window again.
     """
 
-    def __init__(self, filter_width: int, num_filters: int, embedding_dim: int,
-                 rng: np.random.Generator | None):
-        self.filter_width = filter_width
-        self.num_filters = num_filters
-        self.embedding_dim = embedding_dim
-        self.filters = _weights(rng, num_filters, filter_width * embedding_dim)
-        self.bias = np.zeros(num_filters, dtype=np.float64)
+    def __init__(self, filter_width: int, filters: np.ndarray, bias: np.ndarray):
+        self.filter_width, self.filters, self.bias = filter_width, filters, bias
 
     def project(self, vectors: np.ndarray) -> np.ndarray:
         """The (f, 1 + U, F) table of the filters' products with U distinct
@@ -101,8 +87,8 @@ class ConvLayer:
         vectors[u]. One GEMM per offset reads that offset's columns of the
         filters in place. The table is valid only while the filters stay as
         they are."""
-        k = self.embedding_dim
-        table = np.empty((self.filter_width, 1 + len(vectors), self.num_filters))
+        k = vectors.shape[1]
+        table = np.empty((self.filter_width, 1 + len(vectors), len(self.filters)))
         table[:, 0] = 0.0
         for o in range(self.filter_width):
             np.matmul(vectors, self.filters[:, o * k : (o + 1) * k].T, out=table[o, 1:])
@@ -177,7 +163,7 @@ class ConvLayer:
         are never formed.
         """
         F, f = windows.shape[1], self.filter_width
-        R, k = 1 + len(ids), self.embedding_dim
+        R, k = 1 + len(ids), embedding_matrix.shape[1]
         vectors = np.empty((R, k))  # each table row's word vector
         vectors[0] = 0.0
         np.take(embedding_matrix, ids, axis=0, out=vectors[1:])
@@ -195,9 +181,8 @@ class DenseLayer:
     to the rows of a matrix (S, in) under a mask per row (S, in), or under
     no mask (None: no dropout)."""
 
-    def __init__(self, out_dim: int, in_dim: int, rng: np.random.Generator | None):
-        self.weights = _weights(rng, out_dim, in_dim)
-        self.bias = np.zeros(out_dim, dtype=np.float64)
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        self.weights, self.bias = weights, bias
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None):
         x_masked = x if mask is None else x * mask
@@ -218,14 +203,13 @@ class DenseLayer:
 class LstmCell:
     """Standard LSTM cell; gate order in the stacked weights is i, f, g, o.
 
-    The forget-gate bias segment starts at 1.0. Dropout masks for the input
-    and the recurrent state are fixed per sequence (variational style): the
-    caller samples them once and reuses them at every step, or passes None
-    for no dropout. The state starts at zero, so the first step has no
-    recurrent term. The gate nonlinearities are one pass over a step's
-    (4H,) row, or over a block of such rows: tanh under the per-block scale
-    and shift that make sigmoid(z) = 1/2 + tanh(z/2)/2 on i, f and o and
-    leave tanh on g.
+    Dropout masks for the input and the recurrent state are fixed per
+    sequence (variational style): the caller samples them once and reuses
+    them at every step, or passes None for no dropout. The state starts at
+    zero, so the first step has no recurrent term. The gate nonlinearities
+    are one pass over a step's (4H,) row, or over a block of such rows: tanh
+    under the per-block scale and shift that make sigmoid(z) = 1/2 +
+    tanh(z/2)/2 on i, f and o and leave tanh on g.
 
     run_batch and backward_batch hold a batch's state as arrays with one row
     per step and do all that is elementwise over rows once per batch: every
@@ -234,11 +218,11 @@ class LstmCell:
     time (run, backward), in place on that sequence's rows.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None):
-        self.hidden_dim = hidden_dim
-        self.input_weights = _weights(rng, 4 * hidden_dim, input_dim)
-        self.recurrent_weights = _weights(rng, 4 * hidden_dim, hidden_dim)
-        self.bias = np.repeat([0.0, 1.0, 0.0, 0.0], hidden_dim)  # blocks i, f, g, o
+    def __init__(self, input_weights: np.ndarray, recurrent_weights: np.ndarray,
+                 bias: np.ndarray):
+        self.input_weights, self.recurrent_weights, self.bias = (
+            input_weights, recurrent_weights, bias)
+        self.hidden_dim = hidden_dim = recurrent_weights.shape[1]
         self._scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden_dim)
         self._shift = np.repeat([0.5, 0.5, 0.0, 0.5], hidden_dim)
 
@@ -396,9 +380,8 @@ class LstmCell:
 class SoftmaxHead:
     """Linear layer plus softmax over C classes."""
 
-    def __init__(self, num_classes: int, in_dim: int, rng: np.random.Generator | None):
-        self.weights = _weights(rng, num_classes, in_dim)
-        self.bias = np.zeros(num_classes, dtype=np.float64)
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        self.weights, self.bias = weights, bias
 
     def probs(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities (B, C) of each row of x (B, in): one matrix

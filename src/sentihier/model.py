@@ -24,6 +24,7 @@ save_checkpoint) is all `predict` needs.
 
 import itertools
 import json
+import math
 import os
 import struct
 import sys
@@ -45,11 +46,6 @@ PROJECTION_BYTES = 8 << 20  # most bytes of such a table, unless one chunk alone
 DENSE_DROPOUT = 0.4
 LSTM_DROPOUT = 0.2
 MAX_SENTENCES = 50  # sentences read per document; the rest are dropped
-# Every trainable parameter as (layer, array), in the order of the parameter block.
-PARAMETERS = (("conv", "filters"), ("conv", "bias"), ("dense", "weights"), ("dense", "bias"),
-              *((cell, attr) for cell in ("lstm_fwd", "lstm_bwd")
-                for attr in ("input_weights", "recurrent_weights", "bias")),
-              ("head", "weights"), ("head", "bias"))
 
 
 @dataclass(frozen=True)
@@ -71,53 +67,54 @@ class HiCnnLstmModel:
     """All trainable parameters plus the static embedding matrix, whose row i
     is the vector of vocab token i; labels[c] names class c, one per class.
 
-    The parameters live in one flat float64 block, back to back in
-    PARAMETERS order; every layer's weight and bias arrays are views into
-    it. A gradient block and Adam's moments share the layout, so an Adam
-    step, a snapshot and a restore each run over one array; views(block)
-    names the parts of any of them."""
+    The parameters live in one flat float64 block, each layer's weights and
+    then its bias, back to back in the order conv, dense, lstm_fwd, lstm_bwd,
+    head; every layer is built over views into it. A gradient block and
+    Adam's moments share the layout, so an Adam step, a snapshot and a
+    restore each run over one array; views(block) names the parts of any."""
 
     def __init__(self, config: ModelConfig, embedding_matrix: np.ndarray,
                  vocab: Vocabulary, labels, *, seed: int | None):
-        """Weights are drawn from `seed`, by the layers in their usual order,
-        and copied into the block. With seed=None the parameters are left
-        uninitialised, for a caller that fills every one itself
-        (load_checkpoint reads them from the file into the views)."""
+        """Each weight matrix is drawn Glorot-uniform from `seed` into its view,
+        in block order; biases start at 0, LSTM forget gates at 1. With
+        seed=None nothing is set, for load_checkpoint to read the block in."""
         if embedding_matrix.shape != (len(vocab), config.embedding_dim):
             raise SentihierError(
                 f"embedding matrix shape {embedding_matrix.shape} does not match "
                 f"{len(vocab)} tokens x embedding_dim {config.embedding_dim}")
-        self.config = config
+        self.config, self.vocab, self.labels = config, vocab, tuple(labels)
         self.embedding_matrix = np.ascontiguousarray(embedding_matrix, dtype=np.float64)
-        self.vocab = vocab
-        self.labels = tuple(labels)
-        rng = (None if seed is None
-               else np.random.default_rng(np.random.SeedSequence([seed, 0xA11])))
-        self.conv = layers.ConvLayer(config.filter_width, config.num_filters,
-                                     config.embedding_dim, rng)
-        self.dense = layers.DenseLayer(config.sentence_dim, config.num_filters, rng)
-        self.lstm_fwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng)
-        self.lstm_bwd = layers.LstmCell(config.sentence_dim, config.lstm_hidden, rng)
-        self.head = layers.SoftmaxHead(len(self.labels), 2 * config.lstm_hidden, rng)
-        self._layout, self._size, drawn = {}, 0, []  # name -> (slice of the block, shape)
-        for layer, attr in PARAMETERS:
-            arr = getattr(getattr(self, layer), attr)
-            self._layout[f"{layer}.{attr}"] = (slice(self._size, self._size + arr.size), arr.shape)
-            self._size += arr.size
-            if seed is not None:
-                drawn.append(arr)
-            # Unseeded buffers are freed before the block is made: a second
-            # copy on the heap made each later load fault the block in again.
-            setattr(getattr(self, layer), attr, None)
-        self.block = self._new_block()
-        for (layer, attr), view in zip(PARAMETERS, self.params().values()):
-            setattr(getattr(self, layer), attr, view)
-        for view, arr in zip(self.params().values(), drawn):
-            view[...] = arr
+        F, S, H, C = config.num_filters, config.sentence_dim, config.lstm_hidden, len(self.labels)
+        lstm = {"input_weights": (4 * H, S), "recurrent_weights": (4 * H, H), "bias": (4 * H,)}
+        shapes = {"conv.filters": (F, config.filter_width * config.embedding_dim),
+                  "conv.bias": (F,), "dense.weights": (S, F), "dense.bias": (S,),
+                  **{f"{cell}.{name}": shape for cell in ("lstm_fwd", "lstm_bwd")
+                     for name, shape in lstm.items()},
+                  "head.weights": (C, 2 * H), "head.bias": (C,)}
+        ends = list(itertools.accumulate(map(math.prod, shapes.values())))
+        self._layout = {name: (slice(end - math.prod(shape), end), shape)
+                        for (name, shape), end in zip(shapes.items(), ends)}
+        self.block = np.empty(ends[-1])
+        p = self.params()
+        if seed is not None:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
+            self.block[...] = 0.0
+            for view in (v for v in p.values() if v.ndim == 2):
+                # rng.uniform(-limit, limit), drawn in place: -limit + 2 limit u.
+                limit = np.sqrt(6.0 / sum(view.shape))
+                rng.random(out=view)
+                view *= 2 * limit
+                view -= limit
+            p["lstm_fwd.bias"][H : 2 * H] = p["lstm_bwd.bias"][H : 2 * H] = 1.0  # forget gates
+        self.conv = layers.ConvLayer(config.filter_width, p["conv.filters"], p["conv.bias"])
+        self.dense = layers.DenseLayer(p["dense.weights"], p["dense.bias"])
+        self.lstm_fwd, self.lstm_bwd = (layers.LstmCell(*(p[f"{cell}.{name}"] for name in lstm))
+                                        for cell in ("lstm_fwd", "lstm_bwd"))
+        self.head = layers.SoftmaxHead(p["head.weights"], p["head.bias"])
 
     def _new_block(self) -> np.ndarray:
         """An uninitialised block of this model's layout."""
-        return np.empty(self._size)
+        return np.empty_like(self.block)
 
     def views(self, block: np.ndarray) -> dict:
         """Name -> view of each parameter's part of `block`, any block of this layout."""

@@ -582,6 +582,34 @@ def test_rejected_flag_leaves_no_output_directory(dataset_config, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["crossval", "learning-curve"])
+def test_out_that_is_a_file_is_rejected_before_anything_is_read(tmp_path, capsys, command):
+    # The dataset config is missing too, which would exit 2: the --out
+    # check must run first.
+    out = tmp_path / "m.ckpt"
+    out.write_bytes(b"a file")
+    code = main([command, "--dataset", str(tmp_path / "missing.conf"), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"--out {out} exists and is not a directory" in err and "Traceback" not in err
+    assert out.read_bytes() == b"a file"
+
+
+def test_closed_output_pipe_exits_141_quietly(tmp_path):
+    # Far more than a pipe's 64 KiB of output, of which one line is read
+    # before the pipe is closed: the next write fails with EPIPE.
+    save_checkpoint(desk_model(), tmp_path / "m.ckpt")
+    (tmp_path / "in.txt").write_text("w2 w3. w4\n" * 8000, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(sentihier.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "sentihier.cli", "predict", "--model",
+                             str(tmp_path / "m.ckpt"), "--input", str(tmp_path / "in.txt")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"class")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141 and err == b""
+
+
 @pytest.mark.parametrize("command", [
     ["crossval", "--folds", "2", "--out", "out"],
     ["learning-curve", "--classifier", "nb", "--classifier", "hicnnlstm", "--out", "out"],

@@ -307,35 +307,32 @@ class TestLookup:
 
 class TestRandomTable:
     def test_token_order_independent(self):
-        t1 = random_table(["a", "b", "c"], 8, seed=5)
-        t2 = random_table(["c", "a", "b"], 8, seed=5)
-        for tok in "abc":
-            np.testing.assert_array_equal(t1.lookup(tok), t2.lookup(tok))
+        m1 = random_table(["a", "b", "c"], 8, seed=5)
+        m2 = random_table(["c", "a", "b"], 8, seed=5)
+        np.testing.assert_array_equal(m1, m2[[1, 2, 0]])
 
     def test_range_and_seed_sensitivity(self):
-        t1 = random_table(["a"], 100, seed=5)
-        t2 = random_table(["a"], 100, seed=6)
-        v = t1.lookup("a")
+        v = random_table(["a"], 100, seed=5)[0]
         assert np.all((v >= -0.25) & (v < 0.25))
-        assert not np.array_equal(v, t2.lookup("a"))
+        assert not np.array_equal(v, random_table(["a"], 100, seed=6)[0])
 
     def test_seeds_that_agree_in_their_low_64_bits_differ(self):
         s = 2**70 + 5
-        assert not np.array_equal(random_table(["a"], 8, s).lookup("a"),
-                                  random_table(["a"], 8, s + 2**64).lookup("a"))
+        assert not np.array_equal(random_table(["a"], 8, s), random_table(["a"], 8, s + 2**64))
 
     @given(tokens=st.lists(st.text(max_size=6), min_size=1, max_size=6, unique=True),
            dim=st.integers(1, 9), seed=st.integers(0, 2**70), data=st.data())
     def test_a_vector_depends_only_on_the_seed_and_the_token(self, tokens, dim, seed, data):
         order = data.draw(st.permutations(tokens))
         together, shuffled = random_table(tokens, dim, seed), random_table(order, dim, seed)
-        other_seed = random_table(tokens[:1], dim, seed + 1).lookup(tokens[0])
-        for token in tokens:
-            vec = random_table([token], dim, seed).lookup(token)
-            assert vec.tobytes() == together.lookup(token).tobytes()
-            assert vec.tobytes() == shuffled.lookup(token).tobytes()
+        assert together.shape == (len(tokens), dim) and together.dtype == np.float64
+        other_seed = random_table(tokens[:1], dim, seed + 1)[0]
+        for i, token in enumerate(tokens):
+            vec = random_table([token], dim, seed)[0]
+            assert vec.tobytes() == together[i].tobytes()
+            assert vec.tobytes() == shuffled[order.index(token)].tobytes()
             assert np.all((vec >= -0.25) & (vec < 0.25))
-        assert not np.array_equal(together.lookup(tokens[0]), other_seed)
+        assert not np.array_equal(together[0], other_seed)
 
 
 def reference_vector(token: str, dim: int, seed: int) -> list:
@@ -360,21 +357,32 @@ class TestRandomTablePinned:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns on uint64 scalar overflow
             for seed in (0, 42, 2**64 - 1, 2**70 + 3):
-                table = random_table(tokens, 70, seed)  # more rows than one block
-                for token in tokens:
-                    assert table.lookup(token).tolist() == reference_vector(token, 70, seed)
+                matrix = random_table(tokens, 70, seed)  # more rows than one block
+                for token, row in zip(tokens, matrix):
+                    assert row.tolist() == reference_vector(token, 70, seed)
+
+    @given(tokens=st.lists(st.text(max_size=6).filter(lambda t: t != "<unk>"), max_size=8,
+                           unique=True),
+           dim=st.integers(1, 9), seed=st.integers(0, 2**70))
+    def test_random_embedding_matrix_rows_are_the_reference(self, tokens, dim, seed):
+        # The UNK row is zero; every other row is its token's hashed vector.
+        vocab = Vocabulary.of(["<unk>", *tokens])
+        matrix = embedding_matrix_for(vocab, None, dim, embedding_seed=seed)
+        assert matrix.shape == (len(vocab), dim) and matrix.dtype == np.float64
+        assert matrix.flags.c_contiguous
+        assert matrix[0].tolist() == [0.0] * dim
+        for i, token in enumerate(tokens, start=1):
+            assert matrix[i].tolist() == reference_vector(token, dim, seed)
 
 
 def table_from(source, tmp_path):
-    """A table of the tokens "a", "b" and "c" from `source`: bin, txt or random."""
-    if source == "random":
-        return random_table(list("abc"), 3, seed=1)
+    """A table of the tokens "a", "b" and "c" from `source`: bin or txt."""
     load, write = LOADERS[source]
     write(tmp_path / "vec", [(t, [float(i), -1.5, 0.25]) for i, t in enumerate("abc")])
     return load(tmp_path / "vec")
 
 
-@pytest.mark.parametrize("source", ["bin", "txt", "random"])
+@pytest.mark.parametrize("source", ["bin", "txt"])
 def test_every_source_gives_one_view_of_one_matrix_per_token(tmp_path, source):
     table = table_from(source, tmp_path)
     a, b = table.lookup("a"), table.lookup("b")

@@ -22,6 +22,28 @@ RTOL = 1e-4
 SMALL_INTS = st.integers(-1, 1).map(float)
 
 
+def build(cls, *dims, rng=None):
+    """A layer of class `cls` over new arrays, started as the model starts
+    its own: Glorot-uniform weights drawn from rng (zeros with no rng), zero
+    biases, and 1.0 on an LSTM's forget gates. dims are (f, F, k) for a
+    ConvLayer, (m, H) for an LstmCell and (out, in) for the others."""
+    def weights(fan_out, fan_in):
+        if rng is None:
+            return np.zeros((fan_out, fan_in))
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+    if cls is ConvLayer:
+        f, F, k = dims
+        return ConvLayer(f, weights(F, f * k), np.zeros(F))
+    if cls is LstmCell:
+        m, H = dims
+        return LstmCell(weights(4 * H, m), weights(4 * H, H),
+                        np.repeat([0.0, 1.0, 0.0, 0.0], H))  # gate blocks i, f, g, o
+    out, n_in = dims
+    return cls(weights(out, n_in), np.zeros(out))
+
+
 def fd_grad(loss_fn, array, rng, n_coords=100):
     """Central finite differences over sampled coordinates of one array."""
     flat = array.reshape(-1)
@@ -148,7 +170,7 @@ class TestSoftmax:
 class TestRelu:
     def test_subgradient_zero_at_zero(self):
         # DenseLayer.backward gates by relu's subgradient, 0 at exactly 0.
-        layer = DenseLayer(3, 1, None)
+        layer = build(DenseLayer, 3, 1)
         layer.weights[:] = 0.0
         layer.bias[:] = [-1.0, 0.0, 2.0]
         _, cache = layer.forward(np.ones((1, 1)), None)
@@ -160,14 +182,14 @@ class TestSentenceMatrix:
     def test_shape(self):
         emb = np.arange(40, dtype=float).reshape(10, 4)
         tokens = [2, 3, 4, 5, 6, 7, 8]
-        ids, rows, starts, _ = projected(ConvLayer(5, 3, 4, None), emb, [tokens])
+        ids, rows, starts, _ = projected(build(ConvLayer, 5, 3, 4), emb, [tokens])
         assert rows.shape == (7,)
         np.testing.assert_array_equal(starts, [0])
         np.testing.assert_array_equal(ids[rows - 1], tokens)
 
     def test_padding(self):
         emb = np.ones((6, 4))
-        layer = ConvLayer(5, 3, 4, np.random.default_rng(0))
+        layer = build(ConvLayer, 5, 3, 4, rng=np.random.default_rng(0))
         _, rows, _, table = projected(layer, emb, [[2, 3]])
         assert rows.shape == (5,)
         np.testing.assert_array_equal(rows[2:], [0, 0, 0])
@@ -176,7 +198,7 @@ class TestSentenceMatrix:
     def test_sentences_stack_each_padded_to_min_rows(self):
         emb = np.arange(40, dtype=float).reshape(10, 4)
         sentences = [(2, 3, 4, 5), (6,), (7, 2, 8)]
-        ids, rows, starts, _ = projected(ConvLayer(3, 3, 4, None), emb, sentences)
+        ids, rows, starts, _ = projected(build(ConvLayer, 3, 3, 4), emb, sentences)
         np.testing.assert_array_equal(starts, [0, 4, 7])
         np.testing.assert_array_equal(rows[[5, 6]], [0, 0])
         np.testing.assert_array_equal(ids[np.delete(rows, [5, 6]) - 1],
@@ -185,15 +207,14 @@ class TestSentenceMatrix:
     def test_all_oov_is_zero_matrix(self):
         emb = np.ones((6, 4))
         emb[0] = 0.0
-        _, rows, _, table = projected(ConvLayer(3, 3, 4, np.random.default_rng(0)), emb,
-                                      [[0, 0, 0]])
+        layer = build(ConvLayer, 3, 3, 4, rng=np.random.default_rng(0))
+        _, rows, _, table = projected(layer, emb, [[0, 0, 0]])
         np.testing.assert_array_equal(table[:, rows], np.zeros((3, 3, 3)))
 
 
 class TestConvMaxpool:
     def make(self, rng, f=2, F=3, k=4):
-        layer = ConvLayer(f, F, k, rng)
-        return layer
+        return build(ConvLayer, f, F, k, rng=rng)
 
     def test_zero_input_zero_bias(self, rng):
         layer = self.make(rng)
@@ -208,7 +229,7 @@ class TestConvMaxpool:
 
     def test_exhaustive_window_oracle(self, rng):
         # 1 filter, f=2, k=1: windows over column [1,3,2] are 1+3=4 and 3+2=5.
-        layer = ConvLayer(2, 1, 1, rng)
+        layer = build(ConvLayer, 2, 1, 1, rng=rng)
         layer.filters[:] = [[1.0, 1.0]]
         layer.bias[:] = 0.0
         feats, argmax = pooled_matrix(layer, np.array([[1.0], [3.0], [2.0]]))
@@ -216,7 +237,7 @@ class TestConvMaxpool:
         assert argmax[0] == 1
 
     def test_argmax_tie_breaks_to_smallest_position(self, rng):
-        layer = ConvLayer(2, 1, 1, rng)
+        layer = build(ConvLayer, 2, 1, 1, rng=rng)
         layer.filters[:] = [[1.0, 1.0]]
         layer.bias[:] = 0.0
         _, argmax = pooled_matrix(layer, np.array([[2.0], [2.0], [2.0]]))
@@ -241,7 +262,7 @@ class TestConvMaxpool:
     def test_gate_from_features_equals_gate_from_pre(self, filters, bias, s):
         # Small integers keep every pre-activation exact, so exact zeros and
         # tied windows are common.
-        layer = ConvLayer(2, 3, 2, None)
+        layer = build(ConvLayer, 2, 3, 2)
         layer.filters[:] = filters
         layer.bias[:] = bias
         feats, argmax = pooled_matrix(layer, s)
@@ -259,7 +280,7 @@ class TestConvMaxpool:
         np.testing.assert_array_equal(grad_b, np.where(gate, g, 0.0))
 
     def test_gradients_match_finite_differences(self, rng):
-        layer = ConvLayer(2, 3, 4, rng)
+        layer = build(ConvLayer, 2, 3, 4, rng=rng)
         s = rng.normal(size=(6, 4))
         weights = rng.normal(size=(1, 3))
 
@@ -276,7 +297,7 @@ class TestConvMaxpool:
         # Three sentences sharing tokens; the last is shorter than the filter
         # width, so its windows reach into sentence_matrix's zero padding.
         f, F, k = 3, 4, 5
-        layer = ConvLayer(f, F, k, rng)
+        layer = build(ConvLayer, f, F, k, rng=rng)
         layer.bias[:] = rng.normal(scale=0.1, size=F)
         emb = rng.normal(size=(7, k))
         sentences = [(2, 3, 4, 3, 5), (5, 2, 6, 2), (3, 6)]
@@ -322,7 +343,7 @@ class TestConvMaxpool:
         # Small-integer filters and vectors keep every pre-activation exact;
         # zero filters and sentences of one repeated token force tied windows.
         V = 6
-        layer = ConvLayer(f, F, k, None)
+        layer = build(ConvLayer, f, F, k)
         ints = st.integers(-2, 2).map(float)
         layer.filters[:] = data.draw(arrays(np.float64, layer.filters.shape, elements=ints))
         layer.filters[data.draw(st.lists(st.booleans(), min_size=F, max_size=F))] = 0.0
@@ -342,7 +363,7 @@ class TestConvMaxpool:
             np.testing.assert_array_equal(windows[s] - starts[s], want_argmax)
 
     def test_projection_holds_each_distinct_token_once(self, rng):
-        layer, emb = ConvLayer(2, 3, 4, rng), rng.normal(size=(9, 4))
+        layer, emb = build(ConvLayer, 2, 3, 4, rng=rng), rng.normal(size=(9, 4))
         ids, rows, _, table = projected(layer, emb, [[5, 3, 5], [8, 3]])
         np.testing.assert_array_equal(ids, [3, 5, 8])
         np.testing.assert_array_equal(rows, [2, 1, 2, 3, 1])
@@ -355,7 +376,7 @@ class TestConvMaxpool:
 
 class TestDenseRelu:
     def test_identity_weights_inference(self, rng):
-        layer = DenseLayer(3, 3, rng)
+        layer = build(DenseLayer, 3, 3, rng=rng)
         layer.weights[:] = np.eye(3)
         layer.bias[:] = 0.0
         x = np.array([[-1.0, 0.5, 2.0]])
@@ -363,14 +384,14 @@ class TestDenseRelu:
         np.testing.assert_array_equal(out, [[0.0, 0.5, 2.0]])
 
     def test_full_dropout_degenerate(self, rng):
-        layer = DenseLayer(2, 3, rng)
+        layer = build(DenseLayer, 2, 3, rng=rng)
         layer.bias[:] = [1.0, -1.0]
         mask = np.zeros((1, 3))
         out, _ = layer.forward(np.ones((1, 3)), mask)
         np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
     def test_gradients_match_finite_differences(self, rng):
-        layer = DenseLayer(3, 4, rng)
+        layer = build(DenseLayer, 3, 4, rng=rng)
         x = rng.normal(size=(1, 4))
         weights = rng.normal(size=(1, 3))
         mask = np.ones((1, 4))
@@ -387,7 +408,7 @@ class TestDenseRelu:
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
     def test_param_grads_over_a_batch_match_finite_differences(self, rng):
-        layer = DenseLayer(3, 4, rng)
+        layer = build(DenseLayer, 3, 4, rng=rng)
         layer.bias[:] = rng.normal(size=3)  # off the ReLU kink if a mask drops every input
         xs = rng.normal(size=(3, 1, 4))  # three one-row stacks
         masks = [dropout_mask(rng, (1, 4), 0.5) for _ in range(3)]
@@ -410,7 +431,7 @@ class TestDenseRelu:
         # A document's sentence rows: one forward and one backward call over
         # (S, in), under the document's one sampled mask repeated for each
         # row, as the model repeats it.
-        layer = DenseLayer(3, 5, rng)
+        layer = build(DenseLayer, 3, 5, rng=rng)
         layer.bias[:] = rng.normal(size=3)
         xs = rng.normal(size=(4, 5))
         mask = np.repeat(dropout_mask(rng, (1, 5), 0.4), 4, axis=0)
@@ -438,7 +459,7 @@ class TestDenseRelu:
         np.testing.assert_allclose(total / n, x, atol=0.05)
 
     def test_no_mask_equals_an_all_ones_mask(self, rng):
-        layer = DenseLayer(3, 5, rng)
+        layer = build(DenseLayer, 3, 5, rng=rng)
         xs = rng.normal(size=(4, 5))
         out, cache = layer.forward(xs, None)
         out_ones, cache_ones = layer.forward(xs, np.ones((4, 5)))
@@ -515,7 +536,7 @@ class TestLstm:
         return np.ones(m), np.ones(H)
 
     def test_all_zero_weights(self, rng):
-        cell = LstmCell(2, 3, rng)
+        cell = build(LstmCell, 2, 3, rng=rng)
         cell.input_weights[:] = 0.0
         cell.recurrent_weights[:] = 0.0
         cell.bias[:] = 0.0
@@ -528,7 +549,7 @@ class TestLstm:
         # Scalar cell. Step 1 (x=1) writes c1 through saturated input and
         # candidate gates; step 2 (x=0) writes nothing, and the forget bias
         # +10 keeps c2 ~= c1.
-        cell = LstmCell(1, 1, rng)
+        cell = build(LstmCell, 1, 1, rng=rng)
         cell.input_weights[:] = [[10.0], [0.0], [10.0], [0.0]]
         cell.recurrent_weights[:] = 0.0
         cell.bias[:] = [0.0, 10.0, 0.0, 0.0]
@@ -541,11 +562,6 @@ class TestLstm:
         assert abs(c2[0] - sigmoid(np.array([10.0]))[0] * c1[0]) < 1e-12
         assert abs(c2[0] - c1[0]) < 1e-4
 
-    def test_forget_bias_initialized_to_one(self, rng):
-        cell = LstmCell(3, 4, rng)
-        np.testing.assert_array_equal(cell.bias[4:8], np.ones(4))
-        assert not cell.bias[:4].any() and not cell.bias[8:].any()
-
     def test_gate_nonlinearities_match_the_two_branch_formulas(self, rng):
         # Every value goes into each of the i, f, g and o blocks of one step;
         # the step's recurrent term is absent, so the gates see z_in itself.
@@ -557,7 +573,7 @@ class TestLstm:
             rng.uniform(-800.0, 800.0, size=500),
         ])
         H = len(v)
-        cell = LstmCell(1, H, None)  # run reads neither weight matrix at one step
+        cell = build(LstmCell, 1, H)  # run reads neither weight matrix at one step
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _, cache = cell.run_batch(np.tile(v, 4)[None, :], [1], None, False)
         i, f, g, o = cache["gates"][0].reshape(4, H)
@@ -571,7 +587,7 @@ class TestLstm:
         assert np.isnan(g[4:6]).all()
 
     def test_first_step_reads_no_recurrent_weights(self, rng):
-        cell = LstmCell(3, 2, rng)
+        cell = build(LstmCell, 3, 2, rng=rng)
         cell.recurrent_weights[:] = np.nan
         h, cache, _ = lstm_run(cell, rng.normal(size=(1, 3)), np.ones(3),
                                dropout_mask(rng, 2, 0.5))
@@ -579,7 +595,7 @@ class TestLstm:
         assert np.isfinite(lstm_backward(cell, rng.normal(size=2), cache)).all()
 
     def test_no_recurrent_mask_equals_an_all_ones_mask(self, rng):
-        cell = LstmCell(3, 2, rng)
+        cell = build(LstmCell, 3, 2, rng=rng)
         seq = rng.normal(size=(3, 3))
         h, cache, _ = lstm_run(cell, seq, np.ones(3), None)
         h_ones, cache_ones, _ = lstm_run(cell, seq, np.ones(3), np.ones(2))
@@ -592,7 +608,7 @@ class TestLstm:
                                       lstm_backward(cell, grad, cache_ones).view(np.uint64))
 
     def test_bptt_matches_finite_differences(self, rng):
-        cell = LstmCell(3, 2, rng)
+        cell = build(LstmCell, 3, 2, rng=rng)
         seq = [rng.normal(size=3) for _ in range(3)]
         weights = rng.normal(size=2)
         masks = self.ones_masks(3, 2)
@@ -612,7 +628,7 @@ class TestLstm:
             assert_matches_fd(grad_xs[t], fd_grad(loss_fn, seq[t], rng))
 
     def test_bptt_with_sampled_masks_matches_finite_differences(self, rng):
-        cell = LstmCell(6, 4, rng)
+        cell = build(LstmCell, 6, 4, rng=rng)
         cell.bias[:] = rng.normal(size=16)
         seq = [rng.normal(size=6) for _ in range(5)]
         weights = rng.normal(size=4)
@@ -641,7 +657,7 @@ class TestLstm:
         # with its own masks, run as one batch in either direction: the loss
         # sums one sequence at a time, and the gradients are one product
         # over the stacked steps of all three.
-        cell = LstmCell(4, 3, rng)
+        cell = build(LstmCell, 4, 3, rng=rng)
         cell.bias[:] = rng.normal(size=12)
         seqs = [rng.normal(size=(3, 4)), rng.normal(size=(1, 4)), rng.normal(size=(2, 4))]
         in_masks = [dropout_mask(rng, 4, 0.5) for _ in seqs]
@@ -668,7 +684,7 @@ class TestBilstm:
         return np.ones(m), np.ones(H), np.ones(m), np.ones(H)
 
     def test_single_element_sequence(self, rng):
-        fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
+        fwd, bwd = build(LstmCell, 3, 2, rng=rng), build(LstmCell, 3, 2, rng=rng)
         x = rng.normal(size=3)
         enc, _ = bilstm(fwd, bwd, [x], self.masks(3, 2))
         hf, *_ = lstm_run(fwd, [x], np.ones(3), np.ones(2))
@@ -679,7 +695,7 @@ class TestBilstm:
         np.testing.assert_allclose(enc, np.concatenate(closed_form), rtol=1e-12, atol=1e-15)
 
     def test_backward_half_equals_forward_run_on_reversed(self, rng):
-        fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
+        fwd, bwd = build(LstmCell, 3, 2, rng=rng), build(LstmCell, 3, 2, rng=rng)
         seq = [rng.normal(size=3) for _ in range(4)]
         enc, _ = bilstm(fwd, bwd, seq, self.masks(3, 2))
         h_rev, *_ = lstm_run(bwd, list(reversed(seq)), np.ones(3), np.ones(2))
@@ -693,7 +709,7 @@ class TestBilstm:
                 Document(sentences)
 
     def test_gradients_through_both_directions(self, rng):
-        fwd, bwd = LstmCell(3, 2, rng), LstmCell(3, 2, rng)
+        fwd, bwd = build(LstmCell, 3, 2, rng=rng), build(LstmCell, 3, 2, rng=rng)
         seq = [rng.normal(size=3) for _ in range(3)]
         weights = rng.normal(size=4)
         masks = self.masks(3, 2)
@@ -713,7 +729,7 @@ class TestBilstm:
 
 class TestSoftmaxHead:
     def test_perfect_prediction_zero_loss(self, rng):
-        head = SoftmaxHead(2, 3, rng)
+        head = build(SoftmaxHead, 2, 3, rng=rng)
         head.weights[:] = 0.0
         head.bias[:] = [500.0, -500.0]
         probs = head.probs(np.zeros((1, 3)))
@@ -721,14 +737,14 @@ class TestSoftmaxHead:
         assert loss < 1e-12 and probs[0, 0] > 1 - 1e-12
 
     def test_uniform_loss_is_log_c(self, rng):
-        head = SoftmaxHead(3, 4, rng)
+        head = build(SoftmaxHead, 3, 4, rng=rng)
         head.weights[:] = 0.0
         head.bias[:] = 0.0
         loss, *_ = head.loss_and_grads(head.probs(np.ones((1, 4))), [1])
         assert abs(loss - np.log(3)) < 1e-12
 
     def test_logit_gradient_is_probs_minus_onehot(self, rng):
-        head = SoftmaxHead(3, 4, rng)
+        head = build(SoftmaxHead, 3, 4, rng=rng)
         x = rng.normal(size=(1, 4))
         probs = head.probs(x)
         _, _, grad_logits = head.loss_and_grads(probs, [2])
@@ -737,7 +753,7 @@ class TestSoftmaxHead:
         np.testing.assert_allclose(grad_logits, expected)
 
     def test_gradients_match_finite_differences(self, rng):
-        head = SoftmaxHead(3, 4, rng)
+        head = build(SoftmaxHead, 3, 4, rng=rng)
         x = rng.normal(size=(1, 4))
 
         def loss_fn():
@@ -751,7 +767,7 @@ class TestSoftmaxHead:
         assert_matches_fd(grad_b, fd_grad(loss_fn, head.bias, rng))
 
     def test_param_grads_over_a_batch_match_finite_differences(self, rng):
-        head = SoftmaxHead(3, 4, rng)
+        head = build(SoftmaxHead, 3, 4, rng=rng)
         xs = rng.normal(size=(3, 4))
         golds = [0, 2, 2]
 

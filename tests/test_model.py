@@ -24,7 +24,6 @@ from sentihier.model import (
     INFERENCE_CHUNK,
     LSTM_DROPOUT,
     MAX_SENTENCES,
-    PARAMETERS,
     PROJECTION_BYTES,
     PROJECTION_GROUP,
     HiCnnLstmModel,
@@ -627,6 +626,28 @@ class TestLossAndGrads:
                                        err_msg=name)
 
 
+def drawn_layer_by_layer(cfg, classes, seed):
+    """The parameter block as the layers once started it: each weight matrix
+    Glorot-uniform from one generator, in the order the layers were built
+    (conv, dense, fwd input, fwd recurrent, bwd input, bwd recurrent, head),
+    each bias zero but the LSTM forget gates at 1.0, laid out in block order."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
+
+    def glorot(fan_out, fan_in):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+    S, H = cfg.sentence_dim, cfg.lstm_hidden
+    conv = glorot(cfg.num_filters, cfg.filter_width * cfg.embedding_dim)
+    dense = glorot(S, cfg.num_filters)
+    cells = [(glorot(4 * H, S), glorot(4 * H, H), np.repeat([0.0, 1.0, 0.0, 0.0], H))
+             for _ in ("fwd", "bwd")]
+    head = glorot(classes, 2 * H)
+    parts = [conv, np.zeros(cfg.num_filters), dense, np.zeros(S), *cells[0], *cells[1],
+             head, np.zeros(classes)]
+    return np.concatenate([part.ravel() for part in parts])
+
+
 class TestParameterBlock:
     @pytest.mark.parametrize("config", [
         ModelConfig(),  # the paper's dimensions
@@ -647,7 +668,11 @@ class TestParameterBlock:
                 assert view.ctypes.data == at and np.shares_memory(view, block), name
                 at += view.nbytes
             assert at == block.ctypes.data + block.nbytes
-        assert list(model.params()) == [f"{layer}.{attr}" for layer, attr in PARAMETERS]
+        assert list(model.params()) == [
+            "conv.filters", "conv.bias", "dense.weights", "dense.bias",
+            *(f"{cell}.{attr}" for cell in ("lstm_fwd", "lstm_bwd")
+              for attr in ("input_weights", "recurrent_weights", "bias")),
+            "head.weights", "head.bias"]
 
     def test_every_parameter_is_a_view_of_the_block(self):
         model = desk_model()
@@ -671,6 +696,26 @@ class TestParameterBlock:
             for p in model.params().values():
                 sha.update(p.tobytes())
             assert sha.hexdigest() == digest
+
+    def test_forget_bias_initialized_to_one(self):
+        model = desk_model()
+        H = model.config.lstm_hidden
+        for name, p in model.params().items():
+            if name in ("lstm_fwd.bias", "lstm_bwd.bias"):
+                np.testing.assert_array_equal(p[H : 2 * H], np.ones(H))
+                assert not p[:H].any() and not p[2 * H :].any()
+            elif p.ndim == 1:
+                assert not p.any(), name
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5), st.integers(1, 4),
+           st.integers(1, 4), st.integers(2, 5), st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_initial_weights_equal_each_layer_drawing_its_own(self, k, f, F, S, H, classes,
+                                                              seed):
+        cfg = ModelConfig(embedding_dim=k, filter_width=f, num_filters=F, sentence_dim=S,
+                          lstm_hidden=H)
+        model = HiCnnLstmModel(cfg, np.zeros((2, k)), *desk_names(2, classes), seed=seed)
+        assert model.block.tobytes() == drawn_layer_by_layer(cfg, classes, seed).tobytes()
 
     def test_snapshot_restore_round_trip(self, rng):
         model = desk_model()
@@ -783,11 +828,16 @@ class TestCheckpoint:
         model = desk_model()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        weights = layers._weights
-        monkeypatch.setattr(layers, "_weights", lambda rng, *shape: (
-            pytest.fail("weights drawn") if rng is not None else weights(rng, *shape)))
+        # A draw needs a generator or numpy's global one: the first fails
+        # here on being made, the second would change its state.
+        for name in ("default_rng", "Generator", "SeedSequence"):
+            monkeypatch.setattr(np.random, name,
+                                lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+        _, key, *rest = np.random.get_state()
         loaded = load_checkpoint(path)
         assert loaded.block.tobytes() == model.block.tobytes()
+        _, key_after, *rest_after = np.random.get_state()
+        assert key_after.tobytes() == key.tobytes() and rest_after == rest
 
     @pytest.mark.parametrize("record", [
         b'{"unknown_key": 1}',                            # unexpected keyword
