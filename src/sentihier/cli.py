@@ -17,6 +17,7 @@ import ctypes
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -225,11 +226,12 @@ def cmd_predict(args) -> int:
     # isfinite check below is what reports it, so the warning stays silent.
     with np.errstate(invalid="ignore", over="ignore"):
         for lineno, probs in enumerate(model.probabilities(docs), 1):
-            if not np.isfinite(probs).all():  # lines already printed stay printed
+            values = probs.tolist()  # Python floats format faster than numpy's
+            if not all(map(math.isfinite, values)):  # lines already printed stay printed
                 raise SentihierError(f"{source}: line {lineno}: the model gives non-finite "
-                                     f"probabilities {probs.tolist()}")
-            label = model.labels[int(probs.argmax())]
-            print(label + "\t" + " ".join(f"{p:.6f}" for p in probs))
+                                     f"probabilities {values}")
+            label = model.labels[values.index(max(values))]  # the first maximum, as argmax
+            print(label + "\t" + " ".join(f"{p:.6f}" for p in values))
     return 0
 
 

@@ -128,14 +128,17 @@ def load_word2vec_binary(path, wanted=None) -> EmbeddingTable:
     return _table(path, rows, matrix[: len(rows)])
 
 
-def load_word2vec_text(path, wanted=None) -> EmbeddingTable:
+def load_word2vec_text(path, wanted) -> EmbeddingTable:
     """Parse "token v1 ... vD" lines; a leading "V D" header is auto-detected.
 
-    Keeps the rows whose token is in `wanted` (every row when it is None) as
-    one float64 matrix; a token given twice keeps its last line.
+    Each line whose token is in `wanted` is written into its row of one
+    float64 matrix, allocated at the first line, of at most len(wanted)
+    rows and no more than the file could fill (every line holds a token and
+    D values, each after a separator); a token given twice keeps its last line.
     """
-    vectors = {}
-    dim = None
+    size = Path(path).stat().st_size
+    rows = {}  # kept token -> its row
+    matrix = dim = None
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -153,18 +156,19 @@ def load_word2vec_text(path, wanted=None) -> EmbeddingTable:
                     raise ParseError(f"{path}: non-numeric value at line {lineno}") from None
                 if dim is None:
                     dim = len(vec)
+                    matrix = np.empty((min(len(wanted), size // (2 * dim + 1)), dim))
                 elif len(vec) != dim:
                     raise ParseError(
                         f"{path}: inconsistent dimension at line {lineno}: "
                         f"got {len(vec)}, expected {dim}"
                     )
-                if wanted is None or token in wanted:
-                    vectors[token] = np.array(vec, dtype=np.float64)
+                if token in wanted:
+                    matrix[rows.setdefault(token, len(rows))] = vec
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if dim is None:
         raise ParseError(f"{path}: no vectors found")
-    return _table(path, vectors, np.array(list(vectors.values())).reshape(-1, dim))
+    return _table(path, rows, matrix[: len(rows)])
 
 
 def _table(path, tokens, matrix) -> EmbeddingTable:
@@ -187,8 +191,7 @@ def random_table(tokens, dim: int, seed: int) -> np.ndarray:
     reduces `seed` to the 64 bits s. So a vector depends only on the seed and
     the token. The matrix is hashed in place, BLOCK_BYTES of rows at a time,
     as uint64 arrays (which wrap silently, where numpy's scalars warn)."""
-    keys = np.random.SeedSequence(seed).generate_state(1, np.uint64) ^ np.fromiter(
-        (fnv1a_64(t.encode("utf-8")) for t in tokens), np.uint64, len(tokens))
+    keys = np.random.SeedSequence(seed).generate_state(1, np.uint64) ^ fnv1a_64(tokens)
     offsets = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     matrix = np.empty((len(keys), dim))
     step = max(1, BLOCK_BYTES // (8 * dim))
@@ -204,11 +207,25 @@ def random_table(tokens, dim: int, seed: int) -> np.ndarray:
     return matrix
 
 
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+def fnv1a_64(tokens) -> np.ndarray:
+    """64-bit FNV-1a hashes of the tokens' UTF-8 bytes, as a uint64 array.
+
+    Every token is hashed at once, one byte position per step: the tokens
+    are taken longest first, so those still being hashed at byte j are a
+    prefix of them, and their byte j is gathered from the joined bytes."""
+    data = [token.encode("utf-8") for token in tokens]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    order = np.argsort(-lengths)
+    lengths = lengths[order]
+    joined = np.frombuffer(b"".join(data[i] for i in order), np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    h = np.full(len(data), 0xCBF29CE484222325, np.uint64)
+    # How many tokens are longer than j, for each byte position j.
+    longer = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))
+    for j, n in enumerate(longer.tolist()):
+        h[:n] ^= joined[starts[:n] + j]
+        h[:n] *= np.uint64(0x100000001B3)
+    hashes = np.empty_like(h)
+    hashes[order] = h
+    return hashes
 

@@ -7,6 +7,9 @@ stack of rows and keeps their state as arrays over those rows, so that only
 the recurrence itself runs one sequence at a time. model.py allocates and
 starts every layer's parameters, and the layers trust the shapes it builds
 and check none of them: the model is the one module that rejects a bad input.
+The model also draws every dropout mask and multiplies each layer's input,
+and the gradient at it, by its mask; the one mask a layer applies is the
+LSTM's recurrent mask, inside the recurrence.
 The convolution runs in embedding-row space (ConvLayer): its table holds
 the filters' products with the distinct word vectors that the caller
 projected, for one batch or for a larger group of documents, and only this
@@ -16,9 +19,11 @@ Every layer's forward pass returns what its backward pass needs, and the
 backward pass hand-computes the gradient with respect to its input plus
 small per-row factors (the gradient at its pre-activation, paired with the
 input it multiplied); the convolution skips the input gradient, because the
-word vectors under it are static. Parameter gradients are formed once per
-batch from the factors of every row, one matrix product per weight matrix
-and one row sum per bias, into the caller's buffers. No autodiff anywhere;
+word vectors under it are static. The model forms the parameter gradients
+once per batch from the factors of every row, one matrix product per weight
+matrix and one row sum per bias (linear_param_grads), into its gradient
+block; only the convolution's go through ConvLayer.param_grads, since only
+this module knows its table's layout. No autodiff anywhere;
 the finite-difference tests in the suite are the correctness authority.
 """
 
@@ -43,13 +48,6 @@ def linear_param_grads(grad_pre: np.ndarray, inputs: np.ndarray,
     """
     np.matmul(grad_pre.T, inputs, out=grad_weights)
     np.sum(grad_pre, axis=0, out=grad_bias)
-
-
-def dropout_mask(rng: np.random.Generator, size, rate) -> np.ndarray:
-    """Inverted-dropout mask of shape `size`: 0 or 1/(1 - rate), for one rate
-    or one per column."""
-    keep = 1.0 - rate
-    return (rng.random(size) < keep).astype(np.float64) / keep
 
 
 def sentence_matrix(seqs, distinct: np.ndarray, min_rows: int):
@@ -177,35 +175,30 @@ class ConvLayer:
 
 
 class DenseLayer:
-    """Fully connected ReLU layer with inverted dropout on its input, applied
-    to the rows of a matrix (S, in) under a mask per row (S, in), or under
-    no mask (None: no dropout)."""
+    """Fully connected ReLU layer over the rows of a matrix (S, in)."""
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         self.weights, self.bias = weights, bias
 
-    def forward(self, x: np.ndarray, mask: np.ndarray | None):
-        x_masked = x if mask is None else x * mask
-        pre = x_masked @ self.weights.T + self.bias
-        cache = {"x_masked": x_masked, "pre": pre, "mask": mask}
-        return np.maximum(pre, 0.0), cache
+    def forward(self, x: np.ndarray):
+        """Returns (relu(x @ weights.T + bias), the pre-activations for backward)."""
+        pre = x @ self.weights.T + self.bias
+        return np.maximum(pre, 0.0), pre
 
-    def backward(self, grad_out: np.ndarray, cache):
+    def backward(self, grad_out: np.ndarray, pre: np.ndarray):
         """Returns (grad_x, grad_pre); the parameter gradients are
-        linear_param_grads of grad_pre paired with cache["x_masked"]."""
-        grad_pre = grad_out * (cache["pre"] > 0.0)  # relu's subgradient, 0 at exactly 0
-        grad_x = grad_pre @ self.weights
-        if cache["mask"] is not None:
-            grad_x *= cache["mask"]
-        return grad_x, grad_pre
+        linear_param_grads of grad_pre paired with forward's x."""
+        grad_pre = grad_out * (pre > 0.0)  # relu's subgradient, 0 at exactly 0
+        return grad_pre @ self.weights, grad_pre
 
 
 class LstmCell:
     """Standard LSTM cell; gate order in the stacked weights is i, f, g, o.
 
-    Dropout masks for the input and the recurrent state are fixed per
-    sequence (variational style): the caller samples them once and reuses
-    them at every step, or passes None for no dropout. The state starts at
+    The cell takes its inputs as they are, masked by the caller if at all.
+    Its own dropout mask, on the recurrent state, is fixed per sequence
+    (variational style): run_batch takes one mask row per sequence and
+    applies it to h at every step, or None for no dropout. The state starts at
     zero, so the first step has no recurrent term. The gate nonlinearities
     are one pass over a step's (4H,) row, or over a block of such rows: tanh
     under the per-block scale and shift that make sigmoid(z) = 1/2 +
@@ -316,8 +309,8 @@ class LstmCell:
         gradients, and every sequence's last step, are formed here over all
         rows; backward then carries dh and dc back through the rest of each
         sequence. The caller forms the input gradients (dz @ W under the
-        input mask) and the parameter gradients (param_grads of dz, the
-        masked inputs and cache["h_m"]) once for the batch.
+        input mask) and the parameter gradients (dz paired with the masked
+        inputs and with cache["h_m"]) once for the batch.
         """
         H = self.hidden_dim
         gates, c, tanh_c = cache["gates"], cache["c"], cache["tanh_c"]
@@ -366,15 +359,6 @@ class LstmCell:
             dc = dc + dh * dc_dh[t]
             np.multiply(dz_dc[t], dc, out=dz[t, :3])
             np.multiply(dh, dz_dh[t], out=dz[t, 3])
-
-    @staticmethod
-    def param_grads(dz: np.ndarray, x_m: np.ndarray, h_m: np.ndarray,
-                    grad_W: np.ndarray, grad_U: np.ndarray, grad_b: np.ndarray):
-        """Weight and bias gradients summed over the steps of a batch of
-        sequences: dz (N, 4H) paired row by row with the masked inputs x_m
-        (N, m) and the masked previous hidden states h_m (N, H)."""
-        linear_param_grads(dz, x_m, grad_W, grad_b)
-        np.matmul(dz.T, h_m, out=grad_U)
 
 
 class SoftmaxHead:

@@ -130,14 +130,18 @@ class HiCnnLstmModel:
     def restore(self, snapshot: np.ndarray):
         self.block[...] = snapshot
 
-    def _masks(self, dropout_rng, batch: int) -> list:
-        """The [dense, fwd input, fwd recurrent, bwd input, bwd recurrent] masks of
-        `batch` documents, a row per document: one call draws them document by document."""
+    def _masks(self, dropout_rng, counts) -> list:
+        """The [dense, fwd input, fwd recurrent, bwd input, bwd recurrent]
+        inverted-dropout masks, 0 or 1/(1 - rate), of documents of counts[d]
+        sentences: one draw takes them document by document. The dense and
+        input masks have a row per sentence, each document's row repeated,
+        and the recurrent masks a row per document."""
         cfg = self.config
         widths = (cfg.num_filters, *[cfg.sentence_dim, cfg.lstm_hidden] * 2)
-        rates = np.repeat([DENSE_DROPOUT] + [LSTM_DROPOUT] * 4, widths)
-        masks = layers.dropout_mask(dropout_rng, (batch, len(rates)), rates)
-        return np.split(masks, np.cumsum(widths)[:-1], axis=1)
+        keep = 1.0 - np.repeat([DENSE_DROPOUT] + [LSTM_DROPOUT] * 4, widths)
+        drawn = (dropout_rng.random((len(counts), len(keep))) < keep).astype(np.float64) / keep
+        masks = np.split(drawn, np.cumsum(widths)[:-1], axis=1)
+        return [m if i in (2, 4) else np.repeat(m, counts, axis=0) for i, m in enumerate(masks)]
 
     def _lstm_directions(self):
         """(name, cell, reverse) of each direction; bwd reads sentences last to first."""
@@ -195,20 +199,23 @@ class HiCnnLstmModel:
 
     def forward(self, docs, train: bool = False, dropout_rng=None, *, projected=None):
         """Returns ((B, C) class probabilities of the B documents `docs`,
-        cache). Masks are drawn only when train=True and a dropout_rng is
-        supplied, fixed per document and in document order; otherwise no
-        mask is built at all and the layers take None (no dropout). With
-        train=True the cache for loss_and_grads is kept, masks or not.
+        cache). Masks are drawn (_masks) only when train=True and a
+        dropout_rng is supplied; otherwise no mask is built at all and
+        nothing is masked (no dropout). With train=True the cache for
+        loss_and_grads is kept, masks or not.
 
         The sentences of all documents run through the convolution and the
-        dense layer as one stack of rows, each under its document's dense
-        mask. The convolution reads the filter products of the documents'
-        word vectors from projected, an (ids, table) pair of _projection
-        whose ids must hold every token the documents read (a
-        SentihierError otherwise); with none given, this call projects the
-        documents' own distinct tokens into a table that is freed as soon
-        as the convolution has read it. An empty `docs` is a SentihierError
-        too: the layers below check no input of their own.
+        dense layer as one stack of rows. The model applies the masks: the
+        dense mask to the features before the dense layer, each direction's
+        input mask to the sentence vectors before its projection, and the
+        recurrent masks through LstmCell.run_batch. The convolution reads
+        the filter products of the documents' word vectors from projected,
+        an (ids, table) pair of _projection whose ids must hold every token
+        the documents read (a SentihierError otherwise); with none given,
+        this call projects the documents' own distinct tokens into a table
+        that is freed as soon as the convolution has read it. An empty
+        `docs` is a SentihierError too: the layers below check no input of
+        their own.
         """
         if len(docs) == 0:
             raise SentihierError("forward needs at least one document")
@@ -221,29 +228,24 @@ class HiCnnLstmModel:
         if projected is not None and not np.array_equal(ids.take(distinct, mode="clip"), tokens):
             raise SentihierError("the projected table lacks a token of the documents")
         counts = [len(s) for s in sentences]
-        dropout = train and dropout_rng is not None
-        dense_mask = None  # no dropout, so no masks at all
-        if dropout:
-            dense, *lstm_masks = self._masks(dropout_rng, len(sentences))
-            dense_mask = np.repeat(dense, counts, axis=0)
+        masks = (self._masks(dropout_rng, counts) if train and dropout_rng is not None
+                 else [None] * 5)
         rows, starts = layers.sentence_matrix(seqs, distinct, cfg.filter_width)
         features, windows = self.conv.forward(rows, starts, table, first_max=train)
         del table, projected  # a table of this call's own is freed here
-        sent_vecs, dense_cache = self.dense.forward(features, dense_mask)
+        dense_in = _masked(features, masks[0])
+        sent_vecs, dense_pre = self.dense.forward(dense_in)
         H = cfg.lstm_hidden
         encoded = np.empty((len(sentences), 2 * H))
         lstm = []
         for d, (_, cell, reverse) in enumerate(self._lstm_directions()):
-            x_m, in_mask, recurrent_masks = sent_vecs, None, None
-            if dropout:
-                in_mask = np.repeat(lstm_masks[2 * d], counts, axis=0)
-                x_m = sent_vecs * in_mask
-                recurrent_masks = lstm_masks[2 * d + 1]
+            x_m = _masked(sent_vecs, masks[1 + 2 * d])
             encoded[:, d * H : (d + 1) * H], run = cell.run_batch(
-                cell.project(x_m), counts, recurrent_masks, reverse)
-            lstm.append({"x_m": x_m, "in_mask": in_mask, "run": run})
+                cell.project(x_m), counts, masks[2 + 2 * d], reverse)
+            lstm.append({"x_m": x_m, "run": run})
         cache = {"ids": ids, "rows": rows, "windows": windows, "features": features,
-                 "dense": dense_cache, "lstm": lstm, "encoded": encoded} if train else None
+                 "masks": masks, "dense_in": dense_in, "dense_pre": dense_pre, "lstm": lstm,
+                 "encoded": encoded} if train else None
         return self.head.probs(encoded), cache
 
     def loss_and_grads(self, batch, dropout_rng=None):
@@ -274,26 +276,30 @@ class HiCnnLstmModel:
         grad_block = self._new_block()
         grads = self.views(grad_block)
         loss, grad_enc, grad_logits = self.head.loss_and_grads(probs, gold)
-        H = self.config.lstm_hidden
+        H, masks = self.config.lstm_hidden, cache["masks"]
         grad_seq = 0.0
         for d, (name, cell, _) in enumerate(self._lstm_directions()):
             lstm = cache["lstm"][d]
             dz = cell.backward_batch(grad_enc[:, d * H : (d + 1) * H], lstm["run"])
-            grad_x, in_mask = dz @ cell.input_weights, lstm["in_mask"]
-            grad_seq = grad_seq + (grad_x if in_mask is None else grad_x * in_mask)
-            layers.LstmCell.param_grads(dz, lstm["x_m"], lstm["run"]["h_m"],
-                                        grads[f"{name}.input_weights"],
-                                        grads[f"{name}.recurrent_weights"], grads[f"{name}.bias"])
-        grad_feats, grad_pre = self.dense.backward(grad_seq, cache["dense"])
-        gated = self.conv.backward(grad_feats, cache["features"])
+            grad_seq = grad_seq + _masked(dz @ cell.input_weights, masks[1 + 2 * d])
+            layers.linear_param_grads(dz, lstm["x_m"], grads[f"{name}.input_weights"],
+                                      grads[f"{name}.bias"])
+            np.matmul(dz.T, lstm["run"]["h_m"], out=grads[f"{name}.recurrent_weights"])
+        grad_in, grad_pre = self.dense.backward(grad_seq, cache["dense_pre"])
+        gated = self.conv.backward(_masked(grad_in, masks[0]), cache["features"])
         layers.linear_param_grads(grad_logits, cache["encoded"],
                                   grads["head.weights"], grads["head.bias"])
-        layers.linear_param_grads(grad_pre, cache["dense"]["x_masked"],
+        layers.linear_param_grads(grad_pre, cache["dense_in"],
                                   grads["dense.weights"], grads["dense.bias"])
         self.conv.param_grads(self.embedding_matrix, cache["ids"], cache["rows"], cache["windows"],
                               gated, grads["conv.filters"], grads["conv.bias"])
         grad_block /= len(batch)
         return loss / len(batch), grad_block
+
+
+def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """x times its dropout mask, or x itself under no mask."""
+    return x if mask is None else x * mask
 
 
 def _tokens(docs) -> np.ndarray:

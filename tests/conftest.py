@@ -29,6 +29,13 @@ def desk_model(num_classes=2, seed=7, vocab_size=9, emb_seed=0):
     return HiCnnLstmModel(desk_config(), emb, *desk_names(vocab_size, num_classes), seed=seed)
 
 
+def dropout_mask(rng, size, rate):
+    """Reference inverted-dropout mask of shape `size`: 0 or 1/(1 - rate),
+    for one rate or one per column, as HiCnnLstmModel._masks draws it."""
+    keep = 1.0 - rate
+    return (rng.random(size) < keep).astype(np.float64) / keep
+
+
 def finite_difference_check(loss_fn, params, grads, rng, eps=1e-5,
                             coords_per_tensor=100, rtol=1e-4):
     """Central finite differences on randomly sampled coordinates.

@@ -295,7 +295,7 @@ def test_criterion_8_format_round_trips(tmp_path, rng):
     table = load_word2vec_binary(bin_path)
     txt_path = tmp_path / "vec.txt"
     save_word2vec_text({token: table.lookup(token) for token, _ in entries}, txt_path)
-    reloaded = load_word2vec_text(txt_path)
+    reloaded = load_word2vec_text(txt_path, {token for token, _ in entries})
     for token, _ in entries:
         np.testing.assert_allclose(reloaded.lookup(token), table.lookup(token),
                                    rtol=1e-6)

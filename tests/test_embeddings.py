@@ -140,7 +140,7 @@ class TestWantedRows:
         path = tmp_path / f"vec.{kind}"
         write(path, entries)
         tokens = ("great", "bug", "fix", "missing")
-        full = load(path)
+        full = load(path, set(names))
         kept = load_vectors(path, [doc(*tokens)])
         assert len(full) == 7 and len(kept) == 4  # Great, bug, Bug, fix
         assert "noise" not in kept and "tail" not in kept
@@ -198,7 +198,7 @@ class TestWantedRows:
         path = tmp_path / f"vec.{kind}"
         write(path, [("ok", [1.0, 2.0]), ("bad", [0.5, bad])])
         with pytest.raises(ParseError) as info:
-            load(path)
+            load(path, {"ok", "bad"})
         assert str(path) in str(info.value) and "'bad'" in str(info.value)
         assert "not finite" in str(info.value)
         assert len(load(path, {"ok"})) == 1  # only the kept rows are checked
@@ -246,7 +246,7 @@ class TestTextLoader:
     def test_plain(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\nb 0 1\n")
-        table = load_word2vec_text(path)
+        table = load_word2vec_text(path, {"a", "b"})
         assert table.dim == 2 and len(table) == 2
 
     def test_header_autodetect(self, tmp_path):
@@ -254,27 +254,27 @@ class TestTextLoader:
         p2 = tmp_path / "v2.txt"
         p1.write_text("a 1 0\nb 0 1\n")
         p2.write_text("2 2\na 1 0\nb 0 1\n")
-        t1, t2 = load_word2vec_text(p1), load_word2vec_text(p2)
+        t1, t2 = load_word2vec_text(p1, {"a", "b"}), load_word2vec_text(p2, {"a", "b"})
         assert len(t1) == len(t2) == 2
         np.testing.assert_array_equal(t1.lookup("a"), t2.lookup("a"))
         p1.write_text("-2 1\nb 0\n")  # header counts carry no sign
-        assert "-2" in load_word2vec_text(p1)
+        assert "-2" in load_word2vec_text(p1, {"-2", "b"})
 
     def test_utf8_byte_order_mark_is_read_past(self, tmp_path):
         # The mark would otherwise hide the header, which then reads as a
         # one-value vector.
         path = tmp_path / "vec.txt"
         path.write_bytes("\ufeff2 3\na 1 0 0\nb 0 1 0\n".encode("utf-8"))
-        table = load_word2vec_text(path)
+        table = load_word2vec_text(path, {"a", "b"})
         assert table.dim == 3 and len(table) == 2
         path.write_bytes("\ufeffa 1 0\n".encode("utf-8"))  # no header: the first token
-        np.testing.assert_array_equal(load_word2vec_text(path).lookup("a"), [1.0, 0.0])
+        np.testing.assert_array_equal(load_word2vec_text(path, {"a"}).lookup("a"), [1.0, 0.0])
 
     def test_inconsistent_dim_reports_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\nb 0\n")
         with pytest.raises(ParseError, match="line 2"):
-            load_word2vec_text(path)
+            load_word2vec_text(path, {"a", "b"})
 
     def test_binary_text_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -284,9 +284,30 @@ class TestTextLoader:
         table = load_word2vec_binary(bin_path)
         txt_path = tmp_path / "vec.txt"
         save_word2vec_text({tok: table.lookup(tok) for tok, _ in entries}, txt_path)
-        reloaded = load_word2vec_text(txt_path)
+        reloaded = load_word2vec_text(txt_path, {tok for tok, _ in entries})
         for tok, _ in entries:
             np.testing.assert_allclose(reloaded.lookup(tok), table.lookup(tok), rtol=1e-6)
+
+    def test_each_kept_row_is_held_once(self, tmp_path):
+        # The rows go straight into one float64 matrix, so loading a file
+        # with every token wanted peaks near that matrix alone.
+        rows, dim = 4000, 300
+        rng = np.random.default_rng(8)
+        path = tmp_path / "vec.txt"
+        tokens = [f"w{i}" for i in range(rows)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{rows} {dim}\n")
+            for token, vec in zip(tokens, rng.normal(size=(rows, dim))):
+                fh.write(f"{token} {' '.join(map(repr, vec.tolist()))}\n")
+        wanted = set(tokens)
+        tracemalloc.start()
+        try:
+            table = load_word2vec_text(path, wanted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == rows
+        assert peak < 1.25 * rows * dim * 8, f"peak {peak} bytes"
 
 
 class TestLookup:
@@ -346,7 +367,7 @@ def reference_vector(token: str, dim: int, seed: int) -> list:
         return z ^ (z >> 31)
 
     s = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
-    start = s ^ fnv1a_64(token.encode("utf-8"))
+    start = s ^ fnv1a_reference(token.encode("utf-8"))
     return [(mix((start + j * 0x9E3779B97F4A7C15) & mask) >> 11) * 2.0**-54 - 0.25
             for j in range(1, dim + 1)]
 
@@ -379,7 +400,7 @@ def table_from(source, tmp_path):
     """A table of the tokens "a", "b" and "c" from `source`: bin or txt."""
     load, write = LOADERS[source]
     write(tmp_path / "vec", [(t, [float(i), -1.5, 0.25]) for i, t in enumerate("abc")])
-    return load(tmp_path / "vec")
+    return load(tmp_path / "vec", set("abc"))
 
 
 @pytest.mark.parametrize("source", ["bin", "txt"])
@@ -391,8 +412,28 @@ def test_every_source_gives_one_view_of_one_matrix_per_token(tmp_path, source):
     assert a.shape == (3,) and len(table) == 3 and "c" in table
 
 
+def fnv1a_reference(data: bytes) -> int:
+    """64-bit FNV-1a in Python integers, one byte per step."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 class TestFnv1a64:
     def test_standard_vectors(self):
-        assert fnv1a_64(b"") == 0xCBF29CE484222325
-        assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-        assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+        hashes = fnv1a_64(["", "a", "foobar"])
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == [0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8]
+        assert fnv1a_reference(b"foobar") == 0x85944171F73967E8
+
+    def test_no_tokens(self):
+        assert fnv1a_64([]).shape == (0,)
+
+    @given(st.lists(st.text(max_size=12) | st.sampled_from(["x" * 300, "naïve", "日本語"]),
+                    max_size=20))
+    def test_every_token_matches_the_reference(self, tokens):
+        # Empty, non-ASCII and long tokens, and repeats, in any order.
+        assert fnv1a_64(tokens).tolist() == [fnv1a_reference(t.encode("utf-8"))
+                                             for t in tokens]

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import dropout_mask
 from sentihier.errors import SentihierError
 from sentihier.textprep import Document
 from sentihier.layers import (
@@ -11,7 +12,6 @@ from sentihier.layers import (
     DenseLayer,
     LstmCell,
     SoftmaxHead,
-    dropout_mask,
     linear_param_grads,
     sentence_matrix,
     softmax,
@@ -75,11 +75,11 @@ def linear_grads(layer, grad_pre, inputs):
 
 
 def lstm_param_grads(cell, dz, x_m, h_m):
-    """(grad_W, grad_U, grad_b) of one sequence's gate gradients."""
-    grads = (np.empty_like(cell.input_weights), np.empty_like(cell.recurrent_weights),
-             np.empty_like(cell.bias))
-    LstmCell.param_grads(dz, x_m, h_m, *grads)
-    return grads
+    """(grad_W, grad_U, grad_b) of gate gradients dz, formed as the model
+    forms them: dz paired with the masked inputs x_m and previous states h_m."""
+    grad_W, grad_b = np.empty_like(cell.input_weights), np.empty_like(cell.bias)
+    linear_param_grads(dz, x_m, grad_W, grad_b)
+    return grad_W, dz.T @ h_m, grad_b
 
 
 def projected(layer, emb, sentences):
@@ -173,8 +173,8 @@ class TestRelu:
         layer = build(DenseLayer, 3, 1)
         layer.weights[:] = 0.0
         layer.bias[:] = [-1.0, 0.0, 2.0]
-        _, cache = layer.forward(np.ones((1, 1)), None)
-        np.testing.assert_array_equal(layer.backward(np.ones((1, 3)), cache)[1],
+        _, pre = layer.forward(np.ones((1, 1)))
+        np.testing.assert_array_equal(layer.backward(np.ones((1, 3)), pre)[1],
                                       [[0.0, 0.0, 1.0]])
 
 
@@ -380,29 +380,29 @@ class TestDenseRelu:
         layer.weights[:] = np.eye(3)
         layer.bias[:] = 0.0
         x = np.array([[-1.0, 0.5, 2.0]])
-        out, _ = layer.forward(x, np.ones((1, 3)))
+        out, _ = layer.forward(x)
         np.testing.assert_array_equal(out, [[0.0, 0.5, 2.0]])
 
     def test_full_dropout_degenerate(self, rng):
+        # An input under an all-zero mask, as the model masks it: only the
+        # bias reaches the relu.
         layer = build(DenseLayer, 2, 3, rng=rng)
         layer.bias[:] = [1.0, -1.0]
-        mask = np.zeros((1, 3))
-        out, _ = layer.forward(np.ones((1, 3)), mask)
+        out, _ = layer.forward(np.ones((1, 3)) * np.zeros((1, 3)))
         np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
     def test_gradients_match_finite_differences(self, rng):
         layer = build(DenseLayer, 3, 4, rng=rng)
         x = rng.normal(size=(1, 4))
         weights = rng.normal(size=(1, 3))
-        mask = np.ones((1, 4))
 
         def loss_fn():
-            out, _ = layer.forward(x, mask)
+            out, _ = layer.forward(x)
             return float(np.sum(weights * out))
 
-        out, cache = layer.forward(x, mask)
-        grad_x, grad_pre = layer.backward(weights, cache)
-        grad_w, grad_b = linear_grads(layer, grad_pre, cache["x_masked"])
+        out, pre = layer.forward(x)
+        grad_x, grad_pre = layer.backward(weights, pre)
+        grad_w, grad_b = linear_grads(layer, grad_pre, x)
         assert_matches_fd(grad_x, fd_grad(loss_fn, x, rng))
         assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
@@ -415,22 +415,23 @@ class TestDenseRelu:
         weights = rng.normal(size=(3, 1, 3))
 
         def loss_fn():
-            return sum(float(np.sum(w * layer.forward(x, m)[0]))
+            return sum(float(np.sum(w * layer.forward(x * m)[0]))
                        for w, x, m in zip(weights, xs, masks))
 
         grad_pre, inputs = [], []
         for w, x, m in zip(weights, xs, masks):
-            _, cache = layer.forward(x, m)
-            grad_pre.append(layer.backward(w, cache)[1])
-            inputs.append(cache["x_masked"])
+            _, pre = layer.forward(x * m)
+            grad_pre.append(layer.backward(w, pre)[1])
+            inputs.append(x * m)
         grad_w, grad_b = linear_grads(layer, np.concatenate(grad_pre), np.concatenate(inputs))
         assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
 
     def test_stacked_rows_under_one_mask_match_finite_differences(self, rng):
         # A document's sentence rows: one forward and one backward call over
-        # (S, in), under the document's one sampled mask repeated for each
-        # row, as the model repeats it.
+        # (S, in), the rows and the input gradient multiplied by the
+        # document's one sampled mask repeated for each row, as the model
+        # masks them.
         layer = build(DenseLayer, 3, 5, rng=rng)
         layer.bias[:] = rng.normal(size=3)
         xs = rng.normal(size=(4, 5))
@@ -439,34 +440,16 @@ class TestDenseRelu:
         weights = rng.normal(size=(4, 3))
 
         def loss_fn():
-            return float(np.sum(weights * layer.forward(xs, mask)[0]))
+            return float(np.sum(weights * layer.forward(xs * mask)[0]))
 
-        out, cache = layer.forward(xs, mask)
+        out, pre = layer.forward(xs * mask)
         for x, m, row in zip(xs, mask, out):
-            np.testing.assert_allclose(layer.forward(x[None], m[None])[0][0], row, rtol=1e-12)
-        grad_x, grad_pre = layer.backward(weights, cache)
-        grad_w, grad_b = linear_grads(layer, grad_pre, cache["x_masked"])
-        assert_matches_fd(grad_x, fd_grad(loss_fn, xs, rng))
+            np.testing.assert_allclose(layer.forward(x[None] * m)[0][0], row, rtol=1e-12)
+        grad_x, grad_pre = layer.backward(weights, pre)
+        grad_w, grad_b = linear_grads(layer, grad_pre, xs * mask)
+        assert_matches_fd(grad_x * mask, fd_grad(loss_fn, xs, rng))
         assert_matches_fd(grad_w, fd_grad(loss_fn, layer.weights, rng))
         assert_matches_fd(grad_b, fd_grad(loss_fn, layer.bias, rng))
-
-    def test_dropout_mask_expected_value_preserves_input(self, rng):
-        x = rng.normal(size=6)
-        total = np.zeros(6)
-        n = 4000
-        for _ in range(n):
-            total += x * dropout_mask(rng, 6, 0.4)
-        np.testing.assert_allclose(total / n, x, atol=0.05)
-
-    def test_no_mask_equals_an_all_ones_mask(self, rng):
-        layer = build(DenseLayer, 3, 5, rng=rng)
-        xs = rng.normal(size=(4, 5))
-        out, cache = layer.forward(xs, None)
-        out_ones, cache_ones = layer.forward(xs, np.ones((4, 5)))
-        np.testing.assert_array_equal(out, out_ones)
-        grad = rng.normal(size=(4, 3))
-        for a, b in zip(layer.backward(grad, cache), layer.backward(grad, cache_ones)):
-            np.testing.assert_array_equal(a, b)
 
 
 def sigmoid(v) -> np.ndarray:

@@ -13,6 +13,7 @@ from conftest import (
     desk_config,
     desk_model,
     desk_names,
+    dropout_mask,
     finite_difference_check,
     replace_record,
 )
@@ -168,19 +169,31 @@ class TestForward:
     def test_masks_of_a_batch_equal_the_per_document_draws(self):
         # One draw for the batch takes the stream's values in the order of a
         # dense, fwd input, fwd recurrent, bwd input and bwd recurrent mask
-        # per document, document by document.
+        # per document, document by document. The dense and input masks
+        # repeat each document's row for each of its sentences.
         cfg = ModelConfig(embedding_dim=2, filter_width=2, num_filters=5, sentence_dim=4,
                           lstm_hidden=3)
         model = HiCnnLstmModel(cfg, np.zeros((9, 2)), *desk_names(9, 2), seed=None)
         batch_rng, doc_rng = np.random.default_rng(3), np.random.default_rng(3)
-        masks = model._masks(batch_rng, 7)
+        counts = [2, 1, 5, 1, 3, 1, 4]
+        masks = model._masks(batch_rng, counts)
         rates = (DENSE_DROPOUT, *[LSTM_DROPOUT] * 4)
-        per_doc = [[layers.dropout_mask(doc_rng, width, rate)
-                    for width, rate in zip((5, 4, 3, 4, 3), rates)] for _ in range(7)]
+        per_doc = [[dropout_mask(doc_rng, width, rate)
+                    for width, rate in zip((5, 4, 3, 4, 3), rates)] for _ in counts]
         assert len(masks) == 5
-        for block, rows in zip(masks, zip(*per_doc)):
-            np.testing.assert_array_equal(block.view(np.uint64), np.stack(rows).view(np.uint64))
+        for i, (block, rows) in enumerate(zip(masks, zip(*per_doc))):
+            want = np.stack(rows) if i in (2, 4) else np.repeat(rows, counts, axis=0)
+            np.testing.assert_array_equal(block.view(np.uint64), want.view(np.uint64))
         assert batch_rng.random() == doc_rng.random()
+
+    def test_masks_keep_each_input_in_expectation(self, rng):
+        # Inverted dropout: each mask entry is 0 or 1/(1 - rate), so a
+        # masked input equals the input in expectation.
+        model = desk_model()
+        n = 4000
+        for mask in model._masks(rng, [1] * n):
+            assert set(np.unique(mask)) <= {0.0, 1.0 / 0.6, 1.0 / 0.8}
+            np.testing.assert_allclose(mask.mean(axis=0), 1.0, atol=0.05)
 
 
 class TestProbabilities:
@@ -303,7 +316,7 @@ class TestProbabilities:
         model = desk_model()
         docs = [random_doc(rng) for _ in range(5)] + [random_doc(rng, num_sents=21)]
         # Training with no dropout_rng builds no mask either.
-        monkeypatch.setattr(layers, "dropout_mask", lambda *a: pytest.fail("mask built"))
+        monkeypatch.setattr(HiCnnLstmModel, "_masks", lambda *a: pytest.fail("mask built"))
         trained, _ = model.forward(docs, train=True)
         inferred, cache = model.forward(docs)
         assert cache is None
@@ -363,8 +376,11 @@ class TestLossAndGrads:
         cfg = model.config
         widths = (cfg.num_filters, *[cfg.sentence_dim, cfg.lstm_hidden] * 2)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(HiCnnLstmModel, "_masks",
-                       lambda self, rng, n: [np.ones((n, w)) for w in widths])
+            # One row per sentence for the dense and input masks, one per
+            # document for the recurrent ones.
+            mp.setattr(HiCnnLstmModel, "_masks", lambda self, rng, counts: [
+                np.ones((len(counts) if i in (2, 4) else sum(counts), w))
+                for i, w in enumerate(widths)])
             ones_loss, ones_grads = model.loss_and_grads(
                 batch, dropout_rng=np.random.default_rng(seed))
         assert np.float64(loss).view(np.uint64) == np.float64(ones_loss).view(np.uint64)
@@ -598,7 +614,7 @@ class TestLossAndGrads:
         assert counts == [1, 2, 7, 50]
         _, cache = model.forward(batch, train=True,
                                  dropout_rng=np.random.default_rng(5) if dropout else None)
-        masks = (model._masks(np.random.default_rng(5), len(batch))[1:] if dropout
+        masks = (model._masks(np.random.default_rng(5), counts)[1:] if dropout
                  else [[None] * len(batch)] * 4)
         H, ends = config.lstm_hidden, np.cumsum(counts)
         grad_enc = rng.normal(size=(len(batch), 2 * H))
