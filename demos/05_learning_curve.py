@@ -2,7 +2,8 @@
 
 A single stratified 70/30 split is fixed first; each curve point trains on a
 bootstrap resample of the training portion (20%..100% of its size) and
-evaluates on the same untouched test portion.
+evaluates on the same untouched test portion: the classifier's
+`fit(resample_ix, seed)` trains, and the `predict(test_ix)` it returns scores.
 """
 
 from sentihier.classifiers import NaiveBayesClassifier, prepare
@@ -12,9 +13,8 @@ from sentihier.synthetic import make_marker_dataset
 ds = make_marker_dataset(500, seed=3)
 tokenized, labels = prepare(ds)
 
-clf = NaiveBayesClassifier()
-points, warnings = learning_curve(clf.fit_predict_factory(tokenized, labels),
-                                  labels, fractions=[0.2, 0.4, 0.6, 0.8, 1.0],
+clf = NaiveBayesClassifier(tokenized, labels)
+points, warnings = learning_curve(clf.fit, labels, fractions=[0.2, 0.4, 0.6, 0.8, 1.0],
                                   seed=42, num_classes=2)
 
 print("fraction  resample  test accuracy")

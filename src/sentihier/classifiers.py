@@ -1,11 +1,12 @@
 """Classifier pipelines for the evaluation harness.
 
-Each pipeline owns the fold-local preprocessing (vocabulary built from the
-training indices only, embedding matrix assembly) and exposes a fit_predict
-closure compatible with evaluation.cross_validate / learning_curve.
+A pipeline holds a dataset's tokenized documents and class indices. Its
+fit(train_ix, seed) does the fold-local preprocessing (vocabulary built from
+the training indices only, embedding matrix assembly), trains, and returns
+(predict, history), where predict(test_ix) gives one class index per test
+index: the protocol of evaluation.cross_validate / learning_curve, which time
+both calls.
 """
-
-import time
 
 import numpy as np
 
@@ -44,10 +45,10 @@ def prepare(dataset):
 
 
 class HiCnnLstmClassifier:
-    """Hierarchical CNN-BiLSTM pipeline."""
+    """Hierarchical CNN-BiLSTM pipeline over `tokenized` documents of class `labels`."""
 
-    def __init__(self, model_config: ModelConfig, train_config: TrainConfig, label_names,
-                 table: EmbeddingTable | None = None, embedding_seed: int = 42):
+    def __init__(self, tokenized, labels, model_config: ModelConfig, train_config: TrainConfig,
+                 label_names, table: EmbeddingTable | None = None, embedding_seed: int = 42):
         """Checks that the word vectors have the configured dimension, and
         that a model of this config can be allocated: its buffers are made
         once with seed=None, which draws nothing and touches no page."""
@@ -59,50 +60,47 @@ class HiCnnLstmClassifier:
                            Vocabulary.of(()), label_names, seed=None)
         except (MemoryError, ValueError) as exc:
             raise ConfigurationError(f"{model_config} is too large to build: {exc}") from None
+        self.tokenized = tokenized
+        self.labels = labels
         self.model_config = model_config
         self.train_config = train_config
         self.label_names = label_names
         self.table = table
         self.embedding_seed = embedding_seed
 
-    def build(self, tokenized, labels, seed: int):
-        """Encoded documents and a fresh model seeded with `seed`, whose
-        vocabulary is that of `tokenized`."""
-        vocab = build_vocab(tokenized)
+    def build(self, ix, seed: int):
+        """The encoded documents `ix` and a fresh model seeded with `seed`,
+        whose vocabulary is that of those documents."""
+        vocab = build_vocab(self.tokenized[i] for i in ix)
         matrix = embedding_matrix_for(vocab, self.table, self.model_config.embedding_dim,
                                       self.embedding_seed)
-        docs = [encode(t, vocab, label) for t, label in zip(tokenized, labels)]
+        docs = [encode(self.tokenized[i], vocab, self.labels[i]) for i in ix]
         model = HiCnnLstmModel(self.model_config, matrix, vocab, self.label_names, seed=seed)
         return docs, model
 
-    def fit_predict_factory(self, tokenized, labels):
-        def fit_predict(train_ix, test_ix, seed):
-            train_docs, model = self.build(
-                [tokenized[i] for i in train_ix], [labels[i] for i in train_ix], seed)
-            t0 = time.perf_counter()
-            model, history = fit(model, train_docs, self.train_config, seed)
-            t1 = time.perf_counter()
-            test_docs = (encode(tokenized[i], model.vocab) for i in test_ix)
-            preds = [int(np.argmax(p)) for p in model.probabilities(test_docs)]
-            t2 = time.perf_counter()
-            return {"predictions": preds, "history": history,
-                    "train_seconds": t1 - t0, "test_seconds": t2 - t1}
-        return fit_predict
+    def fit(self, train_ix, seed: int):
+        docs, model = self.build(train_ix, seed)
+        model, history = fit(model, docs, self.train_config, seed)
+
+        def predict(test_ix):
+            test_docs = (encode(self.tokenized[i], model.vocab) for i in test_ix)
+            return [int(np.argmax(p)) for p in model.probabilities(test_docs)]
+        return predict, history
 
 
 class NaiveBayesClassifier:
-    """Multinomial NB bag-of-words pipeline with add-one smoothing."""
+    """Multinomial NB bag-of-words pipeline with add-one smoothing; it draws
+    nothing, so fit ignores its seed."""
 
-    def fit_predict_factory(self, tokenized, labels):
-        num_classes = max(labels) + 1
-        def fit_predict(train_ix, test_ix, seed):
-            vocab = build_vocab(tokenized[i] for i in train_ix)
-            t0 = time.perf_counter()
-            nb = baseline.nb_fit([encode(tokenized[i], vocab, labels[i]) for i in train_ix],
-                                 len(vocab), num_classes)
-            t1 = time.perf_counter()
-            preds = [baseline.nb_predict(nb, encode(tokenized[i], vocab)) for i in test_ix]
-            t2 = time.perf_counter()
-            return {"predictions": preds, "history": None,
-                    "train_seconds": t1 - t0, "test_seconds": t2 - t1}
-        return fit_predict
+    def __init__(self, tokenized, labels):
+        self.tokenized = tokenized
+        self.labels = labels
+
+    def fit(self, train_ix, seed: int):
+        vocab = build_vocab(self.tokenized[i] for i in train_ix)
+        nb = baseline.nb_fit([encode(self.tokenized[i], vocab, self.labels[i]) for i in train_ix],
+                             len(vocab), max(self.labels) + 1)
+
+        def predict(test_ix):
+            return [baseline.nb_predict(nb, encode(self.tokenized[i], vocab)) for i in test_ix]
+        return predict, None

@@ -43,9 +43,6 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
-_MODEL_FIELDS = set(ModelConfig.__dataclass_fields__)
-_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
-
 
 def _parse_overrides(pairs):
     model_over, train_over = {}, {}
@@ -55,13 +52,13 @@ def _parse_overrides(pairs):
             raise ConfigurationError(f"override {pair!r} is not key=value")
         if key in model_over or key in train_over:
             raise ConfigurationError(f"--override: key {key!r} is given twice")
-        if key in _MODEL_FIELDS:
-            target, anno = model_over, ModelConfig.__dataclass_fields__[key].type
-        elif key in _TRAIN_FIELDS:
-            target, anno = train_over, TrainConfig.__dataclass_fields__[key].type
+        if key in ModelConfig.__dataclass_fields__:
+            target, field = model_over, ModelConfig.__dataclass_fields__[key]
+        elif key in TrainConfig.__dataclass_fields__:
+            target, field = train_over, TrainConfig.__dataclass_fields__[key]
         else:
             raise ConfigurationError(f"unknown override key {key!r}")
-        kind = float if "float" in str(anno) else int
+        kind = type(field.default)
         try:
             target[key] = kind(value)
         except ValueError:
@@ -96,7 +93,7 @@ def _setup(args, specs, folds=None):
     vectors, which only hicnnlstm reads, and only the rows of the dataset's
     tokens (the classifier checks their dimension, and that its model can be
     allocated). The dataset is tokenized before the vectors, which need its
-    tokens. Returns (ds, tokenized docs, class indices, classifiers).
+    tokens. Returns (ds, class indices, classifiers).
     """
     ds, warnings = load_from_config(load_dataset_config(args.dataset))
     if folds is not None:
@@ -109,10 +106,11 @@ def _setup(args, specs, folds=None):
     table = None
     if "hicnnlstm" in specs and args.embeddings != "random":
         table = load_vectors(args.embeddings, tokenized)  # a missing file: OSError naming it
-    classifiers = [HiCnnLstmClassifier(mcfg, tcfg, ds.label_set, table,
+    classifiers = [HiCnnLstmClassifier(tokenized, labels, mcfg, tcfg, ds.label_set, table,
                                        embedding_seed=args.seed)
-                   if spec == "hicnnlstm" else NaiveBayesClassifier() for spec in specs]
-    return ds, tokenized, labels, classifiers
+                   if spec == "hicnnlstm" else NaiveBayesClassifier(tokenized, labels)
+                   for spec in specs]
+    return ds, labels, classifiers
 
 
 def _out(args, directory: bool) -> Path:
@@ -127,11 +125,10 @@ def _out(args, directory: bool) -> Path:
 def cmd_crossval(args) -> int:
     out = _out(args, directory=True)
     started = datetime.now(timezone.utc).isoformat()
-    ds, tokenized, labels, (classifier,) = _setup(args, [args.classifier], args.folds)
+    ds, labels, (classifier,) = _setup(args, [args.classifier], args.folds)
     out.mkdir(parents=True, exist_ok=True)
-    fit_predict = classifier.fit_predict_factory(tokenized, labels)
     t0 = time.perf_counter()
-    fold_results, pooled = cross_validate(fit_predict, labels, k=args.folds,
+    fold_results, pooled = cross_validate(classifier.fit, labels, k=args.folds,
                                           seed=args.seed, num_classes=len(ds.label_set))
     total = time.perf_counter() - t0
     manifest = _manifest("crossval", args, ds, classifier=args.classifier, folds=args.folds)
@@ -170,16 +167,15 @@ def cmd_learning_curve(args) -> int:
             raise ConfigurationError(f"--classifier {spec} is given twice")
     out = _out(args, directory=True)
     started = datetime.now(timezone.utc).isoformat()
-    ds, tokenized, labels, classifiers = _setup(args, specs)
+    ds, labels, classifiers = _setup(args, specs)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("learning-curve", args, ds, classifiers=",".join(specs),
                          fractions=args.fractions)
     t0 = time.perf_counter()
     combined = ["classifier,fraction,size,accuracy"]
     for spec, classifier in zip(specs, classifiers):
-        fit_predict = classifier.fit_predict_factory(tokenized, labels)
         # the skipped points, and so the warnings, depend only on labels and seed
-        points, warnings = learning_curve(fit_predict, labels, fractions,
+        points, warnings = learning_curve(classifier.fit, labels, fractions,
                                           seed=args.seed, num_classes=len(ds.label_set))
         rows = ["fraction,size,accuracy"]
         for p in points:
@@ -197,9 +193,9 @@ def cmd_learning_curve(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out(args, directory=False)
-    ds, tokenized, labels, (classifier,) = _setup(args, ["hicnnlstm"])
+    ds, labels, (classifier,) = _setup(args, ["hicnnlstm"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    docs, model = classifier.build(tokenized, labels, args.seed)
+    docs, model = classifier.build(range(len(labels)), args.seed)
     model, history = fit(model, docs, classifier.train_config, args.seed)
     save_checkpoint(model, out)
     _write_report(Path(str(out) + ".history.csv"),

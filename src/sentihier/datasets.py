@@ -92,6 +92,12 @@ def load_csv(path, text_column: str, label_column: str, name: str = "",
                                          f"{sorted(mapping)}, the labels that the "
                                          f"{label_mapping} mapping accepts")
                     label = mapping[label]
+                # A label is written unquoted into report rows and .md tables,
+                # and predict prints it as the first field of one line.
+                if not label.isprintable() or any(c in label for c in ',"|'):
+                    raise ParseError(f"{path}: row {rownum}: label {label!r} holds a character "
+                                     "that a report cannot hold: a label must be printable, "
+                                     "without ',', '\"' or '|'")
                 samples.append((text, label))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

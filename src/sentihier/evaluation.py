@@ -7,6 +7,7 @@ so every classifier sees identical data partitions for a given seed.
 """
 
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -104,6 +105,9 @@ def compute_metrics(gold, predicted, num_classes: int) -> MetricsReport:
 
 @dataclass
 class FoldResult:
+    """One fold's scores. train_seconds spans the fold's whole fit (its
+    vocabulary, embedding matrix and model, then training), test_seconds its
+    predict (encoding and classifying the test documents)."""
     fold: int
     report: MetricsReport
     train_seconds: float
@@ -111,16 +115,34 @@ class FoldResult:
     history: object
 
 
-def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42, *, num_classes: int):
+def _fit_and_score(fit, labels, train_ix, test_ix, seed: int, num_classes: int, tag: tuple):
+    """One fold or curve point: `fit(train_ix, seed)` returns (predict,
+    history), and `predict(test_ix)` one class index per test index, scored
+    against `labels`. Returns (predictions, MetricsReport, history, seconds
+    in fit, seconds in predict). An exception raised in a fold or point
+    propagates unchanged, with the attribute that `tag` names, such as
+    ("fold", 3), set on it."""
+    try:
+        t0 = time.perf_counter()
+        predict, history = fit(train_ix, seed)
+        t1 = time.perf_counter()
+        predicted = list(predict(test_ix))
+        t2 = time.perf_counter()
+        report = compute_metrics([labels[i] for i in test_ix], predicted, num_classes)
+    except Exception as exc:
+        setattr(exc, *tag)
+        raise
+    return predicted, report, history, t1 - t0, t2 - t1
+
+
+def cross_validate(fit, labels, k: int = 10, seed: int = 42, *, num_classes: int):
     """Run the k-fold protocol for one classifier: fold f tests, the others train.
 
-    fit_predict(train_indices, test_indices, fold_seed) must train on the
-    train indices and return a dict with the keys "predictions" (one class
-    index per test index, in order), "history" (or None), "train_seconds" and
-    "test_seconds". Returns (list of FoldResult, pooled MetricsReport). Fold
+    fit(train_indices, fold_seed) is called once per fold, in fold order (see
+    `_fit_and_score`). Returns (list of FoldResult, pooled MetricsReport). Fold
     seeds are drawn up front, so a fold's result does not depend on the folds
-    run before it. An exception raised in a fold propagates unchanged, with
-    the fold number in its `fold` attribute.
+    run before it. An exception raised in a fold carries the fold number in
+    its `fold` attribute.
     """
     labels = list(labels)
     folds = stratified_kfold(labels, k, seed)
@@ -130,16 +152,11 @@ def cross_validate(fit_predict, labels, k: int = 10, seed: int = 42, *, num_clas
     results, pooled_gold, pooled_pred = [], [], []
     for fold, test_ix in enumerate(folds):
         train_ix = sorted(i for f, ix in enumerate(folds) if f != fold for i in ix)
-        try:
-            out = fit_predict(train_ix, test_ix, fold_seeds[fold])
-        except Exception as exc:
-            exc.fold = fold
-            raise
-        gold, preds = [labels[i] for i in test_ix], list(out["predictions"])
-        results.append(FoldResult(fold, compute_metrics(gold, preds, num_classes),
-                                  out["train_seconds"], out["test_seconds"], out["history"]))
-        pooled_gold.extend(gold)
-        pooled_pred.extend(preds)
+        predicted, report, history, train_s, test_s = _fit_and_score(
+            fit, labels, train_ix, test_ix, fold_seeds[fold], num_classes, ("fold", fold))
+        results.append(FoldResult(fold, report, train_s, test_s, history))
+        pooled_gold.extend(labels[i] for i in test_ix)
+        pooled_pred.extend(predicted)
     return results, compute_metrics(pooled_gold, pooled_pred, num_classes)
 
 
@@ -196,16 +213,18 @@ def resample_plan(labels, fractions, seed: int):
     return train_ix, test_ix, draws
 
 
-def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
+def learning_curve(fit, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
                    seed: int = 42, *, num_classes: int):
     """Bootstrap learning curve on a fixed stratified 70/30 split, at
     fractions strictly ascending in (0, 1] (cli.cmd_learning_curve checks them).
 
-    Returns (list of CurvePoint, list of skipped-point warnings). A point
-    whose resample has no document of some class is skipped; the draws
-    depend only on the labels and the seed, so every classifier skips the
-    same points with the same warnings. An exception raised at a point propagates unchanged, with
-    the point's fraction in its `fraction` attribute.
+    fit(resample indices, point_seed) is called once per point that is not
+    skipped, as in `cross_validate`. Returns (list of CurvePoint, list of
+    skipped-point warnings). A point whose resample has no document of some
+    class is skipped; the draws depend only on the labels and the seed, so
+    every classifier skips the same points with the same warnings. An
+    exception raised at a point carries the point's fraction in its
+    `fraction` attribute.
     """
     labels = list(labels)
     train_ix, test_ix, draws = resample_plan(labels, fractions, seed)
@@ -213,19 +232,14 @@ def learning_curve(fit_predict, labels, fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
                    for s in np.random.SeedSequence([seed, 0xC0]).spawn(len(draws))]
     points = []
     warnings = []
-    gold = [labels[i] for i in test_ix]
     for (frac, sample_ix), pseed in zip(draws, point_seeds):
         missing = sorted(set(range(num_classes)) - {labels[i] for i in sample_ix})
         if missing:
             warnings.append(f"fraction {frac}: resample of {len(sample_ix)} documents has no "
                             f"document of classes {missing}, skipped")
             continue
-        try:
-            preds = list(fit_predict(sample_ix, test_ix, pseed)["predictions"])
-        except Exception as exc:
-            exc.fraction = frac
-            raise
-        report = compute_metrics(gold, preds, num_classes)
+        report = _fit_and_score(fit, labels, sample_ix, test_ix, pseed, num_classes,
+                                ("fraction", frac))[1]
         points.append(CurvePoint(frac, len(sample_ix), report.accuracy))
     return points, warnings
 

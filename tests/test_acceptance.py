@@ -199,10 +199,9 @@ def test_criterion_5_jira_reproduction():
     ds, tokenized, labels, table = _jira_setup()
     dim = table.dim if table else 300
     mcfg = ModelConfig(embedding_dim=dim)
-    clf = HiCnnLstmClassifier(mcfg, TrainConfig(), ds.label_set, table,
+    clf = HiCnnLstmClassifier(tokenized, labels, mcfg, TrainConfig(), ds.label_set, table,
                               embedding_seed=42)
-    _, pooled = cross_validate(clf.fit_predict_factory(tokenized, labels),
-                               labels, k=10, seed=42, num_classes=2)
+    _, pooled = cross_validate(clf.fit, labels, k=10, seed=42, num_classes=2)
     elapsed = time.monotonic() - start
     threshold = 0.93 if table else 0.88
     assert pooled.accuracy >= threshold, f"pooled accuracy {pooled.accuracy:.4f}"
@@ -230,9 +229,8 @@ def test_criterion_6_naive_bayes_oracle():
                     "the real Jira dataset is required for this criterion")
 def test_criterion_6_naive_bayes_jira_accuracy():
     _, tokenized, labels, _ = _jira_setup()
-    clf = NaiveBayesClassifier()
-    _, pooled = cross_validate(clf.fit_predict_factory(tokenized, labels),
-                               labels, k=10, seed=42, num_classes=2)
+    clf = NaiveBayesClassifier(tokenized, labels)
+    _, pooled = cross_validate(clf.fit, labels, k=10, seed=42, num_classes=2)
     assert pooled.accuracy >= 0.85, f"NB pooled accuracy {pooled.accuracy:.4f}"
     announce(6, f"Naive Bayes Jira accuracy ({pooled.accuracy:.4f})")
 
@@ -259,10 +257,9 @@ def test_criterion_7_jira_curve_monotone_ends():
     ds, tokenized, labels, table = _jira_setup()
     dim = table.dim if table else 300
     mcfg = ModelConfig(embedding_dim=dim)
-    clf = HiCnnLstmClassifier(mcfg, TrainConfig(), ds.label_set, table,
+    clf = HiCnnLstmClassifier(tokenized, labels, mcfg, TrainConfig(), ds.label_set, table,
                               embedding_seed=42)
-    points, _ = learning_curve(clf.fit_predict_factory(tokenized, labels),
-                               labels, [0.2, 1.0], seed=42, num_classes=2)
+    points, _ = learning_curve(clf.fit, labels, [0.2, 1.0], seed=42, num_classes=2)
     assert points[0].resample_size == 130 and points[1].resample_size == 649
     assert points[1].test_accuracy >= points[0].test_accuracy
     announce(7, f"Jira curve ends ({points[0].test_accuracy:.3f} -> "

@@ -667,7 +667,10 @@ def test_single_valued_flag_given_twice_is_rejected(tmp_path, capsys, monkeypatc
      3, "big.csv: row 3: field larger than field limit"),
     ("latin.csv", b"text,label\nfine,positive\ncaf\xe9,negative\n", 3, "latin.csv: not UTF-8"),
     ("latin.conf", b"# caf\xe9\nname = x\n", 2, "latin.conf: not UTF-8"),
-], ids=["csv-field-too-large", "csv-not-utf8", "conf-not-utf8"])
+    # would be written unquoted as a sixth field of a five-column report row
+    ("comma.csv", b'text,label\nfine,positive\nfine,"good, really"\nbad,negative\n', 3,
+     "comma.csv: row 3: label 'good, really'"),
+], ids=["csv-field-too-large", "csv-not-utf8", "conf-not-utf8", "csv-label-with-comma"])
 def test_unreadable_dataset_file_is_named(tmp_path, capsys, monkeypatch, name, content, code,
                                           message):
     monkeypatch.chdir(tmp_path)

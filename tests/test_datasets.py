@@ -59,6 +59,17 @@ class TestLoadCsv:
         ds = load_csv(path, "text", "label")
         assert ds.samples == (("a", "positive"), ("b", "negative"))
 
+    @pytest.mark.parametrize("label", ["good, really", 'good "really"', "good|really",
+                                       "good\treally", "good\nreally"],
+                             ids=["comma", "quote", "bar", "tab", "newline"])
+    def test_label_that_breaks_a_report_names_file_row_and_label(self, tmp_path, label):
+        quoted = '"' + label.replace('"', '""') + '"'
+        path = write(tmp_path, "d.csv", f"text,label\na,positive\nb,{quoted}\nc,negative\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path, "text", "label")
+        row = 3 + label.count("\n")  # as every load_csv error: the line the row ends on
+        assert str(info.value).startswith(f"{path}: row {row}: label {label!r} ")
+
     def test_three_class_order(self, tmp_path):
         path = write(tmp_path, "d.csv",
                      "text,label\na,neutral\nb,positive\nc,negative\n")

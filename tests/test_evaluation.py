@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentihier import evaluation
 from sentihier.errors import ConfigurationError, ParseError, SentihierError
 from sentihier.evaluation import (
     compute_metrics,
@@ -149,10 +150,9 @@ class TestComputeMetrics:
             assert abs(rep.accuracy - weighted) <= 1e-12
 
 
-def stub_result(predictions, **fields):
-    """What a classifier's fit_predict returns: every key cross_validate reads."""
-    return {"predictions": predictions, "history": None, "train_seconds": 0.0,
-            "test_seconds": 0.0, **fields}
+def majority(train_ix, seed):
+    """A classifier's fit that learns nothing: it predicts class 0 for every document."""
+    return (lambda test_ix: [0] * len(test_ix)), None
 
 
 class TestCrossValidate:
@@ -160,25 +160,39 @@ class TestCrossValidate:
         labels = [0, 1] * 20
         kfold = stratified_kfold(labels, 4, seed=1)
 
-        def perfect(train_ix, test_ix, seed):
-            # the test fold, and the sorted union of the others to train on
-            fold = kfold.index(test_ix)
-            assert train_ix == sorted(i for f in kfold if f != test_ix for i in f)
-            return stub_result([labels[i] for i in test_ix], history=f"h{fold}",
-                               train_seconds=fold + 0.5, test_seconds=fold + 0.25)
+        def perfect(train_ix, seed):
+            # the sorted union of every fold but one, which is then tested
+            fold = next(f for f, ix in enumerate(kfold) if ix[0] not in train_ix)
+            assert train_ix == sorted(i for f in kfold if f != kfold[fold] for i in f)
+
+            def predict(test_ix):
+                assert test_ix == kfold[fold]
+                return [labels[i] for i in test_ix]
+            return predict, f"h{fold}"
 
         folds, pooled = cross_validate(perfect, labels, k=4, seed=1, num_classes=2)
         assert pooled.accuracy == 1.0
         assert all(f.report.accuracy == 1.0 for f in folds)
-        assert [(f.history, f.train_seconds, f.test_seconds) for f in folds] == [
-            (f"h{fold}", fold + 0.5, fold + 0.25) for fold in range(4)]
+        assert [(f.fold, f.history) for f in folds] == [(fold, f"h{fold}") for fold in range(4)]
+
+    def test_fold_seconds_are_the_spans_of_fit_and_predict(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(evaluation.time, "perf_counter", lambda: clock[0])
+
+        def fit(train_ix, seed):
+            clock[0] += 5.0
+
+            def predict(test_ix):
+                clock[0] += 2.0
+                return [0] * len(test_ix)
+            clock[0] += 0.5  # still inside fit
+            return predict, None
+
+        folds, _ = cross_validate(fit, [0, 1] * 10, k=4, seed=5, num_classes=2)
+        assert [(f.train_seconds, f.test_seconds) for f in folds] == [(5.5, 2.0)] * 4
 
     def test_majority_stub_accuracy_equals_majority_share(self):
         labels = [0] * 636 + [1] * 290  # Jira-scale distribution
-
-        def majority(train_ix, test_ix, seed):
-            return stub_result([0] * len(test_ix))
-
         _, pooled = cross_validate(majority, labels, k=10, seed=42, num_classes=2)
         assert pooled.accuracy == pytest.approx(636 / 926)
 
@@ -186,14 +200,13 @@ class TestCrossValidate:
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 2, size=50).tolist()
 
-        def noisy_but_seeded(train_ix, test_ix, seed):
+        def noisy_but_seeded(train_ix, seed):
             r = np.random.default_rng(seed)
-            return stub_result(r.integers(0, 2, size=len(test_ix)).tolist())
+            return (lambda test_ix: r.integers(0, 2, size=len(test_ix)).tolist()), None
 
         r1 = cross_validate(noisy_but_seeded, labels, k=5, seed=9, num_classes=2)
         r2 = cross_validate(noisy_but_seeded, labels, k=5, seed=9, num_classes=2)
         assert np.array_equal(r1[1].confusion, r2[1].confusion)
-
 
     @pytest.mark.parametrize("exc", [
         UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
@@ -201,18 +214,25 @@ class TestCrossValidate:
     ])
     def test_error_in_a_fold_keeps_its_type_and_names_the_fold(self, exc):
         labels = [0, 1] * 10
-        calls = []
+        for stage in ("fit", "predict"):
+            calls = []
 
-        def fails_in_fold_2(train_ix, test_ix, seed):
-            calls.append(seed)  # serial folds run in order
-            if len(calls) == 3:
-                raise exc
-            return stub_result([0] * len(test_ix))
+            def fails_in_fold_2(train_ix, seed):
+                calls.append(seed)  # serial folds run in order
+                if len(calls) == 3 and stage == "fit":
+                    raise exc
 
-        with pytest.raises(type(exc)) as info:
-            cross_validate(fails_in_fold_2, labels, k=4, seed=5, num_classes=2)
-        assert info.value is exc
-        assert info.value.fold == 2
+                def predict(test_ix):
+                    if len(calls) == 3:
+                        raise exc
+                    return [0] * len(test_ix)
+                return predict, None
+
+            with pytest.raises(type(exc)) as info:
+                cross_validate(fails_in_fold_2, labels, k=4, seed=5, num_classes=2)
+            assert info.value is exc
+            assert info.value.fold == 2
+            del exc.fold
 
 
 class TestSplitAndResample:
@@ -254,10 +274,6 @@ class TestSplitAndResample:
 class TestLearningCurve:
     def test_majority_stub_matches_test_split_share(self):
         labels = [0] * 80 + [1] * 20
-
-        def majority(train_ix, test_ix, seed):
-            return {"predictions": [0] * len(test_ix)}
-
         points, warnings = learning_curve(majority, labels, [1.0], seed=6, num_classes=2)
         train, test, _ = resample_plan(labels, [1.0], seed=6)
         share = sum(1 for i in test if labels[i] == 0) / len(test)
@@ -266,33 +282,37 @@ class TestLearningCurve:
 
     def test_sizes_follow_rounding_convention(self):
         labels = [0, 1] * 50
-        points, _ = learning_curve(
-            lambda a, b, s: {"predictions": [0] * len(b)}, labels,
-            [0.2, 0.4, 0.6, 0.8, 1.0], seed=2, num_classes=2)
+        points, _ = learning_curve(majority, labels, [0.2, 0.4, 0.6, 0.8, 1.0], seed=2,
+                                   num_classes=2)
         train, _, _ = resample_plan(labels, [1.0], seed=2)
         for p in points:
             assert p.resample_size == round_half_away(p.fraction * len(train))
 
     def test_tiny_resample_skipped_with_warning(self):
         labels = [0, 1, 2] * 10
-        points, warnings = learning_curve(
-            lambda a, b, s: {"predictions": [0] * len(b)}, labels,
-            [0.05, 1.0], seed=1, num_classes=3)
+        points, warnings = learning_curve(majority, labels, [0.05, 1.0], seed=1,
+                                          num_classes=3)
         assert len(warnings) == 1 and "skipped" in warnings[0]
         assert len(points) == 1
 
     def test_exception_at_a_learning_curve_point_carries_its_fraction(self):
         exc = ValueError("boom")
+        for stage in ("fit", "predict"):
+            def fails_at_the_second_point(train_ix, seed):
+                if len(train_ix) > 20 and stage == "fit":
+                    raise exc
 
-        def fails_at_the_second_point(train_ix, test_ix, seed):
-            if len(train_ix) > 20:
-                raise exc
-            return stub_result([0] * len(test_ix))
+                def predict(test_ix):
+                    if len(train_ix) > 20:
+                        raise exc
+                    return [0] * len(test_ix)
+                return predict, None
 
-        with pytest.raises(ValueError) as info:
-            learning_curve(fails_at_the_second_point, [0, 1] * 20, [0.5, 1.0], seed=3,
-                           num_classes=2)
-        assert info.value is exc and info.value.fraction == 1.0
+            with pytest.raises(ValueError) as info:
+                learning_curve(fails_at_the_second_point, [0, 1] * 20, [0.5, 1.0], seed=3,
+                               num_classes=2)
+            assert info.value is exc and info.value.fraction == 1.0
+            del exc.fraction
 
 
 class TestReportExport:
